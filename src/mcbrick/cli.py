@@ -631,7 +631,7 @@ def _cmd_rp_spectrum(params, root, sha, outdir):
         "eps_keep": run["eps_keep"],
         "phase": _phase_label(gate),
         "unit_multiplicity": int(unit_multiplicity(tp)),
-        "spectral_radius": float(tp.spectral_radius()),
+        "spectral_radius": tp.metadata["spectral_radius"],
         "charge_mixing_defect": float(tp.mixing_defect),
         "block_dims": {str(c): int(d) for c, d in spectrum.block_dims.items()},
         "modes_kept": len(spectrum.modes),

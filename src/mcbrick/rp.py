@@ -6,20 +6,21 @@ into translation classes with momentum k (shifts act by two sites, one
 unit cell).  Operators are expanded in normalized strings over
 {1, z, +, -}; a class representative is a length-r string whose first
 letter is not the identity, starting on an even or an odd site.  One
-brickwall step spreads support by at most two sites toward one side and
-one toward the other (which side depends on the alignment of the support
-edges with the gate layers), so every matrix element
+brickwall step moves each support edge out by two sites when the gate
+straddling it acts first in the conjugation U^dag q U, by one otherwise,
+so every matrix element
 
     [T(k)]_{q',q} = sum_{j in {-1,0,1}} e^{-ikj} <S^{2j} q' | Uq>
 
-is an exact finite computation on a window of r+5 sites; shifts beyond
-|j| = 1 vanish identically because a representative keeps a non-identity
-letter pinned near its first site.  T(k) is the compression of a unitary
-channel, so its spectral radius never exceeds 1; eigenvalues strictly
-inside the unit circle are the Ruelle-Pollicott resonances, and unit
-eigenvalues at k = 0 are densities of conserved charges.  Gate charge
-(raising minus lowering letters) is conserved, so T is block diagonal
-over operator charge, which is also the main performance lever.
+is exact inside the one-step light cone of q (r+2 to r+4 sites); shifts
+beyond |j| = 1 vanish identically because a representative keeps a
+non-identity letter pinned near its first site.  T(k) is the compression
+of a unitary channel, so its spectral radius never exceeds 1; eigenvalues
+strictly inside the unit circle are the Ruelle-Pollicott resonances, and
+unit eigenvalues at k = 0 are densities of conserved charges.  Gate
+charge (raising minus lowering letters) is conserved, so T is block
+diagonal over operator charge; the columns of one block travel through
+the light cone as one sparse matrix.
 
 k is a free real parameter of the translation class, not a lattice
 momentum of any finite ring.
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import scipy.linalg
+import scipy.sparse
 
 from .charges import higher_charge, q1_kernels
 from .errors import CapacityError, ParameterError, RefusalError, SymmetryError
@@ -239,89 +241,87 @@ class TruncatedPropagator:
         return self.blocks[charge]
 
 
+def _cone_operators(superop, pos, r):
+    """Light cone (lo, hi) of a length-r string at window site `pos` (site
+    0 even) and its sparse pair superoperators, layer two (odd bonds)
+    first; the edges move as heisenberg_step's margins require."""
+    end = pos + r - 1
+    lo, hi = pos - (2 if pos % 2 == 0 else 1), end + (2 if end % 2 == 1 else 1)
+    s, eye = scipy.sparse.csr_matrix(superop), scipy.sparse.identity
+    bonds = [i for i in range(lo, hi) if i % 2 == 1] + [i for i in range(lo, hi) if i % 2 == 0]
+    return lo, hi, [
+        scipy.sparse.kron(eye(4 ** (i - lo)), scipy.sparse.kron(s, eye(4 ** (hi - i - 1))),
+                          format="csr")
+        for i in bonds
+    ]
+
+
 def truncated_propagator(gate, r, k):
     """Build T(k) on all charge blocks of the r-local string classes.
 
-    Columns are conjugated on an (r+5)-site window (lattice sites -2 to
-    r+2), which contains the one-step light cone of both parities and all
-    row placements for shifts j in {-1, 0, 1}; elements with |j| > 1
-    vanish identically, so the shift sum is exact.
+    Row placements for shifts j in {-1, 0, 1} span lattice sites -2 to
+    r+2; elements with |j| > 1 vanish identically.  Each column is
+    conjugated only inside its one-step light cone (r+3 sites for odd r,
+    r+2 or r+4 for even r by column parity); gates outside it map identity
+    to identity.  The columns of a charge block travel as one sparse
+    matrix; row slots with a letter outside the cone are zero.  One BLAS
+    thread on a 2-core Xeon: r=5 about 1.4 s; r=R_MAX=6 about 27 s (half
+    of it the radius check) and 2.1 GB peak RSS.
     """
     if not 1 <= r <= R_MAX:
         raise CapacityError(f"support must satisfy 1 <= r <= {R_MAX}, got {r}")
-    w = r + 5
     strings = _all_strings(r)
     charges = sorted({charge_of_string(s) for s in strings})
-    by_charge = {c: [s for s in strings if charge_of_string(s) == c] for c in charges}
-    labels = {
-        c: [("even", s) for s in by_charge[c]] + [("odd", s) for s in by_charge[c]]
-        for c in charges
-    }
+    labels = {c: [(p, s) for p in ("even", "odd") for s in strings if charge_of_string(s) == c]
+              for c in charges}
     if max(len(v) for v in labels.values()) > BLOCK_DIM_MAX:
         raise CapacityError(f"largest charge block exceeds {BLOCK_DIM_MAX}")
 
-    # flat window index of a string placed with its first letter at `pos`
-    digit_weight = 4 ** np.arange(w - 1, -1, -1)
-    letter_index = {ch: i for i, ch in enumerate(LETTERS)}
-
-    def flat_index(label, pos):
-        return int(
-            sum(digit_weight[pos + i] * letter_index[ch] for i, ch in enumerate(label))
-        )
-
-    # row gathering: string index within a 4^r extraction slice
-    slice_weight = 4 ** np.arange(r - 1, -1, -1)
-
-    def slice_index(label):
-        return int(sum(slice_weight[i] * letter_index[ch] for i, ch in enumerate(label)))
-
-    row_idx = {c: np.array([slice_index(s) for s in by_charge[c]]) for c in charges}
-    # all representative slots and their charges, for leakage monitoring
-    rep_charge = np.full(4**r, 99, dtype=int)
-    for s in strings:
-        rep_charge[slice_index(s)] = charge_of_string(s)
-
+    # slot of every representative (its letters as base-4 digits, ascending)
+    # and its charge; other charges' slots are watched for leakage
+    digits = str.maketrans(LETTERS, "0123")
+    reps = np.array([int(s.translate(digits), 4) for s in strings])
+    rep_charge = np.array([charge_of_string(s) for s in strings])
     superop = _conjugation_superop(gate)
-    phases = {j: np.exp(-1j * k * j) for j in (-1, 0, 1)}
     blocks = {c: np.zeros((len(labels[c]), len(labels[c])), dtype=complex) for c in charges}
     mixing = 0.0
 
-    chunk = max(1, int(2.0e8 / (16 * 4**w)))
-    for c in charges:
-        cols = labels[c]
-        n_even = len(by_charge[c])
-        for lo in range(0, len(cols), chunk):
-            batch = cols[lo : lo + chunk]
-            flat = np.zeros((4**w, len(batch)), dtype=complex)
-            for jcol, (parity, label) in enumerate(batch):
-                flat[flat_index(label, 2 + (parity == "odd")), jcol] = 1.0
-            flat = _one_step(flat, w, 0, superop)
-            for j in (-1, 0, 1):
-                for p_row, base in (("even", 2), ("odd", 3)):
-                    a = base + 2 * j
-                    sl = flat.reshape(
-                        (4**a, 4**r, 4 ** (w - a - r), len(batch))
-                    )[0, :, 0, :]
-                    rows = sl[row_idx[c]]
-                    off = 0 if p_row == "even" else n_even
-                    blocks[c][off : off + len(by_charge[c]), lo : lo + len(batch)] += (
-                        phases[j] * rows
-                    )
-                    other = (rep_charge != c) & (rep_charge != 99)
-                    if other.any():
-                        mixing = max(mixing, float(np.abs(sl[other]).max()))
+    for col_half, pos in ((0, 2), (1, 3)):
+        lo, hi, ops = _cone_operators(superop, pos, r)
+        for c in charges:
+            own = reps[rep_charge == c]
+            n = len(own)
+            half = slice(col_half * n, (col_half + 1) * n)
+            cols = scipy.sparse.csc_matrix(
+                (np.ones(n, dtype=complex), own * 4 ** (hi - pos - r + 1), np.arange(n + 1)),
+                shape=(4 ** (hi - lo + 1), n),
+            )
+            for op in ops:
+                cols = op @ cols
+            for j, (row_half, base) in product((-1, 0, 1), ((0, 2), (1, 3))):
+                a = base + 2 * j
+                if not lo <= a <= hi:
+                    continue
+                # slots reaching past the cone must end in identities there
+                tail = hi - (a + r - 1)
+                fits = reps % 4 ** max(-tail, 0) == 0
+                slots = reps[fits]
+                sl = cols[slots // 4 ** max(-tail, 0) * 4 ** max(tail, 0)].toarray()
+                mine = rep_charge[fits] == c
+                rows = row_half * n + np.searchsorted(own, slots[mine])
+                blocks[c][rows, half] += np.exp(-1j * k * j) * sl[mine]
+                if not mine.all():
+                    mixing = max(mixing, float(np.abs(sl[~mine]).max()))
 
     if mixing > MIXING_TOL:
-        raise SymmetryError(
-            "propagator mixes operator-charge blocks", residual=mixing
-        )
+        raise SymmetryError("propagator mixes operator-charge blocks", residual=mixing)
     tp = TruncatedPropagator(
         k=float(k),
         r=r,
         blocks=blocks,
         labels=labels,
         mixing_defect=mixing,
-        metadata={"window_sites": w, "gate": getattr(gate, "provenance", "")},
+        metadata={"window_sites": r + 5, "gate": getattr(gate, "provenance", "")},
     )
     radius = tp.spectral_radius()
     if radius > 1.0 + RADIUS_TOL:

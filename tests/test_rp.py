@@ -5,15 +5,19 @@ import pytest
 import scipy.linalg
 
 from mcbrick.core import build_propagator, embed_operator, homogeneous_circuit
-from mcbrick.errors import CapacityError, ParameterError, RefusalError
+from mcbrick.errors import CapacityError, ParameterError, RefusalError, SymmetryError
 from mcbrick.gates import (
+    HaarGateParams,
     HamiltonianGateParams,
+    gate_from_haar,
     gate_from_hamiltonian,
     identity_gate,
     random_mc_gate,
 )
 from mcbrick.rp import (
     LETTERS,
+    MIXING_TOL,
+    RADIUS_TOL,
     _SITE_OPS,
     _lambda2,
     build_basis,
@@ -108,12 +112,12 @@ def test_heisenberg_step_matches_dense_conjugation():
         # window on lattice sites 2 .. 2+w-1, operator interior at 4+parity
         stepped = heisenberg_step(string_tensor(label, 2 + parity, w), g, window=2)
         evolved = U.conj().T @ dense_string(label, 4 + parity) @ U
-        recon = np.zeros_like(evolved)
-        for digs in np.argwhere(np.abs(stepped) > 1e-16):
-            lab = "".join(LETTERS[d] for d in digs)
-            recon += stepped[tuple(digs)] * embed_operator(
-                _window_kernel(lab), list(range(2, 2 + w)), L
-            )
+        # embedding is linear: sum the window kernels, then embed once
+        kernel = sum(
+            stepped[tuple(digs)] * _window_kernel("".join(LETTERS[d] for d in digs))
+            for digs in np.argwhere(np.abs(stepped) > 1e-16)
+        )
+        recon = embed_operator(kernel, list(range(2, 2 + w)), L)
         assert np.abs(recon - evolved).max() < 1e-12
 
 
@@ -147,31 +151,35 @@ def test_propagator_identity_gate_is_identity():
 
 
 def test_propagator_matches_explicit_window_elements():
+    # every element of two charge blocks, both column parities, against
+    # the dense (r+5)-site window step
     g = random_mc_gate(11)
-    r, k = 2, 0.7
+    r, k = 3, 0.7
     tp = truncated_propagator(g, r, k)
     w = r + 5
 
-    def window_step(lab, parity):
-        return heisenberg_step(string_tensor(lab, 2 + parity, w), g, window=-2)
+    def slot(lab, pos):
+        idx = [0] * w
+        for t, ch in enumerate(lab):
+            idx[pos + t] = LETTERS.index(ch)
+        return tuple(idx)
 
-    rng = np.random.default_rng(0)
     for c in (0, 1):
         labels = tp.labels[c]
         block = tp.blocks[c]
-        for _ in range(6):
-            i, j = rng.integers(0, len(labels), 2)
-            p_row, lab_row = labels[i]
-            p_col, lab_col = labels[j]
-            stepped = window_step(lab_col, p_col == "odd")
-            total = 0.0
-            for jshift in (-1, 0, 1):
-                pos = 2 + (p_row == "odd") + 2 * jshift
-                idx = [0] * w
-                for t, ch in enumerate(lab_row):
-                    idx[pos + t] = LETTERS.index(ch)
-                total += np.exp(-1j * k * jshift) * stepped[tuple(idx)]
-            assert abs(total - block[i, j]) < 1e-12
+        for jcol, (p_col, lab_col) in enumerate(labels):
+            stepped = heisenberg_step(
+                string_tensor(lab_col, 2 + (p_col == "odd"), w), g, window=-2
+            )
+            expected = [
+                sum(
+                    np.exp(-1j * k * jshift)
+                    * stepped[slot(lab_row, 2 + (p_row == "odd") + 2 * jshift)]
+                    for jshift in (-1, 0, 1)
+                )
+                for p_row, lab_row in labels
+            ]
+            assert np.abs(block[:, jcol] - expected).max() < 1e-12
 
 
 def test_propagator_radius_multiplicity_and_charge_blocks():
@@ -183,6 +191,18 @@ def test_propagator_radius_multiplicity_and_charge_blocks():
         assert unit_multiplicity(tp) == 3
     tp_pi = truncated_propagator(random_mc_gate(5), 3, np.pi)
     assert unit_multiplicity(tp_pi, tol=1e-6) == 0
+
+
+def test_propagator_guards_refuse_broken_gates():
+    # exp(-0.3i XX) flips spin pairs, so it mixes the charge blocks
+    xx = np.fliplr(np.eye(4))
+    with pytest.raises(SymmetryError) as err:
+        truncated_propagator(np.cos(0.3) * np.eye(4) - 1j * np.sin(0.3) * xx, 2, 0.0)
+    assert err.value.residual > MIXING_TOL
+    # a charge-conserving but non-unitary matrix pushes the radius past 1
+    with pytest.raises(SymmetryError) as err:
+        truncated_propagator(1.1 * np.eye(4), 2, 0.0)
+    assert err.value.residual > RADIUS_TOL
 
 
 def test_unit_eigenvectors_are_the_conserved_densities():
@@ -200,6 +220,24 @@ def test_unit_eigenvectors_are_the_conserved_densities():
     assert angles.max() < 1e-6
     # cos of the largest principal angle: eigenspace overlap
     assert np.cos(angles.max()) >= 1.0 - 1e-8
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [gate_from_haar(HaarGateParams(0.1, 0.4, 0.9, 0.3, 0.2)), random_mc_gate(7)],
+    ids=["hurwitz-I", "random-7"],
+)
+def test_second_charge_pair_at_r5(gate):
+    tp = truncated_propagator(gate, 5, 0.0)
+    assert unit_multiplicity(tp) == 5
+    # magnetization, the first pair and the ring-extracted second pair are
+    # all exact fixed points of T(0)
+    cons = conserved_density_vectors(gate, 5)[0]
+    assert cons.shape[1] == 5
+    assert np.abs(tp.blocks[0] @ cons - cons).max() < 1e-10
+    fit = gap_scaling(gate, 0.0, [3, 5])
+    assert fit.model == "exponential"
+    assert fit.gaps[5] < fit.gaps[3]
 
 
 def test_rp_spectrum_modes_and_filters():
