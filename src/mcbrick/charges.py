@@ -171,7 +171,13 @@ class ChargeFamily:
         return commutator_defect(self.matrix, propagator, self.L)
 
 
-def _check_q1_pre(p, L):
+def _check_sign(sign):
+    if sign not in ("+", "-"):
+        raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
+
+
+def _check_q1_pre(p, sign, L):
+    _check_sign(sign)
     if L % 2 or L < 6:
         raise ParameterError("first charges need even L >= 6")
     if L > FULL_DENSE_MAX_L:
@@ -209,19 +215,18 @@ def charge_q1(p, sign, L):
     The + density sits on windows (2m+1, 2m+2, 2m+3), the - density on
     (2m, 2m+1, 2m+2), m = 0..L/2-1, all mod L.
     """
-    _check_q1_pre(p, L)
+    _check_q1_pre(p, sign, L)
     k_plus, k_minus = q1_kernels(p)
-    kernel = k_plus if sign == "+" else k_minus
+    return _q1_family(p, sign, L, k_plus if sign == "+" else k_minus)
+
+
+def _q1_family(p, sign, L, kernel):
+    """First charge from a three-site density summed over its windows."""
+    start = 1 if sign == "+" else 0
     total = np.zeros((1 << L, 1 << L), dtype=complex)
     for m in range(L // 2):
-        s = 2 * m + 1
-        if sign == "+":
-            window = (s % L, (s + 1) % L, (s + 2) % L)
-        elif sign == "-":
-            window = ((s - 1) % L, s % L, (s + 1) % L)
-        else:
-            raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
-        total += embed_operator(kernel, window, L)
+        s = 2 * m + start
+        total += embed_operator(kernel, (s % L, (s + 1) % L, (s + 2) % L), L)
     return ChargeFamily(1, sign, p.u, 3, _traceless(total), kernel=kernel, L=L)
 
 
@@ -259,6 +264,7 @@ def closed_form_kernel(p, sign):
     Both constants were pinned once against the cell construction and do
     not depend on the gate parameters.
     """
+    _check_sign(sign)
     s = -1.0 if sign == "+" else +1.0
     if p.phase == "I":
         cu, su, s2u = np.cos(p.u), np.sin(p.u), np.sin(2 * p.u)
@@ -335,7 +341,7 @@ def closed_form_kernel(p, sign):
 
 def charge_q1_closed_form(p, sign, L):
     """First charge assembled from the explicit three-site density."""
-    _check_q1_pre(p, L)
+    _check_q1_pre(p, sign, L)
     if abs(np.cos(2 * p.u) - np.cosh(2 * p.rho)) < 1e-14 and p.phase == "I":
         raise ParameterError("degenerate density: cos 2u = cosh 2 rho needs u = rho = 0")
     if p.phase == "II" and abs(np.cosh(2 * p.u) - np.cos(2 * p.rho)) < 1e-14:
@@ -344,16 +350,7 @@ def charge_q1_closed_form(p, sign, L):
         raise ParameterError("closed form needs rho > 0 (coth rho appears)")
     if p.phase == "II" and abs(p.rho) < 1e-14:
         raise ParameterError("closed form needs rho != 0 (cot rho appears)")
-    kernel = closed_form_kernel(p, sign)
-    total = np.zeros((1 << L, 1 << L), dtype=complex)
-    for m in range(L // 2):
-        s = 2 * m + 1
-        if sign == "+":
-            window = (s % L, (s + 1) % L, (s + 2) % L)
-        else:
-            window = ((s - 1) % L, s % L, (s + 1) % L)
-        total += embed_operator(kernel, window, L)
-    return ChargeFamily(1, sign, p.u, 3, _traceless(total), kernel=kernel, L=L)
+    return _q1_family(p, sign, L, closed_form_kernel(p, sign))
 
 
 def higher_charge(p, ell, sign, L):
@@ -363,8 +360,7 @@ def higher_charge(p, ell, sign, L):
     derivatives analytic (no numerical differentiation enters anywhere).
     Within the commuting family these equal d^ell/dx^ell log T exactly.
     """
-    if sign not in ("+", "-"):
-        raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
+    _check_sign(sign)
     if ell < 1:
         raise ParameterError("charge order must be >= 1")
     if ell > 2:

@@ -524,7 +524,7 @@ def _spectrum_blocks(circuit, m_values, k_values, two_gate):
 
 
 def _cmd_spectrum_stats(params, root, sha, outdir):
-    from .core import BrickworkCircuit, homogeneous_circuit
+    from .core import BrickworkCircuit, homogeneous_circuit, layer_bonds
     from .levelstats import (
         R_TILDE_COE,
         R_TILDE_CUE,
@@ -558,9 +558,9 @@ def _cmd_spectrum_stats(params, root, sha, outdir):
     rows, per_sector, kept = [], [], []
     for t in range(run["realizations"]):
         if run["two_gate"]:
-            ga, gb = chaotic_gate_pair(realization_seeds[t])
-            n_even = L // 2 if boundary == "periodic" else L // 2 - 1
-            circuit = BrickworkCircuit(L, [ga] * (L // 2), [gb] * n_even, boundary)
+            pair = chaotic_gate_pair(realization_seeds[t])
+            layers = [[g] * len(layer_bonds(L, boundary, i)) for i, g in enumerate(pair)]
+            circuit = BrickworkCircuit(L, layers, boundary)
         else:
             gate, _hp = _build_gate(params["gate"])
             circuit = homogeneous_circuit(gate, L, boundary)
@@ -668,7 +668,10 @@ def _cmd_szm(params, root, sha, outdir):
     gate, _hp = _build_gate(params["gate"])
     sector = run["sector"]
     if sector is not None and str(sector).lower() != "none":
-        sector = int(sector)
+        try:
+            sector = int(sector)
+        except ValueError:
+            raise ParameterError(f"sector: expected an integer or none, got {sector!r}")
     else:
         sector = None
     _, method_stream, _ = _seed_streams(root)

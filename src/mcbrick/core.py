@@ -6,9 +6,10 @@ Conventions used everywhere in this package:
   computational basis index, so the two-site basis reads {|00>, |01>, |10>, |11>}.
 * Bit value 1 means sigma^z = +1, hence the index 2^L - 1 (all ones) carries
   magnetization +L.
-* One circuit step applies the odd layer first (bonds (0,1), (2,3), ...) and
-  then the even layer (bonds (1,2), (3,4), ..., plus the wrap bond (L-1, 0)
-  for periodic boundaries).
+* One circuit step applies an ordered list of gate layers.  Layers at even
+  positions sit on the odd bonds (0,1), (2,3), ...; layers at odd positions
+  sit on the even bonds (1,2), (3,4), ..., plus the wrap bond (L-1, 0) for
+  periodic boundaries.  A plain period is the odd layer, then the even layer.
 * The one-site translation S moves the content of site j to site j+1 mod L.
 """
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from scipy import sparse
 
 from .errors import CapacityError, ParameterError, SymmetryError
+from .gates import gate_matrix
 
 FULL_DENSE_MAX_L = 12   # full 2^L x 2^L dense operators
 SECTOR_MAX_L = 14       # dense work inside a single symmetry sector
@@ -159,17 +161,30 @@ def sector_basis(L, m, k=None):
     return SectorBasis(L, m, k, labels, vec)
 
 
+def layer_bonds(L, boundary, i):
+    """Bonds of brickwork layer i, as ordered site pairs.
+
+    Even i: the odd bonds (2j, 2j+1).  Odd i: the even bonds (2j+1, 2j+2),
+    closed by (L-1, 0) on rings.
+    """
+    if i % 2 == 0:
+        return [(2 * j, 2 * j + 1) for j in range(L // 2)]
+    n_even = L // 2 if boundary == "periodic" else L // 2 - 1
+    return [(2 * j + 1, (2 * j + 2) % L) for j in range(n_even)]
+
+
 @dataclass
 class BrickworkCircuit:
-    """One Floquet period of a brickwork circuit: odd layer, then even layer.
+    """One Floquet period of a brickwork circuit: an ordered list of layers.
 
-    gates_odd[j] acts on sites (2j, 2j+1); gates_even[j] acts on (2j+1, 2j+2),
-    with the last even gate on (L-1, 0) for periodic boundaries.
+    layers[i][j] is the gate on bond j of layer_bonds(L, boundary, i), and
+    the layers apply in order.  A plain period is (gates_odd, gates_even);
+    the symmetrized period sqrt(odd) . even . sqrt(odd) is
+    (halves, gates_even, halves).  Gates are stored as 4x4 matrices.
     """
 
     L: int
-    gates_odd: list
-    gates_even: list
+    layers: tuple
     boundary: str = "open"
 
     def __post_init__(self):
@@ -177,37 +192,25 @@ class BrickworkCircuit:
             raise ParameterError("L must be even and >= 2")
         if self.boundary not in ("open", "periodic"):
             raise ParameterError(f"unknown boundary {self.boundary!r}")
-        n_even = self.L // 2 if self.boundary == "periodic" else self.L // 2 - 1
-        if len(self.gates_odd) != self.L // 2 or len(self.gates_even) != n_even:
-            raise ParameterError("gate counts do not match L and boundary")
+        self.layers = tuple(tuple(gate_matrix(g) for g in layer) for layer in self.layers)
+        for i, layer in enumerate(self.layers):
+            if len(layer) != len(layer_bonds(self.L, self.boundary, i)):
+                raise ParameterError("gate counts do not match L and boundary")
 
-    def bonds_odd(self):
-        return [(2 * j, 2 * j + 1) for j in range(self.L // 2)]
-
-    def bonds_even(self):
-        bonds = [(2 * j + 1, 2 * j + 2) for j in range(self.L // 2 - 1)]
-        if self.boundary == "periodic":
-            bonds.append((self.L - 1, 0))
-        return bonds
+    def layer(self, i):
+        """(gate matrix, bond) pairs of layer i."""
+        return list(zip(self.layers[i], layer_bonds(self.L, self.boundary, i)))
 
     def layer_pairs(self):
         """(gate matrix, bond) for one step, in application order."""
-        out = [(g, b) for g, b in zip(self.gates_odd, self.bonds_odd())]
-        out += [(g, b) for g, b in zip(self.gates_even, self.bonds_even())]
-        return out
+        return [pair for i in range(len(self.layers)) for pair in self.layer(i)]
 
 
 def homogeneous_circuit(gate, L, boundary="open"):
     """Brickwork circuit with the same two-qubit gate on every bond."""
-    n_even = L // 2 if boundary == "periodic" else L // 2 - 1
-    return BrickworkCircuit(L, [gate] * (L // 2), [gate] * n_even, boundary)
-
-
-def _gate_matrix(gate):
-    m = gate.matrix if hasattr(gate, "matrix") else np.asarray(gate, dtype=complex)
-    if m.shape != (4, 4):
-        raise ParameterError("two-qubit gate must be a 4x4 matrix")
-    return m
+    return BrickworkCircuit(
+        L, [[gate] * len(layer_bonds(L, boundary, i)) for i in (0, 1)], boundary
+    )
 
 
 def _act_on_axes(u4, tensor, ax_a, ax_b):
@@ -231,7 +234,7 @@ def apply_gate(target, gate, sites, L, boundary="open"):
         adjacent = b == a + 1
     if not adjacent:
         raise ParameterError(f"sites {sites} are not an adjacent ordered pair")
-    u = _gate_matrix(gate)
+    u = gate_matrix(gate)
     arr = np.asarray(target, dtype=complex)
     if arr.ndim == 1:
         if arr.size != 1 << L:
@@ -260,8 +263,8 @@ def propagator_apply(circuit, psi):
     if out.size != 1 << circuit.L:
         raise ParameterError("state length does not match circuit.L")
     out = out.reshape((2,) * circuit.L)
-    for gate, (a, b) in circuit.layer_pairs():
-        out = _act_on_axes(_gate_matrix(gate), out, a, b)
+    for u, (a, b) in circuit.layer_pairs():
+        out = _act_on_axes(u, out, a, b)
     return out.reshape(-1)
 
 
@@ -273,8 +276,8 @@ def build_propagator(circuit):
             "use propagator_apply or build_sector_block instead"
         )
     mat = np.eye(1 << circuit.L, dtype=complex)
-    for gate, (a, b) in circuit.layer_pairs():
-        mat = _left_multiply(_gate_matrix(gate), mat, a, b, circuit.L)
+    for u, (a, b) in circuit.layer_pairs():
+        mat = _left_multiply(u, mat, a, b, circuit.L)
     return Operator(mat, label=f"brickwork L={circuit.L} {circuit.boundary}", unitary=True)
 
 

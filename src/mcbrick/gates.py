@@ -92,6 +92,14 @@ class TwoQubitGate:
             raise ParameterError("gate matrix is not unitary")
 
 
+def gate_matrix(gate):
+    """The 4x4 complex matrix of a TwoQubitGate or of a raw array."""
+    m = np.asarray(getattr(gate, "matrix", gate), dtype=complex)
+    if m.shape != (4, 4):
+        raise ParameterError("two-qubit gate must be a 4x4 matrix")
+    return m
+
+
 def mc_zero_pattern_defect(matrix):
     """Largest entry that magnetization conservation requires to vanish."""
     return float(np.abs(np.asarray(matrix)[_MC_ZERO_MASK]).max())
@@ -163,7 +171,7 @@ def haar_params_from_gate(g, tol=1e-10):
     mu. At the degenerate edges the undefined angle is set to zero: theta_v
     when cos(phi) = 0, chi when sin(phi) = 0.
     """
-    m = np.asarray(g.matrix if isinstance(g, TwoQubitGate) else g, dtype=complex)
+    m = gate_matrix(g)
     defect = mc_zero_pattern_defect(m)
     if defect > tol:
         raise StructureError(
@@ -193,7 +201,7 @@ def hamiltonian_params_from_gate(g, tol=1e-10):
     definition. Gates whose central block has no hopping part (J sin(tau w)
     of zero) do not admit this gauge and are rejected.
     """
-    m = np.asarray(g.matrix if isinstance(g, TwoQubitGate) else g, dtype=complex)
+    m = gate_matrix(g)
     defect = mc_zero_pattern_defect(m)
     if defect > tol:
         raise StructureError(

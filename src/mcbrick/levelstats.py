@@ -50,7 +50,6 @@ __all__ = [
     "pooled_r_tilde",
     "is_homogeneous",
     "sector_spectrum",
-    "spacetime_pair",
     "flip_reflection_permutation",
     "resolved_spectra",
     "full_spectrum",
@@ -150,8 +149,7 @@ def pooled_r_tilde(results):
 
 
 def is_homogeneous(circuit, tol=1e-12):
-    mats = [g.matrix if hasattr(g, "matrix") else np.asarray(g) for g in
-            list(circuit.gates_odd) + list(circuit.gates_even)]
+    mats = [u for layer in circuit.layers for u in layer]
     return all(np.abs(m - mats[0]).max() <= tol for m in mats[1:])
 
 
@@ -166,13 +164,11 @@ def _checked_phases(block, what):
     return np.angle(np.linalg.eigvals(block.entries)) % (2 * np.pi)
 
 
-def sector_spectrum(circuit, m, k=None, spacetime=False, spacetime_block=0):
+def sector_spectrum(circuit, m, k=None):
     """Eigenphases of the propagator restricted to one symmetry block.
 
-    k resolves two-site momentum (rings only).  spacetime additionally
-    splits a homogeneous ring's (m, k) block by the square-root branch of
-    the K = S * (odd layer) eigenphase; spacetime_block picks the branch
-    (0 or 1).
+    k resolves two-site momentum (rings only).  resolved_spectra applies
+    the further refinements (space-time branch, flip-reflection parity).
     """
     if k is not None and circuit.boundary != "periodic":
         raise ParameterError("momentum resolution requires a periodic circuit")
@@ -183,31 +179,17 @@ def sector_spectrum(circuit, m, k=None, spacetime=False, spacetime_block=0):
         )
     if basis.dim == 0:
         return _result_from_phases(np.zeros(0), circuit.L, circuit.boundary, m, k)
-    if not spacetime:
-        block = build_sector_block(circuit, basis)
-        phases = _checked_phases(block, "sector")
-        return _result_from_phases(phases, circuit.L, circuit.boundary, m, k)
-
-    if spacetime_block not in (0, 1):
-        raise ParameterError("spacetime_block must be 0 or 1")
-    if k is None:
-        raise ParameterError("space-time resolution refines momentum sectors; pass k")
-    if circuit.boundary != "periodic" or not is_homogeneous(circuit):
-        raise ParameterError("space-time resolution needs a homogeneous ring")
-    phases, parities = _spacetime_phases(circuit, basis)
-    sel = phases[parities == spacetime_block]
-    meta = {"spacetime_construction": _SPACETIME_NOTE}
-    return _result_from_phases(
-        sel, circuit.L, circuit.boundary, m, k, st=spacetime_block, metadata=meta
-    )
+    block = build_sector_block(circuit, basis)
+    phases = _checked_phases(block, "sector")
+    return _result_from_phases(phases, circuit.L, circuit.boundary, m, k)
 
 
 def _apply_k(circuit, vec):
-    """K|v> = S (odd layer) |v>, matrix-free."""
+    """K|v> = S (odd layer) |v>, matrix-free; the odd layer is layers[0]."""
     from .core import apply_gate
 
     out = vec
-    for g, bond in zip(circuit.gates_odd, circuit.bonds_odd()):
+    for g, bond in circuit.layer(0):
         out = apply_gate(out, g, bond, circuit.L, circuit.boundary)
     perm = translation_permutation(circuit.L, 1)
     shifted = np.empty_like(out)
@@ -255,22 +237,6 @@ def _branch_phases(ub_entries, kb_entries, theta2):
     return phi, parities
 
 
-def _spacetime_phases(circuit, basis):
-    """Propagator eigenphases of an (m, k) block with K-branch parities."""
-    kb = _k_block(circuit, basis)
-    theta2 = 2 * np.pi * basis.momentum / (circuit.L // 2)
-    ub = build_sector_block(circuit, basis)
-    return _branch_phases(ub.entries, kb.entries, theta2)
-
-
-def spacetime_pair(circuit, m, k):
-    """Both space-time branches of one (m, k) block."""
-    return (
-        sector_spectrum(circuit, m, k, spacetime=True, spacetime_block=0),
-        sector_spectrum(circuit, m, k, spacetime=True, spacetime_block=1),
-    )
-
-
 def flip_reflection_permutation(L):
     """Basis-index map of the global spin flip * site reflection j -> L-1-j.
 
@@ -294,8 +260,7 @@ def _flip_reflection_block(basis, tol=BLOCK_UNITARITY_TOL):
     """
     perm = flip_reflection_permutation(basis.L)
     w = basis.vectors
-    xp = np.asarray((w.conj().T @ w[perm, :]).todense() if hasattr(w, "todense")
-                    else w.conj().T @ w[perm, :])
+    xp = (w.conj().T @ w[perm, :]).toarray()
     defect = np.abs(xp.conj().T @ xp - np.eye(basis.dim)).max()
     if defect > tol:
         return None
@@ -358,9 +323,9 @@ def resolved_spectra(circuit, m, k=None, tol=1e-9):
 
     theta2 = 0.0 if k is None else 2 * np.pi * basis.momentum / (circuit.L // 2)
     if kb is None:
-        blocks = _parity_split(ub.entries, xp)
-        return [result(np.angle(np.linalg.eigvals(b)) % (2 * np.pi), fp=s)
-                for s, b in blocks]
+        return [result(np.angle(np.linalg.eigvals(wsub.conj().T @ ub.entries @ wsub))
+                       % (2 * np.pi), fp=sign)
+                for sign, wsub in _parity_vectors(xp)]
     if xp is None or np.abs(xp @ kb.entries - kb.entries @ xp).max() > tol:
         # either no flip parity here, or it exchanges the K branches
         phi, par = _branch_phases(ub.entries, kb.entries, theta2)
@@ -383,12 +348,6 @@ def _parity_vectors(xp):
             residual=float(np.abs(np.abs(w) - 1.0).max()),
         )
     return [(+1, v[:, w > 0]), (-1, v[:, w < 0])]
-
-
-def _parity_split(ub_entries, xp):
-    """Propagator sub-blocks on the two parity eigenspaces."""
-    return [(sign, wsub.conj().T @ ub_entries @ wsub)
-            for sign, wsub in _parity_vectors(xp)]
 
 
 def full_spectrum(circuit):

@@ -35,7 +35,7 @@ import scipy.sparse
 
 from .charges import higher_charge, q1_kernels
 from .errors import CapacityError, ParameterError, RefusalError, SymmetryError
-from .gates import haar_params_from_gate
+from .gates import gate_matrix, haar_params_from_gate
 from .rmatrix import haar_to_r
 
 __all__ = [
@@ -109,16 +109,9 @@ def build_basis(r, parity, charge_block):
     return LocalOperatorSpace(r, parity, charge_block, labels)
 
 
-def _gate_matrix(gate):
-    m = gate.matrix if hasattr(gate, "matrix") else np.asarray(gate, dtype=complex)
-    if m.shape != (4, 4):
-        raise ParameterError("two-qubit gate must be a 4x4 matrix")
-    return m
-
-
 def _conjugation_superop(gate):
     """16x16 matrix of q -> g^dag q g in the normalized two-site string basis."""
-    g = _gate_matrix(gate)
+    g = gate_matrix(gate)
     basis = [
         np.kron(_SITE_OPS[a], _SITE_OPS[b]) for a in LETTERS for b in LETTERS
     ]
@@ -321,7 +314,7 @@ def truncated_propagator(gate, r, k):
         blocks=blocks,
         labels=labels,
         mixing_defect=mixing,
-        metadata={"window_sites": r + 5, "gate": getattr(gate, "provenance", "")},
+        metadata={"gate": getattr(gate, "provenance", "")},
     )
     radius = tp.spectral_radius()
     if radius > 1.0 + RADIUS_TOL:

@@ -23,6 +23,10 @@ the overall sign of the rotation product, so pi, not 2 pi, is the true
 period of the obstruction.  Generic rings fail the condition and the
 measured defect is raised through TimeReversalRefusal.
 
+The time-reversal functions (closure_defect, global_time_reversal,
+time_reversal_report) take the brickwork period, a two-layer
+BrickworkCircuit, and symmetrize it themselves with equivalent_circuit.
+
 The same single-bond z rotation removes the antisymmetric (DM) part of a
 gate generator: rotating by half of atan2(-D, J) maps the couplings
 (J, D) to (sqrt(J^2 + D^2), 0) and leaves the other terms alone.
@@ -42,7 +46,6 @@ from .gates import (
 
 __all__ = [
     "AntiUnitary",
-    "SymmetrizedCircuit",
     "single_gate_time_reversal",
     "reversal_residual",
     "dm_rotation_angle",
@@ -125,66 +128,39 @@ def rotate_out_dm(params):
     return replace(params, J=float(np.hypot(params.J, params.D)), D=0.0)
 
 
-@dataclass
-class SymmetrizedCircuit:
-    """Three-layer period sqrt(odd) . even . sqrt(odd).
-
-    Duck-compatible with BrickworkCircuit where only L, boundary and
-    layer_pairs() are consumed (propagator_apply, build_propagator).
-    """
-
-    L: int
-    gates_half: list
-    gates_even: list
-    boundary: str = "open"
-
-    def __post_init__(self):
-        if self.L % 2 or self.L < 2:
-            raise ParameterError("L must be even and >= 2")
-        if self.boundary not in ("open", "periodic"):
-            raise ParameterError(f"unknown boundary {self.boundary!r}")
-        n_even = self.L // 2 if self.boundary == "periodic" else self.L // 2 - 1
-        if len(self.gates_half) != self.L // 2 or len(self.gates_even) != n_even:
-            raise ParameterError("gate counts do not match L and boundary")
-
-    def bonds_odd(self):
-        return [(2 * j, 2 * j + 1) for j in range(self.L // 2)]
-
-    def bonds_even(self):
-        bonds = [(2 * j + 1, 2 * j + 2) for j in range(self.L // 2 - 1)]
-        if self.boundary == "periodic":
-            bonds.append((self.L - 1, 0))
-        return bonds
-
-    def layer_pairs(self):
-        """(gate matrix, bond) for one period, in application order."""
-        halves = list(zip(self.gates_half, self.bonds_odd()))
-        evens = list(zip(self.gates_even, self.bonds_even()))
-        return halves + evens + halves
-
-
 def equivalent_circuit(circuit):
     """Symmetrize one period into sqrt(odd) . even . sqrt(odd).
 
     The result is sqrt(O) U sqrt(O)^{-1}, a similarity transform of the
     period U = E O, so eigenphases are preserved.  Odd gates must admit
     the Hamiltonian form (a nonzero hopping rotation) for their MC square
-    roots to be defined.
+    roots to be defined.  Only a two-layer period can be symmetrized.
     """
-    halves = [gate_sqrt(hamiltonian_params_from_gate(g)) for g in circuit.gates_odd]
-    return SymmetrizedCircuit(
-        circuit.L, halves, list(circuit.gates_even), circuit.boundary
-    )
+    if len(circuit.layers) != 2:
+        raise ParameterError(
+            f"expected a two-layer brickwork period, got {len(circuit.layers)} layers"
+        )
+    gates_odd, gates_even = circuit.layers
+    halves = [gate_sqrt(hamiltonian_params_from_gate(g)) for g in gates_odd]
+    return BrickworkCircuit(circuit.L, (halves, gates_even, halves), circuit.boundary)
 
 
-def _bond_angles(sym):
-    """Central-block angle of the gate sitting on each bond (j, j+1)."""
+def _bond_angles(circuit):
+    """Central-block angle of the gate on each bond (j, j+1) of the
+    symmetrized period; the first gate met on a bond sets its angle."""
     theta = {}
-    for gate, (a, _b) in sym.layer_pairs():
+    for gate, (a, _b) in equivalent_circuit(circuit).layer_pairs():
         if a not in theta:
             theta[a] = haar_params_from_gate(gate).params.theta_v
-    n_bonds = sym.L if sym.boundary == "periodic" else sym.L - 1
-    return np.array([theta[j] for j in range(n_bonds)])
+    return np.array([theta[a] for a in sorted(theta)])
+
+
+def _loop_defect(thetas, boundary):
+    # reduced total bond angle on rings; open chains have no loop to close
+    if boundary != "periodic":
+        return 0.0
+    total = float(thetas.sum())
+    return (total + np.pi / 2) % np.pi - np.pi / 2
 
 
 def closure_defect(circuit):
@@ -194,36 +170,32 @@ def closure_defect(circuit):
     angles must return to the start; the defect is the reduced total bond
     angle, and time reversal exists only when it vanishes.
     """
-    sym = circuit if isinstance(circuit, SymmetrizedCircuit) else equivalent_circuit(circuit)
-    if sym.boundary != "periodic":
-        return 0.0
-    total = float(_bond_angles(sym).sum())
-    return (total + np.pi / 2) % np.pi - np.pi / 2
+    return _loop_defect(_bond_angles(circuit), circuit.boundary)
 
 
 def global_time_reversal(circuit, tol=1e-9):
     """Antiunitary T with T U~ T^{-1} = U~^dag for the symmetrized period.
 
+    Takes the brickwork period U and reverses U~ = equivalent_circuit(U).
     Site j carries the accumulated angle a_j = -sum_{k<j} theta_k with
     a_0 = 0 (the overall rotation phase is immaterial, so the first site
     is gauge-fixed to zero), and W acts as exp(i sum_j a_j sz_j).  For a
     periodic circuit the construction exists only when closure_defect
     vanishes; otherwise TimeReversalRefusal carries the measured defect.
     """
-    sym = circuit if isinstance(circuit, SymmetrizedCircuit) else equivalent_circuit(circuit)
-    if sym.boundary == "periodic":
-        defect = closure_defect(sym)
-        if abs(defect) > tol:
-            raise TimeReversalRefusal(
-                f"bond angles do not close around the ring "
-                f"(defect {defect:.6g} mod pi)",
-                angle_defect=defect,
-            )
-    thetas = _bond_angles(sym)
-    a_site = np.concatenate([[0.0], np.cumsum(-thetas[: sym.L - 1])])
-    n = np.arange(1 << sym.L)
-    z = 2 * ((n[:, None] >> (sym.L - 1 - np.arange(sym.L))[None, :]) & 1) - 1
-    return AntiUnitary(np.exp(1j * (z @ a_site)), label=f"global W K, L={sym.L}")
+    thetas = _bond_angles(circuit)
+    defect = _loop_defect(thetas, circuit.boundary)
+    if abs(defect) > tol:
+        raise TimeReversalRefusal(
+            f"bond angles do not close around the ring "
+            f"(defect {defect:.6g} mod pi)",
+            angle_defect=defect,
+        )
+    L = circuit.L
+    a_site = np.concatenate([[0.0], np.cumsum(-thetas[: L - 1])])
+    n = np.arange(1 << L)
+    z = 2 * ((n[:, None] >> (L - 1 - np.arange(L))[None, :]) & 1) - 1
+    return AntiUnitary(np.exp(1j * (z @ a_site)), label=f"global W K, L={L}")
 
 
 def spectral_match_error(u, v):
@@ -257,7 +229,7 @@ def time_reversal_report(circuit):
     from .core import build_propagator
 
     sym = equivalent_circuit(circuit)
-    tr = global_time_reversal(sym)
+    tr = global_time_reversal(circuit)
     u = build_propagator(circuit).entries
     ut = build_propagator(sym).entries
     return {
@@ -265,5 +237,5 @@ def time_reversal_report(circuit):
         "L": circuit.L,
         "residual_TR": reversal_residual(tr, ut),
         "spectral_match_error": spectral_match_error(u, ut),
-        "angle_defect": closure_defect(sym),
+        "angle_defect": closure_defect(circuit),
     }

@@ -16,6 +16,7 @@ from mcbrick.charges import (
     TransferMatrixSpec,
     charge_q1,
     charge_q1_closed_form,
+    closed_form_kernel,
     higher_charge,
     pauli_string_window_projection,
     propagator_from_transfer,
@@ -155,16 +156,17 @@ def test_higher_charge_order_two():
     L = 10
     for p in (P_I, P_II):
         u_full = brickwork_unitary(p, L)
-        q1 = higher_charge(p, 1, "+", L)
-        q2 = higher_charge(p, 2, "+", L)
-        assert q2.density_support == 5
-        assert q2.conservation_defect(u_full) < 1e-7
-        assert commutator_defect(q2.matrix, q1.matrix, L) < 1e-9
-        # support: diameter-3 strings carry Q1 entirely, diameter-5 carry Q2
-        _, r1 = pauli_string_window_projection(q1.matrix, L, 3)
-        _, r2 = pauli_string_window_projection(q2.matrix, L, 5)
-        assert r1 < 1e-7
-        assert r2 < 1e-7
+        for sign in "+-":
+            q1 = higher_charge(p, 1, sign, L)
+            q2 = higher_charge(p, 2, sign, L)
+            assert q2.density_support == 5
+            assert q2.conservation_defect(u_full) < 1e-7
+            assert commutator_defect(q2.matrix, q1.matrix, L) < 1e-9
+            # support: diameter-3 strings carry Q1 entirely, diameter-5 carry Q2
+            _, r1 = pauli_string_window_projection(q1.matrix, L, 3)
+            _, r2 = pauli_string_window_projection(q2.matrix, L, 5)
+            assert r1 < 1e-7
+            assert r2 < 1e-7
 
 
 def test_higher_charge_validation():
@@ -174,6 +176,12 @@ def test_higher_charge_validation():
         higher_charge(P_I, 2, "+", 8)
     with pytest.raises(ParameterError):
         higher_charge(P_I, 1, "x", 8)
+    with pytest.raises(ParameterError):
+        charge_q1(P_I, "x", 8)
+    with pytest.raises(ParameterError):
+        charge_q1_closed_form(P_I, "x", 8)
+    with pytest.raises(ParameterError):
+        closed_form_kernel(P_I, "x")
 
 
 def test_charge_count_for_small_supports():

@@ -115,7 +115,7 @@ def test_propagator_trivial_cases():
     assert np.abs(u.entries - np.eye(64)).max() < 1e-14
 
     gate = random_mc_gate(3)
-    circ2 = BrickworkCircuit(2, gates_odd=[gate], gates_even=[], boundary="open")
+    circ2 = BrickworkCircuit(2, layers=([gate], []), boundary="open")
     u2 = build_propagator(circ2)
     assert np.abs(u2.entries - gate.matrix).max() < 1e-14
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mcbrick.core import BrickworkCircuit, homogeneous_circuit, sector_basis
+from mcbrick.core import BrickworkCircuit, homogeneous_circuit, layer_bonds, sector_basis
 from mcbrick.errors import CapacityError, ParameterError
 from mcbrick.gates import random_mc_gate
 from mcbrick.levelstats import (
@@ -23,16 +23,15 @@ from mcbrick.levelstats import (
     sample_poisson_phases,
     scaled_spacings,
     sector_spectrum,
-    spacetime_pair,
     spacing_histogram,
     spacing_ratios,
 )
 
 
 def two_gate_circuit(L, boundary, seed):
-    ga, gb = chaotic_gate_pair(seed)
-    n_even = L // 2 if boundary == "periodic" else L // 2 - 1
-    return BrickworkCircuit(L, [ga] * (L // 2), [gb] * n_even, boundary)
+    pair = chaotic_gate_pair(seed)
+    layers = [[g] * len(layer_bonds(L, boundary, i)) for i, g in enumerate(pair)]
+    return BrickworkCircuit(L, layers, boundary)
 
 
 # ---------------------------------------------------------------- spacings
@@ -171,16 +170,16 @@ def test_resolved_spectra_mirror_sectors_degenerate():
 
 def test_spacetime_pair_covers_block():
     ring = homogeneous_circuit(random_mc_gate(9), 8, "periodic")
-    r0, r1 = spacetime_pair(ring, 0, 1)
+    # k = 1 is not self-conjugate at L = 8: the K-branch split alone applies
+    r0, r1 = resolved_spectra(ring, 0, 1)
     assert r0.spacetime_block == 0 and r1.spacetime_block == 1
+    assert r0.flip_parity is None and r1.flip_parity is None
     assert r0.dim + r1.dim == sector_basis(8, 0, 1).dim
     assert "spacetime_construction" in r0.metadata
 
 
 def test_spacetime_needs_homogeneous_ring():
     circ = two_gate_circuit(8, "periodic", seed=1)
-    with pytest.raises(ParameterError):
-        sector_spectrum(circ, 0, 1, spacetime=True)
     # resolved_spectra silently skips refinements that do not apply
     res = resolved_spectra(circ, 0, 1)
     assert len(res) == 1

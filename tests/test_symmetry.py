@@ -8,9 +8,10 @@ from mcbrick.core import (
     BrickworkCircuit,
     build_propagator,
     homogeneous_circuit,
+    layer_bonds,
     propagator_apply,
 )
-from mcbrick.errors import TimeReversalRefusal
+from mcbrick.errors import ParameterError, TimeReversalRefusal
 from mcbrick.gates import (
     HaarGateParams,
     HamiltonianGateParams,
@@ -33,13 +34,11 @@ from mcbrick.symmetry import (
 
 
 def disordered_circuit(L, boundary, seed):
-    n_even = L // 2 if boundary == "periodic" else L // 2 - 1
-    return BrickworkCircuit(
-        L,
-        [random_mc_gate(seed + j) for j in range(L // 2)],
-        [random_mc_gate(seed + 100 + j) for j in range(n_even)],
-        boundary,
-    )
+    layers = []
+    for i in (0, 1):
+        n = len(layer_bonds(L, boundary, i))
+        layers.append([random_mc_gate(seed + 100 * i + j) for j in range(n)])
+    return BrickworkCircuit(L, layers, boundary)
 
 
 def test_single_gate_reversal():
@@ -115,6 +114,9 @@ def test_equivalent_circuit_preserves_spectrum():
         u = build_propagator(circ).entries
         ut = build_propagator(sym).entries
         assert spectral_match_error(u, ut) < 1e-10
+        # only a two-layer period can be symmetrized
+        with pytest.raises(ParameterError):
+            equivalent_circuit(sym)
 
 
 def test_symmetrized_circuit_state_application():
@@ -130,7 +132,7 @@ def test_global_reversal_open_chain():
     for seed in (1, 2):
         circ = disordered_circuit(8, "open", seed=300 * seed)
         sym = equivalent_circuit(circ)
-        tr = global_time_reversal(sym)
+        tr = global_time_reversal(circ)
         assert tr.involution_defect() < 1e-13
         ut = build_propagator(sym).entries
         assert reversal_residual(tr, ut) < 1e-11
@@ -161,13 +163,15 @@ def test_ring_refusal_carries_defect():
 
 
 def test_fine_tuned_ring_reverses():
-    # D = 1 makes the bond angle -pi/4, so eight bonds telescope to -2 pi
+    # D = 1 makes the bond angle -pi/4, so eight bonds telescope to -2 pi;
+    # four bonds sum to -pi, which closes too: the obstruction has period pi
     p = HamiltonianGateParams(tau=0.5, delta=0.8, B=0.2, D=1.0, M=0.0, A=0.1)
-    ring = homogeneous_circuit(gate_from_hamiltonian(p), 8, "periodic")
-    rep = time_reversal_report(ring)
-    assert abs(rep["angle_defect"]) < 1e-9
-    assert rep["residual_TR"] < 1e-11
-    assert rep["spectral_match_error"] < 1e-10
+    for L in (8, 4):
+        ring = homogeneous_circuit(gate_from_hamiltonian(p), L, "periodic")
+        rep = time_reversal_report(ring)
+        assert abs(rep["angle_defect"]) < 1e-9
+        assert rep["residual_TR"] < 1e-11
+        assert rep["spectral_match_error"] < 1e-10
 
 
 def test_spectral_match_branch_cut():
