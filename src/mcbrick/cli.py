@@ -418,6 +418,8 @@ def _cmd_verify_ybe(params, root, sha, outdir):
     from .rmatrix import check_yang_baxter, haar_to_r, r_matrix
 
     run = params["run"]
+    if run["trials"] < 1:
+        raise ParameterError(f"trials must be >= 1, got {run['trials']}")
     gate_stream, _, _ = _seed_streams(root)
     seed = run["haar_seed"] if run["haar_seed"] is not None else gate_stream
     draws = sample_haar(seed, run["trials"])

@@ -11,6 +11,15 @@ Conventions used everywhere in this package:
   sit on the even bonds (1,2), (3,4), ..., plus the wrap bond (L-1, 0) for
   periodic boundaries.  A plain period is the odd layer, then the even layer.
 * The one-site translation S moves the content of site j to site j+1 mod L.
+
+Sector blocks are built inside the magnetization sector.  An MC gate keeps
+popcount, so on a bond (a, b) it scales the rows whose bond bits read 00 or
+11 by a phase and mixes each 01 row with the 10 row it differs from by a
+01 <-> 10 swap.  apply_in_sector does that on the sorted sector bitstrings
+for all columns of a block at once; the partner rows come from a binary
+search in the sorted list.  The kernel reads only those entries of a gate,
+so it refuses any gate that is not MC.  Each block is also compared, on one
+column, with the full-space propagator_apply (check_sector_column).
 """
 
 import numpy as np
@@ -18,11 +27,12 @@ from dataclasses import dataclass, field
 from scipy import sparse
 
 from .errors import CapacityError, ParameterError, SymmetryError
-from .gates import gate_matrix
+from .gates import MC_DEFECT_TOL, gate_matrix, mc_zero_pattern_defect
 
 FULL_DENSE_MAX_L = 12   # full 2^L x 2^L dense operators
 SECTOR_MAX_L = 14       # dense work inside a single symmetry sector
 BASIS_MAX_L = 20        # bases themselves stay cheap a bit longer
+SECTOR_ORACLE_TOL = 1e-12  # sector kernel against the full-space column
 
 
 def _popcount(n):
@@ -106,6 +116,12 @@ class SectorBasis:
         return np.abs(g).max()
 
 
+def sector_states(L, m):
+    """Sorted computational indices of the magnetization-m sector."""
+    ns = np.arange(1 << L, dtype=np.int64)
+    return ns[_popcount(ns) == (L + m) // 2]
+
+
 def sector_basis(L, m, k=None):
     """Basis of the magnetization-m sector, optionally momentum-resolved.
 
@@ -117,9 +133,7 @@ def sector_basis(L, m, k=None):
         raise ParameterError(f"L must be even with 2 <= L <= {BASIS_MAX_L}, got {L}")
     if (L + m) % 2 or not 0 <= (L + m) // 2 <= L:
         raise ParameterError(f"magnetization {m} impossible for L={L}")
-    n_up = (L + m) // 2
-    ns = np.arange(1 << L, dtype=np.int64)
-    states = ns[_popcount(ns) == n_up]
+    states = sector_states(L, m)
     dim_full = 1 << L
 
     if k is None:
@@ -374,17 +388,76 @@ def commutator_defect(a, b, L):
     return float(worst)
 
 
+def apply_in_sector(pairs, states, x, L):
+    """Apply (gate, bond) pairs, in order, to the rows of x in place.
+
+    Row i of the dim_m x ncols array x is the amplitude on the bitstring
+    states[i] (sorted, one magnetization sector).  On a bond (a, b) the bond
+    class 2 bit_a + bit_b of a row selects the gate entry: classes 00 and 11
+    are scaled by u[c, c], a 01 or 10 row becomes u[c, c] x[i] + u[c, c^3]
+    x[partner], the partner being the row with the two bond bits swapped.
+    Gates with weight off the MC pattern raise SymmetryError, since the
+    kernel would silently drop it.
+    """
+    for u, (a, b) in pairs:
+        defect = mc_zero_pattern_defect(u)
+        if defect > MC_DEFECT_TOL:
+            raise SymmetryError(
+                f"gate on bond {(a, b)} is not magnetization conserving "
+                f"(defect {defect:.3e}); no sector kernel for it",
+                residual=defect,
+            )
+        mask_a, mask_b = 1 << (L - 1 - a), 1 << (L - 1 - b)
+        cls = 2 * ((states & mask_a) != 0) + ((states & mask_b) != 0)
+        for c in (0, 3):
+            x[cls == c] *= u[c, c]
+        r01 = np.flatnonzero(cls == 1)
+        r10 = np.searchsorted(states, states[r01] ^ (mask_a | mask_b))
+        x01, x10 = x[r01], x[r10]
+        x[r01] = u[1, 1] * x01 + u[1, 2] * x10
+        x01 *= u[2, 1]
+        x10 *= u[2, 2]
+        x10 += x01
+        x[r10] = x10
+
+
+def check_sector_column(full, col, states, what):
+    """Compare one sector-space column with its full-space image.
+
+    full is the 2^L oracle vector, col the same column on the rows `states`.
+    A mismatch above SECTOR_ORACLE_TOL, or weight outside the sector, raises
+    SymmetryError carrying the larger of the two.
+    """
+    outside = np.abs(full)
+    outside[states] = 0.0
+    residual = max(float(np.abs(full[states] - col).max()), float(outside.max()))
+    if residual > SECTOR_ORACLE_TOL:
+        raise SymmetryError(
+            f"{what} sector kernel disagrees with the full-space column "
+            f"(residual {residual:.3e})",
+            residual=residual,
+        )
+
+
 def build_sector_block(circuit, basis):
-    """Sector block of the propagator without a full-space dense matrix."""
+    """Sector block W^dag U W of the propagator, built inside the sector.
+
+    The rows of the basis matrix W on the magnetization sector are evolved
+    all at once by apply_in_sector (dim_m x dim dense work, no 2^L vector
+    per column), then projected back with the sparse W^dag.  Non-MC gates
+    are refused, and column 0 is checked against propagator_apply.
+    """
     if circuit.L > SECTOR_MAX_L:
         raise CapacityError(f"sector-dense work limited to L <= {SECTOR_MAX_L}")
-    w = basis.vectors
-    cols = np.empty((1 << circuit.L, basis.dim), dtype=complex)
-    for j in range(basis.dim):
-        cols[:, j] = propagator_apply(circuit, w[:, [j]].toarray().ravel())
-    block = w.conj().T @ cols
+    states = sector_states(circuit.L, basis.magnetization)
+    w = basis.vectors[states, :]
+    x = w.toarray()
+    apply_in_sector(circuit.layer_pairs(), states, x, circuit.L)
+    if basis.dim:
+        v0 = basis.vectors[:, [0]].toarray().ravel()
+        check_sector_column(propagator_apply(circuit, v0), x[:, 0], states, "propagator")
     return Operator(
-        np.asarray(block),
+        w.conj().T @ x,
         label=f"brickwork block m={basis.magnetization} k={basis.momentum}",
         unitary=True,
     )

@@ -121,6 +121,11 @@ def _exact_autocorrelation(U, a, L, steps, m_values=None):
     return vals / dim
 
 
+def _check_steps(steps):
+    if steps < 0:
+        raise ParameterError(f"steps must be >= 0, got {steps}")
+
+
 def _sector_up_count(L, sector):
     """Number of up spins for a total-sigma^z sector value."""
     if (L + sector) % 2 or not 0 <= (L + sector) // 2 <= L:
@@ -149,6 +154,7 @@ def boundary_autocorrelation(
     that never decays; in the half-filling sector tr_m sigma^z_0 = 0, so
     the series there decays to zero whenever no zero mode survives.
     """
+    _check_steps(steps)
     base = {"L": L, "boundary": "open", "site": 0, "steps": steps, "sector": sector}
     times = np.arange(steps + 1)
     m_sel = None if sector is None else [_sector_up_count(L, sector)]
@@ -202,6 +208,7 @@ def staggered_correlation(gate, L, steps):
     The series keeps its oscillations; a power-law/exponential fit
     comparison on the window [t_max/20, t_max] is attached as metadata.
     """
+    _check_steps(steps)
     if L % 2:
         raise ParameterError("staggered magnetization needs an even number of sites")
     if L > FULL_DENSE_MAX_L:
@@ -260,6 +267,7 @@ def domain_wall_evolution(gate, L, steps):
     (number of flips moved into the initially-down half).  Sector weights
     are monitored; their largest drift is reported in the metadata.
     """
+    _check_steps(steps)
     if L % 2:
         raise ParameterError("domain wall needs an even number of sites")
     if not 2 <= L <= DOMAIN_WALL_MAX_L:

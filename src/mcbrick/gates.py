@@ -21,6 +21,9 @@ from .errors import ParameterError, StructureError
 
 TWO_PI = 2.0 * np.pi
 
+# largest entry allowed where magnetization conservation requires a zero
+MC_DEFECT_TOL = 1e-10
+
 # entries forced to zero by magnetization conservation
 _MC_ZERO_MASK = np.array(
     [
@@ -82,7 +85,7 @@ class TwoQubitGate:
             raise ParameterError("gate matrix must be 4x4")
         object.__setattr__(self, "matrix", m)
         defect = mc_zero_pattern_defect(m)
-        if defect > 1e-10:
+        if defect > MC_DEFECT_TOL:
             raise StructureError(
                 f"matrix is not magnetization conserving (defect {defect:.3e})"
             )

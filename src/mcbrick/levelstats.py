@@ -31,9 +31,13 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .core import (
+    Operator,
+    apply_in_sector,
     build_propagator,
     build_sector_block,
+    check_sector_column,
     sector_basis,
+    sector_states,
     translation_permutation,
 )
 from .errors import CapacityError, ParameterError, SymmetryError
@@ -143,9 +147,15 @@ def _result_from_phases(phases, L, boundary, m, k=None, st=None, fp=None, metada
 
 
 def pooled_r_tilde(results):
-    """Gap-ratio mean pooled over several resolved blocks."""
-    ratios = np.concatenate([spacing_ratios(r.eigenphases) for r in results])
-    return float(ratios.mean())
+    """Gap-ratio mean pooled over several resolved blocks.
+
+    Blocks with fewer than two phases carry no ratio; if no block has one,
+    there is nothing to pool and ParameterError is raised.
+    """
+    ratios = [spacing_ratios(r.eigenphases) for r in results]
+    if not sum(r.size for r in ratios):
+        raise ParameterError("no block has two or more eigenphases; no gap ratio to pool")
+    return float(np.concatenate(ratios).mean())
 
 
 def is_homogeneous(circuit, tol=1e-12):
@@ -198,15 +208,26 @@ def _apply_k(circuit, vec):
 
 
 def _k_block(circuit, basis):
-    """Restriction of K = S * (odd layer) to a sector basis."""
-    from .core import Operator
+    """Restriction of K = S * (odd layer) to a sector basis.
 
+    The odd layer acts inside the magnetization sector on all basis columns
+    at once (core.apply_in_sector).  The shift S only relabels sector rows,
+    row i going to the row of S|states[i]>, so it is applied to the sparse
+    W^dag instead of moving the dense array.  Column 0 is checked against
+    the full-space _apply_k, and the block must be unitary.
+    """
     L = circuit.L
-    w = basis.vectors
-    cols = np.empty((1 << L, basis.dim), dtype=complex)
-    for j in range(basis.dim):
-        cols[:, j] = _apply_k(circuit, w[:, [j]].toarray().ravel())
-    kb = Operator(np.asarray(w.conj().T @ cols), label="K block", unitary=True)
+    states = sector_states(L, basis.magnetization)
+    w = basis.vectors[states, :]
+    x = w.toarray()
+    apply_in_sector(circuit.layer(0), states, x, L)
+    shifted = np.searchsorted(states, translation_permutation(L, 1)[states])
+    if basis.dim:
+        col = np.empty(len(states), dtype=complex)
+        col[shifted] = x[:, 0]
+        v0 = basis.vectors[:, [0]].toarray().ravel()
+        check_sector_column(_apply_k(circuit, v0), col, states, "space-time")
+    kb = Operator(w[shifted, :].conj().T @ x, label="K block", unitary=True)
     defect = kb.unitarity_defect()
     if defect > BLOCK_UNITARITY_TOL:
         raise SymmetryError(

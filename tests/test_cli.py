@@ -54,3 +54,29 @@ def test_two_gate_outputs_repeat_bit_for_bit(tmp_path):
         files = {f: (out / f).read_bytes() for f in ("spectrum-stats.csv", "spectrum-stats.json")}
         runs.append((files, record(out, "spectrum-stats")["sha256"]))
     assert runs[0] == runs[1]
+
+
+def test_negative_steps_are_parameter_errors(tmp_path, capsys):
+    for command in ("szm", "staggered-corr", "domain-wall"):
+        assert run(tmp_path, command, *GATE_II, "--L", "4", "--steps", "-1") == 2
+        rec = record(tmp_path, command)
+        assert rec["status"].startswith("parameter-error") and rec["exit_code"] == 2
+        assert "steps must be >= 0" in capsys.readouterr().err
+
+
+def test_verify_ybe_refuses_empty_trials(tmp_path):
+    for trials in ("0", "-1"):
+        assert run(tmp_path, "verify-ybe", "--trials", trials) == 2
+        rec = record(tmp_path, "verify-ybe")
+        assert rec["status"].startswith("parameter-error") and rec["exit_code"] == 2
+        assert not (tmp_path / "verify-ybe.json").exists()
+
+
+def test_spectrum_stats_refuses_to_pool_no_ratio(tmp_path, capsys):
+    # the only block, m=6 at L=6, holds a single phase
+    args = ("spectrum-stats", *GATE_II, "--L", "6", "--m-values", "6", "--min-dim", "0")
+    assert run(tmp_path, *args) == 2
+    rec = record(tmp_path, "spectrum-stats")
+    assert rec["status"].startswith("parameter-error") and rec["exit_code"] == 2
+    assert "no gap ratio to pool" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum-stats.json").exists()

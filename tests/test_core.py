@@ -9,18 +9,20 @@ from mcbrick.core import (
     Operator,
     apply_gate,
     build_propagator,
+    check_sector_column,
     homogeneous_circuit,
     magnetization_commutator_defect,
     magnetization_of,
     propagator_apply,
     restrict,
     sector_basis,
+    sector_states,
     translate_index,
     translation_matrix,
     translation_permutation,
 )
 from mcbrick.gates import identity_gate, random_mc_gate, TwoQubitGate
-from mcbrick.errors import CapacityError, ParameterError
+from mcbrick.errors import CapacityError, ParameterError, SymmetryError
 
 SWAP = TwoQubitGate(
     np.array(
@@ -176,6 +178,24 @@ def test_restrict_reassembles_full_spectrum():
         r = restrict(u, sector_basis(L, m))
         blocks.append(np.angle(np.linalg.eigvals(r.entries)))
     assert np.abs(np.sort(np.concatenate(blocks)) - full).max() < 1e-10
+
+
+def test_check_sector_column_flags_mismatch_and_leak():
+    L, m = 6, 0
+    states = sector_states(L, m)
+    assert list(states) == sector_basis(L, m).states
+    rng = np.random.default_rng(2)
+    full = np.zeros(1 << L, dtype=complex)
+    full[states] = rng.normal(size=states.size)
+    col = full[states].copy()
+    check_sector_column(full, col, states, "test")
+    col[3] += 1e-9
+    with pytest.raises(SymmetryError):
+        check_sector_column(full, col, states, "test")
+    leaked = full.copy()
+    leaked[0] = 1e-9  # all-zeros word, outside the m=0 sector
+    with pytest.raises(SymmetryError):
+        check_sector_column(leaked, full[states], states, "test")
 
 
 def test_capacity_limits():

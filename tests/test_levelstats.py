@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from mcbrick.core import BrickworkCircuit, homogeneous_circuit, layer_bonds, sector_basis
-from mcbrick.errors import CapacityError, ParameterError
+from mcbrick.core import (
+    BrickworkCircuit,
+    build_propagator,
+    build_sector_block,
+    homogeneous_circuit,
+    layer_bonds,
+    restrict,
+    sector_basis,
+    translation_matrix,
+)
+from mcbrick.errors import CapacityError, ParameterError, SymmetryError
 from mcbrick.gates import random_mc_gate
 from mcbrick.levelstats import (
     R_TILDE_COE,
@@ -26,6 +35,8 @@ from mcbrick.levelstats import (
     spacing_histogram,
     spacing_ratios,
 )
+from mcbrick.levelstats import _k_block
+from mcbrick.symmetry import equivalent_circuit
 
 
 def two_gate_circuit(L, boundary, seed):
@@ -116,6 +127,43 @@ def test_sector_spectrum_dimensions_and_pooling():
     assert dims == 2**8
     with pytest.raises(ParameterError):
         sector_spectrum(homogeneous_circuit(random_mc_gate(5), 8, "open"), 0, k=1)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_sector_block_matches_restricted_propagator(boundary):
+    L = 8
+    hom = homogeneous_circuit(random_mc_gate(13), L, boundary)
+    circuits = {
+        "homogeneous": hom,
+        "two-gate": two_gate_circuit(L, boundary, seed=4),
+        "symmetrized": equivalent_circuit(hom),
+    }
+    k_values = range(L // 2) if boundary == "periodic" else [None]
+    shift = translation_matrix(L, 1)
+    for name, circ in circuits.items():
+        u = build_propagator(circ)
+        odd = build_propagator(BrickworkCircuit(L, circ.layers[:1], boundary)).entries
+        k_dense = shift @ odd
+        for m in range(-L, L + 1, 2):
+            for k in k_values:
+                basis = sector_basis(L, m, k)
+                if basis.dim == 0:
+                    continue
+                block = build_sector_block(circ, basis).entries
+                assert np.abs(block - restrict(u, basis).entries).max() < 1e-12, (name, m, k)
+                kb = _k_block(circ, basis).entries
+                assert np.abs(kb - restrict(k_dense, basis).entries).max() < 1e-12, (name, m, k)
+
+
+def test_sector_block_refuses_non_mc_gate():
+    # exp(-i 0.3 XX) moves weight between |00> and |11>
+    theta = 0.3
+    xx = np.fliplr(np.eye(4))
+    u = np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * xx
+    circ = homogeneous_circuit(u, 8, "open")
+    with pytest.raises(SymmetryError) as err:
+        build_sector_block(circ, sector_basis(8, 0))
+    assert err.value.residual == pytest.approx(np.sin(theta))
 
 
 def test_flip_reflection_permutation_is_involution():
