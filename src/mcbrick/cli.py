@@ -8,6 +8,14 @@ hash, and re-running an identical record reproduces the outputs bit for
 bit within a fixed build (wall time and file paths stay outside the
 hash).
 
+Two tables drive the parser, config resolution and the gate spec:
+_COMMANDS (per subcommand: help, gate form, [run] keys, handler) and
+_GATE_FIELDS (per gate parameter: family, name, [gate] key, type,
+default).  A handler only computes: from (params, root seed, sha) it
+returns its JSON payload, its CSV tables (name, header, rows) in write
+order, its message and its exit code.  main writes the tables, then
+<command>.json, prints the message and lists the files in the RunRecord.
+
 Config files are INI-style with a [gate] and a [run] section.  A flag
 beats a config value beats the built-in default, and any config key the
 invoked subcommand does not accept aborts before computation.  The
@@ -34,6 +42,7 @@ import sys
 import time
 from pathlib import Path
 
+from . import __version__
 from .errors import (
     CapacityError,
     ConfigError,
@@ -44,53 +53,28 @@ from .errors import (
 
 __all__ = ["main"]
 
-_GATE_CONFIG_KEYS = (
-    "tau", "delta", "b", "d", "m", "a", "j",
-    "alpha", "phi", "chi", "theta", "haar_seed",
+# (family, name, [gate] key, type, default or None if required, chooses).
+# The name keys the gate spec and gives the flag (--name, "-" for "_"); a
+# flag beats its config key.  A "chooses" field picks its family when given
+# by flag, or by a config key no other field shares: [gate] delta feeds the
+# Hamiltonian delta and the Hurwitz phase but chooses neither, while
+# --delta-phase chooses Hurwitz.  A family lists its fields in the order of
+# its parameter class.
+_GATE_FIELDS = (
+    ("hamiltonian", "tau", "tau", float, None, True),
+    ("hamiltonian", "delta", "delta", float, None, False),
+    ("hamiltonian", "B", "b", float, 0.0, False),
+    ("hamiltonian", "D", "d", float, 0.0, False),
+    ("hamiltonian", "M", "m", float, 0.0, False),
+    ("hamiltonian", "A", "a", float, 0.0, False),
+    ("hamiltonian", "J", "j", float, 1.0, False),
+    ("haar", "delta_phase", "delta", float, 0.0, True),
+    ("haar", "alpha", "alpha", float, 0.0, True),
+    ("haar", "phi", "phi", float, 0.0, True),
+    ("haar", "chi", "chi", float, 0.0, True),
+    ("haar", "theta", "theta", float, 0.0, True),
+    ("random", "haar_seed", "haar_seed", int, None, True),
 )
-
-# accepted [run] keys per subcommand: name -> (type, default)
-_RUN_TABLES = {
-    "classify": {},
-    "map-params": {},
-    "verify-ybe": {
-        "trials": (int, 1000),
-        "haar_seed": (int, None),
-        "x": (float, None),
-        "y": (float, None),
-        "tol_braid": (float, 1e-12),
-        "tol_inverse": (float, 1e-13),
-    },
-    "charges": {"L": (int, 8), "ell": (int, 1), "sign": (str, "both")},
-    "spectrum-stats": {
-        "L": (int, 8),
-        "boundary": (str, "periodic"),
-        "two_gate": (bool, False),
-        "realizations": (int, 1),
-        "m_values": (str, None),
-        "k_values": (str, None),
-        "min_dim": (int, 2),
-    },
-    "rp-spectrum": {
-        "r": (int, 3),
-        "k": (float, 0.0),
-        "r_list": (str, None),
-        "eps_keep": (float, 0.25),
-    },
-    "szm": {
-        "L": (int, 8),
-        "steps": (int, 60),
-        "method": (str, "exact-trace"),
-        "samples": (int, 20),
-        "sector": (str, None),
-    },
-    "staggered-corr": {"L": (int, 8), "steps": (int, 60)},
-    "domain-wall": {"L": (int, 8), "steps": (int, 60)},
-    "time-reversal": {"L": (int, 8), "boundary": (str, "open")},
-}
-
-_GATELESS = ("verify-ybe",)
-_HAMILTONIAN_ONLY = ("classify",)
 
 
 def _build_parser():
@@ -106,49 +90,22 @@ def _build_parser():
         "brickwork circuits",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    helps = {
-        "classify": "phase label of a Hamiltonian-form gate",
-        "map-params": "gate -> braid-matrix parameter map, with failures",
-        "verify-ybe": "braid relation and inversion on random gates",
-        "charges": "conserved-charge construction and commutation defects",
-        "spectrum-stats": "symmetry-resolved eigenphase gap-ratio statistics",
-        "rp-spectrum": "truncated operator-propagator spectrum and gap fits",
-        "szm": "boundary magnetization autocorrelation (zero-mode probe)",
-        "staggered-corr": "staggered magnetization autocorrelation and decay fits",
-        "domain-wall": "domain-wall profile evolution and transported charge",
-        "time-reversal": "anti-unitary symmetry construction report",
-    }
     parsers = {}
-    for name, table in _RUN_TABLES.items():
-        p = sub.add_parser(name, parents=[common], help=helps[name])
-        if name not in _GATELESS:
-            _add_gate_flags(p, hamiltonian_only=name in _HAMILTONIAN_ONLY)
-        for key, (typ, _default) in table.items():
+    for command, (help_text, gate_form, run_keys, _handler) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        if gate_form:
+            g = p.add_argument_group("gate parameters")
+            for family, name, _key, typ, _default, _chooses in _GATE_FIELDS:
+                if gate_form in ("any", family):
+                    g.add_argument("--" + name.replace("_", "-"), type=typ)
+        for key, (typ, _default) in run_keys.items():
             flag = "--" + key.replace("_", "-")
             if typ is bool:
                 p.add_argument(flag, action="store_true", default=None)
             else:
                 p.add_argument(flag, type=typ, default=None)
-        parsers[name] = p
+        parsers[command] = p
     return ap, parsers
-
-
-def _add_gate_flags(p, hamiltonian_only=False):
-    g = p.add_argument_group("gate parameters")
-    g.add_argument("--tau", type=float)
-    g.add_argument("--delta", type=float)
-    g.add_argument("--B", type=float)
-    g.add_argument("--D", type=float)
-    g.add_argument("--M", type=float)
-    g.add_argument("--A", type=float)
-    g.add_argument("--J", type=float)
-    if not hamiltonian_only:
-        g.add_argument("--delta-phase", type=float, dest="delta_phase")
-        g.add_argument("--alpha", type=float)
-        g.add_argument("--phi", type=float)
-        g.add_argument("--chi", type=float)
-        g.add_argument("--theta", type=float)
-        g.add_argument("--haar-seed", type=int, dest="haar_seed")
 
 
 def _load_config(path):
@@ -177,64 +134,27 @@ def _convert(raw, typ, key):
         raise ConfigError(f"key {key}: expected {typ.__name__}, got {raw!r}")
 
 
-def _resolve_gate(args, cfg_gate, hamiltonian_only=False, required=True):
-    bad = sorted(set(cfg_gate) - set(_GATE_CONFIG_KEYS))
+def _resolve_gate(args, cfg_gate, gate_form, required=True):
+    keys = [field[2] for field in _GATE_FIELDS]
+    bad = sorted(set(cfg_gate) - set(keys))
     if bad:
         raise ConfigError(f"unknown [gate] keys: {', '.join(bad)}")
-    merged = dict(cfg_gate)
-    flag_pairs = (
-        ("tau", "tau"), ("delta", "delta"), ("B", "b"), ("D", "d"),
-        ("M", "m"), ("A", "a"), ("J", "j"),
-        ("alpha", "alpha"), ("phi", "phi"), ("chi", "chi"),
-        ("theta", "theta"), ("haar_seed", "haar_seed"),
-    )
-    for dest, key in flag_pairs:
-        val = getattr(args, dest, None)
+    merged, chosen = dict(cfg_gate), set()
+    for family, name, key, _typ, _default, chooses in _GATE_FIELDS:
+        val = getattr(args, name, None)
         if val is not None:
             merged[key] = val
-    delta_phase_flag = getattr(args, "delta_phase", None)
-
-    has_ham = "tau" in merged
-    has_haar = delta_phase_flag is not None or any(
-        key in merged for key in ("alpha", "phi", "chi", "theta")
-    )
-    has_random = "haar_seed" in merged
-    if has_ham + has_haar + has_random > 1:
+        if chooses and (val is not None or (key in cfg_gate and keys.count(key) == 1)):
+            chosen.add(family)
+    if len(chosen) > 1:
         raise ParameterError(
             "conflicting gate families: give tau/delta, Hurwitz angles, "
             "or haar_seed, not a mixture"
         )
-    if has_ham:
-        if "delta" not in merged:
-            raise ParameterError("the Hamiltonian gate form needs both tau and delta")
-        return {
-            "kind": "hamiltonian",
-            "tau": _convert(merged["tau"], float, "tau"),
-            "delta": _convert(merged["delta"], float, "delta"),
-            "B": _convert(merged.get("b", 0.0), float, "b"),
-            "D": _convert(merged.get("d", 0.0), float, "d"),
-            "M": _convert(merged.get("m", 0.0), float, "m"),
-            "A": _convert(merged.get("a", 0.0), float, "a"),
-            "J": _convert(merged.get("j", 1.0), float, "j"),
-        }
-    if has_haar:
-        if hamiltonian_only:
-            raise ParameterError("this subcommand takes the Hamiltonian gate form only")
-        phase = delta_phase_flag if delta_phase_flag is not None else merged.get("delta", 0.0)
-        return {
-            "kind": "haar",
-            "delta_phase": _convert(phase, float, "delta"),
-            "alpha": _convert(merged.get("alpha", 0.0), float, "alpha"),
-            "phi": _convert(merged.get("phi", 0.0), float, "phi"),
-            "chi": _convert(merged.get("chi", 0.0), float, "chi"),
-            "theta": _convert(merged.get("theta", 0.0), float, "theta"),
-        }
-    if has_random:
-        if hamiltonian_only:
-            raise ParameterError("this subcommand takes the Hamiltonian gate form only")
-        return {"kind": "random", "haar_seed": _convert(merged["haar_seed"], int, "haar_seed")}
-    if required:
-        if hamiltonian_only:
+    if not chosen:
+        if not required:
+            return None
+        if gate_form == "hamiltonian":
             raise ParameterError(
                 "no gate specified: give --tau and --delta (+ --B --D --M --A --J)"
             )
@@ -242,7 +162,17 @@ def _resolve_gate(args, cfg_gate, hamiltonian_only=False, required=True):
             "no gate specified: give --tau/--delta (+ --B --D --M --A --J), "
             "Hurwitz angles, or --haar-seed"
         )
-    return None
+    kind = chosen.pop()
+    if gate_form not in ("any", kind):
+        raise ParameterError("this subcommand takes the Hamiltonian gate form only")
+    fields = [field for field in _GATE_FIELDS if field[0] == kind]
+    # tau and haar_seed choose their family, so only delta can be missing
+    if any(field[4] is None and field[2] not in merged for field in fields):
+        raise ParameterError("the Hamiltonian gate form needs both tau and delta")
+    spec = {"kind": kind}
+    for _family, name, key, typ, default, _chooses in fields:
+        spec[name] = _convert(merged.get(key, default), typ, key)
+    return spec
 
 
 def _resolve_run(args, cfg_run, table):
@@ -259,18 +189,15 @@ def _resolve_run(args, cfg_run, table):
 
 
 def _resolve(command, args, cfg_gate, cfg_run):
-    params = {"run": _resolve_run(args, cfg_run, _RUN_TABLES[command])}
-    if command in _GATELESS:
+    _help, gate_form, run_keys, _handler = _COMMANDS[command]
+    params = {"run": _resolve_run(args, cfg_run, run_keys)}
+    if gate_form is None:
         if cfg_gate:
             raise ConfigError(f"{command} takes no [gate] section")
     else:
-        required = not (command == "spectrum-stats" and params["run"].get("two_gate"))
-        gate = _resolve_gate(
-            args, cfg_gate,
-            hamiltonian_only=command in _HAMILTONIAN_ONLY,
-            required=required,
-        )
-        if command == "spectrum-stats" and params["run"].get("two_gate") and gate:
+        two_gate = params["run"].get("two_gate")
+        gate = _resolve_gate(args, cfg_gate, gate_form, required=not two_gate)
+        if two_gate and gate:
             raise ParameterError("two-gate ensembles draw their gates; drop the gate parameters")
         params["gate"] = gate
     return params
@@ -286,18 +213,13 @@ def _build_gate(spec):
         random_mc_gate,
     )
 
+    values = [v for key, v in spec.items() if key != "kind"]
     if spec["kind"] == "hamiltonian":
-        p = HamiltonianGateParams(
-            tau=spec["tau"], delta=spec["delta"], B=spec["B"], D=spec["D"],
-            M=spec["M"], A=spec["A"], J=spec["J"],
-        )
+        p = HamiltonianGateParams(*values)
         return gate_from_hamiltonian(p), p
     if spec["kind"] == "haar":
-        p = HaarGateParams(
-            spec["delta_phase"], spec["alpha"], spec["phi"], spec["chi"], spec["theta"]
-        )
-        return gate_from_haar(p), None
-    return random_mc_gate(spec["haar_seed"]), None
+        return gate_from_haar(HaarGateParams(*values)), None
+    return random_mc_gate(*values), None
 
 
 def _phase_label(gate):
@@ -319,19 +241,6 @@ def _seed_streams(root):
     return np.random.SeedSequence(root).spawn(3)  # gate, method, ensemble
 
 
-def _run_record(command, params, root_seed):
-    from . import __version__
-
-    record = {
-        "subcommand": command,
-        "parameters": params,
-        "version": __version__,
-        "root_seed": int(root_seed),
-    }
-    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return record, hashlib.sha256(blob.encode()).hexdigest()
-
-
 def _plain(obj):
     import numpy as np
 
@@ -346,12 +255,6 @@ def _plain(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _write_json(path, payload, sha):
-    payload = dict(payload)
-    payload["run_record_sha256"] = sha
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n")
-
-
 def _cell(value):
     if value is None:
         return ""
@@ -360,28 +263,16 @@ def _cell(value):
     return str(value)
 
 
-def _write_csv(path, sha, header, rows):
-    lines = [f"# run_record_sha256: {sha}", ",".join(header)]
-    lines += [",".join(_cell(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _parse_int_list(text, key):
+def _parse_int_list(text, key, default=None):
+    if not text:
+        return default
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ParameterError(f"{key}: expected a comma list of integers, got {text!r}")
 
 
-def _series_rows(series):
-    err = series.estimator_error
-    return [
-        (int(t), float(v), float(err[i]) if err is not None else None)
-        for i, (t, v) in enumerate(zip(series.times, series.values))
-    ]
-
-
-def _cmd_classify(params, root, sha, outdir):
+def _cmd_classify(params, root, sha):
     from .rmatrix import classify_phase_hamiltonian
 
     _gate, hp = _build_gate(params["gate"])
@@ -391,12 +282,10 @@ def _cmd_classify(params, root, sha, outdir):
         "phase_condition_lhs": c.lhs,
         "singular_denominator": c.singular,
     }
-    _write_json(outdir / "classify.json", payload, sha)
-    print(json.dumps({**payload, "run_record_sha256": sha}, sort_keys=True))
-    return ["classify.json"], 0
+    return payload, [], json.dumps({**payload, "run_record_sha256": sha}, sort_keys=True), 0
 
 
-def _cmd_map_params(params, root, sha, outdir):
+def _cmd_map_params(params, root, sha):
     from .gates import haar_params_from_gate
     from .rmatrix import map_report
 
@@ -405,12 +294,10 @@ def _cmd_map_params(params, root, sha, outdir):
     payload = map_report(extraction.params)
     payload["input_gate"] = params["gate"]
     payload["magnetization_phase_mu"] = extraction.mu
-    _write_json(outdir / "map-params.json", payload, sha)
-    print(f"phase {payload['phase']}; wrote map-params.json (run {sha[:12]})")
-    return ["map-params.json"], 0
+    return payload, [], f"phase {payload['phase']}; wrote map-params.json (run {sha[:12]})", 0
 
 
-def _cmd_verify_ybe(params, root, sha, outdir):
+def _cmd_verify_ybe(params, root, sha):
     import numpy as np
 
     from .errors import CriticalManifoldError
@@ -451,15 +338,14 @@ def _cmd_verify_ybe(params, root, sha, outdir):
         "tol_inverse": run["tol_inverse"],
         "passed": passed,
     }
-    _write_json(outdir / "verify-ybe.json", payload, sha)
-    print(
+    message = (
         f"braid residual {worst_braid:.3e}, inverse residual {worst_inverse:.3e} "
         f"over {run['trials'] - skipped} gates: {'PASS' if passed else 'FAIL'}"
     )
-    return ["verify-ybe.json"], 0 if passed else 1
+    return payload, [], message, 0 if passed else 1
 
 
-def _cmd_charges(params, root, sha, outdir):
+def _cmd_charges(params, root, sha):
     import numpy as np
 
     from .charges import (
@@ -509,23 +395,10 @@ def _cmd_charges(params, root, sha, outdir):
             ),
             **extra,
         }
-    _write_json(outdir / "charges.json", payload, sha)
-    print(f"wrote charges.json (run {sha[:12]})")
-    return ["charges.json"], 0
+    return payload, [], f"wrote charges.json (run {sha[:12]})", 0
 
 
-def _spectrum_blocks(circuit, m_values, k_values, two_gate):
-    from .levelstats import resolved_spectra, sector_spectrum
-
-    for m in m_values:
-        for k in k_values:
-            if two_gate:
-                yield sector_spectrum(circuit, m, k)
-            else:
-                yield from resolved_spectra(circuit, m, k)
-
-
-def _cmd_spectrum_stats(params, root, sha, outdir):
+def _cmd_spectrum_stats(params, root, sha):
     from .core import BrickworkCircuit, homogeneous_circuit, layer_bonds
     from .levelstats import (
         R_TILDE_COE,
@@ -533,6 +406,8 @@ def _cmd_spectrum_stats(params, root, sha, outdir):
         R_TILDE_POISSON,
         chaotic_gate_pair,
         pooled_r_tilde,
+        resolved_spectra,
+        sector_spectrum,
     )
 
     run = params["run"]
@@ -541,19 +416,10 @@ def _cmd_spectrum_stats(params, root, sha, outdir):
         raise ParameterError(f"boundary must be open or periodic, got {boundary!r}")
     if run["realizations"] > 1 and not run["two_gate"]:
         raise ParameterError("realizations > 1 needs --two-gate")
-    m_values = (
-        _parse_int_list(run["m_values"], "m_values")
-        if run["m_values"]
-        else list(range(-L, L + 1, 2))
-    )
+    m_values = _parse_int_list(run["m_values"], "m_values", list(range(-L, L + 1, 2)))
+    k_values = [None]
     if boundary == "periodic":
-        k_values = (
-            _parse_int_list(run["k_values"], "k_values")
-            if run["k_values"]
-            else list(range(L // 2))
-        )
-    else:
-        k_values = [None]
+        k_values = _parse_int_list(run["k_values"], "k_values", list(range(L // 2)))
     _, _, ensemble_stream = _seed_streams(root)
     realization_seeds = ensemble_stream.spawn(run["realizations"])
 
@@ -566,20 +432,26 @@ def _cmd_spectrum_stats(params, root, sha, outdir):
         else:
             gate, _hp = _build_gate(params["gate"])
             circuit = homogeneous_circuit(gate, L, boundary)
-        for block in _spectrum_blocks(circuit, m_values, k_values, run["two_gate"]):
-            if block.dim < run["min_dim"]:
-                continue
-            kept.append(block)
-            key = block.sector_key()
-            per_sector.append(
-                {
-                    "realization": t,
-                    "sector": key,
-                    "dim": int(block.dim),
-                    "r_tilde": float(block.r_tilde),
-                }
-            )
-            rows += [(t, key, float(ph)) for ph in block.eigenphases]
+        for m in m_values:
+            for k in k_values:
+                if run["two_gate"]:
+                    blocks = [sector_spectrum(circuit, m, k)]
+                else:
+                    blocks = resolved_spectra(circuit, m, k)
+                for block in blocks:
+                    if block.dim < run["min_dim"]:
+                        continue
+                    kept.append(block)
+                    key = block.sector_key()
+                    per_sector.append(
+                        {
+                            "realization": t,
+                            "sector": key,
+                            "dim": int(block.dim),
+                            "r_tilde": float(block.r_tilde),
+                        }
+                    )
+                    rows += [(t, key, float(ph)) for ph in block.eigenphases]
     if not kept:
         raise ParameterError("no blocks at or above min_dim; nothing to pool")
     payload = {
@@ -596,19 +468,15 @@ def _cmd_spectrum_stats(params, root, sha, outdir):
             "cue": R_TILDE_CUE,
         },
     }
-    _write_csv(
-        outdir / "spectrum-stats.csv", sha,
-        ("realization", "sector", "eigenphase"), rows,
-    )
-    _write_json(outdir / "spectrum-stats.json", payload, sha)
-    print(
+    message = (
         f"pooled gap-ratio mean {payload['pooled_r_tilde']:.4f} over "
         f"{len(kept)} blocks (run {sha[:12]})"
     )
-    return ["spectrum-stats.csv", "spectrum-stats.json"], 0
+    tables = [("spectrum-stats.csv", ("realization", "sector", "eigenphase"), rows)]
+    return payload, tables, message, 0
 
 
-def _cmd_rp_spectrum(params, root, sha, outdir):
+def _cmd_rp_spectrum(params, root, sha):
     from .rp import (
         conserved_density_vectors,
         gap_scaling,
@@ -651,31 +519,24 @@ def _cmd_rp_spectrum(params, root, sha, outdir):
         else:
             fit_payload.update(slope=fit.slope, intercept=fit.intercept)
         payload["gap_fit"] = fit_payload
-    _write_csv(
-        outdir / "rp-spectrum.csv", sha,
-        ("k", "r", "charge_block", "re", "im"), rows,
-    )
-    _write_json(outdir / "rp-spectrum.json", payload, sha)
-    print(
+    message = (
         f"kept {len(rows)} modes, unit multiplicity "
         f"{payload['unit_multiplicity']} (run {sha[:12]})"
     )
-    return ["rp-spectrum.csv", "rp-spectrum.json"], 0
+    tables = [("rp-spectrum.csv", ("k", "r", "charge_block", "re", "im"), rows)]
+    return payload, tables, message, 0
 
 
-def _cmd_szm(params, root, sha, outdir):
+def _cmd_szm(params, root, sha):
     from .dynamics import boundary_autocorrelation
 
     run = params["run"]
     gate, _hp = _build_gate(params["gate"])
     sector = run["sector"]
-    if sector is not None and str(sector).lower() != "none":
-        try:
-            sector = int(sector)
-        except ValueError:
-            raise ParameterError(f"sector: expected an integer or none, got {sector!r}")
-    else:
-        sector = None
+    try:
+        sector = None if str(sector).lower() == "none" else int(sector)
+    except ValueError:
+        raise ParameterError(f"sector: expected an integer or none, got {sector!r}")
     _, method_stream, _ = _seed_streams(root)
     series = boundary_autocorrelation(
         gate, run["L"], run["steps"],
@@ -692,13 +553,16 @@ def _cmd_szm(params, root, sha, outdir):
         "method": series.method,
         "metadata": meta,
     }
-    _write_csv(outdir / "szm.csv", sha, ("t", "value", "err"), _series_rows(series))
-    _write_json(outdir / "szm.json", payload, sha)
-    print(f"wrote szm.csv, szm.json (run {sha[:12]})")
-    return ["szm.csv", "szm.json"], 0
+    err = series.estimator_error
+    rows = [
+        (int(t), float(v), float(err[i]) if err is not None else None)
+        for i, (t, v) in enumerate(zip(series.times, series.values))
+    ]
+    message = f"wrote szm.csv, szm.json (run {sha[:12]})"
+    return payload, [("szm.csv", ("t", "value", "err"), rows)], message, 0
 
 
-def _cmd_staggered_corr(params, root, sha, outdir):
+def _cmd_staggered_corr(params, root, sha):
     from .dynamics import staggered_correlation
 
     run = params["run"]
@@ -710,15 +574,13 @@ def _cmd_staggered_corr(params, root, sha, outdir):
         "method": series.method,
         "metadata": series.metadata,
     }
-    _write_csv(
-        outdir / "staggered-corr.csv", sha, ("t", "value", "err"), _series_rows(series)
-    )
-    _write_json(outdir / "staggered-corr.json", payload, sha)
-    print(f"wrote staggered-corr.csv, staggered-corr.json (run {sha[:12]})")
-    return ["staggered-corr.csv", "staggered-corr.json"], 0
+    # exact traces carry no estimator error
+    rows = [(int(t), float(v), None) for t, v in zip(series.times, series.values)]
+    message = f"wrote staggered-corr.csv, staggered-corr.json (run {sha[:12]})"
+    return payload, [("staggered-corr.csv", ("t", "value", "err"), rows)], message, 0
 
 
-def _cmd_domain_wall(params, root, sha, outdir):
+def _cmd_domain_wall(params, root, sha):
     from .dynamics import domain_wall_evolution
 
     run = params["run"]
@@ -737,16 +599,15 @@ def _cmd_domain_wall(params, root, sha, outdir):
         "phase": _phase_label(gate),
         "metadata": result.metadata,
     }
-    _write_csv(outdir / "domain-wall.csv", sha, ("t", "value", "err"), transported)
-    _write_csv(
-        outdir / "domain-wall-profiles.csv", sha, ("t", "site", "sz"), profile_rows
-    )
-    _write_json(outdir / "domain-wall.json", payload, sha)
-    print(f"wrote domain-wall.csv, domain-wall-profiles.csv (run {sha[:12]})")
-    return ["domain-wall.csv", "domain-wall-profiles.csv", "domain-wall.json"], 0
+    tables = [
+        ("domain-wall.csv", ("t", "value", "err"), transported),
+        ("domain-wall-profiles.csv", ("t", "site", "sz"), profile_rows),
+    ]
+    message = f"wrote domain-wall.csv, domain-wall-profiles.csv (run {sha[:12]})"
+    return payload, tables, message, 0
 
 
-def _cmd_time_reversal(params, root, sha, outdir):
+def _cmd_time_reversal(params, root, sha):
     from .core import homogeneous_circuit
     from .symmetry import time_reversal_report
 
@@ -763,30 +624,64 @@ def _cmd_time_reversal(params, root, sha, outdir):
             "L": run["L"],
             "boundary": run["boundary"],
         }
-        _write_json(outdir / "time-reversal.json", payload, sha)
-        print(f"refused: {exc}", file=sys.stderr)
-        return ["time-reversal.json"], 3
-    payload = dict(payload)
-    payload["refused"] = False
-    _write_json(outdir / "time-reversal.json", payload, sha)
-    print(
+        return payload, [], f"refused: {exc}", 3
+    payload = {**payload, "refused": False}
+    message = (
         f"symmetry residual {payload['residual_TR']:.3e}, spectral match "
         f"{payload['spectral_match_error']:.3e} (run {sha[:12]})"
     )
-    return ["time-reversal.json"], 0
+    return payload, [], message, 0
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "map-params": _cmd_map_params,
-    "verify-ybe": _cmd_verify_ybe,
-    "charges": _cmd_charges,
-    "spectrum-stats": _cmd_spectrum_stats,
-    "rp-spectrum": _cmd_rp_spectrum,
-    "szm": _cmd_szm,
-    "staggered-corr": _cmd_staggered_corr,
-    "domain-wall": _cmd_domain_wall,
-    "time-reversal": _cmd_time_reversal,
+# name -> (help, gate form: "any", "hamiltonian" or None, [run] keys as
+# key -> (type, default), each also a --flag, handler)
+_COMMANDS = {
+    "classify": ("phase label of a Hamiltonian-form gate", "hamiltonian", {}, _cmd_classify),
+    "map-params": (
+        "gate -> braid-matrix parameter map, with failures", "any", {}, _cmd_map_params
+    ),
+    "verify-ybe": ("braid relation and inversion on random gates", None, {
+        "trials": (int, 1000),
+        "haar_seed": (int, None),
+        "x": (float, None),
+        "y": (float, None),
+        "tol_braid": (float, 1e-12),
+        "tol_inverse": (float, 1e-13),
+    }, _cmd_verify_ybe),
+    "charges": ("conserved-charge construction and commutation defects", "any", {
+        "L": (int, 8), "ell": (int, 1), "sign": (str, "both"),
+    }, _cmd_charges),
+    "spectrum-stats": ("symmetry-resolved eigenphase gap-ratio statistics", "any", {
+        "L": (int, 8),
+        "boundary": (str, "periodic"),
+        "two_gate": (bool, False),
+        "realizations": (int, 1),
+        "m_values": (str, None),
+        "k_values": (str, None),
+        "min_dim": (int, 2),
+    }, _cmd_spectrum_stats),
+    "rp-spectrum": ("truncated operator-propagator spectrum and gap fits", "any", {
+        "r": (int, 3),
+        "k": (float, 0.0),
+        "r_list": (str, None),
+        "eps_keep": (float, 0.25),
+    }, _cmd_rp_spectrum),
+    "szm": ("boundary magnetization autocorrelation (zero-mode probe)", "any", {
+        "L": (int, 8),
+        "steps": (int, 60),
+        "method": (str, "exact-trace"),
+        "samples": (int, 20),
+        "sector": (str, None),
+    }, _cmd_szm),
+    "staggered-corr": ("staggered magnetization autocorrelation and decay fits", "any", {
+        "L": (int, 8), "steps": (int, 60),
+    }, _cmd_staggered_corr),
+    "domain-wall": ("domain-wall profile evolution and transported charge", "any", {
+        "L": (int, 8), "steps": (int, 60),
+    }, _cmd_domain_wall),
+    "time-reversal": ("anti-unitary symmetry construction report", "any", {
+        "L": (int, 8), "boundary": (str, "open"),
+    }, _cmd_time_reversal),
 }
 
 
@@ -805,24 +700,41 @@ def main(argv=None):
         return 2
 
     root = int(args.seed)
-    record, sha = _run_record(args.command, params, root)
+    record = {
+        "subcommand": args.command,
+        "parameters": params,
+        "version": __version__,
+        "root_seed": root,
+    }
+    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    sha = hashlib.sha256(blob.encode()).hexdigest()
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     started = time.monotonic()
-    status, outputs, code = "ok", [], 0
+    outputs = []
     try:
-        outputs, code = _HANDLERS[args.command](params, root, sha, outdir)
-        if code == 3:
-            status = "refused"
-        elif code == 1:
-            status = "verification-failed"
+        payload, tables, message, code = _COMMANDS[args.command][3](params, root, sha)
     except ParameterError as exc:
         status, code = f"parameter-error: {exc}", 2
         print(f"mcbrick {args.command}: error: {exc}", file=sys.stderr)
     except (CapacityError, RefusalError) as exc:
         status, code = f"refused: {exc}", 3
         print(f"mcbrick {args.command}: refused: {exc}", file=sys.stderr)
+    else:
+        for name, header, rows in tables:
+            lines = [f"# run_record_sha256: {sha}", ",".join(header)]
+            lines += [",".join(_cell(v) for v in row) for row in rows]
+            (outdir / name).write_text("\n".join(lines) + "\n")
+            outputs.append(name)
+        payload = {**payload, "run_record_sha256": sha}
+        outputs.append(f"{args.command}.json")
+        (outdir / outputs[-1]).write_text(
+            json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n"
+        )
+        # a refusal the handler reports itself goes to stderr
+        print(message, file=sys.stderr if code == 3 else sys.stdout)
+        status = {0: "ok", 1: "verification-failed", 3: "refused"}[code]
 
     record.update(
         sha256=sha,
