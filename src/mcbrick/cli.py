@@ -37,6 +37,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -176,9 +177,12 @@ def _resolve_gate(args, cfg_gate, gate_form, required=True):
 
 
 def _resolve_run(args, cfg_run, table):
-    bad = sorted(set(cfg_run) - set(table))
+    # configparser lowercases keys, so match them to the table without case
+    by_lower = {key.lower(): key for key in table}
+    bad = sorted(set(cfg_run) - set(by_lower))
     if bad:
         raise ConfigError(f"unknown [run] keys for this subcommand: {', '.join(bad)}")
+    cfg_run = {by_lower[key]: raw for key, raw in cfg_run.items()}
     out = {}
     for key, (typ, default) in table.items():
         val = getattr(args, key, None)
@@ -307,6 +311,9 @@ def _cmd_verify_ybe(params, root, sha):
     run = params["run"]
     if run["trials"] < 1:
         raise ParameterError(f"trials must be >= 1, got {run['trials']}")
+    for key in ("x", "y"):
+        if run[key] is not None and not math.isfinite(run[key]):
+            raise ParameterError(f"{key} must be finite, got {run[key]}")
     gate_stream, _, _ = _seed_streams(root)
     seed = run["haar_seed"] if run["haar_seed"] is not None else gate_stream
     draws = sample_haar(seed, run["trials"])
@@ -325,15 +332,16 @@ def _cmd_verify_ybe(params, root, sha):
         if p.degenerate:
             skipped += 1
             continue
-        worst_braid = max(worst_braid, float(check_yang_baxter(p, x, y)))
+        # np.maximum keeps a NaN residual, which then fails the check
+        worst_braid = float(np.maximum(worst_braid, check_yang_baxter(p, x, y)))
         inverse = np.abs(r_matrix(p, -x) @ r_matrix(p, x) - eye).max()
-        worst_inverse = max(worst_inverse, float(inverse))
+        worst_inverse = float(np.maximum(worst_inverse, inverse))
     passed = worst_braid < run["tol_braid"] and worst_inverse < run["tol_inverse"]
     payload = {
         "trials": run["trials"],
         "skipped_degenerate": skipped,
-        "max_braid_residual": worst_braid,
-        "max_inverse_residual": worst_inverse,
+        "max_braid_residual": worst_braid if math.isfinite(worst_braid) else None,
+        "max_inverse_residual": worst_inverse if math.isfinite(worst_inverse) else None,
         "tol_braid": run["tol_braid"],
         "tol_inverse": run["tol_inverse"],
         "passed": passed,
@@ -414,8 +422,12 @@ def _cmd_spectrum_stats(params, root, sha):
     L, boundary = run["L"], run["boundary"]
     if boundary not in ("open", "periodic"):
         raise ParameterError(f"boundary must be open or periodic, got {boundary!r}")
+    if run["realizations"] < 1:
+        raise ParameterError(f"realizations must be >= 1, got {run['realizations']}")
     if run["realizations"] > 1 and not run["two_gate"]:
         raise ParameterError("realizations > 1 needs --two-gate")
+    if boundary == "open" and run["k_values"]:
+        raise ParameterError("k_values needs the periodic boundary")
     m_values = _parse_int_list(run["m_values"], "m_values", list(range(-L, L + 1, 2)))
     k_values = [None]
     if boundary == "periodic":
@@ -448,7 +460,8 @@ def _cmd_spectrum_stats(params, root, sha):
                             "realization": t,
                             "sector": key,
                             "dim": int(block.dim),
-                            "r_tilde": float(block.r_tilde),
+                            # null when the block has fewer than two phases
+                            "r_tilde": block.r_tilde if math.isfinite(block.r_tilde) else None,
                         }
                     )
                     rows += [(t, key, float(ph)) for ph in block.eigenphases]

@@ -171,6 +171,8 @@ def boundary_autocorrelation(
         return CorrelationSeries(times, vals, method, None, base)
     if method != "typicality":
         raise ParameterError(f"method must be exact-trace or typicality, got {method!r}")
+    if samples < 2:
+        raise ParameterError(f"typicality needs samples >= 2 for an error bar, got {samples}")
     if L > TYPICALITY_MAX_L:
         raise CapacityError(f"typicality limited to L <= {TYPICALITY_MAX_L}")
     circuit = homogeneous_circuit(gate, L, "open")

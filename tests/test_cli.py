@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mcbrick.cli import main
 
 GATE_II = ["--tau", "0.7", "--delta", "0.3"]
@@ -13,6 +15,18 @@ def run(tmp_path, *args):
 
 def record(tmp_path, command):
     return json.loads((tmp_path / f"{command}-runrecord.json").read_text())
+
+
+def strict_json(path):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def assert_parameter_error(tmp_path, command):
+    rec = record(tmp_path, command)
+    assert rec["status"].startswith("parameter-error") and rec["exit_code"] == 2
 
 
 def test_exit_code_success(tmp_path):
@@ -80,3 +94,62 @@ def test_spectrum_stats_refuses_to_pool_no_ratio(tmp_path, capsys):
     assert rec["status"].startswith("parameter-error") and rec["exit_code"] == 2
     assert "no gap ratio to pool" in capsys.readouterr().err
     assert not (tmp_path / "spectrum-stats.json").exists()
+
+
+def test_run_key_precedence_flag_over_config_over_default(tmp_path):
+    args = ("staggered-corr", *GATE_II, "--steps", "1")
+    assert run(tmp_path, *args) == 0
+    assert record(tmp_path, "staggered-corr")["parameters"]["run"]["L"] == 8
+    assert run(tmp_path, *args, "--L", "6") == 0
+    sha_flag = record(tmp_path, "staggered-corr")["sha256"]
+    cfg = tmp_path / "run.ini"
+    # configparser lowercases keys; both spellings must reach L
+    for text in ("[run]\nL = 6\n", "[run]\nl = 6\n"):
+        cfg.write_text(text)
+        assert run(tmp_path, *args, "--config", str(cfg)) == 0
+        rec = record(tmp_path, "staggered-corr")
+        assert rec["parameters"]["run"]["L"] == 6 and rec["sha256"] == sha_flag
+    assert run(tmp_path, *args, "--config", str(cfg), "--L", "4") == 0
+    assert record(tmp_path, "staggered-corr")["parameters"]["run"]["L"] == 4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_ybe_fails_on_non_finite_input_and_residuals(tmp_path, capsys):
+    for axis in ("--x", "--y"):
+        assert run(tmp_path, "verify-ybe", "--trials", "5", axis, "inf") == 2
+        assert_parameter_error(tmp_path, "verify-ybe")
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "verify-ybe.json").exists()
+    # a finite but huge spectral parameter overflows the R-matrix to NaN
+    assert run(tmp_path, "verify-ybe", "--trials", "5", "--x", "800") == 1
+    assert record(tmp_path, "verify-ybe")["status"] == "verification-failed"
+    d = strict_json(tmp_path / "verify-ybe.json")
+    assert d["passed"] is False and d["max_braid_residual"] is None
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--two-gate", "--realizations", "-2"), "realizations must be >= 1"),
+    ((*GATE_II, "--realizations", "0"), "realizations must be >= 1"),
+    ((*GATE_II, "--boundary", "open", "--k-values", "9"), "k_values needs the periodic"),
+])
+def test_spectrum_stats_refuses_bad_inputs(tmp_path, capsys, args, message):
+    assert run(tmp_path, "spectrum-stats", "--L", "6", *args) == 2
+    assert_parameter_error(tmp_path, "spectrum-stats")
+    assert message in capsys.readouterr().err
+
+
+def test_spectrum_stats_writes_null_for_blocks_without_ratio(tmp_path):
+    args = ("spectrum-stats", *GATE_II, "--L", "6", "--m-values", "4", "--min-dim", "0")
+    assert run(tmp_path, *args) == 0
+    sectors = strict_json(tmp_path / "spectrum-stats.json")["per_sector"]
+    assert [s["r_tilde"] is None for s in sectors] == [s["dim"] < 2 for s in sectors]
+    assert sum(s["r_tilde"] is None for s in sectors) == 3
+
+
+def test_typicality_needs_two_samples(tmp_path, capsys):
+    for samples in ("1", "0"):
+        args = ("szm", *GATE_II, "--L", "4", "--steps", "2", "--method", "typicality")
+        assert run(tmp_path, *args, "--samples", samples) == 2
+        assert_parameter_error(tmp_path, "szm")
+        assert "samples >= 2" in capsys.readouterr().err

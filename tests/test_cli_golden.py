@@ -72,6 +72,8 @@ CASES = {
     "spectrum-stats-two-gate-ensemble": (
         ["spectrum-stats", "--two-gate", "--L", "6", "--realizations", "2",
          "--seed", "7"], None),
+    "spectrum-stats-min-dim-0-null": (
+        ["spectrum-stats", *GATE_II, "--L", "6", "--m-values", "4", "--min-dim", "0"], None),
     "spectrum-stats-config-two-gate": (
         ["spectrum-stats", "--config", "{config}", "--L", "6"],
         "[run]\ntwo_gate = yes\nboundary = open\n"),
