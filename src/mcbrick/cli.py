@@ -6,7 +6,8 @@ JSON whose sha256 covers the deterministic fields (subcommand, resolved
 parameters, package version, root seed); each output file embeds that
 hash, and re-running an identical record reproduces the outputs bit for
 bit within a fixed build (wall time and file paths stay outside the
-hash).
+hash).  The record is strict JSON: a non-finite parameter, which the
+handlers refuse, is written as null, while the hash covers its value.
 
 Two tables drive the parser, config resolution and the gate spec:
 _COMMANDS (per subcommand: help, gate form, [run] keys, handler) and
@@ -167,6 +168,21 @@ def _resolve_gate(args, cfg_gate, gate_form, required=True):
     if gate_form not in ("any", kind):
         raise ParameterError("this subcommand takes the Hamiltonian gate form only")
     fields = [field for field in _GATE_FIELDS if field[0] == kind]
+    # a field of another family would be dropped silently; [gate] delta is
+    # shared with the Hurwitz phase, so it counts as the chosen family's
+    own = {field[2] for field in fields}
+    stray = {}
+    for _family, name, key, _typ, _default, _chooses in _GATE_FIELDS:
+        if key in own:
+            continue
+        if getattr(args, name, None) is not None:
+            stray["--" + name.replace("_", "-")] = None
+        elif key in cfg_gate:
+            stray[f"[gate] {key}"] = None
+    if stray:
+        raise ParameterError(
+            f"{', '.join(stray)} not used by the chosen {kind} gate family; drop it"
+        )
     # tau and haar_seed choose their family, so only delta can be missing
     if any(field[4] is None and field[2] not in merged for field in fields):
         raise ParameterError("the Hamiltonian gate form needs both tau and delta")
@@ -236,7 +252,18 @@ def _phase_label(gate):
         p = haar_to_r(haar_params_from_gate(gate).params)
     except CriticalManifoldError:
         return "critical"
+    except RefusalError as exc:
+        return f"unmapped ({exc})"
     return p.phase if not p.degenerate else f"degenerate ({p.degenerate})"
+
+
+def _finite_or_null(obj):
+    """Copy of a parameter tree with non-finite floats as None (strict JSON)."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(val) for key, val in obj.items()}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _seed_streams(root):
@@ -304,7 +331,6 @@ def _cmd_map_params(params, root, sha):
 def _cmd_verify_ybe(params, root, sha):
     import numpy as np
 
-    from .errors import CriticalManifoldError
     from .gates import sample_haar
     from .rmatrix import check_yang_baxter, haar_to_r, r_matrix
 
@@ -326,7 +352,7 @@ def _cmd_verify_ybe(params, root, sha):
         y = run["y"] if run["y"] is not None else float(rng.uniform(-1.0, 1.0))
         try:
             p = haar_to_r(hp)
-        except CriticalManifoldError:
+        except RefusalError:  # critical, or off the map (rho or u infinite)
             skipped += 1
             continue
         if p.degenerate:
@@ -750,6 +776,8 @@ def main(argv=None):
         status = {0: "ok", 1: "verification-failed", 3: "refused"}[code]
 
     record.update(
+        # handlers refuse non-finite inputs; the hash still covers them
+        parameters=_finite_or_null(params),
         sha256=sha,
         wall_time_s=time.monotonic() - started,
         outputs=outputs,

@@ -1,10 +1,13 @@
 """Infinite-temperature correlators and polarized-state evolution.
 
 Autocorrelations tr(A(t) A)/2^L of diagonal observables are computed
-either exactly (per magnetization sector, from the Schur form of the
-sector propagator, so the cost of 200 time steps is one diagonalization)
-or by typicality, averaging <v|A(t)A|v> over normalized Gaussian random
-vectors evolved matrix-free.  State evolution (domain walls) is always
+either exactly or by typicality.  The exact trace works per magnetization
+sector: one Schur form of the sector propagator, then one contraction of
+the matrix-element weights with the matrix of eigenvalue powers, so 200
+time steps cost one diagonalization and a few matrix products.  The
+sector propagators are still sliced out of the dense build_propagator.
+Typicality averages <v|A(t)A|v> over normalized Gaussian random vectors
+evolved matrix-free.  State evolution (domain walls) is always
 matrix-free Schrodinger propagation.
 """
 
@@ -36,6 +39,7 @@ TYPICALITY_MAX_L = 14
 DOMAIN_WALL_MAX_L = 16
 TYPICALITY_SAMPLES = 20
 FIT_FLOOR = 1e-14
+_TIME_BLOCK = 256  # time steps per power-matrix contraction in the exact trace
 
 
 @dataclass
@@ -94,10 +98,12 @@ def _exact_autocorrelation(U, a, L, steps, m_values=None):
     """Normalized tr(U^-t A U^t A) for diagonal A over magnetization sectors.
 
     Each unitary sector block is brought to Schur (here: diagonal) form
-    once; the time series is then a running phase-product sum over the
-    |<alpha|A|beta>|^2 weights.  m_values selects sectors (by number of
-    up spins); the default is all of them, i.e. the full trace, and the
-    normalization is always the summed sector dimension.
+    once; with w = |<alpha|A|beta>|^2 and V[a, t] = lambda_a^t the series
+    is Re sum_a conj(V) (w V), contracted over blocks of at most
+    _TIME_BLOCK steps with the power carried from block to block.
+    m_values selects sectors (by number of up spins); the default is all
+    of them, i.e. the full trace, and the normalization is always the
+    summed sector dimension.
     """
     occ = (magnetization_of(np.arange(1 << L), L) + L) // 2
     if m_values is None:
@@ -112,12 +118,15 @@ def _exact_autocorrelation(U, a, L, steps, m_values=None):
         lam /= np.abs(lam)
         atil = q.conj().T @ (a[idx, None] * q)
         w = np.abs(atil) ** 2
-        e = np.conj(lam)[:, None] * lam[None, :]
-        p = np.ones_like(e)
-        vals[0] += w.sum()
-        for t in range(1, steps + 1):
-            p *= e
-            vals[t] += float((w * p.real).sum())
+        power = np.ones_like(lam)
+        for start in range(0, steps + 1, _TIME_BLOCK):
+            n = min(_TIME_BLOCK, steps + 1 - start)
+            v = np.empty((lam.size, n), dtype=complex)
+            v[:, 0] = power
+            v[:, 1:] = lam[:, None]
+            np.cumprod(v, axis=1, out=v)
+            power = v[:, -1] * lam
+            vals[start : start + n] += (v.conj() * (w @ v)).real.sum(axis=0)
     return vals / dim
 
 

@@ -125,7 +125,9 @@ def haar_to_r(p, eps_critical=EPS_CRITICAL):
 
     Phase I when cos(phi) < cos(gamma), phase II when cos(phi) > cos(gamma);
     gates within eps_critical of the manifold cos(phi) = cos(gamma) are
-    refused with a critical-manifold report.
+    refused with a critical-manifold report.  Gates at the a = 0 origin
+    (rho -> infinity) and gates with sin(phi) = 0 outside the swap family
+    (u -> infinity) are refused with RefusalError.
     """
     gate = gate_from_haar(p)
     if np.abs(gate.matrix - np.eye(4)).max() < 1e-13:
@@ -156,6 +158,12 @@ def haar_to_r(p, eps_critical=EPS_CRITICAL):
         )
     if cos_phi < 1e-300 and cos_gamma > eps_critical:
         raise RefusalError("gate at the a=0 disk origin needs rho -> infinity")
+    if sin_phi < 1e-12:
+        # |a| = 1 off the swap family: the phase II map sends u -> infinity
+        raise RefusalError(
+            "gate with sin(phi) = 0 off the swap family has |a| = 1 and needs "
+            "u -> infinity"
+        )
 
     if cos_phi < cos_gamma:  # phase I: trigonometric in u
         u = np.arccos(np.clip(sin_gamma / sin_phi, -1.0, 1.0))

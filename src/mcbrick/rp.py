@@ -34,7 +34,13 @@ import scipy.linalg
 import scipy.sparse
 
 from .charges import higher_charge, q1_kernels
-from .errors import CapacityError, ParameterError, RefusalError, SymmetryError
+from .errors import (
+    CapacityError,
+    CriticalManifoldError,
+    ParameterError,
+    RefusalError,
+    SymmetryError,
+)
 from .gates import gate_matrix, haar_params_from_gate
 from .rmatrix import haar_to_r
 
@@ -461,8 +467,10 @@ def conserved_density_vectors(gate, r):
 
     Magnetization always; for r >= 3 the first charge pair from the
     integrable structure of the gate; for r >= 5 the second pair,
-    extracted from the dense construction on a 10-site ring.  Columns are
-    normalized; ordering matches truncated_propagator labels.
+    extracted from the dense construction on a 10-site ring.  A gate the
+    R-matrix map refuses for an infinite rho or u keeps magnetization
+    only; a critical gate raises.  Columns are normalized; ordering matches
+    truncated_propagator labels.
     """
     zero = [s for s in _all_strings(r) if charge_of_string(s) == 0]
     labels = [("even", s) for s in zero] + [("odd", s) for s in zero]
@@ -472,10 +480,17 @@ def conserved_density_vectors(gate, r):
     mag[index[("even", "z" + "1" * (r - 1))]] = 1.0
     mag[index[("odd", "z" + "1" * (r - 1))]] = 1.0
     cols.append(mag)
+    p = None
     if r >= 3:
-        # degenerate gates hit 0/0 in the map; NaN columns are dropped below
-        with np.errstate(invalid="ignore"):
+        try:
             p = haar_to_r(haar_params_from_gate(gate).params)
+        except CriticalManifoldError:
+            raise
+        except RefusalError:
+            pass  # rho or u would be infinite: no charge columns
+    if p is not None:
+        # degenerate gates hit 0/0 in the kernels; NaN columns are dropped below
+        with np.errstate(invalid="ignore"):
             k_plus, k_minus = q1_kernels(p)
         cols.append(_fold_kernel(k_plus, 1, r, index))
         cols.append(_fold_kernel(k_minus, 0, r, index))

@@ -153,3 +153,39 @@ def test_typicality_needs_two_samples(tmp_path, capsys):
         assert run(tmp_path, *args, "--samples", samples) == 2
         assert_parameter_error(tmp_path, "szm")
         assert "samples >= 2" in capsys.readouterr().err
+
+
+def test_map_params_refuses_gate_with_sin_phi_zero(tmp_path, capsys):
+    # phi = 0 off the swap family sends u to infinity; it used to be written
+    assert run(tmp_path, "map-params", "--alpha", "0.3") == 3
+    rec = strict_json(tmp_path / "map-params-runrecord.json")
+    assert rec["status"].startswith("refused") and rec["outputs"] == []
+    assert "sin(phi) = 0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["map-params-runrecord.json"]
+
+
+def test_dynamics_on_gate_with_sin_phi_zero_labels_the_phase(tmp_path):
+    assert run(tmp_path, "szm", "--alpha", "0.3", "--L", "4", "--steps", "3") == 0
+    d = strict_json(tmp_path / "szm.json")
+    assert d["phase"].startswith("unmapped (") and "sin(phi) = 0" in d["phase"]
+    strict_json(tmp_path / "szm-runrecord.json")
+
+
+def test_fields_of_another_gate_family_are_errors(tmp_path, capsys):
+    assert run(tmp_path, "map-params", "--B", "0.1", "--alpha", "0.3") == 2
+    assert "--B not used by the chosen haar gate family" in capsys.readouterr().err
+    cfg = tmp_path / "gate.ini"
+    cfg.write_text("[gate]\nd = 0.2\n")
+    assert run(tmp_path, "map-params", "--haar-seed", "4", "--config", str(cfg)) == 2
+    assert "[gate] d not used by the chosen random gate family" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*-runrecord.json"))
+    # the shared [gate] delta still feeds the Hurwitz phase
+    cfg.write_text("[gate]\ndelta = 0.1\nalpha = 0.4\nphi = 0.9\n")
+    assert run(tmp_path, "map-params", "--config", str(cfg)) == 0
+
+
+def test_refused_non_finite_input_keeps_the_record_strict(tmp_path):
+    assert run(tmp_path, "verify-ybe", "--trials", "5", "--y", "inf") == 2
+    rec = strict_json(tmp_path / "verify-ybe-runrecord.json")
+    assert rec["status"].startswith("parameter-error")
+    assert rec["parameters"]["run"]["y"] is None

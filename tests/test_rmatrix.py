@@ -22,7 +22,7 @@ from mcbrick.rmatrix import (
     r_matrix,
     r_matrix_derivative,
 )
-from mcbrick.errors import CriticalManifoldError, ParameterError
+from mcbrick.errors import CriticalManifoldError, ParameterError, RefusalError
 
 P_I = RMatrixParams(beta=0.3, xi=0.8, theta=1.1, rho=0.7, u=0.6, phase="I")
 P_II = RMatrixParams(beta=0.3, xi=0.8, theta=1.1, rho=0.45, u=0.8, phase="II")
@@ -122,6 +122,17 @@ def test_haar_to_r_swap_gate():
     assert p.degenerate == "swap-family"
     assert p.phase == "II" and p.rho == 0.0
     assert np.abs(r_matrix(p, p.u) - gate).max() < 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.2, 2.0])
+def test_haar_to_r_refuses_sin_phi_zero_off_the_swap_family(alpha):
+    # phi = 0 with gamma != 0 needs u -> infinity; the map used to return
+    # u = inf and a NaN reconstruction
+    hp = HaarGateParams(0.0, alpha, 0.0, 0.4, 0.7)
+    with pytest.raises(RefusalError, match="sin\\(phi\\) = 0"):
+        haar_to_r(hp)
+    with pytest.raises(RefusalError):
+        map_report(hp)
 
 
 def test_haar_to_r_xxz_family():

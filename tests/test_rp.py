@@ -5,7 +5,13 @@ import pytest
 import scipy.linalg
 
 from mcbrick.core import build_propagator, embed_operator, homogeneous_circuit
-from mcbrick.errors import CapacityError, ParameterError, RefusalError, SymmetryError
+from mcbrick.errors import (
+    CapacityError,
+    CriticalManifoldError,
+    ParameterError,
+    RefusalError,
+    SymmetryError,
+)
 from mcbrick.gates import (
     HaarGateParams,
     HamiltonianGateParams,
@@ -238,6 +244,18 @@ def test_second_charge_pair_at_r5(gate):
     fit = gap_scaling(gate, 0.0, [3, 5])
     assert fit.model == "exponential"
     assert fit.gaps[5] < fit.gaps[3]
+
+
+def test_conserved_densities_skip_charges_the_map_refuses():
+    # sin(phi) = 0 off the swap family: haar_to_r refuses, magnetization stays
+    gate = gate_from_haar(HaarGateParams(0.0, 0.3, 0.0, 0.0, 0.0))
+    with np.errstate(all="raise"):
+        cols = conserved_density_vectors(gate, 3)[0]
+    assert cols.shape[1] == 1 and np.isclose(np.linalg.norm(cols), 1.0)
+    # a critical gate is still refused, not reduced to magnetization
+    critical = gate_from_haar(HaarGateParams(0.5 - np.pi, 0.0, 0.5, 0.0, 0.0))
+    with pytest.raises(CriticalManifoldError):
+        conserved_density_vectors(critical, 3)
 
 
 def test_rp_spectrum_modes_and_filters():

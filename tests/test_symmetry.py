@@ -11,7 +11,8 @@ from mcbrick.core import (
     layer_bonds,
     propagator_apply,
 )
-from mcbrick.errors import ParameterError, TimeReversalRefusal
+from mcbrick import symmetry
+from mcbrick.errors import CapacityError, ParameterError, TimeReversalRefusal
 from mcbrick.gates import (
     HaarGateParams,
     HamiltonianGateParams,
@@ -172,6 +173,57 @@ def test_fine_tuned_ring_reverses():
         assert abs(rep["angle_defect"]) < 1e-9
         assert rep["residual_TR"] < 1e-11
         assert rep["spectral_match_error"] < 1e-10
+
+
+def dense_report(circuit):
+    """The time-reversal report from the two dense propagators."""
+    tr = global_time_reversal(circuit)
+    u = build_propagator(circuit).entries
+    ut = build_propagator(equivalent_circuit(circuit)).entries
+    return {
+        "boundary": circuit.boundary,
+        "L": circuit.L,
+        "residual_TR": reversal_residual(tr, ut),
+        "spectral_match_error": spectral_match_error(u, ut),
+        "angle_defect": closure_defect(circuit),
+    }
+
+
+FINE_TUNED = HamiltonianGateParams(tau=0.5, delta=0.8, B=0.2, D=1.0, M=0.0, A=0.1)
+HOMOGENEOUS = HamiltonianGateParams(tau=0.43, delta=0.9, B=0.25, D=0.55, M=0.1, A=-0.2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: disordered_circuit(8, "open", seed=300),
+    lambda: disordered_circuit(8, "open", seed=600),
+    lambda: homogeneous_circuit(gate_from_hamiltonian(HOMOGENEOUS), 8, "open"),
+    lambda: homogeneous_circuit(gate_from_hamiltonian(FINE_TUNED), 4, "periodic"),
+    lambda: homogeneous_circuit(gate_from_hamiltonian(FINE_TUNED), 8, "periodic"),
+], ids=["disordered-open-8a", "disordered-open-8b", "homogeneous-open-8",
+        "fine-tuned-ring-4", "fine-tuned-ring-8"])
+def test_sector_report_matches_dense_oracle(make):
+    circ = make()
+    rep, want = time_reversal_report(circ), dense_report(circ)
+    assert sorted(rep) == sorted(want)
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert abs(rep[key] - value) <= 1e-12, key
+        else:
+            assert rep[key] == value, key
+
+
+def test_report_refuses_beyond_the_dense_cap_before_any_block(monkeypatch):
+    def no_block(*args):
+        raise AssertionError("a sector block was built")
+
+    monkeypatch.setattr(symmetry, "build_sector_block", no_block)
+    p = HamiltonianGateParams(tau=0.5, delta=0.8, B=0.2, D=0.6, M=0.0, A=0.1)
+    gate = gate_from_hamiltonian(p)
+    with pytest.raises(CapacityError):
+        time_reversal_report(homogeneous_circuit(gate, 14, "open"))
+    # a ring without closure is refused first, whatever its size
+    with pytest.raises(TimeReversalRefusal):
+        time_reversal_report(homogeneous_circuit(gate, 14, "periodic"))
 
 
 def test_spectral_match_branch_cut():
