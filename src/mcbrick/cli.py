@@ -6,8 +6,8 @@ JSON whose sha256 covers the deterministic fields (subcommand, resolved
 parameters, package version, root seed); each output file embeds that
 hash, and re-running an identical record reproduces the outputs bit for
 bit within a fixed build (wall time and file paths stay outside the
-hash).  The record is strict JSON: a non-finite parameter, which the
-handlers refuse, is written as null, while the hash covers its value.
+hash).  The record is strict JSON: a non-finite parameter is written as
+null, while the hash covers its value.
 
 Two tables drive the parser, config resolution and the gate spec:
 _COMMANDS (per subcommand: help, gate form, [run] keys, handler) and
@@ -776,8 +776,7 @@ def main(argv=None):
         status = {0: "ok", 1: "verification-failed", 3: "refused"}[code]
 
     record.update(
-        # handlers refuse non-finite inputs; the hash still covers them
-        parameters=_finite_or_null(params),
+        parameters=_finite_or_null(params),  # the hash covers the given values
         sha256=sha,
         wall_time_s=time.monotonic() - started,
         outputs=outputs,

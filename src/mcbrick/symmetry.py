@@ -29,8 +29,8 @@ BrickworkCircuit, and symmetrize it themselves with equivalent_circuit.
 
 Both the period and its symmetrized twin conserve total S^z, and W is
 diagonal, so time_reversal_report checks the reversal and the spectral
-match one magnetization sector at a time and never forms a 2^L matrix.
-A match in every sector implies a match of the full eigenvalue
+match one magnetization sector at a time and never forms a 2^L x 2^L
+matrix.  A match in every sector implies a match of the full eigenvalue
 multisets, and the residual of T U~ T^{-1} - U~^dag, being block
 diagonal, has its largest entry in one of the sector blocks.  Momentum
 blocks do not apply: the site angles of W break the two-site shift.

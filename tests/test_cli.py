@@ -156,7 +156,7 @@ def test_typicality_needs_two_samples(tmp_path, capsys):
 
 
 def test_map_params_refuses_gate_with_sin_phi_zero(tmp_path, capsys):
-    # phi = 0 off the swap family sends u to infinity; it used to be written
+    # phi = 0 off the swap family sends u to infinity: refused, nothing written
     assert run(tmp_path, "map-params", "--alpha", "0.3") == 3
     rec = strict_json(tmp_path / "map-params-runrecord.json")
     assert rec["status"].startswith("refused") and rec["outputs"] == []

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from mcbrick.core import build_propagator, homogeneous_circuit, sector_states
 from mcbrick.dynamics import (
+    _exact_autocorrelation,
+    _sz_diagonal,
     boundary_autocorrelation,
     decay_fits,
     domain_wall_evolution,
@@ -37,6 +40,23 @@ def test_boundary_phase_points_differ():
     sII = boundary_autocorrelation(phase_point(1.4), 8, 60)
     assert sI.values[40:].min() > 0.1
     assert np.abs(sII.values[40:]).mean() < sI.values[40:].mean()
+
+
+def test_exact_trace_matches_step_by_step_powers():
+    # tr(U^-t A U^t A) from repeated dense products, over more steps than
+    # one contraction block, against the eigenvalue-power contraction
+    L, steps = 6, 600
+    u = build_propagator(homogeneous_circuit(random_mc_gate(8), L, "open")).entries
+    a = _sz_diagonal(L, 1)
+    for m_values, rows in ((None, np.arange(1 << L)), ([2], sector_states(L, -2))):
+        ut = np.eye(1 << L, dtype=complex)
+        want = np.empty(steps + 1)
+        for t in range(steps + 1):
+            heis = ut.conj().T @ (a[:, None] * ut)
+            want[t] = np.einsum("ii,i->", heis[np.ix_(rows, rows)], a[rows]).real / len(rows)
+            ut = u @ ut
+        got = _exact_autocorrelation(u, a, L, steps, m_values)
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_sector_traces_recombine_to_full_trace():

@@ -126,8 +126,7 @@ def test_haar_to_r_swap_gate():
 
 @pytest.mark.parametrize("alpha", [0.3, 1.2, 2.0])
 def test_haar_to_r_refuses_sin_phi_zero_off_the_swap_family(alpha):
-    # phi = 0 with gamma != 0 needs u -> infinity; the map used to return
-    # u = inf and a NaN reconstruction
+    # phi = 0 with gamma != 0 needs u -> infinity, so no finite map exists
     hp = HaarGateParams(0.0, alpha, 0.0, 0.4, 0.7)
     with pytest.raises(RefusalError, match="sin\\(phi\\) = 0"):
         haar_to_r(hp)
