@@ -266,6 +266,13 @@ def _finite_or_null(obj):
     return obj
 
 
+def _require_finite_run(run, table):
+    """Refuse a non-finite float [run] parameter before any handler sees it."""
+    for key, (typ, _default) in table.items():
+        if typ is float and run[key] is not None and not math.isfinite(run[key]):
+            raise ParameterError(f"{key} must be finite, got {run[key]}")
+
+
 def _seed_streams(root):
     import numpy as np
 
@@ -337,9 +344,6 @@ def _cmd_verify_ybe(params, root, sha):
     run = params["run"]
     if run["trials"] < 1:
         raise ParameterError(f"trials must be >= 1, got {run['trials']}")
-    for key in ("x", "y"):
-        if run[key] is not None and not math.isfinite(run[key]):
-            raise ParameterError(f"{key} must be finite, got {run[key]}")
     gate_stream, _, _ = _seed_streams(root)
     seed = run["haar_seed"] if run["haar_seed"] is not None else gate_stream
     draws = sample_haar(seed, run["trials"])
@@ -752,8 +756,10 @@ def main(argv=None):
 
     started = time.monotonic()
     outputs = []
+    _help, _form, run_keys, handler = _COMMANDS[args.command]
     try:
-        payload, tables, message, code = _COMMANDS[args.command][3](params, root, sha)
+        _require_finite_run(params["run"], run_keys)
+        payload, tables, message, code = handler(params, root, sha)
     except ParameterError as exc:
         status, code = f"parameter-error: {exc}", 2
         print(f"mcbrick {args.command}: error: {exc}", file=sys.stderr)

@@ -12,15 +12,20 @@ Conventions used everywhere in this package:
   periodic boundaries.  A plain period is the odd layer, then the even layer.
 * The one-site translation S moves the content of site j to site j+1 mod L.
 
-Sector blocks are built inside the magnetization sector.  An MC gate keeps
-popcount, so on a bond (a, b) it scales the rows whose bond bits read 00 or
-11 by a phase and mixes each 01 row with the 10 row it differs from by a
-01 <-> 10 swap.  apply_in_sector does that on the sorted sector bitstrings
-for all columns of a block at once; the partner rows come from a binary
-search in the sorted list.  The kernel reads only those entries of a gate,
-so it refuses any gate that is not MC.  Each block is also compared, on one
-column, with the full-space propagator_apply (check_sector_column).
+Sector blocks and sector evolution run inside the magnetization sector.
+An MC gate keeps popcount, so on a bond (a, b) it scales the rows whose
+bond bits read 00 or 11 by a phase and mixes each 01 row with the 10 row
+it differs from by a 01 <-> 10 swap.  That sparsity pattern depends only
+on (L, m, a, b); _bond_pattern computes it once per key (cached), and
+sector_operators gathers a gate's entries into it as a CSR matrix, so a
+step is one sparse product per bond on all columns at once (sector_step).
+The pattern holds only those entries of a gate, so the kernel refuses any
+gate that is not MC.  Each block or evolution is also compared, on one
+column and one step, with the full-space propagator_apply
+(check_sector_column).
 """
+
+import functools
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -388,17 +393,45 @@ def commutator_defect(a, b, L):
     return float(worst)
 
 
-def apply_in_sector(pairs, states, x, L):
-    """Apply (gate, bond) pairs, in order, to the rows of x in place.
+@functools.lru_cache(maxsize=512)
+def _bond_pattern(L, m, a, b):
+    """CSR pattern of an MC gate on bond (a, b) inside magnetization sector m.
 
-    Row i of the dim_m x ncols array x is the amplitude on the bitstring
-    states[i] (sorted, one magnetization sector).  On a bond (a, b) the bond
-    class 2 bit_a + bit_b of a row selects the gate entry: classes 00 and 11
-    are scaled by u[c, c], a 01 or 10 row becomes u[c, c] x[i] + u[c, c^3]
-    x[partner], the partner being the row with the two bond bits swapped.
-    Gates with weight off the MC pattern raise SymmetryError, since the
-    kernel would silently drop it.
+    Row i is the bitstring states[i] of sector_states(L, m); its bond class
+    c = 2 bit_a + bit_b picks the gate row.  Every row holds the diagonal
+    entry u[c, c]; a 01 or 10 row also holds u[c, c ^ 3] in the column of
+    its partner, the row with the two bond bits swapped.  Returns indptr,
+    indices and, per entry, the flat index into the 4x4 gate, all read-only
+    since the cache hands the same arrays to every caller.
     """
+    states = sector_states(L, m)
+    n = states.size
+    mask_a, mask_b = 1 << (L - 1 - a), 1 << (L - 1 - b)
+    cls = 2 * ((states & mask_a) != 0) + ((states & mask_b) != 0)
+    mixed = np.flatnonzero((cls == 1) | (cls == 2))
+    partner = np.searchsorted(states, states[mixed] ^ (mask_a | mask_b))
+    rows = np.concatenate([np.arange(n), mixed])
+    cols = np.concatenate([np.arange(n), partner])
+    entry = np.concatenate([5 * cls, 3 * cls[mixed] + 3])  # u[c, c], u[c, c ^ 3]
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    pattern = (indptr, cols[order].astype(np.int32), entry[order].astype(np.int8))
+    for arr in pattern:
+        arr.setflags(write=False)
+    return pattern
+
+
+def sector_operators(pairs, L, m):
+    """CSR matrices of (gate, bond) pairs inside magnetization sector m.
+
+    Each is the gate's entries gathered into the cached _bond_pattern of
+    its bond, so applying them in order (sector_step) is one step of the
+    pairs on the sector rows.  The pattern holds only the MC entries of a
+    gate, so a gate with weight off the MC pattern raises SymmetryError
+    instead of being silently truncated.
+    """
+    ops = []
     for u, (a, b) in pairs:
         defect = mc_zero_pattern_defect(u)
         if defect > MC_DEFECT_TOL:
@@ -407,18 +440,17 @@ def apply_in_sector(pairs, states, x, L):
                 f"(defect {defect:.3e}); no sector kernel for it",
                 residual=defect,
             )
-        mask_a, mask_b = 1 << (L - 1 - a), 1 << (L - 1 - b)
-        cls = 2 * ((states & mask_a) != 0) + ((states & mask_b) != 0)
-        for c in (0, 3):
-            x[cls == c] *= u[c, c]
-        r01 = np.flatnonzero(cls == 1)
-        r10 = np.searchsorted(states, states[r01] ^ (mask_a | mask_b))
-        x01, x10 = x[r01], x[r10]
-        x[r01] = u[1, 1] * x01 + u[1, 2] * x10
-        x01 *= u[2, 1]
-        x10 *= u[2, 2]
-        x10 += x01
-        x[r10] = x10
+        indptr, indices, entry = _bond_pattern(L, m, a, b)
+        dim = indptr.size - 1
+        ops.append(sparse.csr_array((u.ravel()[entry], indices, indptr), shape=(dim, dim)))
+    return ops
+
+
+def sector_step(ops, x):
+    """Apply sector_operators in order to the sector rows of x (1d or 2d)."""
+    for op in ops:
+        x = op @ x
+    return x
 
 
 def check_sector_column(full, col, states, what):
@@ -443,16 +475,17 @@ def build_sector_block(circuit, basis):
     """Sector block W^dag U W of the propagator, built inside the sector.
 
     The rows of the basis matrix W on the magnetization sector are evolved
-    all at once by apply_in_sector (dim_m x dim dense work, no 2^L vector
-    per column), then projected back with the sparse W^dag.  Non-MC gates
-    are refused, and column 0 is checked against propagator_apply.
+    all at once by sector_step (one sparse product per bond on a dim_m x
+    dim array, no 2^L vector per column), then projected back with the
+    sparse W^dag.  Non-MC gates are refused, and column 0 is checked
+    against propagator_apply.
     """
     if circuit.L > SECTOR_MAX_L:
         raise CapacityError(f"sector-dense work limited to L <= {SECTOR_MAX_L}")
-    states = sector_states(circuit.L, basis.magnetization)
+    m = basis.magnetization
+    states = sector_states(circuit.L, m)
     w = basis.vectors[states, :]
-    x = w.toarray()
-    apply_in_sector(circuit.layer_pairs(), states, x, circuit.L)
+    x = sector_step(sector_operators(circuit.layer_pairs(), circuit.L, m), w.toarray())
     if basis.dim:
         v0 = basis.vectors[:, [0]].toarray().ravel()
         check_sector_column(propagator_apply(circuit, v0), x[:, 0], states, "propagator")

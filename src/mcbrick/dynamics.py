@@ -6,10 +6,18 @@ sector: one Schur form of the sector propagator, then one contraction of
 the matrix-element weights with the matrix of eigenvalue powers, so 200
 time steps cost one diagonalization and a few matrix products.  The
 sector propagators are still sliced out of the dense build_propagator.
-Typicality averages <v|A(t)A|v> over normalized Gaussian random vectors
-evolved matrix-free.  State evolution (domain walls) is always
-matrix-free Schrodinger propagation.
+
+Typicality averages <v|A(t)A|v> over normalized Gaussian random vectors,
+and the domain wall evolves one polarized state.  An MC circuit never
+leaves a magnetization sector, so both evolve sector amplitudes only,
+with the cached sparse bond operators of core.sector_operators: the
+domain wall in its own sector (m = 0), typicality with the v and A v
+pieces of all samples as the columns of one array per sector, the
+overlaps summed over sectors.  Every evolution checks its first step on
+one column against the full-space propagator_apply.
 """
+
+from math import comb
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -19,9 +27,13 @@ import scipy.linalg
 from .core import (
     FULL_DENSE_MAX_L,
     build_propagator,
+    check_sector_column,
     homogeneous_circuit,
     magnetization_of,
     propagator_apply,
+    sector_operators,
+    sector_states,
+    sector_step,
 )
 from .errors import CapacityError, ParameterError
 
@@ -130,6 +142,20 @@ def _exact_autocorrelation(U, a, L, steps, m_values=None):
     return vals / dim
 
 
+def _checked_sector_operators(circuit, m, states, col, what):
+    """Step operators of sector m, their first step checked on one column.
+
+    col (amplitudes on the sector rows `states`) is stepped once by the
+    sector kernel and once by the full-space propagator_apply, and the two
+    must agree (core.check_sector_column).  Non-MC gates are refused.
+    """
+    ops = sector_operators(circuit.layer_pairs(), circuit.L, m)
+    full = np.zeros(1 << circuit.L, dtype=complex)
+    full[states] = col
+    check_sector_column(propagator_apply(circuit, full), sector_step(ops, col), states, what)
+    return ops
+
+
 def _check_steps(steps):
     if steps < 0:
         raise ParameterError(f"steps must be >= 0, got {steps}")
@@ -186,27 +212,25 @@ def boundary_autocorrelation(
         raise CapacityError(f"typicality limited to L <= {TYPICALITY_MAX_L}")
     circuit = homogeneous_circuit(gate, L, "open")
     a = _sz_diagonal(L, 0)
-    support = None
-    if m_sel is not None:
-        occ = (magnetization_of(np.arange(1 << L), L) + L) // 2
-        support = np.flatnonzero(occ == m_sel[0])
     rng = np.random.default_rng(seed)
-    est = np.empty((samples, steps + 1))
+    # all samples drawn up front, in the order of a per-sample loop
+    size = 1 << L if sector is None else comb(L, m_sel[0])
+    draws = np.empty((samples, size), dtype=complex)
     for s in range(samples):
-        if support is None:
-            v = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
-        else:
-            v = np.zeros(1 << L, dtype=complex)
-            v[support] = rng.normal(size=len(support)) + 1j * rng.normal(
-                size=len(support)
-            )
-        v /= np.linalg.norm(v)
-        w = a * v
-        est[s, 0] = np.vdot(v, a * w).real
-        for t in range(1, steps + 1):
-            v = propagator_apply(circuit, v)
-            w = propagator_apply(circuit, w)
-            est[s, t] = np.vdot(v, a * w).real
+        v = rng.normal(size=size) + 1j * rng.normal(size=size)
+        draws[s] = v / np.linalg.norm(v)
+    est = np.zeros((samples, steps + 1))
+    for m in range(-L, L + 1, 2) if sector is None else [sector]:
+        states = sector_states(L, m)
+        am = a[states, None]
+        x = np.empty((states.size, 2 * samples), dtype=complex)  # v_s, then A v_s
+        x[:, :samples] = draws[:, states].T if sector is None else draws.T
+        np.multiply(am, x[:, :samples], out=x[:, samples:])
+        ops = _checked_sector_operators(circuit, m, states, x[:, 0], "typicality")
+        for t in range(steps + 1):
+            if t:
+                x = sector_step(ops, x)
+            est[:, t] += (x[:, :samples].conj() * (am * x[:, samples:])).sum(axis=0).real
     err = est.std(axis=0, ddof=1) / np.sqrt(samples)
     meta = dict(base, samples=samples, seed=seed)
     return CorrelationSeries(times, est.mean(axis=0), method, err, meta)
@@ -274,9 +298,13 @@ def decay_fits(times, values, t_min=None, t_max=None):
 def domain_wall_evolution(gate, L, steps):
     """Evolve |up...up down...down> and track the magnetization profile.
 
-    Returns per-site <sigma^z_j(t)> and the transported magnetization
-    (number of flips moved into the initially-down half).  Sector weights
-    are monitored; their largest drift is reported in the metadata.
+    The wall lies in the m = 0 sector and an MC circuit never leaves it, so
+    only the sector amplitudes are evolved (core.sector_step), and the
+    profiles are read off the sector bitstrings.  Returns per-site
+    <sigma^z_j(t)> and the transported magnetization (number of flips moved
+    into the initially-down half).  metadata["magnetization_drift"] is the
+    sector-norm drift max_t | ||x(t)||^2 - 1 |: the weight the evolution
+    lost from, or gained in, the sector.
     """
     _check_steps(steps)
     if L % 2:
@@ -285,20 +313,19 @@ def domain_wall_evolution(gate, L, steps):
         raise CapacityError(f"state evolution limited to L <= {DOMAIN_WALL_MAX_L}")
     circuit = homogeneous_circuit(gate, L, "open")
     half = L // 2
-    psi = np.zeros(1 << L, dtype=complex)
-    psi[((1 << half) - 1) << half] = 1.0
-    sz = np.array([_sz_diagonal(L, j) for j in range(L)])
-    occ = (magnetization_of(np.arange(1 << L), L) + L) // 2
+    states = sector_states(L, 0)
+    x = np.zeros(states.size, dtype=complex)
+    x[np.searchsorted(states, ((1 << half) - 1) << half)] = 1.0
+    ops = _checked_sector_operators(circuit, 0, states, x, "domain-wall")
+    sz = np.where((states >> (L - 1 - np.arange(L))[:, None]) & 1, 1.0, -1.0)
     profiles = np.empty((steps + 1, L))
-    weights0 = np.bincount(occ, weights=np.abs(psi) ** 2, minlength=L + 1)
     drift = 0.0
-    profiles[0] = sz @ np.abs(psi) ** 2
-    for t in range(1, steps + 1):
-        psi = propagator_apply(circuit, psi)
-        prob = np.abs(psi) ** 2
+    for t in range(steps + 1):
+        if t:
+            x = sector_step(ops, x)
+        prob = np.abs(x) ** 2
         profiles[t] = sz @ prob
-        w = np.bincount(occ, weights=prob, minlength=L + 1)
-        drift = max(drift, float(np.abs(w - weights0).max()))
+        drift = max(drift, abs(float(prob.sum()) - 1.0))
     transported = 0.5 * (profiles[:, half:] - profiles[0, half:]).sum(axis=1)
     meta = {
         "L": L,

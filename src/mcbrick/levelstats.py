@@ -32,12 +32,13 @@ from dataclasses import dataclass, field
 
 from .core import (
     Operator,
-    apply_in_sector,
     build_propagator,
     build_sector_block,
     check_sector_column,
     sector_basis,
+    sector_operators,
     sector_states,
+    sector_step,
     translation_permutation,
 )
 from .errors import CapacityError, ParameterError, SymmetryError
@@ -211,16 +212,15 @@ def _k_block(circuit, basis):
     """Restriction of K = S * (odd layer) to a sector basis.
 
     The odd layer acts inside the magnetization sector on all basis columns
-    at once (core.apply_in_sector).  The shift S only relabels sector rows,
+    at once (core.sector_step).  The shift S only relabels sector rows,
     row i going to the row of S|states[i]>, so it is applied to the sparse
     W^dag instead of moving the dense array.  Column 0 is checked against
     the full-space _apply_k, and the block must be unitary.
     """
-    L = circuit.L
-    states = sector_states(L, basis.magnetization)
+    L, m = circuit.L, basis.magnetization
+    states = sector_states(L, m)
     w = basis.vectors[states, :]
-    x = w.toarray()
-    apply_in_sector(circuit.layer(0), states, x, L)
+    x = sector_step(sector_operators(circuit.layer(0), L, m), w.toarray())
     shifted = np.searchsorted(states, translation_permutation(L, 1)[states])
     if basis.dim:
         col = np.empty(len(states), dtype=complex)

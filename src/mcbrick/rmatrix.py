@@ -125,9 +125,11 @@ def haar_to_r(p, eps_critical=EPS_CRITICAL):
 
     Phase I when cos(phi) < cos(gamma), phase II when cos(phi) > cos(gamma);
     gates within eps_critical of the manifold cos(phi) = cos(gamma) are
-    refused with a critical-manifold report.  Gates at the a = 0 origin
-    (rho -> infinity) and gates with sin(phi) = 0 outside the swap family
-    (u -> infinity) are refused with RefusalError.
+    refused with a critical-manifold report, as are gates where the ratio
+    that sets u rounds onto its value on the manifold (u = 0, which would
+    give beta = inf).  Gates at the a = 0 origin (rho -> infinity) and gates
+    with sin(phi) = 0 outside the swap family (u -> infinity) are refused
+    with RefusalError.
     """
     gate = gate_from_haar(p)
     if np.abs(gate.matrix - np.eye(4)).max() < 1e-13:
@@ -137,6 +139,12 @@ def haar_to_r(p, eps_critical=EPS_CRITICAL):
     cos_phi, sin_phi = np.cos(p.phi), np.sin(p.phi)
     cos_gamma, sin_gamma = np.cos(gamma), np.sin(gamma)
 
+    report = {
+        "gamma": float(gamma),
+        "phi": float(p.phi),
+        "cos_phi": float(cos_phi),
+        "cos_gamma": float(cos_gamma),
+    }
     if abs(cos_phi - cos_gamma) < eps_critical:
         if sin_phi < 1e-12 and abs(sin_gamma) < 1e-12:
             # swap-type gates: a on the unit circle at gamma = 0, rho = 0,
@@ -148,13 +156,7 @@ def haar_to_r(p, eps_critical=EPS_CRITICAL):
                 phase="II", degenerate="swap-family",
             )
         raise CriticalManifoldError(
-            "gate lies on the critical manifold cos(phi) = cos(gamma)",
-            report={
-                "gamma": float(gamma),
-                "phi": float(p.phi),
-                "cos_phi": float(cos_phi),
-                "cos_gamma": float(cos_gamma),
-            },
+            "gate lies on the critical manifold cos(phi) = cos(gamma)", report=report
         )
     if cos_phi < 1e-300 and cos_gamma > eps_critical:
         raise RefusalError("gate at the a=0 disk origin needs rho -> infinity")
@@ -176,6 +178,11 @@ def haar_to_r(p, eps_critical=EPS_CRITICAL):
         rho = s * np.arccos(np.clip(cos_gamma / cos_phi, -1.0, 1.0))
         xi_u = chi - s * np.pi / 2
         phase = "II"
+    if u == 0.0:
+        # |sin(gamma)| / sin(phi) rounded onto 1, its value on the manifold
+        raise CriticalManifoldError(
+            "gate lies on the critical manifold to rounding (u = 0)", report=report
+        )
     return RMatrixParams(
         beta=float(p.delta_phase / u),
         xi=float(xi_u / u),

@@ -189,3 +189,17 @@ def test_refused_non_finite_input_keeps_the_record_strict(tmp_path):
     rec = strict_json(tmp_path / "verify-ybe-runrecord.json")
     assert rec["status"].startswith("parameter-error")
     assert rec["parameters"]["run"]["y"] is None
+
+
+@pytest.mark.parametrize("command, args", [
+    ("rp-spectrum", (*GATE_II, "--r", "2", "--k", "nan")),
+    ("rp-spectrum", (*GATE_II, "--r", "2", "--eps-keep", "nan")),
+    ("verify-ybe", ("--trials", "3", "--tol-braid", "inf")),
+])
+def test_non_finite_run_floats_are_parameter_errors(tmp_path, capsys, command, args):
+    # checked in main before the handler: no crash, no NaN/Infinity payload
+    assert run(tmp_path, command, *args) == 2
+    assert_parameter_error(tmp_path, command)
+    assert "must be finite" in capsys.readouterr().err
+    strict_json(tmp_path / f"{command}-runrecord.json")
+    assert not (tmp_path / f"{command}.json").exists()

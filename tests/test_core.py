@@ -7,21 +7,24 @@ from math import comb
 from mcbrick.core import (
     BrickworkCircuit,
     Operator,
+    _bond_pattern,
     apply_gate,
     build_propagator,
     check_sector_column,
     homogeneous_circuit,
+    layer_bonds,
     magnetization_commutator_defect,
     magnetization_of,
     propagator_apply,
     restrict,
     sector_basis,
+    sector_operators,
     sector_states,
     translate_index,
     translation_matrix,
     translation_permutation,
 )
-from mcbrick.gates import identity_gate, random_mc_gate, TwoQubitGate
+from mcbrick.gates import gate_matrix, identity_gate, random_mc_gate, TwoQubitGate
 from mcbrick.errors import CapacityError, ParameterError, SymmetryError
 
 SWAP = TwoQubitGate(
@@ -196,6 +199,29 @@ def test_check_sector_column_flags_mismatch_and_leak():
     leaked[0] = 1e-9  # all-zeros word, outside the m=0 sector
     with pytest.raises(SymmetryError):
         check_sector_column(leaked, full[states], states, "test")
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_cached_bond_pattern_matches_fresh_searchsorted_build(boundary):
+    L = 8
+    u = gate_matrix(random_mc_gate(3))
+    for m in range(-L, L + 1, 2):
+        states = sector_states(L, m)
+        for a, b in layer_bonds(L, boundary, 0) + layer_bonds(L, boundary, 1):
+            mask_a, mask_b = 1 << (L - 1 - a), 1 << (L - 1 - b)
+            want = np.zeros((states.size, states.size), dtype=complex)
+            for row, s in enumerate(states):
+                c = 2 * bool(s & mask_a) + bool(s & mask_b)
+                want[row, row] = u[c, c]
+                if c in (1, 2):
+                    partner = np.searchsorted(states, s ^ (mask_a | mask_b))
+                    want[row, partner] = u[c, 3 - c]
+            (op,) = sector_operators([(u, (a, b))], L, m)
+            assert op.has_canonical_format
+            assert np.array_equal(op.toarray(), want)
+            pattern = _bond_pattern(L, m, a, b)
+            assert _bond_pattern(L, m, a, b) is pattern
+            assert not any(arr.flags.writeable for arr in pattern)
 
 
 def test_capacity_limits():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mcbrick.core import build_propagator, homogeneous_circuit, sector_states
+from mcbrick.core import build_propagator, homogeneous_circuit, propagator_apply, sector_states
 from mcbrick.dynamics import (
     _exact_autocorrelation,
     _sz_diagonal,
@@ -12,7 +12,7 @@ from mcbrick.dynamics import (
     domain_wall_evolution,
     staggered_correlation,
 )
-from mcbrick.errors import CapacityError, ParameterError
+from mcbrick.errors import CapacityError, ParameterError, SymmetryError
 from mcbrick.gates import (
     HamiltonianGateParams,
     gate_from_hamiltonian,
@@ -171,3 +171,63 @@ def test_domain_wall_profiles_and_conservation():
         domain_wall_evolution(random_mc_gate(1), 7, 5)
     with pytest.raises(CapacityError):
         domain_wall_evolution(random_mc_gate(1), 18, 5)
+
+
+def full_space_domain_wall(gate, L, steps):
+    # reference: the whole 2^L state stepped by propagator_apply
+    circ = homogeneous_circuit(gate, L, "open")
+    psi = np.zeros(1 << L, dtype=complex)
+    psi[((1 << (L // 2)) - 1) << (L // 2)] = 1.0
+    sz = np.array([_sz_diagonal(L, j) for j in range(L)])
+    profiles = [sz @ np.abs(psi) ** 2]
+    for _ in range(steps):
+        psi = propagator_apply(circ, psi)
+        profiles.append(sz @ np.abs(psi) ** 2)
+    return np.array(profiles)
+
+
+@pytest.mark.parametrize("L", [8, 10])
+@pytest.mark.parametrize("gate", [random_mc_gate(5), phase_point(1.0), phase_point(1.4)],
+                         ids=["random", "phase-I", "phase-II"])
+def test_domain_wall_matches_full_space_evolution(L, gate):
+    dw = domain_wall_evolution(gate, L, 40)
+    assert np.abs(dw.profiles - full_space_domain_wall(gate, L, 40)).max() < 1e-12
+    assert dw.metadata["magnetization_drift"] < 1e-12
+
+
+def full_space_typicality(gate, L, steps, seed, samples, sector):
+    # reference: one full 2^L vector per sample, drawn as the estimator draws
+    circ = homogeneous_circuit(gate, L, "open")
+    a = _sz_diagonal(L, 0)
+    support = np.arange(1 << L) if sector is None else sector_states(L, sector)
+    rng = np.random.default_rng(seed)
+    est = np.empty((samples, steps + 1))
+    for s in range(samples):
+        v = np.zeros(1 << L, dtype=complex)
+        v[support] = rng.normal(size=support.size) + 1j * rng.normal(size=support.size)
+        v /= np.linalg.norm(v)
+        w = a * v
+        for t in range(steps + 1):
+            if t:
+                v, w = propagator_apply(circ, v), propagator_apply(circ, w)
+            est[s, t] = np.vdot(v, a * w).real
+    return est.mean(axis=0), est.std(axis=0, ddof=1) / np.sqrt(samples)
+
+
+@pytest.mark.parametrize("sector", [None, 0])
+def test_typicality_matches_full_space_reference(sector):
+    g = phase_point(1.4)
+    got = boundary_autocorrelation(g, 8, 30, method="typicality", seed=5, samples=4,
+                                   sector=sector)
+    values, err = full_space_typicality(g, 8, 30, 5, 4, sector)
+    assert np.abs(got.values - values).max() < 1e-12
+    assert np.abs(got.estimator_error - err).max() < 1e-12
+
+
+def test_evolution_refuses_gates_that_are_not_mc():
+    # exp(-i 0.3 XX) moves weight between |00> and |11>
+    g = np.cos(0.3) * np.eye(4) - 1j * np.sin(0.3) * np.fliplr(np.eye(4))
+    with pytest.raises(SymmetryError, match="not magnetization conserving"):
+        domain_wall_evolution(g, 8, 3)
+    with pytest.raises(SymmetryError, match="not magnetization conserving"):
+        boundary_autocorrelation(g, 8, 3, method="typicality", seed=0)
