@@ -10,7 +10,19 @@ Q_l^{+-}(u) = d^l/dx^l log T(x; u) at x = +-u/2; their densities live on
 2l+1 adjacent sites.  Everything here works with the traceless part of the
 charges: the scalar gauge e^{i beta x} inside Rc only shifts them by
 multiples of the identity, which carries no information.
+
+Every R conserves the magnetization of its site and the auxiliary qubit
+(the six-vertex ice rule), so T, its x-derivatives and every charge are
+block diagonal over the magnetization sectors of the chain.  They are
+built, solved, checked and projected as sector blocks {m: block} (see
+core.sector_blocks); no 2^L x 2^L array is formed.  ChargeFamily.matrix,
+transfer_matrix and propagator_from_transfer assemble the dense operator
+on request, for cross-checks.
 """
+
+import functools
+from itertools import product
+from math import comb
 
 import numpy as np
 from dataclasses import dataclass
@@ -19,7 +31,11 @@ from .core import (
     FULL_DENSE_MAX_L,
     Operator,
     commutator_defect,
+    dense_from_sectors,
     embed_operator,
+    sector_blocks,
+    sector_operators,
+    sector_states,
 )
 from .errors import CapacityError, ParameterError
 from .rmatrix import ab_values, r_matrix, r_matrix_derivative
@@ -39,7 +55,7 @@ class TransferMatrixSpec:
         if self.L % 2 or self.L < 2:
             raise ParameterError("transfer matrix needs even L >= 2")
         if self.L > FULL_DENSE_MAX_L:
-            raise CapacityError(f"dense transfer matrix limited to L <= {FULL_DENSE_MAX_L}")
+            raise CapacityError(f"transfer matrix limited to L <= {FULL_DENSE_MAX_L}")
 
 
 def r_matrix_second_derivative(p, x):
@@ -94,61 +110,91 @@ def _site_r_tensors(p, x, L, order):
     return tensors
 
 
-def _transfer_family(p, x, L, order=0, block_cols=512):
-    """T(x;u) and its first `order` x-derivatives, dense on 2^L.
+def _prefix_count(n, k):
+    """Number of n-bit prefixes of popcount k."""
+    return comb(n, k) if k >= 0 else 0
 
-    Ket columns are processed in blocks so the auxiliary-space contraction
-    never holds more than a few hundred MB even at L = 12.
+
+def _transfer_family(p, x, L, order=0):
+    """T(x;u) and its first `order` x-derivatives, as sector blocks.
+
+    The sweep multiplies in R_0a, R_1a, ... one site at a time.  After i
+    sites, part[d][a0, a][k] is the d-th derivative of the partial product
+    from auxiliary state a0 to a, on the column prefixes (bits of sites
+    0..i-1) of popcount k.  The ice rule s_out + a_row = s_in + a_col fixes
+    the row prefixes' popcount to k + a - a0, so each piece is a dense
+    block between two popcount classes and entries that cannot end in a
+    sector are never stored.  Site i appends a bit s to the row and c to
+    the column prefixes; ordering the prefixes that end in 0 first makes
+    the new block a 2x2 grid of old blocks, each scaled by the one entry
+    of R it can meet.  Derivatives follow the Leibniz rule
+    (C R)^(d) = sum_j C(d,j) C^(d-j) R^(j).  The last site closes the
+    trace (a = a0), and a permutation puts each sector in sector_states
+    order.  Returns one dict {m: block} per derivative order.
     """
     TransferMatrixSpec(p, x, L)  # validates L
-    dim = 1 << L
-    site_tensors = _site_r_tensors(p, x, L, order)
-    outs = [np.empty((dim, dim), dtype=complex) for _ in range(order + 1)]
-    block_cols = min(block_cols, dim)
-    # d-th derivative of the running product C R obeys the Leibniz rule:
-    # (C R)^(d) = sum_k C(d,k) C^(k) R^(d-k); only d <= 2 is ever needed.
-    for col0 in range(0, dim, block_cols):
-        cols = np.arange(col0, min(col0 + block_cols, dim))
-        nb = len(cols)
-        # C[d][a0, a, rows, cols]; the row register grows site by site
-        eye_aux = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
-        c = [np.broadcast_to(eye_aux, (2, 2, 1, nb)).copy()]
-        c += [np.zeros((2, 2, 1, nb), dtype=complex) for _ in range(order)]
-        for i in range(L):
-            sbits = (cols >> (L - 1 - i)) & 1
-            rg = [t[:, :, sbits, :] for t in site_tensors[i]]  # (s_out, a_row, nb, a_col)
-            new = [None] * (order + 1)
-            for d in range(order + 1):
-                acc = np.einsum("spca,xprc->xarsc", rg[0], c[d], optimize=True)
-                if d >= 1:
-                    acc += d * np.einsum("spca,xprc->xarsc", rg[1], c[d - 1], optimize=True)
-                if d >= 2:
-                    acc += np.einsum("spca,xprc->xarsc", rg[2], c[d - 2], optimize=True)
-                new[d] = acc.reshape(2, 2, -1, nb)
-            c = new
-        for d in range(order + 1):
-            outs[d][:, cols] = c[d][0, 0] + c[d][1, 1]
+    orders = range(order + 1)
+    paths = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    part = [
+        {(a0, a): {0: np.full((int(a == a0), 1), float(d == 0), dtype=complex)} for a0, a in paths}
+        for d in orders
+    ]
+    empty = np.zeros(0, dtype=np.int64)
+    labels = {0: np.zeros(1, dtype=np.int64)}  # prefix values per popcount, in block order
+    for i, r in enumerate(_site_r_tensors(p, x, L, order)):
+        keys = [(0, 0), (1, 1)] if i == L - 1 else paths
+        new = [{key: {} for key in keys} for d in orders]
+        for a0, a1 in keys:
+            for k in range(i + 2):
+                rows = (_prefix_count(i, k + a1 - a0), _prefix_count(i, k + a1 - a0 - 1))
+                cols = (_prefix_count(i, k), _prefix_count(i, k - 1))
+                blocks = [np.zeros((sum(rows), sum(cols)), dtype=complex) for d in orders]
+                for s, c in paths:
+                    a = c + a1 - s
+                    if a not in (0, 1) or not rows[s] or not cols[c]:
+                        continue
+                    grid = np.s_[s * rows[0]:rows[0] + s * rows[1], c * cols[0]:cols[0] + c * cols[1]]
+                    for d in orders:
+                        blocks[d][grid] = sum(
+                            comb(d, j) * r[j][s, a, c, a1] * part[d - j][a0, a][k - c]
+                            for j in range(d + 1)
+                        )
+                for d in orders:
+                    new[d][a0, a1][k] = blocks[d]
+        part = new
+        labels = {
+            k: np.concatenate([labels.get(k, empty) * 2, labels.get(k - 1, empty) * 2 + 1])
+            for k in range(i + 2)
+        }
+    outs = [{} for d in orders]
+    for k in range(L + 1):
+        order_k = np.ix_(*[np.argsort(labels[k])] * 2)
+        for out, pd in zip(outs, part):
+            out[2 * k - L] = (pd[0, 0][k] + pd[1, 1][k])[order_k]
     return outs
 
 
 def transfer_matrix(spec):
-    """Dense T(x; u); spec.x may be complex."""
+    """Dense T(x; u), assembled from its sector blocks; spec.x may be complex."""
     (t,) = _transfer_family(spec.params, spec.x, spec.L, order=0)
-    return Operator(t, label=f"T(x={spec.x}; u={spec.params.u}) L={spec.L}")
+    return Operator(
+        dense_from_sectors(t, spec.L), label=f"T(x={spec.x}; u={spec.params.u}) L={spec.L}"
+    )
 
 
 def propagator_from_transfer(p, L):
-    """U = T(-u/2)^{-1} T(u/2); cross-check against the brickwork build."""
+    """U = T(-u/2)^{-1} T(u/2), solved per sector and assembled dense;
+    cross-check against the brickwork build."""
     (t_minus,) = _transfer_family(p, -0.5 * p.u, L, order=0)
     (t_plus,) = _transfer_family(p, 0.5 * p.u, L, order=0)
-    return Operator(np.linalg.solve(t_minus, t_plus), label="transfer propagator")
+    blocks = {m: np.linalg.solve(t_minus[m], t_plus[m]) for m in t_plus}
+    return Operator(dense_from_sectors(blocks, L), label="transfer propagator")
 
 
-def _traceless(mat):
-    out = mat.copy()
-    shift = np.trace(out) / out.shape[0]
-    out[np.diag_indices_from(out)] -= shift
-    return out
+def _traceless(blocks, L):
+    """Sector blocks minus their common identity share, trace / 2^L."""
+    shift = sum(np.trace(b) for b in blocks.values()) / (1 << L)
+    return {m: b - shift * np.eye(len(b)) for m, b in blocks.items()}
 
 
 @dataclass(frozen=True)
@@ -157,9 +203,14 @@ class ChargeFamily:
     sign: str  # "+" or "-"
     u: float
     density_support: int  # 2 ell + 1 sites
-    matrix: np.ndarray  # traceless dense charge on L sites
+    blocks: dict  # traceless charge, {m: block} over the magnetization sectors
     kernel: object = None  # local density on the support window, when cell-built
     L: int = 0
+
+    @property
+    def matrix(self):
+        """The dense 2^L charge, assembled on request."""
+        return dense_from_sectors(self.blocks, self.L)
 
     def hermitian_part(self):
         return 0.5 * (self.matrix + self.matrix.conj().T)
@@ -168,7 +219,17 @@ class ChargeFamily:
         return (self.matrix - self.matrix.conj().T) / 2j
 
     def conservation_defect(self, propagator):
-        return commutator_defect(self.matrix, propagator, self.L)
+        """max |[Q, U]|; U dense, an Operator, or sector blocks."""
+        return commutator_defect(self.blocks, propagator, self.L)
+
+    def hermitian_part_defect(self, propagator):
+        """max |U^dag H U - H| for the Hermitian part H of Q, per sector."""
+        u = sector_blocks(propagator, self.L)
+        worst = 0.0
+        for m, q in self.blocks.items():
+            h = 0.5 * (q + q.conj().T)
+            worst = max(worst, float(np.abs(u[m].conj().T @ h @ u[m] - h).max()))
+        return worst
 
 
 def _check_sign(sign):
@@ -181,7 +242,7 @@ def _check_q1_pre(p, sign, L):
     if L % 2 or L < 6:
         raise ParameterError("first charges need even L >= 6")
     if L > FULL_DENSE_MAX_L:
-        raise CapacityError(f"dense charges limited to L <= {FULL_DENSE_MAX_L}")
+        raise CapacityError(f"charges limited to L <= {FULL_DENSE_MAX_L}")
     if p.degenerate:
         raise ParameterError(f"charges undefined for degenerate gate ({p.degenerate})")
 
@@ -206,7 +267,7 @@ def q1_kernels(p):
     c0 = np.kron(dr0, eye2)
     dd = np.kron(eye2, drmu)
     k_minus = d @ c0 @ d.conj().T + d @ dd
-    return _traceless(k_plus), _traceless(k_minus)
+    return tuple(k - np.trace(k) / 8 * np.eye(8) for k in (k_plus, k_minus))
 
 
 def charge_q1(p, sign, L):
@@ -221,13 +282,15 @@ def charge_q1(p, sign, L):
 
 
 def _q1_family(p, sign, L, kernel):
-    """First charge from a three-site density summed over its windows."""
+    """First charge from a three-site density summed over its windows,
+    gathered into each sector with the core.sector_operators pattern."""
     start = 1 if sign == "+" else 0
-    total = np.zeros((1 << L, 1 << L), dtype=complex)
-    for m in range(L // 2):
-        s = 2 * m + start
-        total += embed_operator(kernel, (s % L, (s + 1) % L, (s + 2) % L), L)
-    return ChargeFamily(1, sign, p.u, 3, _traceless(total), kernel=kernel, L=L)
+    windows = [tuple((2 * j + start + t) % L for t in range(3)) for j in range(L // 2)]
+    blocks = {}
+    for m in range(-L, L + 1, 2):
+        ops = sector_operators([(kernel, w) for w in windows], L, m)
+        blocks[m] = sum(ops[1:], ops[0]).toarray()
+    return ChargeFamily(1, sign, p.u, 3, _traceless(blocks, L), kernel=kernel, L=L)
 
 
 # two-site blocks of the closed-form density, basis {|00>,|01>,|10>,|11>}
@@ -359,77 +422,130 @@ def higher_charge(p, ell, sign, L):
     Uses G(x) = T^{-1} T' and, for ell = 2, Q2 = T^{-1} T'' - G^2, with all
     derivatives analytic (no numerical differentiation enters anywhere).
     Within the commuting family these equal d^ell/dx^ell log T exactly.
+    T and its derivatives are sector blocks, so each sector is one solve.
     """
     _check_sign(sign)
     if ell < 1:
         raise ParameterError("charge order must be >= 1")
     if ell > 2:
         raise CapacityError(
-            "orders above 2 need L >= 14, beyond the dense transfer-matrix cap"
+            f"orders above 2 need L >= 14, beyond the transfer-matrix cap L <= {FULL_DENSE_MAX_L}"
         )
     if L < 2 * (2 * ell + 1):
         raise ParameterError(f"L={L} too small for an order-{ell} density")
     if p.degenerate:
         raise ParameterError(f"charges undefined for degenerate gate ({p.degenerate})")
     x0 = 0.5 * p.u if sign == "+" else -0.5 * p.u
-    if ell == 1:
-        t, dt = _transfer_family(p, x0, L, order=1)
-        g = np.linalg.solve(t, dt)
-        return ChargeFamily(1, sign, p.u, 3, _traceless(g), L=L)
-    t, dt, ddt = _transfer_family(p, x0, L, order=2)
-    g = np.linalg.solve(t, dt)
-    h = np.linalg.solve(t, ddt)
-    del t, dt, ddt
-    q2 = h - g @ g
-    return ChargeFamily(2, sign, p.u, 5, _traceless(q2), L=L)
+    t, *derivs = _transfer_family(p, x0, L, order=ell)
+    blocks = {}
+    for m, tm in t.items():
+        sol = np.linalg.solve(tm, np.hstack([d[m] for d in derivs]))
+        g = sol[:, : len(tm)]
+        blocks[m] = g if ell == 1 else sol[:, len(tm):] - g @ g
+    return ChargeFamily(ell, sign, p.u, 2 * ell + 1, _traceless(blocks, L), L=L)
 
 
-def pauli_string_window_projection(matrix, L, window):
-    """sqrt of the weight of Pauli strings with cyclic support diameter
+# operator strings over {1, z, p, m}: p = sqrt2 sigma+, m = sqrt2 sigma-, each
+# orthonormal under tr(a^dag b)/2 (bit 1 is sz = +1); rp's operator basis
+LETTERS = "1zpm"
+_LETTER_CHARGE = {"1": 0, "z": 0, "p": 1, "m": -1}
+
+
+def charge_of_string(label):
+    """Raising minus lowering letter count."""
+    return sum(_LETTER_CHARGE[ch] for ch in label)
+
+
+def _packed(op, L):
+    """The sector blocks of op, raveled in ascending m into one array."""
+    blocks = sector_blocks(op, L)
+    return np.concatenate([blocks[m].ravel() for m in range(-L, L + 1, 2)])
+
+
+@functools.lru_cache(maxsize=4)
+def _packed_layout(L):
+    """Per basis state: its index in its sector, that block's offset inside
+    _packed and its dimension."""
+    pos, offset, dim = (np.empty(1 << L, dtype=np.int64) for _ in range(3))
+    start = 0
+    for m in range(-L, L + 1, 2):
+        s = sector_states(L, m)
+        pos[s], offset[s], dim[s] = np.arange(s.size), start, s.size
+        start += s.size * s.size
+    for arr in (pos, offset, dim):
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return pos, offset, dim
+
+
+def _string_gather(label, anchor, L):
+    """Where a charge-0 string S sits in the packed blocks, and its entries.
+
+    S has letter label[t] on site (anchor + t) mod L.  Returns the flat
+    indices of the nonzero entries S[b ^ flip, b] inside _packed and their
+    (real) values, so tr(S^dag Q)/2^L is values @ packed[flat] / 2^L.
+    """
+    b = np.arange(1 << L, dtype=np.int64)
+    ok = np.ones(b.size, dtype=bool)
+    val = np.ones(b.size)
+    flip = 0
+    for t, ch in enumerate(label):
+        shift = L - 1 - (anchor + t) % L
+        bit = (b >> shift) & 1
+        if ch == "z":
+            val *= 2 * bit - 1
+        elif ch in "pm":
+            ok &= bit == (ch == "m")
+            flip |= 1 << shift
+            val *= np.sqrt(2.0)
+    b, val = b[ok], val[ok]
+    pos, offset, dim = _packed_layout(L)
+    return offset[b] + pos[b ^ flip] * dim[b] + pos[b], val
+
+
+def string_coefficients(op, L, placed):
+    """tr(S^dag Q) / 2^L for each charge-0 string (label, anchor) in `placed`.
+
+    op is sector blocks or a dense MC matrix (see core.sector_blocks).
+    """
+    packed = _packed(op, L)
+    out = np.empty(len(placed), dtype=complex)
+    for i, (label, anchor) in enumerate(placed):
+        flat, val = _string_gather(label, anchor, L)
+        out[i] = val @ packed[flat] / (1 << L)
+    return out
+
+
+def pauli_string_window_projection(op, L, window):
+    """sqrt of the weight of operator strings with cyclic support diameter
     <= window, in the normalized Hilbert-Schmidt norm, plus the residual.
 
-    Strings are enumerated by their anchor site (first non-identity letter)
-    and a pattern over the window; for window < L/2 + 1 this covers every
-    short-diameter string exactly once.  Returns (norm_within, residual).
+    Strings are over {1, z, p, m}: they span the same space per site as
+    the Paulis {1, x, y, z} and are orthonormal alike, so the weight is
+    the same; a magnetization-conserving operator has weight only on the
+    net-charge-0 strings, which act inside every sector.  op is sector
+    blocks or a dense MC matrix; a dense one with weight between sectors
+    raises SymmetryError.  Strings are enumerated by their anchor site
+    (first non-identity letter) and a pattern over the window; for
+    window < L/2 + 1 this covers every short-diameter string exactly once.
+    Each string is one gather from the packed blocks.  Returns
+    (norm_within, residual).
     """
     if window >= L // 2 + 1:
         raise ParameterError("window too large for unique anchoring")
-    dim = 1 << L
-    # single-qubit paulis as (xbit, phase table): P|b> = phase[b] |b ^ xbit>
-    tables = {
-        "i": (0, np.array([1.0, 1.0], dtype=complex)),
-        "z": (0, np.array([-1.0, 1.0], dtype=complex)),
-        "x": (1, np.array([1.0, 1.0], dtype=complex)),
-        "y": (1, np.array([1j, -1j], dtype=complex)),  # y|0>=i|1>, y|1>=-i|0>
-    }
-    letters = "ixyz"
+    packed = _packed(op, L)
+    labels = [
+        s for s in product(LETTERS, repeat=window)
+        if s[0] != "1" and charge_of_string(s) == 0
+    ]
     within_sq = 0.0
-    cols = np.arange(dim, dtype=np.int64)
     # accumulate the reconstruction so the residual comes from an entrywise
     # difference, not from cancelling two large scalars
-    recon = np.zeros_like(matrix)
+    recon = np.zeros_like(packed)
     for anchor in range(L):
-        for first in "xyz":
-            for restidx in range(4 ** (window - 1)):
-                pattern = [first]
-                ridx = restidx
-                for _ in range(window - 1):
-                    pattern.append(letters[ridx % 4])
-                    ridx //= 4
-                xmask = 0
-                phases = np.ones(dim, dtype=complex)
-                for off, let in enumerate(pattern):
-                    site = (anchor + off) % L
-                    shift = L - 1 - site
-                    xbit, table = tables[let]
-                    if xbit:
-                        xmask |= 1 << shift
-                    bits = (cols >> shift) & 1
-                    if let in ("z", "y"):
-                        phases = phases * table[bits]
-                rows = cols ^ xmask
-                coef = np.sum(np.conj(phases) * matrix[rows, cols]) / dim
-                within_sq += abs(coef) ** 2
-                recon[rows, cols] += coef * phases
-    residual_sq = float(np.sum(np.abs(matrix - recon) ** 2).real) / dim
+        for label in labels:
+            flat, val = _string_gather(label, anchor, L)
+            coef = val @ packed[flat] / (1 << L)
+            within_sq += abs(coef) ** 2
+            recon[flat] += coef * val
+    residual_sq = float(np.sum(np.abs(packed - recon) ** 2)) / (1 << L)
     return float(np.sqrt(within_sq)), float(np.sqrt(residual_sq))

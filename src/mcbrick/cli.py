@@ -392,31 +392,34 @@ def _cmd_charges(params, root, sha):
         higher_charge,
         pauli_string_window_projection,
     )
-    from .core import build_propagator, homogeneous_circuit
+    from .core import FULL_DENSE_MAX_L, build_sector_block, homogeneous_circuit, sector_basis
     from .gates import haar_params_from_gate
     from .rmatrix import haar_to_r
 
     run = params["run"]
+    L = run["L"]
     gate, _hp = _build_gate(params["gate"])
     if run["sign"] not in ("+", "-", "both"):
         raise ParameterError(f"sign must be +, - or both, got {run['sign']!r}")
     p = haar_to_r(haar_params_from_gate(gate).params)
-    prop = build_propagator(homogeneous_circuit(gate, run["L"], "periodic"))
-    payload = {"L": run["L"], "ell": run["ell"], "phase": p.phase, "charges": {}}
+    circuit = homogeneous_circuit(gate, L, "periodic")
+    if L > FULL_DENSE_MAX_L:
+        raise CapacityError(f"charges limited to L <= {FULL_DENSE_MAX_L}")
+    # the propagator as magnetization-sector blocks, like the charges
+    prop = {m: build_sector_block(circuit, sector_basis(L, m)).entries for m in range(-L, L + 1, 2)}
+    payload = {"L": L, "ell": run["ell"], "phase": p.phase, "charges": {}}
     for sign in ("+", "-") if run["sign"] == "both" else (run["sign"],):
         if run["ell"] == 1:
-            fam = charge_q1(p, sign, run["L"])
-            closed = charge_q1_closed_form(p, sign, run["L"])
+            fam = charge_q1(p, sign, L)
+            closed = charge_q1_closed_form(p, sign, L)
             extra = {
-                "closed_form_max_difference": float(
-                    np.abs(fam.matrix - closed.matrix).max()
+                "closed_form_max_difference": max(
+                    float(np.abs(q - closed.blocks[m]).max()) for m, q in fam.blocks.items()
                 )
             }
         else:
-            fam = higher_charge(p, run["ell"], sign, run["L"])
-            kept, residual = pauli_string_window_projection(
-                fam.matrix, run["L"], fam.density_support
-            )
+            fam = higher_charge(p, run["ell"], sign, L)
+            kept, residual = pauli_string_window_projection(fam.blocks, L, fam.density_support)
             extra = {
                 "support_window_sites": fam.density_support,
                 "support_window_norm": float(kept),
@@ -425,12 +428,7 @@ def _cmd_charges(params, root, sha):
         payload["charges"][sign] = {
             "density_support": fam.density_support,
             "conservation_defect": float(fam.conservation_defect(prop)),
-            "hermitian_part_defect": float(
-                np.abs(
-                    prop.entries.conj().T @ fam.hermitian_part() @ prop.entries
-                    - fam.hermitian_part()
-                ).max()
-            ),
+            "hermitian_part_defect": fam.hermitian_part_defect(prop),
             **extra,
         }
     return payload, [], f"wrote charges.json (run {sha[:12]})", 0

@@ -19,10 +19,15 @@ it differs from by a 01 <-> 10 swap.  That sparsity pattern depends only
 on (L, m, a, b); _bond_pattern computes it once per key (cached), and
 sector_operators gathers a gate's entries into it as a CSR matrix, so a
 step is one sparse product per bond on all columns at once (sector_step).
-The pattern holds only those entries of a gate, so the kernel refuses any
-gate that is not MC.  Each block or evolution is also compared, on one
-column and one step, with the full-space propagator_apply
-(check_sector_column).
+The same pattern on any tuple of sites gathers a w-site MC operator,
+such as a charge density.  The pattern holds only the MC entries of an
+operator, so the kernel refuses any operator that is not MC.  Each block
+or evolution is also compared, on one column and one step, with the
+full-space propagator_apply (check_sector_column).
+
+Operators that conserve magnetization are passed around as sector blocks
+{m: block}, rows and columns ordered like sector_states(L, m);
+sector_blocks splits a dense one and dense_from_sectors assembles one.
 """
 
 import functools
@@ -367,80 +372,120 @@ def restrict(op, basis, tol=1e-10):
     )
 
 
+def sector_blocks(op, L, tol=1e-10):
+    """Magnetization-sector blocks {m: block} of an operator on L qubits.
+
+    A dict is taken to be sector blocks already.  A dense matrix or
+    Operator is split along sector_states; one with weight between
+    sectors (magnetization_commutator_defect above tol) is refused with
+    SymmetryError, since its blocks would silently drop that weight.
+    """
+    if isinstance(op, dict):
+        return op
+    entries = op.entries if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+    if entries.shape != (1 << L, 1 << L):
+        raise ParameterError("operator dimension does not match L")
+    defect = magnetization_commutator_defect(entries, L)
+    if defect > tol:
+        raise SymmetryError(
+            f"operator does not conserve magnetization (defect {defect:.3e})",
+            residual=float(defect),
+        )
+    blocks = {}
+    for m in range(-L, L + 1, 2):
+        s = sector_states(L, m)
+        blocks[m] = entries[np.ix_(s, s)]
+    return blocks
+
+
+def dense_from_sectors(blocks, L):
+    """Dense 2^L x 2^L matrix with the given magnetization-sector blocks."""
+    out = np.zeros((1 << L, 1 << L), dtype=complex)
+    for m, block in blocks.items():
+        s = sector_states(L, m)
+        out[np.ix_(s, s)] = block
+    return out
+
+
 def commutator_defect(a, b, L):
     """max |[A, B]| entrywise.
 
-    When both operators conserve magnetization the commutator is computed
-    sector by sector, which is what makes L=12 checks affordable; otherwise
-    falls back to the dense product.
+    A and B are dense matrices, Operators or sector blocks {m: block}.
+    When both conserve magnetization the commutator is computed sector by
+    sector, which is what makes L=12 checks affordable; two dense
+    operators that do not fall back to the dense product.
     """
-    a = a.entries if isinstance(a, Operator) else np.asarray(a)
-    b = b.entries if isinstance(b, Operator) else np.asarray(b)
-    blocked = (
-        magnetization_commutator_defect(a, L) < 1e-8
-        and magnetization_commutator_defect(b, L) < 1e-8
-    )
-    if not blocked:
+    try:
+        a, b = sector_blocks(a, L, 1e-8), sector_blocks(b, L, 1e-8)
+    except SymmetryError:
+        if isinstance(a, dict) or isinstance(b, dict):
+            raise
+        a = a.entries if isinstance(a, Operator) else np.asarray(a)
+        b = b.entries if isinstance(b, Operator) else np.asarray(b)
         return float(np.abs(a @ b - b @ a).max())
-    ns = np.arange(1 << L)
-    pops = _popcount(ns)
-    worst = 0.0
-    for m in range(0, L + 1):
-        idx = ns[pops == m]
-        am = a[np.ix_(idx, idx)]
-        bm = b[np.ix_(idx, idx)]
-        worst = max(worst, np.abs(am @ bm - bm @ am).max())
-    return float(worst)
+    return max(float(np.abs(a[m] @ b[m] - b[m] @ a[m]).max()) for m in a)
 
 
 @functools.lru_cache(maxsize=512)
-def _bond_pattern(L, m, a, b):
-    """CSR pattern of an MC gate on bond (a, b) inside magnetization sector m.
+def _bond_pattern(L, m, *sites):
+    """CSR pattern of an MC operator on `sites` inside magnetization sector m.
 
-    Row i is the bitstring states[i] of sector_states(L, m); its bond class
-    c = 2 bit_a + bit_b picks the gate row.  Every row holds the diagonal
-    entry u[c, c]; a 01 or 10 row also holds u[c, c ^ 3] in the column of
-    its partner, the row with the two bond bits swapped.  Returns indptr,
-    indices and, per entry, the flat index into the 4x4 gate, all read-only
-    since the cache hands the same arrays to every caller.
+    Row i is the bitstring states[i] of sector_states(L, m); its word c,
+    the bits at `sites` with the first site most significant, picks the
+    operator row.  An MC operator keeps the popcount of c, so row i holds
+    u[c, c'] for every word c' of that popcount, in the column of the row
+    whose bits at `sites` read c'.  On a bond (a, b) that is the diagonal
+    entry u[c, c] and, for a 01 or 10 row, u[c, c ^ 3] at its swap
+    partner.  Returns indptr, indices and, per entry, the flat index into
+    the operator, all read-only since the cache hands the same arrays to
+    every caller.
     """
     states = sector_states(L, m)
-    n = states.size
-    mask_a, mask_b = 1 << (L - 1 - a), 1 << (L - 1 - b)
-    cls = 2 * ((states & mask_a) != 0) + ((states & mask_b) != 0)
-    mixed = np.flatnonzero((cls == 1) | (cls == 2))
-    partner = np.searchsorted(states, states[mixed] ^ (mask_a | mask_b))
-    rows = np.concatenate([np.arange(n), mixed])
-    cols = np.concatenate([np.arange(n), partner])
-    entry = np.concatenate([5 * cls, 3 * cls[mixed] + 3])  # u[c, c], u[c, c ^ 3]
+    n, w = states.size, len(sites)
+    shifts = [L - 1 - s for s in sites]
+    word = sum(((states >> sh) & 1) << (w - 1 - j) for j, sh in enumerate(shifts))
+    pops = _popcount(np.arange(1 << w))
+    rows, cols, entry = [], [], []
+    for c in range(1 << w):
+        r = np.flatnonzero(word == c)
+        for c2 in np.flatnonzero(pops == pops[c]):
+            flip = sum(((c ^ c2) >> (w - 1 - j) & 1) << sh for j, sh in enumerate(shifts))
+            rows.append(r)
+            cols.append(np.searchsorted(states, states[r] ^ flip))
+            entry.append(np.full(r.size, (c << w) + c2))
+    rows, cols, entry = map(np.concatenate, (rows, cols, entry))
     order = np.lexsort((cols, rows))
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    pattern = (indptr, cols[order].astype(np.int32), entry[order].astype(np.int8))
+    pattern = (
+        indptr,
+        cols[order].astype(np.int32),
+        entry[order].astype(np.min_scalar_type((1 << 2 * w) - 1)),
+    )
     for arr in pattern:
         arr.setflags(write=False)
     return pattern
 
 
 def sector_operators(pairs, L, m):
-    """CSR matrices of (gate, bond) pairs inside magnetization sector m.
+    """CSR matrices of (operator, sites) pairs inside magnetization sector m.
 
-    Each is the gate's entries gathered into the cached _bond_pattern of
-    its bond, so applying them in order (sector_step) is one step of the
-    pairs on the sector rows.  The pattern holds only the MC entries of a
-    gate, so a gate with weight off the MC pattern raises SymmetryError
-    instead of being silently truncated.
+    Each is the operator's entries gathered into the cached _bond_pattern
+    of its sites, so applying them in order (sector_step) is one step of
+    the pairs on the sector rows.  The pattern holds only the MC entries
+    of an operator, so one with weight off the MC pattern raises
+    SymmetryError instead of being silently truncated.
     """
     ops = []
-    for u, (a, b) in pairs:
+    for u, sites in pairs:
         defect = mc_zero_pattern_defect(u)
         if defect > MC_DEFECT_TOL:
             raise SymmetryError(
-                f"gate on bond {(a, b)} is not magnetization conserving "
+                f"operator on sites {tuple(sites)} is not magnetization conserving "
                 f"(defect {defect:.3e}); no sector kernel for it",
                 residual=defect,
             )
-        indptr, indices, entry = _bond_pattern(L, m, a, b)
+        indptr, indices, entry = _bond_pattern(L, m, *sites)
         dim = indptr.size - 1
         ops.append(sparse.csr_array((u.ravel()[entry], indices, indptr), shape=(dim, dim)))
     return ops

@@ -14,6 +14,8 @@ Haar/Hurwitz form: corners e^{i delta}, central block
                      [cos(phi) e^{i theta}, -sin(phi) e^{i chi}]].
 """
 
+import functools
+
 import numpy as np
 from dataclasses import dataclass, replace
 
@@ -23,16 +25,6 @@ TWO_PI = 2.0 * np.pi
 
 # largest entry allowed where magnetization conservation requires a zero
 MC_DEFECT_TOL = 1e-10
-
-# entries forced to zero by magnetization conservation
-_MC_ZERO_MASK = np.array(
-    [
-        [False, True, True, True],
-        [True, False, False, True],
-        [True, False, False, True],
-        [True, True, True, False],
-    ]
-)
 
 
 @dataclass(frozen=True)
@@ -103,9 +95,21 @@ def gate_matrix(gate):
     return m
 
 
+@functools.lru_cache(maxsize=8)
+def _mc_zero_mask(dim):
+    # entries of a 2^w x 2^w operator whose row and column words differ in
+    # popcount; magnetization conservation forces them to zero
+    pops = np.bitwise_count(np.arange(dim))
+    mask = pops[:, None] != pops[None, :]
+    mask.setflags(write=False)  # shared by every caller through the cache
+    return mask
+
+
 def mc_zero_pattern_defect(matrix):
-    """Largest entry that magnetization conservation requires to vanish."""
-    return float(np.abs(np.asarray(matrix)[_MC_ZERO_MASK]).max())
+    """Largest entry that magnetization conservation requires to vanish,
+    for a gate or any other operator on w qubits (2^w x 2^w)."""
+    m = np.asarray(matrix)
+    return float(np.abs(m[_mc_zero_mask(m.shape[0])]).max())
 
 
 def identity_gate():

@@ -120,6 +120,17 @@ def _reduce_gamma(delta, alpha, chi, theta_v):
     return gamma, alpha % two_pi, chi % two_pi, theta_v % two_pi
 
 
+def _arccos_halves(one_minus, one_plus):
+    """arccos(r) from (1 - r) and (1 + r) given to a common positive factor."""
+    return 2.0 * np.arctan2(np.sqrt(max(one_minus, 0.0)), np.sqrt(max(one_plus, 0.0)))
+
+
+def _arccosh_one_plus(delta):
+    """arccosh(1 + delta), accurate for small delta >= 0."""
+    delta = max(delta, 0.0)
+    return np.log1p(delta + np.sqrt(delta) * np.sqrt(2.0 + delta))
+
+
 def haar_to_r(p, eps_critical=EPS_CRITICAL):
     """Map Hurwitz angles to R-matrix parameters (beta, xi, theta, rho, u).
 
@@ -167,19 +178,24 @@ def haar_to_r(p, eps_critical=EPS_CRITICAL):
             "u -> infinity"
         )
 
+    # 1 - ratio for the ratios that set u and rho, from the half-angle
+    # products (sin a -+ sin b, cos b - cos a), so no precision is lost
+    # when a ratio nears 1 close to the critical manifold
     if cos_phi < cos_gamma:  # phase I: trigonometric in u
-        u = np.arccos(np.clip(sin_gamma / sin_phi, -1.0, 1.0))
-        rho = np.arccosh(max(cos_gamma / cos_phi, 1.0))
+        hp, hm = 0.5 * (p.phi + gamma), 0.5 * (p.phi - gamma)
+        u = _arccos_halves(np.cos(hp) * np.sin(hm), np.sin(hp) * np.cos(hm))
+        rho = _arccosh_one_plus(2.0 * np.sin(hp) * np.sin(hm) / cos_phi)
         xi_u = chi - np.pi / 2
         phase = "I"
     else:  # phase II: hyperbolic in u, rho carries the sign of sin(gamma)
         s = 1.0 if sin_gamma >= 0 else -1.0
-        u = np.arccosh(max(abs(sin_gamma) / sin_phi, 1.0))
-        rho = s * np.arccos(np.clip(cos_gamma / cos_phi, -1.0, 1.0))
+        hp, hm = 0.5 * (abs(gamma) + p.phi), 0.5 * (abs(gamma) - p.phi)
+        u = _arccosh_one_plus(2.0 * np.cos(hp) * np.sin(hm) / sin_phi)
+        rho = s * _arccos_halves(np.sin(hp) * np.sin(hm), np.cos(hp) * np.cos(hm))
         xi_u = chi - s * np.pi / 2
         phase = "II"
     if u == 0.0:
-        # |sin(gamma)| / sin(phi) rounded onto 1, its value on the manifold
+        # the ratio that sets u is 1 to rounding, its value on the manifold
         raise CriticalManifoldError(
             "gate lies on the critical manifold to rounding (u = 0)", report=report
         )

@@ -33,7 +33,13 @@ from itertools import product
 import scipy.linalg
 import scipy.sparse
 
-from .charges import higher_charge, q1_kernels
+from .charges import (
+    LETTERS,
+    charge_of_string,
+    higher_charge,
+    q1_kernels,
+    string_coefficients,
+)
 from .errors import (
     CapacityError,
     CriticalManifoldError,
@@ -69,7 +75,6 @@ RADIUS_TOL = 1e-10
 UNIT_TOL = 1e-8
 CHARGE_OVERLAP_MIN = 0.99
 
-LETTERS = "1zpm"
 _SQRT2 = np.sqrt(2.0)
 # single-site basis, orthonormal under tr(a^dag b)/2; bit 1 = sz +1
 _SITE_OPS = {
@@ -78,14 +83,6 @@ _SITE_OPS = {
     "p": _SQRT2 * np.array([[0, 0], [1, 0]], dtype=complex),
     "m": _SQRT2 * np.array([[0, 1], [0, 0]], dtype=complex),
 }
-_LETTER_CHARGE = {"1": 0, "z": 0, "p": 1, "m": -1}
-
-
-def charge_of_string(label):
-    """Raising minus lowering letter count."""
-    return sum(_LETTER_CHARGE[ch] for ch in label)
-
-
 @dataclass(frozen=True)
 class LocalOperatorSpace:
     """Ordered string basis of one (support, parity, charge) class."""
@@ -439,37 +436,16 @@ def _fold_kernel(kernel, start_parity, r, index):
     return vec
 
 
-def _ring_rep_coefficient(qmat, label, anchor, L):
-    """tr(rep^dag Q)/2^L with the string placed at sites anchor..anchor+r-1."""
-    idx = np.arange(1 << L)
-    phase = np.ones(1 << L, dtype=complex)
-    ok = np.ones(1 << L, dtype=bool)
-    flip = 0
-    for t, ch in enumerate(label):
-        bitpos = L - 1 - (anchor + t)
-        bit = (idx >> bitpos) & 1
-        if ch == "z":
-            phase = phase * np.where(bit == 1, 1.0, -1.0)
-        elif ch == "p":
-            ok &= bit == 0
-            flip |= 1 << bitpos
-            phase = phase * _SQRT2
-        elif ch == "m":
-            ok &= bit == 1
-            flip |= 1 << bitpos
-            phase = phase * _SQRT2
-    rows = idx[ok] ^ flip
-    return complex(np.sum(np.conj(phase[ok]) * qmat[rows, idx[ok]]) / 2**L)
-
-
 def conserved_density_vectors(gate, r):
     """Charge-0 basis vectors of the densities conserved at k = 0.
 
     Magnetization always; for r >= 3 the first charge pair from the
-    integrable structure of the gate; for r >= 5 the second pair,
-    extracted from the dense construction on a 10-site ring.  A gate the
-    R-matrix map refuses for an infinite rho or u keeps magnetization
-    only; a critical gate raises.  Columns are normalized; ordering matches
+    integrable structure of the gate; for r >= 5 the second pair, read
+    off the sector blocks of the transfer-matrix charges on a 10-site
+    ring (charges.string_coefficients).  A gate the R-matrix map refuses
+    for an infinite rho or u, and an identity or swap-family gate, whose
+    charge kernels are undefined, keep magnetization only; a critical
+    gate raises.  Columns are normalized; ordering matches
     truncated_propagator labels.
     """
     zero = [s for s in _all_strings(r) if charge_of_string(s) == 0]
@@ -488,25 +464,18 @@ def conserved_density_vectors(gate, r):
             raise
         except RefusalError:
             pass  # rho or u would be infinite: no charge columns
-    if p is not None:
-        # degenerate gates hit 0/0 in the kernels; NaN columns are dropped below
-        with np.errstate(invalid="ignore"):
-            k_plus, k_minus = q1_kernels(p)
+    if p is not None and not p.degenerate:  # no charge kernels at identity or swap points
+        k_plus, k_minus = q1_kernels(p)
         cols.append(_fold_kernel(k_plus, 1, r, index))
         cols.append(_fold_kernel(k_minus, 0, r, index))
         if r >= 5:
             L = 10
+            placed = [(label, 0 if parity == "even" else 1) for parity, label in labels]
             for sign in ("+", "-"):
-                family = higher_charge(p, 2, sign, L)
-                vec = np.zeros(len(labels), dtype=complex)
-                for i, (parity, label) in enumerate(labels):
-                    anchor = 0 if parity == "even" else 1
-                    vec[i] = _ring_rep_coefficient(family.matrix, label, anchor, L)
-                cols.append(vec)
+                cols.append(string_coefficients(higher_charge(p, 2, sign, L).blocks, L, placed))
     mat = np.column_stack(cols)
     norms = np.linalg.norm(mat, axis=0)
-    # degenerate gates (identity-like map points) have no usable kernel
-    good = np.isfinite(norms) & (norms > 1e-10)
+    good = norms > 1e-10
     return {0: mat[:, good] / norms[good]}
 
 

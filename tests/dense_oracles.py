@@ -1,0 +1,129 @@
+"""Dense 2^L reference builds, kept as oracles for the sector-blocked code.
+
+These are the full-space constructions the package used before its charge
+path moved to magnetization-sector blocks: the auxiliary-space einsum
+contraction of the transfer matrix and its x-derivatives, the Pauli
+x/y/z string enumeration of the window projection, and the dense ring
+coefficient of a {1, z, p, m} string.  They share no code with the
+sector path.
+"""
+
+import numpy as np
+
+from mcbrick.charges import r_matrix_second_derivative
+from mcbrick.rmatrix import r_matrix, r_matrix_derivative
+
+_SWAP = np.array(
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+)
+
+
+def einsum_transfer_family(p, x, L, order=0, block_cols=512):
+    """T(x;u) and its first `order` x-derivatives, dense on 2^L."""
+    derivs = [r_matrix, r_matrix_derivative, r_matrix_second_derivative]
+    site_tensors = []
+    for i in range(L):
+        arg = x + 0.5 * p.u if i % 2 == 0 else x - 0.5 * p.u
+        site_tensors.append(
+            [(_SWAP @ derivs[d](p, arg)).reshape(2, 2, 2, 2) for d in range(order + 1)]
+        )
+    dim = 1 << L
+    outs = [np.empty((dim, dim), dtype=complex) for _ in range(order + 1)]
+    block_cols = min(block_cols, dim)
+    for col0 in range(0, dim, block_cols):
+        cols = np.arange(col0, min(col0 + block_cols, dim))
+        nb = len(cols)
+        # C[d][a0, a, rows, cols]; the row register grows site by site
+        eye_aux = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
+        c = [np.broadcast_to(eye_aux, (2, 2, 1, nb)).copy()]
+        c += [np.zeros((2, 2, 1, nb), dtype=complex) for _ in range(order)]
+        for i in range(L):
+            sbits = (cols >> (L - 1 - i)) & 1
+            rg = [t[:, :, sbits, :] for t in site_tensors[i]]
+            new = [None] * (order + 1)
+            for d in range(order + 1):
+                acc = np.einsum("spca,xprc->xarsc", rg[0], c[d], optimize=True)
+                if d >= 1:
+                    acc += d * np.einsum("spca,xprc->xarsc", rg[1], c[d - 1], optimize=True)
+                if d >= 2:
+                    acc += np.einsum("spca,xprc->xarsc", rg[2], c[d - 2], optimize=True)
+                new[d] = acc.reshape(2, 2, -1, nb)
+            c = new
+        for d in range(order + 1):
+            outs[d][:, cols] = c[d][0, 0] + c[d][1, 1]
+    return outs
+
+
+def traceless(mat):
+    return mat - np.trace(mat) / mat.shape[0] * np.eye(mat.shape[0])
+
+
+def dense_charges(p, sign, L):
+    """Traceless Q1 = T^-1 T' and Q2 = T^-1 T'' - Q1^2 from dense solves."""
+    x0 = 0.5 * p.u if sign == "+" else -0.5 * p.u
+    t, dt, ddt = einsum_transfer_family(p, x0, L, order=2)
+    g = np.linalg.solve(t, dt)
+    return traceless(g), traceless(np.linalg.solve(t, ddt) - g @ g)
+
+
+def pauli_window_projection(matrix, L, window):
+    """Weight of Pauli x/y/z strings of cyclic diameter <= window, and the
+    residual, by enumerating every string over the dense matrix."""
+    dim = 1 << L
+    # P|b> = phase[b] |b ^ xbit>
+    tables = {
+        "i": (0, np.array([1.0, 1.0], dtype=complex)),
+        "z": (0, np.array([-1.0, 1.0], dtype=complex)),
+        "x": (1, np.array([1.0, 1.0], dtype=complex)),
+        "y": (1, np.array([1j, -1j], dtype=complex)),
+    }
+    letters = "ixyz"
+    within_sq = 0.0
+    cols = np.arange(dim, dtype=np.int64)
+    recon = np.zeros_like(matrix)
+    for anchor in range(L):
+        for first in "xyz":
+            for restidx in range(4 ** (window - 1)):
+                pattern = [first]
+                ridx = restidx
+                for _ in range(window - 1):
+                    pattern.append(letters[ridx % 4])
+                    ridx //= 4
+                xmask = 0
+                phases = np.ones(dim, dtype=complex)
+                for off, let in enumerate(pattern):
+                    shift = L - 1 - (anchor + off) % L
+                    xbit, table = tables[let]
+                    if xbit:
+                        xmask |= 1 << shift
+                    if let in ("z", "y"):
+                        phases = phases * table[(cols >> shift) & 1]
+                rows = cols ^ xmask
+                coef = np.sum(np.conj(phases) * matrix[rows, cols]) / dim
+                within_sq += abs(coef) ** 2
+                recon[rows, cols] += coef * phases
+    residual_sq = float(np.sum(np.abs(matrix - recon) ** 2).real) / dim
+    return float(np.sqrt(within_sq)), float(np.sqrt(residual_sq))
+
+
+def ring_rep_coefficient(qmat, label, anchor, L):
+    """tr(S^dag Q)/2^L for a {1, z, p, m} string at sites anchor.. of a ring."""
+    idx = np.arange(1 << L)
+    phase = np.ones(1 << L, dtype=complex)
+    ok = np.ones(1 << L, dtype=bool)
+    flip = 0
+    for t, ch in enumerate(label):
+        bitpos = L - 1 - (anchor + t)
+        bit = (idx >> bitpos) & 1
+        if ch == "z":
+            phase = phase * np.where(bit == 1, 1.0, -1.0)
+        elif ch == "p":
+            ok &= bit == 0
+            flip |= 1 << bitpos
+            phase = phase * np.sqrt(2.0)
+        elif ch == "m":
+            ok &= bit == 1
+            flip |= 1 << bitpos
+            phase = phase * np.sqrt(2.0)
+    rows = idx[ok] ^ flip
+    return complex(np.sum(np.conj(phase[ok]) * qmat[rows, idx[ok]]) / 2**L)

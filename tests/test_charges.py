@@ -1,29 +1,45 @@
 """Transfer matrices and the local conserved charges they generate."""
 
+import json
+
 import numpy as np
 import pytest
 
+from dense_oracles import (
+    dense_charges,
+    einsum_transfer_family,
+    pauli_window_projection,
+    traceless,
+)
 from mcbrick.core import (
     build_propagator,
+    build_sector_block,
     commutator_defect,
+    dense_from_sectors,
+    embed_operator,
     homogeneous_circuit,
     magnetization_of,
+    sector_basis,
+    sector_blocks,
+    sector_states,
     translation_permutation,
 )
-from mcbrick.gates import sample_haar
+from mcbrick.gates import haar_params_from_gate, random_mc_gate, sample_haar
 from mcbrick.rmatrix import RMatrixParams, gate_from_r, haar_to_r, r_matrix
 from mcbrick.charges import (
     TransferMatrixSpec,
+    _transfer_family,
     charge_q1,
     charge_q1_closed_form,
     closed_form_kernel,
     higher_charge,
     pauli_string_window_projection,
     propagator_from_transfer,
+    q1_kernels,
     r_matrix_second_derivative,
     transfer_matrix,
 )
-from mcbrick.errors import CapacityError, CriticalManifoldError, ParameterError
+from mcbrick.errors import CapacityError, CriticalManifoldError, ParameterError, SymmetryError
 
 P_I = RMatrixParams(beta=0.3, xi=0.8, theta=1.1, rho=0.7, u=0.6, phase="I")
 P_II = RMatrixParams(beta=0.3, xi=0.8, theta=1.1, rho=0.45, u=0.8, phase="II")
@@ -223,3 +239,114 @@ def test_second_derivative_matches_finite_differences():
                 2 * h
             )
             assert np.abs(r_matrix_second_derivative(p, x) - fd).max() < 1e-7
+
+
+# ------------------------------------------- sector blocks against dense oracles
+
+
+def _random_mc_params():
+    p = haar_to_r(haar_params_from_gate(random_mc_gate(11)).params)
+    assert not p.degenerate
+    return p
+
+
+@pytest.mark.parametrize("which", ["I", "II", "random-11"])
+def test_sector_transfer_family_matches_the_dense_einsum_build(which):
+    p = {"I": P_I, "II": P_II}.get(which) or _random_mc_params()
+    for L in (2, 4, 6, 8, 10):
+        for x in (0.37, -0.5 * p.u + 0.2j):
+            dense = einsum_transfer_family(p, x, L, order=2)
+            for order in (0, 1, 2):
+                blocks = _transfer_family(p, x, L, order=order)
+                assert len(blocks) == order + 1
+                for d, fam in enumerate(blocks):
+                    assert sorted(fam) == list(range(-L, L + 1, 2))
+                    scale = np.abs(dense[d]).max()
+                    assert np.abs(dense_from_sectors(fam, L) - dense[d]).max() <= 1e-12 * scale
+
+
+def test_q1_sector_gather_matches_the_dense_window_sum():
+    L = 8
+    for p in (P_I, _random_mc_params()):
+        for sign, kernel, start in zip("+-", q1_kernels(p), (1, 0)):
+            dense = sum(
+                embed_operator(kernel, [(2 * j + start + t) % L for t in range(3)], L)
+                for j in range(L // 2)
+            )
+            assert np.abs(charge_q1(p, sign, L).matrix - traceless(dense)).max() < 1e-13
+
+
+def test_higher_charges_match_dense_solves():
+    L = 10
+    for p, sign in ((P_I, "+"), (P_II, "-")):
+        for ell, want in enumerate(dense_charges(p, sign, L), start=1):
+            got = higher_charge(p, ell, sign, L).matrix
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _random_mc_matrix(L, seed):
+    rng = np.random.default_rng(seed)
+    blocks = {}
+    for m in range(-L, L + 1, 2):
+        n = len(sector_states(L, m))
+        blocks[m] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return dense_from_sectors(blocks, L)
+
+
+@pytest.mark.parametrize("L, window", [(8, 3), (10, 5)])
+def test_charge0_string_projection_matches_the_pauli_enumeration(L, window):
+    # window 5 needs L >= 10 for unique anchoring
+    for seed in (1, 2):
+        mat = _random_mc_matrix(L, seed)
+        want = pauli_window_projection(mat, L, window)
+        got = pauli_string_window_projection(mat, L, window)
+        assert got == pytest.approx(want, rel=1e-12)
+        # the same from sector blocks, without the dense detour
+        assert pauli_string_window_projection(sector_blocks(mat, L), L, window) == pytest.approx(
+            want, rel=1e-12
+        )
+    # a local translation-invariant charge keeps its weight in the window
+    q = charge_q1(P_I, "+", L).matrix
+    assert pauli_string_window_projection(q, L, 3) == pytest.approx(
+        pauli_window_projection(q, L, 3), rel=1e-12, abs=1e-13
+    )
+
+
+def test_projection_refuses_weight_between_sectors():
+    L = 6
+    mat = _random_mc_matrix(L, 3)
+    mat[0, 1] = 0.5  # |000000> <- |000001>: changes the magnetization
+    with pytest.raises(SymmetryError):
+        pauli_string_window_projection(mat, L, 3)
+
+
+@pytest.mark.parametrize("ell", ["1", "2"])
+def test_charges_command_builds_no_dense_operator(ell, monkeypatch, tmp_path):
+    from mcbrick import charges, cli, core
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense 2^L operator built on the charges path")
+
+    monkeypatch.setattr(core, "build_propagator", refuse)
+    monkeypatch.setattr(charges, "dense_from_sectors", refuse)
+    gate = ["--delta-phase", "0.1", "--alpha", "0.4", "--phi", "0.9", "--chi", "0.3",
+            "--theta", "0.2"]
+    out = tmp_path / "out"
+    assert cli.main(["charges", *gate, "--L", "10", "--ell", ell, "--out", str(out)]) == 0
+    payload = json.loads((out / "charges.json").read_text())
+    for c in payload["charges"].values():
+        assert c["conservation_defect"] < 1e-9 and c["hermitian_part_defect"] < 1e-9
+        if ell == "2":
+            assert c["support_window_norm"] == pytest.approx(3.16085007040542, abs=1e-8)
+            assert c["support_window_residual"] < 1e-7
+
+
+def test_second_charges_at_the_L12_cap():
+    L = 12
+    circuit = homogeneous_circuit(gate_from_r(P_I), L, boundary="periodic")
+    prop = {m: build_sector_block(circuit, sector_basis(L, m)).entries for m in range(-L, L + 1, 2)}
+    for sign in "+-":
+        q2 = higher_charge(P_I, 2, sign, L)
+        assert q2.conservation_defect(prop) < 1e-7
+        _, residual = pauli_string_window_projection(q2.blocks, L, 5)
+        assert residual < 1e-7

@@ -81,11 +81,6 @@ def test_haar_to_r_is_finite_or_refuses(p):
     assert all(math.isfinite(v) for v in (r.beta, r.xi, r.theta, r.rho, r.u))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known fault: within about 1e-5 of the critical manifold u and rho "
-    "come from arccos/arccosh of ratios near 1 and the map loses precision",
-)
 @PROPERTY
 @given(haar_params)
 # 1.7e-9 off the manifold: the map reconstructs the gate only to 1.4e-8

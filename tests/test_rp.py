@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from dense_oracles import dense_charges, ring_rep_coefficient
+from mcbrick.charges import q1_kernels
 from mcbrick.core import build_propagator, embed_operator, homogeneous_circuit
 from mcbrick.errors import (
     CapacityError,
@@ -17,9 +19,11 @@ from mcbrick.gates import (
     HamiltonianGateParams,
     gate_from_haar,
     gate_from_hamiltonian,
+    haar_params_from_gate,
     identity_gate,
     random_mc_gate,
 )
+from mcbrick.rmatrix import haar_to_r
 from mcbrick.rp import (
     LETTERS,
     MIXING_TOL,
@@ -302,3 +306,42 @@ def test_gap_scaling_models_and_refusals():
         gap_scaling(identity_gate(), 0.0, [3, 4])
     with pytest.raises(ParameterError):
         gap_scaling(g, 0.0, [2, 3])
+
+
+def _dense_conserved_columns(gate, r):
+    """conserved_density_vectors rebuilt from dense charges on a 10-site ring."""
+    zero = build_basis(r, "even", 0).basis
+    placed = [(s, 0) for s in zero] + [(s, 1) for s in zero]
+    cols = [np.array([float(s == "z" + "1" * (r - 1)) for s, _ in placed], dtype=complex)]
+    p = haar_to_r(haar_params_from_gate(gate).params)
+    if not p.degenerate:
+        L = 10
+        charges = []
+        for start, kernel in zip((1, 0), q1_kernels(p)):
+            charges.append(sum(
+                embed_operator(kernel, [(2 * j + start + t) % L for t in range(3)], L)
+                for j in range(L // 2)
+            ))
+        if r >= 5:
+            charges += [dense_charges(p, sign, L)[1] for sign in "+-"]
+        for q in charges:
+            cols.append(np.array([ring_rep_coefficient(q, s, a, L) for s, a in placed]))
+    mat = np.column_stack(cols)
+    return mat / np.linalg.norm(mat, axis=0)
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [
+        gate_from_haar(HaarGateParams(0.1, 0.4, 0.9, 0.3, 0.2)),
+        random_mc_gate(11),
+        gate_from_haar(HaarGateParams(0.3 - np.pi, 0.3, 0.0, 0.2, 0.1)),
+    ],
+    ids=["hurwitz-I", "random-11", "swap-family"],
+)
+def test_conserved_density_columns_match_the_dense_ring_build(gate):
+    for r in (3, 5):
+        want = _dense_conserved_columns(gate, r)
+        got = conserved_density_vectors(gate, r)[0]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
