@@ -451,7 +451,7 @@ def _bond_pattern(L, m, *sites):
         for c2 in np.flatnonzero(pops == pops[c]):
             flip = sum(((c ^ c2) >> (w - 1 - j) & 1) << sh for j, sh in enumerate(shifts))
             rows.append(r)
-            cols.append(np.searchsorted(states, states[r] ^ flip))
+            cols.append(r if c2 == c else np.searchsorted(states, states[r] ^ flip))
             entry.append(np.full(r.size, (c << w) + c2))
     rows, cols, entry = map(np.concatenate, (rows, cols, entry))
     order = np.lexsort((cols, rows))

@@ -83,6 +83,8 @@ _SITE_OPS = {
     "p": _SQRT2 * np.array([[0, 0], [1, 0]], dtype=complex),
     "m": _SQRT2 * np.array([[0, 1], [0, 0]], dtype=complex),
 }
+
+
 @dataclass(frozen=True)
 class LocalOperatorSpace:
     """Ordered string basis of one (support, parity, charge) class."""

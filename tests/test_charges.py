@@ -27,6 +27,7 @@ from mcbrick.core import (
 from mcbrick.gates import haar_params_from_gate, random_mc_gate, sample_haar
 from mcbrick.rmatrix import RMatrixParams, gate_from_r, haar_to_r, r_matrix
 from mcbrick.charges import (
+    ChargeFamily,
     TransferMatrixSpec,
     _transfer_family,
     charge_q1,
@@ -350,3 +351,24 @@ def test_second_charges_at_the_L12_cap():
         assert q2.conservation_defect(prop) < 1e-7
         _, residual = pauli_string_window_projection(q2.blocks, L, 5)
         assert residual < 1e-7
+
+
+def test_sector_defects_match_their_dense_definitions():
+    # a random MC unitary and a random MC "charge" make both defects O(1),
+    # so a wrong block formula cannot hide behind a conserved charge's zero
+    L = 6
+    rng = np.random.default_rng(5)
+    u_blocks, q_blocks = {}, {}
+    for m in range(-L, L + 1, 2):
+        n = len(sector_states(L, m))
+        u_blocks[m], _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        q_blocks[m] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    u = dense_from_sectors(u_blocks, L)
+    q = ChargeFamily(1, "+", 0.5, 3, q_blocks, L=L)
+    h = q.hermitian_part()
+    want_h = np.abs(u.conj().T @ h @ u - h).max()
+    want_c = np.abs(q.matrix @ u - u @ q.matrix).max()
+    assert want_h > 1e-3 and want_c > 1e-3
+    for prop in (u_blocks, u):
+        assert q.hermitian_part_defect(prop) == pytest.approx(want_h, rel=1e-12)
+        assert q.conservation_defect(prop) == pytest.approx(want_c, rel=1e-12)
