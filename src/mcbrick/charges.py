@@ -38,7 +38,7 @@ from .core import (
     sector_states,
 )
 from .errors import CapacityError, ParameterError
-from .rmatrix import ab_values, r_matrix, r_matrix_derivative
+from .rmatrix import r_matrix_jet
 
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -58,56 +58,16 @@ class TransferMatrixSpec:
             raise CapacityError(f"transfer matrix limited to L <= {FULL_DENSE_MAX_L}")
 
 
-def r_matrix_second_derivative(p, x):
-    """Analytic d^2/dx^2 of the braid matrix; used for the l=2 charge."""
-    a, b = ab_values(p, x)
-    if p.phase == "I":
-        z = x + 1j * p.rho
-        sz, cz = np.sin(z), np.cos(z)
-        da = 1j * np.sinh(p.rho) / sz**2
-        db = -np.sinh(p.rho) * cz / sz**2
-        dda = -2j * np.sinh(p.rho) * cz / sz**3
-        ddb = np.sinh(p.rho) * (1.0 + cz * cz) / sz**3
-    else:
-        w = x + 1j * p.rho
-        sw, cw = np.sinh(w), np.cosh(w)
-        da = 1j * np.sin(p.rho) / sw**2
-        db = -np.sin(p.rho) * cw / sw**2
-        dda = -2j * np.sin(p.rho) * cw / sw**3
-        ddb = np.sin(p.rho) * (cw * cw + 1.0) / sw**3
-    ex_m = np.exp(-1j * p.xi * x)
-    ex_p = np.exp(1j * p.xi * x)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = 1.0
-    m[1, 1] = 1j * b * ex_m
-    m[2, 2] = 1j * b * ex_p
-    m[1, 2] = -a * np.exp(-1j * p.theta)
-    m[2, 1] = -a * np.exp(1j * p.theta)
-    dm = np.zeros((4, 4), dtype=complex)
-    dm[1, 1] = 1j * (db - 1j * p.xi * b) * ex_m
-    dm[2, 2] = 1j * (db + 1j * p.xi * b) * ex_p
-    dm[1, 2] = -da * np.exp(-1j * p.theta)
-    dm[2, 1] = -da * np.exp(1j * p.theta)
-    ddm = np.zeros((4, 4), dtype=complex)
-    ddm[1, 1] = 1j * (ddb - 2j * p.xi * db - p.xi**2 * b) * ex_m
-    ddm[2, 2] = 1j * (ddb + 2j * p.xi * db - p.xi**2 * b) * ex_p
-    ddm[1, 2] = -dda * np.exp(-1j * p.theta)
-    ddm[2, 1] = -dda * np.exp(1j * p.theta)
-    beta = p.beta
-    return np.exp(1j * beta * x) * (-beta * beta * m + 2j * beta * dm + ddm)
-
-
 def _site_r_tensors(p, x, L, order):
-    """R = P Rc and its x-derivatives as (s_out, a_row, s_in, a_col) tensors,
-    one per site, staggered x +- u/2."""
-    derivs = [r_matrix, r_matrix_derivative, r_matrix_second_derivative]
-    tensors = []
-    for i in range(L):
-        arg = x + 0.5 * p.u if i % 2 == 0 else x - 0.5 * p.u
-        tensors.append(
-            [(_SWAP @ derivs[d](p, arg)).reshape(2, 2, 2, 2) for d in range(order + 1)]
-        )
-    return tensors
+    """R = P Rc and its first `order` x-derivatives as (s_out, a_row, s_in,
+    a_col) tensors, one list per site.  The sites alternate between two
+    arguments, x + u/2 on the even sites and x - u/2 on the odd ones, so
+    two r_matrix_jet calls serve the whole chain."""
+    even, odd = (
+        [(_SWAP @ r).reshape(2, 2, 2, 2) for r in r_matrix_jet(p, arg, order)]
+        for arg in (x + 0.5 * p.u, x - 0.5 * p.u)
+    )
+    return [odd if i % 2 else even for i in range(L)]
 
 
 def _prefix_count(n, k):
@@ -248,17 +208,18 @@ def _check_q1_pre(p, sign, L):
 
 
 def q1_kernels(p):
-    """Three-site cell kernels of Q1+- from analytic Rc derivatives.
+    """Three-site cell kernels of Q1+- from the order-1 jets of Rc.
 
     Cell of the + charge: d/dx [Rc_01(x+) Rc_12(x-)] U01^{-1} at x = u/2;
     cell of the - charge: U12 d/dx [Rc_01(x+) Rc_12(x-)] at x = -u/2.
-    Both are returned traceless (the identity share of a density is gauge).
+    With x+- = x +- u/2 this needs Rc(u) = U and Rc' at u, 0 and -u, all
+    from r_matrix_jet.  Both are returned traceless (the identity share of
+    a density is gauge).
     """
     eye2 = np.eye(2, dtype=complex)
-    ru = r_matrix(p, p.u)
-    dru = r_matrix_derivative(p, p.u)
-    dr0 = r_matrix_derivative(p, 0.0)
-    drmu = r_matrix_derivative(p, -p.u)
+    ru, dru = r_matrix_jet(p, p.u, 1)
+    _, dr0 = r_matrix_jet(p, 0.0, 1)
+    _, drmu = r_matrix_jet(p, -p.u, 1)
     a = np.kron(ru, eye2)
     da = np.kron(dru, eye2)
     b0 = np.kron(eye2, dr0)
@@ -419,10 +380,13 @@ def charge_q1_closed_form(p, sign, L):
 def higher_charge(p, ell, sign, L):
     """Charge of order ell >= 1 from transfer-matrix log-derivatives.
 
-    Uses G(x) = T^{-1} T' and, for ell = 2, Q2 = T^{-1} T'' - G^2, with all
-    derivatives analytic (no numerical differentiation enters anywhere).
-    Within the commuting family these equal d^ell/dx^ell log T exactly.
-    T and its derivatives are sector blocks, so each sector is one solve.
+    Uses G(x) = T^{-1} T' and, for ell = 2, Q2 = T^{-1} T'' - G^2.  T and
+    its x-derivatives come from _transfer_family, whose site tensors are
+    the analytic jets of Rc (r_matrix_jet), so no numerical
+    differentiation enters anywhere.  Within the commuting family these
+    equal d^ell/dx^ell log T exactly.  T and its derivatives are sector
+    blocks, so each sector is one solve.  Orders above 2 are refused: their
+    densities need rings past the transfer-matrix cap.
     """
     _check_sign(sign)
     if ell < 1:
@@ -446,8 +410,15 @@ def higher_charge(p, ell, sign, L):
 
 
 # operator strings over {1, z, p, m}: p = sqrt2 sigma+, m = sqrt2 sigma-, each
-# orthonormal under tr(a^dag b)/2 (bit 1 is sz = +1); rp's operator basis
+# orthonormal under tr(a^dag b)/2 (bit 1 is sz = +1); rp's operator basis.
+# SITE_OPS holds the 2x2 matrix of each letter.
 LETTERS = "1zpm"
+SITE_OPS = {
+    "1": np.eye(2, dtype=complex),
+    "z": np.diag([-1.0, 1.0]).astype(complex),
+    "p": np.sqrt(2.0) * np.array([[0, 0], [1, 0]], dtype=complex),
+    "m": np.sqrt(2.0) * np.array([[0, 1], [0, 0]], dtype=complex),
+}
 _LETTER_CHARGE = {"1": 0, "z": 0, "p": 1, "m": -1}
 
 

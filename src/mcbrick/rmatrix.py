@@ -2,16 +2,23 @@
 
 The braid-form matrix is
 
-    Rc(x) = e^{i beta x} [[1, 0, 0, 0],
-                          [0, i b e^{-i xi x}, -a e^{-i theta}, 0],
-                          [0, -a e^{i theta},  i b e^{i xi x},  0],
-                          [0, 0, 0, 1]],
+    Rc(x) = e^{i beta x} [P0 + i b(x) D(x) - a(x) O(theta)],
+
+    P0 = diag(1, 0, 0, 1),   D(x) = diag(0, e^{-i xi x}, e^{i xi x}, 0),
+    O(theta) = e^{-i theta} |01><10| + e^{i theta} |10><01|,
 
 with (a, b) trigonometric in x in phase I and hyperbolic in phase II.  Both
 satisfy |a|^2 + |b|^2 = 1 and a b* real for real arguments, which makes Rc(x)
 unitary there; Rc(0) = 1 and Rc(-x) Rc(x) = 1 hold in both phases.  The
 physical gate is Rc evaluated at the inhomogeneity x = u.
+
+r_matrix is the closed form.  r_matrix_jet returns Rc and its first x-
+derivatives: a and b are quotients f/g whose numerator and denominator
+derivatives cycle (sin, cos, -sin, -cos or sinh, cosh), so their jets follow
+from one quotient recurrence, and the Leibniz rule assembles the jet of Rc.
 """
+
+from math import comb
 
 import numpy as np
 from dataclasses import dataclass
@@ -53,15 +60,6 @@ def ab_values(p, x):
     return np.sinh(x) / den, np.sin(p.rho) / den
 
 
-def ab_derivatives(p, x):
-    """Analytic d/dx of (a, b); elementary quotients in both phases."""
-    if p.phase == "I":
-        den = np.sin(x + 1j * p.rho) ** 2
-        return 1j * np.sinh(p.rho) / den, -np.sinh(p.rho) * np.cos(x + 1j * p.rho) / den
-    den = np.sinh(x + 1j * p.rho) ** 2
-    return 1j * np.sin(p.rho) / den, -np.sin(p.rho) * np.cosh(x + 1j * p.rho) / den
-
-
 def r_matrix(p, x):
     """Braid-form matrix at spectral argument x (4x4 ndarray)."""
     if x == 0:
@@ -76,19 +74,43 @@ def r_matrix(p, x):
     return np.exp(1j * p.beta * x) * mat
 
 
-def r_matrix_derivative(p, x):
-    """Analytic d/dx of r_matrix; needed for the charge densities."""
-    a, b = ab_values(p, x)
-    da, db = ab_derivatives(p, x)
-    ex_m = np.exp(-1j * p.xi * x)
-    ex_p = np.exp(1j * p.xi * x)
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[1, 1] = 1j * (db - 1j * p.xi * b) * ex_m
-    mat[2, 2] = 1j * (db + 1j * p.xi * b) * ex_p
-    mat[1, 2] = -da * np.exp(-1j * p.theta)
-    mat[2, 1] = -da * np.exp(1j * p.theta)
+def _cyclic_jet(z, order, trig):
+    """[f(z), f'(z), ..., f^(order)(z)] for f = sin (trig) or sinh."""
+    s, c = (np.sin(z), np.cos(z)) if trig else (np.sinh(z), np.cosh(z))
+    signs = (1, 1, -1, -1) if trig else (1, 1, 1, 1)
+    return [signs[n % 4] * (c if n % 2 else s) for n in range(order + 1)]
+
+
+def _quotient_jet(f, g):
+    """Derivatives of q = f/g from those of f and g: f = q g term by term."""
+    q = []
+    for n in range(len(f)):
+        q.append((f[n] - sum(comb(n, k) * q[k] * g[n - k] for k in range(n))) / g[0])
+    return q
+
+
+def r_matrix_jet(p, x, order):
+    """[Rc(x), Rc'(x), ..., Rc^(order)(x)] at a real or complex x; the
+    first term is r_matrix(p, x).  With M the bracket of the closed form,
+    Rc^(n) = sum_k C(n, k) (i beta)^(n-k) e^{i beta x} M^(k)."""
+    trig = p.phase == "I"
+    g = _cyclic_jet(x + 1j * p.rho, order, trig)
+    a = _quotient_jet(_cyclic_jet(x, order, trig), g)
+    b = _quotient_jet([np.sinh(p.rho) if trig else np.sin(p.rho)] + [0.0] * order, g)
     phase = np.exp(1j * p.beta * x)
-    return 1j * p.beta * r_matrix(p, x) + phase * mat
+    scaled = [r_matrix(p, x)]  # e^{i beta x} M^(k)
+    for k in range(1, order + 1):
+        mat = np.zeros((4, 4), dtype=complex)
+        for i, s in ((1, -1.0), (2, 1.0)):
+            bd = sum(comb(k, j) * b[j] * (1j * s * p.xi) ** (k - j) for j in range(k + 1))
+            mat[i, i] = 1j * bd * np.exp(1j * s * p.xi * x)
+        mat[1, 2] = -a[k] * np.exp(-1j * p.theta)
+        mat[2, 1] = -a[k] * np.exp(1j * p.theta)
+        scaled.append(phase * mat)
+    return scaled[:1] + [
+        sum(comb(n, k) * (1j * p.beta) ** (n - k) * scaled[k] for k in range(n + 1))
+        for n in range(1, order + 1)
+    ]
 
 
 def gate_from_r(p):
@@ -99,10 +121,9 @@ def gate_from_r(p):
 def check_yang_baxter(p, x, y):
     """Max-norm residual of the braid relation on three qubits."""
     eye2 = np.eye(2, dtype=complex)
-    r12 = lambda z: np.kron(r_matrix(p, z), eye2)
-    r23 = lambda z: np.kron(eye2, r_matrix(p, z))
-    lhs = r12(x) @ r23(x + y) @ r12(y)
-    rhs = r23(y) @ r12(x + y) @ r23(x)
+    rx, ry, rxy = r_matrix(p, x), r_matrix(p, y), r_matrix(p, x + y)
+    lhs = np.kron(rx, eye2) @ np.kron(eye2, rxy) @ np.kron(ry, eye2)
+    rhs = np.kron(eye2, ry) @ np.kron(rxy, eye2) @ np.kron(eye2, rx)
     return float(np.abs(lhs - rhs).max())
 
 

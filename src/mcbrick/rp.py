@@ -35,6 +35,7 @@ import scipy.sparse
 
 from .charges import (
     LETTERS,
+    SITE_OPS as _SITE_OPS,
     charge_of_string,
     higher_charge,
     q1_kernels,
@@ -74,15 +75,6 @@ MIXING_TOL = 1e-12
 RADIUS_TOL = 1e-10
 UNIT_TOL = 1e-8
 CHARGE_OVERLAP_MIN = 0.99
-
-_SQRT2 = np.sqrt(2.0)
-# single-site basis, orthonormal under tr(a^dag b)/2; bit 1 = sz +1
-_SITE_OPS = {
-    "1": np.eye(2, dtype=complex),
-    "z": np.diag([-1.0, 1.0]).astype(complex),
-    "p": _SQRT2 * np.array([[0, 0], [1, 0]], dtype=complex),
-    "m": _SQRT2 * np.array([[0, 1], [0, 0]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -409,42 +401,37 @@ def unit_multiplicity(tp, tol=UNIT_TOL):
 # ----------------------------------------------------- conserved densities
 
 
-def _kernel_strings(kernel, sites):
-    """Normalized-string expansion of a 2^s x 2^s kernel."""
-    out = {}
-    for letters in product(LETTERS, repeat=sites):
-        p = _SITE_OPS[letters[0]]
-        for ch in letters[1:]:
-            p = np.kron(p, _SITE_OPS[ch])
-        coeff = np.trace(p.conj().T @ kernel) / 2**sites
-        if abs(coeff) > 1e-14:
-            out[letters] = complex(coeff)
-    return out
-
-
 def _fold_kernel(kernel, start_parity, r, index):
-    """Map a local density at a given start parity to basis coefficients.
+    """Map a three-site density at a given start parity to basis coefficients.
 
-    Components whose leading letters are the identity are the same
-    translation class seen from a shifted start; they fold onto the
-    representative with the parity of their first non-identity site.
+    The kernel's charge-0 string coefficients come from
+    charges.string_coefficients on a 3-site chain; the all-identity string
+    is skipped, since the kernels are traceless.  Strings whose leading
+    letters are the identity are the same translation class seen from a
+    shifted start; they fold onto the representative with the parity of
+    their first non-identity site.
     """
+    strings = [
+        "".join(t) for t in product(LETTERS, repeat=3)
+        if t != ("1",) * 3 and charge_of_string(t) == 0
+    ]
+    coeffs = string_coefficients(kernel, 3, [(s, 0) for s in strings])
     vec = np.zeros(len(index), dtype=complex)
-    for letters, coeff in _kernel_strings(kernel, 3).items():
-        t = next(i for i, ch in enumerate(letters) if ch != "1")
-        label = "".join(letters[t:]) + "1" * (r - (len(letters) - t))
-        parity = "even" if (start_parity + t) % 2 == 0 else "odd"
-        vec[index[(parity, label)]] += coeff
+    for letters, coeff in zip(strings, coeffs):
+        tail = letters.lstrip("1")
+        parity = "even" if (start_parity + 3 - len(tail)) % 2 == 0 else "odd"
+        vec[index[(parity, tail + "1" * (r - len(tail)))]] += coeff
     return vec
 
 
 def conserved_density_vectors(gate, r):
     """Charge-0 basis vectors of the densities conserved at k = 0.
 
-    Magnetization always; for r >= 3 the first charge pair from the
-    integrable structure of the gate; for r >= 5 the second pair, read
-    off the sector blocks of the transfer-matrix charges on a 10-site
-    ring (charges.string_coefficients).  A gate the R-matrix map refuses
+    Magnetization always; for r >= 3 the first charge pair, from the
+    three-site kernels charges.q1_kernels; for r >= 5 the second pair,
+    from the sector blocks of the transfer-matrix charges on a 10-site
+    ring.  Both read their {1, z, p, m} string coefficients with
+    charges.string_coefficients.  A gate the R-matrix map refuses
     for an infinite rho or u, and an identity or swap-family gate, whose
     charge kernels are undefined, keep magnetization only; a critical
     gate raises.  Columns are normalized; ordering matches

@@ -4,18 +4,63 @@ These are the full-space constructions the package used before its charge
 path moved to magnetization-sector blocks: the auxiliary-space einsum
 contraction of the transfer matrix and its x-derivatives, the Pauli
 x/y/z string enumeration of the window projection, and the dense ring
-coefficient of a {1, z, p, m} string.  They share no code with the
-sector path.
+coefficient of a {1, z, p, m} string.  The x-derivatives of Rc come from
+the hand-written closed forms of R' and R'' below, not from
+rmatrix.r_matrix_jet.  They share no code with the sector path.
 """
 
 import numpy as np
 
-from mcbrick.charges import r_matrix_second_derivative
-from mcbrick.rmatrix import r_matrix, r_matrix_derivative
+from mcbrick.rmatrix import ab_values, r_matrix
 
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+
+
+def _ab_derivatives(p, x):
+    """(a', a'', b', b'') from the closed-form quotients of each phase."""
+    if p.phase == "I":
+        s, c, amp = np.sin(x + 1j * p.rho), np.cos(x + 1j * p.rho), np.sinh(p.rho)
+        return 1j * amp / s**2, -2j * amp * c / s**3, -amp * c / s**2, amp * (1.0 + c * c) / s**3
+    s, c, amp = np.sinh(x + 1j * p.rho), np.cosh(x + 1j * p.rho), np.sin(p.rho)
+    return 1j * amp / s**2, -2j * amp * c / s**3, -amp * c / s**2, amp * (c * c + 1.0) / s**3
+
+
+def r_matrix_derivative(p, x):
+    """Closed-form d/dx of r_matrix."""
+    a, b = ab_values(p, x)
+    da, _, db, _ = _ab_derivatives(p, x)
+    ex_m, ex_p = np.exp(-1j * p.xi * x), np.exp(1j * p.xi * x)
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[1, 1] = 1j * (db - 1j * p.xi * b) * ex_m
+    mat[2, 2] = 1j * (db + 1j * p.xi * b) * ex_p
+    mat[1, 2] = -da * np.exp(-1j * p.theta)
+    mat[2, 1] = -da * np.exp(1j * p.theta)
+    return 1j * p.beta * r_matrix(p, x) + np.exp(1j * p.beta * x) * mat
+
+
+def r_matrix_second_derivative(p, x):
+    """Closed-form d^2/dx^2 of r_matrix."""
+    a, b = ab_values(p, x)
+    da, dda, db, ddb = _ab_derivatives(p, x)
+    ex_m, ex_p = np.exp(-1j * p.xi * x), np.exp(1j * p.xi * x)
+    m, dm, ddm = (np.zeros((4, 4), dtype=complex) for _ in range(3))
+    m[0, 0] = m[3, 3] = 1.0
+    m[1, 1] = 1j * b * ex_m
+    m[2, 2] = 1j * b * ex_p
+    m[1, 2] = -a * np.exp(-1j * p.theta)
+    m[2, 1] = -a * np.exp(1j * p.theta)
+    dm[1, 1] = 1j * (db - 1j * p.xi * b) * ex_m
+    dm[2, 2] = 1j * (db + 1j * p.xi * b) * ex_p
+    dm[1, 2] = -da * np.exp(-1j * p.theta)
+    dm[2, 1] = -da * np.exp(1j * p.theta)
+    ddm[1, 1] = 1j * (ddb - 2j * p.xi * db - p.xi**2 * b) * ex_m
+    ddm[2, 2] = 1j * (ddb + 2j * p.xi * db - p.xi**2 * b) * ex_p
+    ddm[1, 2] = -dda * np.exp(-1j * p.theta)
+    ddm[2, 1] = -dda * np.exp(1j * p.theta)
+    beta = p.beta
+    return np.exp(1j * beta * x) * (-beta * beta * m + 2j * beta * dm + ddm)
 
 
 def einsum_transfer_family(p, x, L, order=0, block_cols=512):

@@ -25,7 +25,7 @@ from mcbrick.core import (
     translation_permutation,
 )
 from mcbrick.gates import haar_params_from_gate, random_mc_gate, sample_haar
-from mcbrick.rmatrix import RMatrixParams, gate_from_r, haar_to_r, r_matrix
+from mcbrick.rmatrix import RMatrixParams, gate_from_r, haar_to_r, r_matrix, r_matrix_jet
 from mcbrick.charges import (
     ChargeFamily,
     TransferMatrixSpec,
@@ -37,7 +37,6 @@ from mcbrick.charges import (
     pauli_string_window_projection,
     propagator_from_transfer,
     q1_kernels,
-    r_matrix_second_derivative,
     transfer_matrix,
 )
 from mcbrick.errors import CapacityError, CriticalManifoldError, ParameterError, SymmetryError
@@ -231,15 +230,13 @@ def test_degenerate_gate_refused():
 
 
 def test_second_derivative_matches_finite_differences():
-    from mcbrick.rmatrix import r_matrix_derivative
-
     for p in (P_I, P_II):
         for x in (0.31, -0.52):
             h = 1e-5
-            fd = (r_matrix_derivative(p, x + h) - r_matrix_derivative(p, x - h)) / (
+            fd = (r_matrix_jet(p, x + h, 1)[1] - r_matrix_jet(p, x - h, 1)[1]) / (
                 2 * h
             )
-            assert np.abs(r_matrix_second_derivative(p, x) - fd).max() < 1e-7
+            assert np.abs(r_matrix_jet(p, x, 2)[2] - fd).max() < 1e-7
 
 
 # ------------------------------------------- sector blocks against dense oracles

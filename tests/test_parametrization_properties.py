@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mcbrick.errors import RefusalError
-from mcbrick.gates import HaarGateParams, gate_from_haar, haar_params_from_gate
+from mcbrick.errors import ParameterError, RefusalError
+from mcbrick.gates import (
+    HaarGateParams,
+    HamiltonianGateParams,
+    gate_from_haar,
+    gate_from_hamiltonian,
+    haar_params_from_gate,
+    hamiltonian_params_from_gate,
+)
 from mcbrick.rmatrix import haar_to_r, map_report
 
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -91,3 +98,31 @@ def test_haar_to_r_reconstructs_or_refuses(p):
     except RefusalError:
         return
     assert map_report(p)["reconstruction_error"] <= 1e-11
+
+
+@st.composite
+def hamiltonian_params(draw):
+    # J next to 0 puts the hopping component p_x of the central rotation
+    # next to 0; tau w next to a multiple of pi puts sin(tau w) next to 0
+    coupling = st.floats(-2.0, 2.0)
+    j = draw(st.one_of(coupling, offset))
+    d, b = draw(coupling), draw(coupling)
+    w = 2.0 * math.sqrt(j * j + d * d + b * b)
+    tau = draw(st.floats(-3.0, 3.0))
+    if w > 0.0 and draw(st.booleans()):
+        tau = (draw(st.integers(-3, 3)) * np.pi + draw(offset)) / w
+    return HamiltonianGateParams(
+        tau=tau, delta=draw(coupling), B=b, D=d, M=draw(coupling), A=draw(coupling), J=j,
+    )
+
+
+@PROPERTY
+@given(hamiltonian_params())
+def test_hamiltonian_params_round_trip_through_the_gate_or_refuse(p):
+    g = gate_from_hamiltonian(p).matrix
+    try:
+        q = hamiltonian_params_from_gate(g)
+    except ParameterError:  # no hopping rotation: the J = 1 gauge is undefined
+        return
+    assert q.J == 1.0
+    assert np.abs(gate_from_hamiltonian(q).matrix - g).max() <= 1e-12

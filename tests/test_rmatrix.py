@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_oracles import r_matrix_derivative, r_matrix_second_derivative
 from mcbrick.gates import (
     HaarGateParams,
     HamiltonianGateParams,
@@ -20,7 +21,7 @@ from mcbrick.rmatrix import (
     haar_to_r,
     map_report,
     r_matrix,
-    r_matrix_derivative,
+    r_matrix_jet,
 )
 from mcbrick.errors import CriticalManifoldError, ParameterError, RefusalError
 
@@ -259,4 +260,39 @@ def test_derivative_matches_finite_differences():
         for x in (0.3, -0.7):
             h = 1e-6
             fd = (r_matrix(p, x + h) - r_matrix(p, x - h)) / (2 * h)
-            assert np.abs(r_matrix_derivative(p, x) - fd).max() < 1e-8
+            assert np.abs(r_matrix_jet(p, x, 1)[1] - fd).max() < 1e-8
+
+
+def _mapped_haar_gates(seed, n):
+    out = []
+    for hp in sample_haar(seed, n):
+        try:
+            p = haar_to_r(hp)
+        except RefusalError:
+            continue
+        if not p.degenerate:
+            out.append(p)
+    return out
+
+
+def test_jet_matches_the_closed_form_derivatives():
+    # order 0 is r_matrix itself; orders 1 and 2 against the hand-written R', R''
+    params = [P_I, P_II] + _mapped_haar_gates(17, 240)
+    assert len(params) >= 202
+    for p in params:
+        for x in (0.0, 0.3, -0.7, p.u, -p.u, 0.2 - 0.4j, -0.5 * p.u + 0.2j):
+            jet = r_matrix_jet(p, x, 2)
+            assert np.array_equal(jet[0], r_matrix(p, x))
+            refs = (r_matrix_derivative(p, x), r_matrix_second_derivative(p, x))
+            for got, ref in zip(jet[1:], refs):
+                scale = max(1.0, np.abs(ref).max())
+                assert np.abs(got - ref).max() <= 1e-12 * scale
+
+
+def test_jet_order_three_matches_finite_differences_of_order_two():
+    h = 1e-4
+    for p in [P_I, P_II] + _mapped_haar_gates(23, 20):
+        for x in (0.31, -0.52, 0.1 + 0.2j):
+            fd = (r_matrix_jet(p, x + h, 2)[2] - r_matrix_jet(p, x - h, 2)[2]) / (2 * h)
+            third = r_matrix_jet(p, x, 3)[3]
+            assert np.abs(third - fd).max() <= 1e-6 * max(1.0, np.abs(third).max())

@@ -345,3 +345,21 @@ def test_conserved_density_columns_match_the_dense_ring_build(gate):
         got = conserved_density_vectors(gate, r)[0]
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-12
+
+
+def test_one_string_table_and_one_r_matrix_derivative_routine():
+    # rp re-exports the charges string table; no second copy may grow back
+    import importlib
+    import pkgutil
+
+    import mcbrick
+    from mcbrick import charges, rp
+
+    assert rp._SITE_OPS is charges.SITE_OPS
+    assert rp.LETTERS is charges.LETTERS
+    assert rp.charge_of_string is charges.charge_of_string
+    gone = ("r_matrix_derivative", "ab_derivatives", "r_matrix_second_derivative",
+            "_kernel_strings")
+    for info in pkgutil.iter_modules(mcbrick.__path__):
+        module = importlib.import_module(f"mcbrick.{info.name}")
+        assert not [name for name in gone if hasattr(module, name)], info.name
