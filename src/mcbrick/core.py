@@ -15,12 +15,15 @@ Conventions used everywhere in this package:
 Sector blocks and sector evolution run inside the magnetization sector.
 An MC gate keeps popcount, so on a bond (a, b) it scales the rows whose
 bond bits read 00 or 11 by a phase and mixes each 01 row with the 10 row
-it differs from by a 01 <-> 10 swap.  That sparsity pattern depends only
-on (L, m, a, b); _bond_pattern computes it once per key (cached), and
-sector_operators gathers a gate's entries into it as a CSR matrix, so a
-step is one sparse product per bond on all columns at once (sector_step).
-The same pattern on any tuple of sites gathers a w-site MC operator,
-such as a charge density.  The pattern holds only the MC entries of an
+it differs from by a 01 <-> 10 swap.  The gates of one layer sit on
+disjoint bonds, so their product over a group of up to GROUP_BONDS bonds
+has 2^d entries in a row with d bonds reading 01 or 10.  That sparsity
+pattern depends only on (L, m, bonds); _group_pattern computes it once
+per key (cached), and layer_operators multiplies the gates' entries into
+it as one CSR matrix per group, so a step is a few sparse products on
+all columns at once (sector_step).  The one-block pattern on any tuple
+of sites gathers a w-site MC operator such as a charge density
+(sector_operators).  The pattern holds only the MC entries of an
 operator, so the kernel refuses any operator that is not MC.  Each block
 or evolution is also compared, on one column and one step, with the
 full-space propagator_apply (check_sector_column).
@@ -43,6 +46,7 @@ FULL_DENSE_MAX_L = 12   # full 2^L x 2^L dense operators
 SECTOR_MAX_L = 14       # dense work inside a single symmetry sector
 BASIS_MAX_L = 20        # bases themselves stay cheap a bit longer
 SECTOR_ORACLE_TOL = 1e-12  # sector kernel against the full-space column
+GROUP_BONDS = 4  # bonds of one layer multiplied into one sector step operator
 
 
 def _popcount(n):
@@ -427,72 +431,129 @@ def commutator_defect(a, b, L):
 
 
 @functools.lru_cache(maxsize=512)
-def _bond_pattern(L, m, *sites):
-    """CSR pattern of an MC operator on `sites` inside magnetization sector m.
+def _group_pattern(L, m, blocks):
+    """CSR pattern of a product of MC operators on disjoint site tuples.
 
-    Row i is the bitstring states[i] of sector_states(L, m); its word c,
-    the bits at `sites` with the first site most significant, picks the
-    operator row.  An MC operator keeps the popcount of c, so row i holds
-    u[c, c'] for every word c' of that popcount, in the column of the row
-    whose bits at `sites` read c'.  On a bond (a, b) that is the diagonal
-    entry u[c, c] and, for a 01 or 10 row, u[c, c ^ 3] at its swap
-    partner.  Returns indptr, indices and, per entry, the flat index into
-    the operator, all read-only since the cache hands the same arrays to
-    every caller.
+    Row i is the bitstring states[i] of sector_states(L, m); its word c_j,
+    the bits at blocks[j] with the first site most significant, picks the
+    row of operator j.  An MC operator keeps the popcount of c_j, so row i
+    holds prod_j u_j[c_j, c'_j] for every choice of words c'_j of the same
+    popcounts, in the column of the row whose bits at blocks[j] read c'_j.
+    For d bonds that is 2^(mixed bonds) entries: the phase of a 00 or 11
+    bond times the diagonal or swap entry of each 01 or 10 bond.  All rows
+    are gathered at once, block by block.  Returns indptr, indices and, per
+    block and entry, the flat index into that operator (one row per
+    block), all read-only since the cache hands the same arrays to every
+    caller.
     """
     states = sector_states(L, m)
-    n, w = states.size, len(sites)
-    shifts = [L - 1 - s for s in sites]
-    word = sum(((states >> sh) & 1) << (w - 1 - j) for j, sh in enumerate(shifts))
-    pops = _popcount(np.arange(1 << w))
-    rows, cols, entry = [], [], []
-    for c in range(1 << w):
-        r = np.flatnonzero(word == c)
-        for c2 in np.flatnonzero(pops == pops[c]):
-            flip = sum(((c ^ c2) >> (w - 1 - j) & 1) << sh for j, sh in enumerate(shifts))
-            rows.append(r)
-            cols.append(r if c2 == c else np.searchsorted(states, states[r] ^ flip))
-            entry.append(np.full(r.size, (c << w) + c2))
-    rows, cols, entry = map(np.concatenate, (rows, cols, entry))
-    order = np.lexsort((cols, rows))
+    n = states.size
+    kind = np.min_scalar_type((1 << 2 * max(len(sites) for sites in blocks)) - 1)
+    rows = np.arange(n)                  # row of each entry, in row order
+    flip = np.zeros(n, dtype=np.int64)   # state bits each entry's column flips
+    entry = []
+    for sites in blocks:
+        w = len(sites)
+        words = np.arange(1 << w)
+        shifts = [L - 1 - s for s in sites]
+        spread = sum(((words >> (w - 1 - j)) & 1) << sh for j, sh in enumerate(shifts))
+        word = sum(((states >> sh) & 1) << (w - 1 - j) for j, sh in enumerate(shifts))[rows]
+        # each entry splits into one per word of the same popcount as its own
+        pops = _popcount(words)
+        by_pop = np.argsort(pops, kind="stable")
+        first = np.searchsorted(pops[by_pop], pops)
+        count = np.bincount(pops)[pops][word]
+        rep = np.repeat(np.arange(rows.size), count)
+        nth = np.arange(rep.size) - np.repeat(np.cumsum(count) - count, count)
+        word = word[rep]
+        to = by_pop[first[word] + nth]
+        rows, flip = rows[rep], flip[rep] ^ spread[word ^ to]
+        entry = [e[rep] for e in entry] + [((word << w) + to).astype(kind)]
+    row_of = np.empty(1 << L, dtype=np.int32)  # sector row of each bitstring
+    row_of[states] = np.arange(n, dtype=np.int32)
+    cols = row_of[states[rows] ^ flip]
+    order = np.argsort(rows * n + cols, kind="stable")  # nearly sorted
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    pattern = (
-        indptr,
-        cols[order].astype(np.int32),
-        entry[order].astype(np.min_scalar_type((1 << 2 * w) - 1)),
-    )
+    pattern = (indptr, cols[order], np.stack([e[order] for e in entry]))
     for arr in pattern:
         arr.setflags(write=False)
     return pattern
+
+
+@functools.lru_cache(maxsize=512)
+def _bond_pattern(L, m, *sites):
+    """_group_pattern of one MC operator on `sites`, its entries a flat array.
+
+    On a bond (a, b) a row holds the diagonal entry u[c, c] and, for a 01
+    or 10 row, u[c, c ^ 3] at its swap partner.
+    """
+    indptr, indices, entry = _group_pattern(L, m, (sites,))
+    return indptr, indices, entry[0]
+
+
+def _require_mc(u, sites):
+    defect = mc_zero_pattern_defect(u)
+    if defect > MC_DEFECT_TOL:
+        raise SymmetryError(
+            f"operator on sites {tuple(sites)} is not magnetization conserving "
+            f"(defect {defect:.3e}); no sector kernel for it",
+            residual=defect,
+        )
 
 
 def sector_operators(pairs, L, m):
     """CSR matrices of (operator, sites) pairs inside magnetization sector m.
 
     Each is the operator's entries gathered into the cached _bond_pattern
-    of its sites, so applying them in order (sector_step) is one step of
-    the pairs on the sector rows.  The pattern holds only the MC entries
-    of an operator, so one with weight off the MC pattern raises
-    SymmetryError instead of being silently truncated.
+    of its sites, one matrix per pair (charges sum them).  The pattern
+    holds only the MC entries of an operator, so one with weight off the
+    MC pattern raises SymmetryError instead of being silently truncated.
     """
     ops = []
     for u, sites in pairs:
-        defect = mc_zero_pattern_defect(u)
-        if defect > MC_DEFECT_TOL:
-            raise SymmetryError(
-                f"operator on sites {tuple(sites)} is not magnetization conserving "
-                f"(defect {defect:.3e}); no sector kernel for it",
-                residual=defect,
-            )
+        _require_mc(u, sites)
         indptr, indices, entry = _bond_pattern(L, m, *sites)
         dim = indptr.size - 1
         ops.append(sparse.csr_array((u.ravel()[entry], indices, indptr), shape=(dim, dim)))
     return ops
 
 
+def _bond_groups(pairs):
+    """Split a layer's (gate, bond) pairs into balanced runs of <= GROUP_BONDS."""
+    n, n_groups = len(pairs), -(-len(pairs) // GROUP_BONDS)
+    return [pairs[n * g // n_groups : n * (g + 1) // n_groups] for g in range(n_groups)]
+
+
+def layer_operators(circuit, m, layers=None):
+    """Step operators of a circuit's layers in sector m, in application order.
+
+    The gates of a layer sit on disjoint bonds, so each run of at most
+    GROUP_BONDS of them is one CSR matrix: the gates' entries multiplied
+    into the cached _group_pattern of their bonds.  A step (sector_step)
+    is then a few sparse products instead of one per bond.  layers picks
+    layer indices (default: all).  Any gate that is not MC raises
+    SymmetryError.
+    """
+    ops = []
+    for i in range(len(circuit.layers)) if layers is None else layers:
+        pairs = circuit.layer(i)
+        for u, sites in pairs:
+            _require_mc(u, sites)
+        for group in _bond_groups(pairs):
+            indptr, indices, entry = _group_pattern(
+                circuit.L, m, tuple(tuple(sites) for _, sites in group)
+            )
+            data = np.ones(indices.size, dtype=complex)
+            for (u, _), e in zip(group, entry):
+                data *= u.ravel()[e]
+            dim = indptr.size - 1
+            ops.append(sparse.csr_array((data, indices, indptr), shape=(dim, dim)))
+    return ops
+
+
 def sector_step(ops, x):
-    """Apply sector_operators in order to the sector rows of x (1d or 2d)."""
+    """Apply layer_operators (or sector_operators) in order to the sector rows of x."""
     for op in ops:
         x = op @ x
     return x
@@ -520,17 +581,17 @@ def build_sector_block(circuit, basis):
     """Sector block W^dag U W of the propagator, built inside the sector.
 
     The rows of the basis matrix W on the magnetization sector are evolved
-    all at once by sector_step (one sparse product per bond on a dim_m x
-    dim array, no 2^L vector per column), then projected back with the
-    sparse W^dag.  Non-MC gates are refused, and column 0 is checked
-    against propagator_apply.
+    all at once by sector_step (one sparse product per group of bonds from
+    layer_operators on a dim_m x dim array, no 2^L vector per column),
+    then projected back with the sparse W^dag.  Non-MC gates are refused,
+    and column 0 is checked against propagator_apply.
     """
     if circuit.L > SECTOR_MAX_L:
         raise CapacityError(f"sector-dense work limited to L <= {SECTOR_MAX_L}")
     m = basis.magnetization
     states = sector_states(circuit.L, m)
     w = basis.vectors[states, :]
-    x = sector_step(sector_operators(circuit.layer_pairs(), circuit.L, m), w.toarray())
+    x = sector_step(layer_operators(circuit, m), w.toarray())
     if basis.dim:
         v0 = basis.vectors[:, [0]].toarray().ravel()
         check_sector_column(propagator_apply(circuit, v0), x[:, 0], states, "propagator")

@@ -10,11 +10,12 @@ sector propagators are still sliced out of the dense build_propagator.
 Typicality averages <v|A(t)A|v> over normalized Gaussian random vectors,
 and the domain wall evolves one polarized state.  An MC circuit never
 leaves a magnetization sector, so both evolve sector amplitudes only,
-with the cached sparse bond operators of core.sector_operators: the
-domain wall in its own sector (m = 0), typicality with the v and A v
-pieces of all samples as the columns of one array per sector, the
-overlaps summed over sectors.  Every evolution checks its first step on
-one column against the full-space propagator_apply.
+with the grouped layer operators of core.layer_operators (one sparse
+product per group of disjoint bonds, a few per step): the domain wall in
+its own sector (m = 0), typicality with the v and A v pieces of all
+samples as the columns of one array per sector, the overlaps summed over
+sectors.  Every evolution checks its first step on one column against
+the full-space propagator_apply.
 """
 
 from math import comb
@@ -29,9 +30,9 @@ from .core import (
     build_propagator,
     check_sector_column,
     homogeneous_circuit,
+    layer_operators,
     magnetization_of,
     propagator_apply,
-    sector_operators,
     sector_states,
     sector_step,
 )
@@ -149,7 +150,7 @@ def _checked_sector_operators(circuit, m, states, col, what):
     sector kernel and once by the full-space propagator_apply, and the two
     must agree (core.check_sector_column).  Non-MC gates are refused.
     """
-    ops = sector_operators(circuit.layer_pairs(), circuit.L, m)
+    ops = layer_operators(circuit, m)
     full = np.zeros(1 << circuit.L, dtype=complex)
     full[states] = col
     check_sector_column(propagator_apply(circuit, full), sector_step(ops, col), states, what)
@@ -230,7 +231,7 @@ def boundary_autocorrelation(
         for t in range(steps + 1):
             if t:
                 x = sector_step(ops, x)
-            est[:, t] += (x[:, :samples].conj() * (am * x[:, samples:])).sum(axis=0).real
+            est[:, t] += np.vecdot(x[:, :samples], am * x[:, samples:], axis=0).real
     err = est.std(axis=0, ddof=1) / np.sqrt(samples)
     meta = dict(base, samples=samples, seed=seed)
     return CorrelationSeries(times, est.mean(axis=0), method, err, meta)

@@ -35,8 +35,8 @@ from .core import (
     build_propagator,
     build_sector_block,
     check_sector_column,
+    layer_operators,
     sector_basis,
-    sector_operators,
     sector_states,
     sector_step,
     translation_permutation,
@@ -212,15 +212,16 @@ def _k_block(circuit, basis):
     """Restriction of K = S * (odd layer) to a sector basis.
 
     The odd layer acts inside the magnetization sector on all basis columns
-    at once (core.sector_step).  The shift S only relabels sector rows,
-    row i going to the row of S|states[i]>, so it is applied to the sparse
-    W^dag instead of moving the dense array.  Column 0 is checked against
-    the full-space _apply_k, and the block must be unitary.
+    at once, one sparse product per group of its bonds (core.layer_operators
+    with layers=(0,), then core.sector_step).  The shift S only relabels
+    sector rows, row i going to the row of S|states[i]>, so it is applied
+    to the sparse W^dag instead of moving the dense array.  Column 0 is
+    checked against the full-space _apply_k, and the block must be unitary.
     """
     L, m = circuit.L, basis.magnetization
     states = sector_states(L, m)
     w = basis.vectors[states, :]
-    x = sector_step(sector_operators(circuit.layer(0), L, m), w.toarray())
+    x = sector_step(layer_operators(circuit, m, layers=(0,)), w.toarray())
     shifted = np.searchsorted(states, translation_permutation(L, 1)[states])
     if basis.dim:
         col = np.empty(len(states), dtype=complex)

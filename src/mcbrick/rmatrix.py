@@ -118,12 +118,26 @@ def gate_from_r(p):
     return TwoQubitGate(r_matrix(p, p.u), provenance=f"r-matrix phase {p.phase}")
 
 
+def _on_01(r, x):
+    """(R on qubits 0, 1) @ x for an 8 x 8 three-qubit matrix x."""
+    return (r @ x.reshape(4, 16)).reshape(8, 8)
+
+
+def _on_12(r, x):
+    """(R on qubits 1, 2) @ x for an 8 x 8 three-qubit matrix x."""
+    return (r @ x.reshape(2, 4, 8)).reshape(8, 8)
+
+
 def check_yang_baxter(p, x, y):
-    """Max-norm residual of the braid relation on three qubits."""
-    eye2 = np.eye(2, dtype=complex)
+    """Max-norm residual of the braid relation on three qubits.
+
+    Both sides are products of 4 x 4 R matrices on qubit pairs, applied in
+    turn to the 8 x 8 identity without forming the Kronecker embeddings.
+    """
+    eye = np.eye(8, dtype=complex)
     rx, ry, rxy = r_matrix(p, x), r_matrix(p, y), r_matrix(p, x + y)
-    lhs = np.kron(rx, eye2) @ np.kron(eye2, rxy) @ np.kron(ry, eye2)
-    rhs = np.kron(eye2, ry) @ np.kron(rxy, eye2) @ np.kron(eye2, rx)
+    lhs = _on_01(rx, _on_12(rxy, _on_01(ry, eye)))
+    rhs = _on_12(ry, _on_01(rxy, _on_12(rx, eye)))
     return float(np.abs(lhs - rhs).max())
 
 

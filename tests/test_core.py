@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from math import comb
 
 from mcbrick.core import (
+    GROUP_BONDS,
     BrickworkCircuit,
     Operator,
     _bond_pattern,
+    _group_pattern,
     apply_gate,
     build_propagator,
     check_sector_column,
     homogeneous_circuit,
     layer_bonds,
+    layer_operators,
     magnetization_commutator_defect,
     magnetization_of,
     propagator_apply,
@@ -20,12 +24,15 @@ from mcbrick.core import (
     sector_basis,
     sector_operators,
     sector_states,
+    sector_step,
     translate_index,
     translation_matrix,
     translation_permutation,
 )
 from mcbrick.gates import gate_matrix, identity_gate, random_mc_gate, TwoQubitGate
 from mcbrick.errors import CapacityError, ParameterError, SymmetryError
+from mcbrick.levelstats import chaotic_gate_pair
+from mcbrick.symmetry import equivalent_circuit
 
 SWAP = TwoQubitGate(
     np.array(
@@ -222,6 +229,85 @@ def test_cached_bond_pattern_matches_fresh_searchsorted_build(boundary):
             pattern = _bond_pattern(L, m, a, b)
             assert _bond_pattern(L, m, a, b) is pattern
             assert not any(arr.flags.writeable for arr in pattern)
+
+
+def step_circuits(L, boundary):
+    """Homogeneous, two-gate, three-layer and disordered periods on L sites."""
+    n_bonds = [len(layer_bonds(L, boundary, i)) for i in (0, 1)]
+    hom = homogeneous_circuit(random_mc_gate(13), L, boundary)
+    pair = chaotic_gate_pair(4)
+    seeds = iter(range(100, 200))
+    return {
+        "homogeneous": hom,
+        "two-gate": BrickworkCircuit(L, [[g] * n for g, n in zip(pair, n_bonds)], boundary),
+        "three-layer": equivalent_circuit(hom),
+        "disordered": BrickworkCircuit(
+            L, [[random_mc_gate(next(seeds)) for _ in range(n)] for n in n_bonds], boundary
+        ),
+    }
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("L", [2, 4, 6, 8])
+def test_grouped_layer_step_matches_bond_by_bond(L, boundary):
+    rng = np.random.default_rng(L)
+    for name, circ in step_circuits(L, boundary).items():
+        for m in range(-L, L + 1, 2):
+            n = sector_states(L, m).size
+            x = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+            grouped = sector_step(layer_operators(circ, m), x)
+            by_bond = sector_step(sector_operators(circ.layer_pairs(), L, m), x)
+            assert np.abs(grouped - by_bond).max() < 1e-13, (name, m)
+            for i in range(len(circ.layers)):  # L = 2 open: no even-layer operator
+                ops = layer_operators(circ, m, layers=(i,))
+                assert len(ops) == -(-len(circ.layers[i]) // GROUP_BONDS)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_group_pattern_cached_read_only_canonical(boundary):
+    L = 8
+    circ = homogeneous_circuit(random_mc_gate(3), L, boundary)
+    for m in range(-L, L + 1, 2):
+        states = sector_states(L, m)
+        for i in (0, 1):
+            bonds = tuple(layer_bonds(L, boundary, i))
+            for group in (bonds[:GROUP_BONDS], bonds[GROUP_BONDS:]):
+                if not group:
+                    continue
+                pattern = _group_pattern(L, m, group)
+                assert _group_pattern(L, m, group) is pattern
+                assert not any(arr.flags.writeable for arr in pattern)
+                indptr, indices, entry = pattern
+                assert entry.shape == (len(group), indices.size)
+                mixed = sum(
+                    ((states >> (L - 1 - a)) & 1) != ((states >> (L - 1 - b)) & 1)
+                    for a, b in group
+                )
+                assert np.array_equal(np.diff(indptr), 2**mixed)
+            for op in layer_operators(circ, m, layers=(i,)):
+                assert op.has_canonical_format
+                assert op.nnz == np.count_nonzero(op.data)  # a generic gate fills the pattern
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.sampled_from([2, 4, 6, 8, 10]),
+    boundary=st.sampled_from(["open", "periodic"]),
+    data=st.data(),
+)
+def test_grouped_step_matches_full_space_propagator(seed, L, boundary, data):
+    m = data.draw(st.sampled_from(range(-L, L + 1, 2)), label="m")
+    circ = homogeneous_circuit(random_mc_gate(seed), L, boundary)
+    states = sector_states(L, m)
+    rng = np.random.default_rng(seed)
+    col = rng.normal(size=states.size) + 1j * rng.normal(size=states.size)
+    full = np.zeros(1 << L, dtype=complex)
+    full[states] = col
+    want = propagator_apply(circ, full)
+    got = sector_step(layer_operators(circ, m), col)
+    # raises on a mismatch above SECTOR_ORACLE_TOL or on weight outside the sector
+    check_sector_column(want, got, states, "grouped step")
 
 
 def test_capacity_limits():

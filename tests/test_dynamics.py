@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from mcbrick.core import build_propagator, homogeneous_circuit, propagator_apply, sector_states
+from mcbrick.core import (
+    BrickworkCircuit,
+    build_propagator,
+    homogeneous_circuit,
+    layer_bonds,
+    propagator_apply,
+    sector_states,
+)
 from mcbrick.dynamics import (
+    _checked_sector_operators,
     _exact_autocorrelation,
     _sz_diagonal,
     boundary_autocorrelation,
@@ -16,6 +24,7 @@ from mcbrick.errors import CapacityError, ParameterError, SymmetryError
 from mcbrick.gates import (
     HamiltonianGateParams,
     gate_from_hamiltonian,
+    gate_matrix,
     identity_gate,
     random_mc_gate,
 )
@@ -231,3 +240,20 @@ def test_evolution_refuses_gates_that_are_not_mc():
         domain_wall_evolution(g, 8, 3)
     with pytest.raises(SymmetryError, match="not magnetization conserving"):
         boundary_autocorrelation(g, 8, 3, method="typicality", seed=0)
+
+
+def test_evolution_refuses_a_non_mc_gate_on_any_bond():
+    # the step operators shared by the domain wall and typicality
+    L = 8
+    bad = np.cos(0.3) * np.eye(4) - 1j * np.sin(0.3) * np.fliplr(np.eye(4))
+    good = gate_matrix(random_mc_gate(2))
+    states = sector_states(L, 0)
+    col = np.ones(states.size, dtype=complex) / np.sqrt(states.size)
+    for i in (0, 1):
+        for j in range(len(layer_bonds(L, "open", i))):
+            layers = [[good] * len(layer_bonds(L, "open", n)) for n in (0, 1)]
+            layers[i][j] = bad
+            circ = BrickworkCircuit(L, layers, "open")
+            for what in ("domain-wall", "typicality"):
+                with pytest.raises(SymmetryError, match="not magnetization conserving"):
+                    _checked_sector_operators(circ, 0, states, col, what)

@@ -14,7 +14,7 @@ from mcbrick.core import (
     translation_matrix,
 )
 from mcbrick.errors import CapacityError, ParameterError, SymmetryError
-from mcbrick.gates import random_mc_gate
+from mcbrick.gates import gate_matrix, random_mc_gate
 from mcbrick.levelstats import (
     R_TILDE_COE,
     R_TILDE_CUE,
@@ -164,6 +164,25 @@ def test_sector_block_refuses_non_mc_gate():
     with pytest.raises(SymmetryError) as err:
         build_sector_block(circ, sector_basis(8, 0))
     assert err.value.residual == pytest.approx(np.sin(theta))
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_non_mc_gate_on_any_bond_is_refused(boundary):
+    # one exp(-i 0.3 XX) among MC gates, bond by bond
+    L = 8
+    bad = np.cos(0.3) * np.eye(4) - 1j * np.sin(0.3) * np.fliplr(np.eye(4))
+    good = gate_matrix(random_mc_gate(2))
+    basis = sector_basis(L, 0, 0 if boundary == "periodic" else None)
+    for i in (0, 1):
+        for j in range(len(layer_bonds(L, boundary, i))):
+            layers = [[good] * len(layer_bonds(L, boundary, n)) for n in (0, 1)]
+            layers[i][j] = bad
+            circ = BrickworkCircuit(L, layers, boundary)
+            with pytest.raises(SymmetryError, match="not magnetization conserving"):
+                build_sector_block(circ, basis)
+            if i == 0:  # K holds the odd layer only
+                with pytest.raises(SymmetryError, match="not magnetization conserving"):
+                    _k_block(circ, basis)
 
 
 def test_flip_reflection_permutation_is_involution():
