@@ -548,7 +548,8 @@ def _cmd_rp_spectrum(params, root, sha):
         "modes_kept": len(spectrum.modes),
     }
     if run["r_list"]:
-        fit = gap_scaling(gate, run["k"], _parse_int_list(run["r_list"], "r_list"))
+        fit = gap_scaling(gate, run["k"], _parse_int_list(run["r_list"], "r_list"),
+                          tp=tp, conserved=conserved)
         fit_payload = {
             "model": fit.model,
             "r_values": list(fit.r_values),

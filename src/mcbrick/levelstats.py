@@ -7,10 +7,12 @@ meaningful only after every commuting symmetry has been resolved;
 magnetization and (for rings) two-site momentum come from SectorBasis,
 and homogeneous rings additionally carry a space-time symmetry.  For the
 latter we take K = S (odd layer), with S the one-site shift.  K commutes
-with the period U and obeys K^2 = S^2 U, so K eigenvectors refine each
-(m, k) block into two halves labeled by which of the two square-root
-branches the K phase sits on.  This concrete operator is one choice of
-the construction and is flagged as such in result metadata.
+with the period U and obeys K^2 = S^2 U, where S^2 is the scalar
+exp(i theta2) on an (m, k) block.  So the K eigenvalues alone refine each
+block: every K phase fixes one U eigenphase and the square-root branch it
+sits on, which splits the block into two halves.  This concrete operator
+is one choice of the construction and is flagged as such in result
+metadata.
 
 Homogeneous circuits whose gate has equal corner phases (<00|g|00> =
 <11|g|11>, which includes every gate drawn from the Haar family) carry
@@ -164,6 +166,11 @@ def is_homogeneous(circuit, tol=1e-12):
     return all(np.abs(m - mats[0]).max() <= tol for m in mats[1:])
 
 
+def _phases(entries):
+    """Eigenphases in [0, 2 pi) of a dense unitary block."""
+    return np.angle(np.linalg.eigvals(entries)) % (2 * np.pi)
+
+
 def _checked_phases(block, what):
     defect = block.unitarity_defect()
     if defect > BLOCK_UNITARITY_TOL:
@@ -172,7 +179,7 @@ def _checked_phases(block, what):
             "the circuit does not respect the requested resolution",
             residual=float(defect),
         )
-    return np.angle(np.linalg.eigvals(block.entries)) % (2 * np.pi)
+    return _phases(block.entries)
 
 
 def sector_spectrum(circuit, m, k=None):
@@ -239,23 +246,25 @@ def _k_block(circuit, basis):
 
 
 def _branch_phases(ub_entries, kb_entries, theta2):
-    """Propagator eigenphases with K-branch parities, from block matrices.
+    """Propagator eigenphases with K-branch parities, from K eigenvalues.
 
     K^2 = S^2 U and S^2 is the scalar exp(i theta2) on an (m, k) block, so
-    each U eigenphase phi lifts to kappa = theta2/2 + phi/2 + pi * p.
+    each K phase kappa gives the U eigenphase phi = 2 kappa - theta2 and
+    the branch p in kappa = theta2/2 + phi/2 + pi * p.  The identity is
+    checked on the block itself: max|K^2 - exp(i theta2) U| must stay
+    within BLOCK_UNITARITY_TOL, which proves U = exp(-i theta2) K^2 there.
     """
-    vals, vecs = np.linalg.eig(kb_entries)
-    phi = np.angle(np.einsum("ij,ij->j", vecs.conj(), ub_entries @ vecs)) % (2 * np.pi)
-    kappa = np.angle(vals) % (2 * np.pi)
-    branch = (kappa - 0.5 * theta2 - 0.5 * phi) / np.pi
-    parities = np.rint(branch).astype(int) % 2
-    # the branch offsets must sit on integers, else the labels are meaningless
-    drift = np.abs(branch - np.rint(branch)).max() if branch.size else 0.0
-    if drift > 1e-6:
+    if not ub_entries.size:
+        return np.zeros(0), np.zeros(0, dtype=int)
+    residual = np.abs(kb_entries @ kb_entries - np.exp(1j * theta2) * ub_entries).max()
+    if residual > BLOCK_UNITARITY_TOL:
         raise SymmetryError(
-            f"space-time branch labels drift off integers ({drift:.3e})",
-            residual=float(drift),
+            f"space-time block does not square to the propagator (residual {residual:.3e})",
+            residual=float(residual),
         )
+    kappa = np.angle(np.linalg.eigvals(kb_entries)) % (2 * np.pi)
+    phi = (2 * kappa - theta2) % (2 * np.pi)
+    parities = np.rint((kappa - 0.5 * theta2 - 0.5 * phi) / np.pi).astype(int) % 2
     return phi, parities
 
 
@@ -311,11 +320,12 @@ def resolved_spectra(circuit, m, k=None, tol=1e-9):
     if basis.dim == 0:
         return []
     ub = build_sector_block(circuit, basis)
-    if ub.unitarity_defect() > BLOCK_UNITARITY_TOL:
+    defect = ub.unitarity_defect()
+    if defect > BLOCK_UNITARITY_TOL:
         raise SymmetryError(
             "sector block is not unitary; the circuit does not respect "
             "the requested resolution",
-            residual=float(ub.unitarity_defect()),
+            residual=float(defect),
         )
 
     xp = _flip_reflection_block(basis)
@@ -341,12 +351,11 @@ def resolved_spectra(circuit, m, k=None, tol=1e-9):
         )
 
     if kb is None and xp is None:
-        return [result(_checked_phases(ub, "sector"))]
+        return [result(_phases(ub.entries))]
 
     theta2 = 0.0 if k is None else 2 * np.pi * basis.momentum / (circuit.L // 2)
     if kb is None:
-        return [result(np.angle(np.linalg.eigvals(wsub.conj().T @ ub.entries @ wsub))
-                       % (2 * np.pi), fp=sign)
+        return [result(_phases(wsub.conj().T @ ub.entries @ wsub), fp=sign)
                 for sign, wsub in _parity_vectors(xp)]
     if xp is None or np.abs(xp @ kb.entries - kb.entries @ xp).max() > tol:
         # either no flip parity here, or it exchanges the K branches

@@ -211,7 +211,8 @@ class TruncatedPropagator:
     labels[c] lists (parity, string) row/column labels of blocks[c]; all
     even-start representatives come first.  mixing_defect is the largest
     matrix element between different charge blocks (exactly conserved,
-    so this is a numerical-noise figure).
+    so this is a numerical-noise figure).  Each block is eigensolved once,
+    on first use, and every spectral reading shares that decomposition.
     """
 
     k: float
@@ -220,10 +221,17 @@ class TruncatedPropagator:
     labels: dict
     mixing_defect: float
     metadata: dict = field(default_factory=dict)
+    _eig: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def eig(self, charge):
+        """(eigenvalues, left, right eigenvectors) of one charge block."""
+        if charge not in self._eig:
+            self._eig[charge] = scipy.linalg.eig(self.blocks[charge], left=True, right=True)
+        return self._eig[charge]
 
     def spectral_radius(self):
         return max(
-            (np.abs(np.linalg.eigvals(b)).max() for b in self.blocks.values() if b.size),
+            (np.abs(self.eig(c)[0]).max() for c, b in self.blocks.items() if b.size),
             default=0.0,
         )
 
@@ -254,9 +262,12 @@ def truncated_propagator(gate, r, k):
     conjugated only inside its one-step light cone (r+3 sites for odd r,
     r+2 or r+4 for even r by column parity); gates outside it map identity
     to identity.  The columns of a charge block travel as one sparse
-    matrix; row slots with a letter outside the cone are zero.  One BLAS
-    thread on a 2-core Xeon: r=5 about 1.4 s; r=R_MAX=6 about 27 s (half
-    of it the radius check) and 2.1 GB peak RSS.
+    matrix; row slots with a letter outside the cone are zero.  The radius
+    check eigendecomposes every block once, left and right vectors
+    included, and the result caches them for every later spectral reading.
+    One BLAS thread on a 2-core Xeon: r=5 about 1.4 s (0.8 s of it the
+    decompositions); r=R_MAX=6 about 34 s (21 s of it the decompositions)
+    and 2.1 GB peak RSS, set by the build.
     """
     if not 1 <= r <= R_MAX:
         raise CapacityError(f"support must satisfy 1 <= r <= {R_MAX}, got {r}")
@@ -355,21 +366,14 @@ def rp_spectrum(tp, eps_keep=0.25, conserved=None):
     if any(len(v) > BLOCK_DIM_MAX for v in tp.labels.values()):
         raise CapacityError(f"block dimension exceeds {BLOCK_DIM_MAX}")
     modes = []
-    proj = {}
-    if conserved:
-        for c, mat in conserved.items():
-            q, _ = np.linalg.qr(np.asarray(mat, dtype=complex))
-            proj[c] = q
+    proj = _charge_projectors(conserved)
     for c, block in tp.blocks.items():
         if not block.size:
             continue
-        vals, vl, vr = scipy.linalg.eig(block, left=True, right=True)
+        vals, vl, vr = tp.eig(c)
         keep = np.abs(vals) > 1.0 - eps_keep
         for i in np.flatnonzero(keep):
-            overlap = None
-            if c in proj:
-                v = vr[:, i] / np.linalg.norm(vr[:, i])
-                overlap = float(np.linalg.norm(proj[c].conj().T @ v))
+            overlap = _overlap(proj[c], vr[:, i]) if c in proj else None
             modes.append(
                 RPMode(
                     eigenvalue=complex(vals[i]),
@@ -391,11 +395,19 @@ def rp_spectrum(tp, eps_keep=0.25, conserved=None):
 
 def unit_multiplicity(tp, tol=UNIT_TOL):
     """Number of eigenvalues within tol of 1 across all blocks."""
-    count = 0
-    for block in tp.blocks.values():
-        if block.size:
-            count += int(np.sum(np.abs(np.linalg.eigvals(block) - 1.0) < tol))
-    return count
+    return sum(int(np.sum(np.abs(tp.eig(c)[0] - 1.0) < tol))
+               for c, block in tp.blocks.items() if block.size)
+
+
+def _charge_projectors(conserved):
+    """Orthonormal bases of the conserved-density spans, per charge block."""
+    return {c: np.linalg.qr(np.asarray(mat, dtype=complex))[0]
+            for c, mat in (conserved or {}).items()}
+
+
+def _overlap(q, v):
+    """Norm of the projection of the normalized vector v onto span(q)."""
+    return float(np.linalg.norm(q.conj().T @ (v / np.linalg.norm(v))))
 
 
 # ----------------------------------------------------- conserved densities
@@ -488,43 +500,49 @@ class GapFit:
 
 def _lambda2(tp, conserved):
     """Largest-modulus eigenvalue outside the conserved eigenspace."""
-    proj = {}
-    for c, mat in (conserved or {}).items():
-        q, _ = np.linalg.qr(np.asarray(mat, dtype=complex))
-        proj[c] = q
+    proj = _charge_projectors(conserved)
     best = 0.0 + 0.0j
     for c, block in tp.blocks.items():
         if not block.size:
             continue
-        vals, vecs = np.linalg.eig(block)
+        vals, _, vr = tp.eig(c)
         for i, lam in enumerate(vals):
-            if abs(lam - 1.0) < UNIT_TOL and c in proj:
-                v = vecs[:, i] / np.linalg.norm(vecs[:, i])
-                if np.linalg.norm(proj[c].conj().T @ v) > CHARGE_OVERLAP_MIN:
-                    continue
+            if (abs(lam - 1.0) < UNIT_TOL and c in proj
+                    and _overlap(proj[c], vr[:, i]) > CHARGE_OVERLAP_MIN):
+                continue
             if abs(lam) > abs(best):
                 best = lam
     return complex(best)
 
 
-def gap_scaling(gate, k, r_list):
+def gap_scaling(gate, k, r_list, tp=None, conserved=None):
     """Fit 1 - |lambda_2| against support size r.
 
     k = 0 uses the exponential model log(1-|lambda2|) = log c - rate * r;
     other k fit the gap linearly in r.  Conserved unit eigenvalues are
     excluded by the overlap rule in _lambda2.  Fits need at least two
     distinct supports and a nonzero gap everywhere, otherwise refused.
+
+    tp, if given, is this gate's T(k) at one support, and conserved its
+    conserved_density_vectors (at k = 0); that support is then read from
+    them, eigendecompositions included, instead of being built again.
     """
     r_values = tuple(sorted(set(int(r) for r in r_list)))
     if any(not 3 <= r <= R_MAX for r in r_values):
         raise ParameterError(f"supports must lie in 3..{R_MAX}, got {r_values}")
     if len(r_values) < 2:
         raise RefusalError("gap fit needs at least two distinct supports")
+    if tp is not None and tp.k != float(k):
+        raise ParameterError(f"supplied propagator is at k={tp.k}, the fit at k={k}")
+    at_zero = abs(k) < 1e-12
     gaps, lam2 = {}, {}
     for r in r_values:
-        tp = truncated_propagator(gate, r, k)
-        conserved = conserved_density_vectors(gate, r) if abs(k) < 1e-12 else None
-        lam = _lambda2(tp, conserved)
+        reuse = tp is not None and tp.r == r
+        t = tp if reuse else truncated_propagator(gate, r, k)
+        cons = conserved if reuse and at_zero else None
+        if at_zero and cons is None:
+            cons = conserved_density_vectors(gate, r)
+        lam = _lambda2(t, cons)
         gap = 1.0 - abs(lam)
         if gap < 1e-12:
             raise RefusalError(
@@ -534,7 +552,7 @@ def gap_scaling(gate, k, r_list):
         lam2[r] = lam
     rs = np.array(r_values, dtype=float)
     ys = np.array([gaps[r] for r in r_values])
-    if abs(k) < 1e-12:
+    if at_zero:
         slope, intercept = np.polyfit(rs, np.log(ys), 1)
         return GapFit(
             k=float(k),

@@ -35,7 +35,7 @@ from mcbrick.levelstats import (
     spacing_histogram,
     spacing_ratios,
 )
-from mcbrick.levelstats import _k_block
+from mcbrick.levelstats import BLOCK_UNITARITY_TOL, _branch_phases, _k_block
 from mcbrick.symmetry import equivalent_circuit
 
 
@@ -226,6 +226,46 @@ def test_resolved_spectra_union_matches_plain_block():
     assert {r.sector_key() for r in split} == {"m+0.f+", "m+0.f-"}
     ph = np.sort(np.concatenate([r.eigenphases for r in split]))
     assert np.abs(ph - plain.eigenphases).max() < 1e-10
+
+
+def _cut_phases(phases, ref):
+    """Phases measured from the middle of the widest gap of ref, sorted, so
+    that no phase near the cut can wrap differently in the two lists."""
+    ref = np.sort(ref)
+    gaps = np.diff(ref, append=ref[0] + 2 * np.pi)
+    cut = ref[np.argmax(gaps)] + 0.5 * gaps.max()
+    return np.sort((np.asarray(phases) - cut) % (2 * np.pi))
+
+
+@pytest.mark.parametrize("L", [8, 10])
+def test_resolved_union_matches_plain_eigvals_in_every_sector(L):
+    ring = homogeneous_circuit(random_mc_gate(13), L, "periodic")
+    for m in range(-L, L + 1, 2):
+        for k in range(L // 2):
+            plain = sector_spectrum(ring, m, k).eigenphases
+            split = resolved_spectra(ring, m, k)
+            union = np.concatenate([np.zeros(0)] + [r.eigenphases for r in split])
+            assert union.size == plain.size == sector_basis(L, m, k).dim
+            if not plain.size:
+                continue
+            diff = _cut_phases(union, plain) - _cut_phases(plain, plain)
+            assert np.abs(diff).max() < 1e-12, (m, k)
+
+
+def test_branch_phases_refuse_a_propagator_of_another_gate():
+    ring = homogeneous_circuit(random_mc_gate(5), 8, "periodic")
+    other = homogeneous_circuit(random_mc_gate(6), 8, "periodic")
+    basis = sector_basis(8, 0, 1)
+    theta2 = 2 * np.pi * basis.momentum / 4
+    kb = _k_block(ring, basis).entries
+    phi, par = _branch_phases(build_sector_block(ring, basis).entries, kb, theta2)
+    assert phi.size == par.size == basis.dim
+    with pytest.raises(SymmetryError, match="residual") as err:
+        _branch_phases(build_sector_block(other, basis).entries, kb, theta2)
+    assert err.value.residual > BLOCK_UNITARITY_TOL
+    # an empty parity half has no phases and nothing to check
+    phi, par = _branch_phases(np.zeros((0, 0)), np.zeros((0, 0)), theta2)
+    assert phi.size == par.size == 0
 
 
 def test_resolved_spectra_mirror_sectors_degenerate():

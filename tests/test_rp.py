@@ -245,9 +245,57 @@ def test_second_charge_pair_at_r5(gate):
     cons = conserved_density_vectors(gate, 5)[0]
     assert cons.shape[1] == 5
     assert np.abs(tp.blocks[0] @ cons - cons).max() < 1e-10
-    fit = gap_scaling(gate, 0.0, [3, 5])
+    fit = gap_scaling(gate, 0.0, [3, 5], tp=tp, conserved={0: cons})
     assert fit.model == "exponential"
     assert fit.gaps[5] < fit.gaps[3]
+
+
+GATE_I_ARGS = ["--delta-phase", "0.1", "--alpha", "0.4", "--phi", "0.9",
+               "--chi", "0.3", "--theta", "0.2"]
+
+
+def test_rp_spectrum_builds_each_support_once_and_eigensolves_each_block_once(
+        tmp_path, monkeypatch):
+    from mcbrick import rp
+    from mcbrick.cli import main
+
+    built, solves = [], []
+    build = rp.truncated_propagator
+
+    def counted_build(gate, r, k):
+        built.append(build(gate, r, k))
+        return built[-1]
+
+    def counted(fn):
+        def wrapper(a, *args, **kwargs):
+            solves.append(fn.__name__)
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rp, "truncated_propagator", counted_build)
+    for mod in (rp.scipy.linalg, rp.np.linalg):
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    argv = ["rp-spectrum", *GATE_I_ARGS, "--r", "4", "--k", "0", "--r-list", "3,4"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert sorted(tp.r for tp in built) == [3, 4]
+    assert set(solves) == {"eig"}
+    assert len(solves) == sum(b.size > 0 for tp in built for b in tp.blocks.values())
+
+
+def test_gap_scaling_reads_a_supplied_propagator_bit_for_bit():
+    gate = gate_from_haar(HaarGateParams(0.1, 0.4, 0.9, 0.3, 0.2))
+    for k in (0.0, 1.3):
+        tp = truncated_propagator(gate, 4, k)
+        cons = conserved_density_vectors(gate, 4) if k == 0.0 else None
+        own = gap_scaling(gate, k, [3, 4])
+        reused = gap_scaling(gate, k, [3, 4], tp=tp, conserved=cons)
+        assert reused.gaps == own.gaps and reused.lambda2 == own.lambda2
+        assert (reused.rate, reused.slope) == (own.rate, own.slope)
+    # the per-block decomposition is computed once and then shared
+    assert tp.eig(0) is tp.eig(0)
+    with pytest.raises(ParameterError):
+        gap_scaling(gate, 0.0, [3, 4], tp=tp)
 
 
 def test_conserved_densities_skip_charges_the_map_refuses():
