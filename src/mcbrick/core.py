@@ -47,6 +47,11 @@ SECTOR_MAX_L = 14       # dense work inside a single symmetry sector
 BASIS_MAX_L = 20        # bases themselves stay cheap a bit longer
 SECTOR_ORACLE_TOL = 1e-12  # sector kernel against the full-space column
 GROUP_BONDS = 4  # bonds of one layer multiplied into one sector step operator
+BLOCK_UNITARITY_TOL = 1e-10  # unitarity of a dense block before its eigenphases
+# First Cayley pole sits at -exp(i CAYLEY_ALPHA): no rational multiple of pi,
+# since structured blocks carry eigenvalues like +-1 and roots of unity.
+CAYLEY_ALPHA = 0.5 * (np.sqrt(5.0) - 1.0)
+CAYLEY_MU_MAX = 1e3  # largest |mu| a pass may keep; eigvalsh errs by eps * max|mu|
 
 
 def _popcount(n):
@@ -56,14 +61,6 @@ def _popcount(n):
 def magnetization_of(n, L):
     """Total sigma^z of computational basis state(s) n."""
     return 2 * _popcount(n) - L
-
-
-def translate_index(n, L, sites=1):
-    """Index of S^sites |n>, S shifting site j to site j+1 (cyclic)."""
-    sites %= L
-    mask = (1 << L) - 1
-    n = int(n)
-    return ((n >> sites) | (n << (L - sites))) & mask
 
 
 def translation_permutation(L, sites=1):
@@ -103,6 +100,88 @@ class Operator:
         g = self.entries.conj().T @ self.entries
         g[np.diag_indices_from(g)] -= 1.0
         return np.abs(g).max()
+
+
+def _cayley(u, alpha):
+    """H = i (1 - V)(1 + V)^-1 for V = exp(-i alpha) u, from one LU solve.
+
+    (1 - V)(1 + V)^-1 = 2 (1 + V)^-1 - 1, so H is formed in the inverse's
+    own buffer.  A singular or overflowing 1 + V raises LinAlgError.
+    """
+    a = u * np.exp(-1j * alpha)
+    diag = np.diag_indices_from(a)
+    a[diag] += 1.0
+    h = np.linalg.inv(a)
+    if not np.isfinite(h).all():
+        raise np.linalg.LinAlgError("Cayley pole on an eigenvalue")
+    h *= 2j
+    h[diag] -= 1j
+    return h
+
+
+def _cayley_phases(h, alpha, vectors):
+    """Phases (2 arctan mu + alpha) mod 2 pi of the eigenvalues mu of H, and max|mu|.
+
+    H is Hermitian for a unitary input, and only its Hermitian part is
+    solved: the rounding of a unitary input and of the LU solve leaves an
+    anti-Hermitian part of order eps * max|mu|^2, which one triangle of H
+    would carry into every mu.  The residual max|H - H^dag| / (1 +
+    max|mu|)^2 above BLOCK_UNITARITY_TOL raises SymmetryError, so a matrix
+    that is not unitary is not hidden by the symmetrization.  h is
+    overwritten.
+    """
+    skew = h.conj().T
+    h += skew
+    skew *= 2.0
+    skew -= h  # H^dag - H
+    h *= 0.5
+    skew_max = float(np.abs(skew).max())
+    del skew  # freed before eigh allocates its workspace
+    mu, q = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    mu_max = float(np.abs(mu).max())
+    residual = skew_max / (1.0 + mu_max) ** 2
+    if residual > BLOCK_UNITARITY_TOL:
+        raise SymmetryError(
+            f"matrix is not unitary (Cayley residual {residual:.3e})", residual=residual
+        )
+    return (2.0 * np.arctan(mu) + alpha) % (2 * np.pi), q, mu_max
+
+
+def unitary_phases(u, vectors=False):
+    """Eigenphases in [0, 2 pi) of a unitary matrix, from a Hermitian eigensolve.
+
+    The Cayley transform H = i (1 - V)(1 + V)^-1 of V = exp(-i alpha) U is
+    Hermitian, and each eigenvalue mu of H gives the phase 2 arctan(mu) +
+    alpha of U, so eigvalsh/eigh replace the general nonsymmetric solver.
+    eigvalsh errs by about eps * max|mu| on every mu, and mu diverges at
+    the pole -exp(i alpha).  The first pass puts the pole at CAYLEY_ALPHA;
+    if that solve is singular, or max|mu| exceeds CAYLEY_MU_MAX, a second
+    pass puts it in the middle of the widest gap between the first-pass
+    phases (at least 2 pi / n wide, so max|mu| <~ 2n / pi), or at
+    CAYLEY_ALPHA + pi/2 when there are no first-pass phases.  A second
+    singular solve raises LinAlgError.  A matrix that is not unitary
+    raises SymmetryError.  With vectors=True the orthonormal eigenvectors
+    come too, as the columns of Q with U = Q diag(exp(i phases)) Q^dag.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ParameterError("unitary_phases needs a square matrix")
+    if not u.size:
+        return (np.zeros(0), np.zeros((0, 0), dtype=complex)) if vectors else np.zeros(0)
+    try:
+        h = _cayley(u, CAYLEY_ALPHA)
+    except np.linalg.LinAlgError:
+        alpha = CAYLEY_ALPHA + 0.5 * np.pi
+    else:
+        phases, q, mu_max = _cayley_phases(h, CAYLEY_ALPHA, vectors)
+        if mu_max <= CAYLEY_MU_MAX:
+            return (phases, q) if vectors else phases
+        ph = np.sort(phases)
+        gaps = np.diff(ph, append=ph[0] + 2 * np.pi)
+        widest = np.argmax(gaps)
+        alpha = ph[widest] + 0.5 * gaps[widest] - np.pi
+    phases, q, _ = _cayley_phases(_cayley(u, alpha), alpha, vectors)
+    return (phases, q) if vectors else phases
 
 
 @dataclass
@@ -162,31 +241,40 @@ def sector_basis(L, m, k=None):
     n_cells = L // 2
     if not 0 <= k < n_cells:
         raise ParameterError(f"momentum index {k} outside 0..{n_cells - 1}")
-    # orbits of the two-site shift; keep the minimal index as representative
-    seen = set()
-    labels, rows, cols, vals = [], [], [], []
-    col = 0
-    for r in map(int, states):
-        if r in seen:
-            continue
-        orbit = [r]
-        n = translate_index(r, L, 2)
-        while n != r:
-            orbit.append(n)
-            n = translate_index(n, L, 2)
-        seen.update(orbit)
-        p = len(orbit)
-        if (k * p) % n_cells:
-            continue  # momentum incompatible with orbit period
-        rep = min(orbit)
-        amp = np.exp(-2j * np.pi * k / n_cells * np.arange(p)) / np.sqrt(p)
-        rows.extend(orbit)
-        cols.extend([col] * p)
-        vals.extend(amp)
-        labels.append((rep, p))
-        col += 1
-    vec = sparse.csr_array((vals, (rows, cols)), shape=(dim_full, col), dtype=complex)
-    return SectorBasis(L, m, k, labels, vec)
+    reps, periods, orbits = _momentum_orbits(L, m)
+    keep = (k * periods) % n_cells == 0  # momentum compatible with orbit period
+    p = periods[keep]
+    in_orbit = np.arange(n_cells) < p[:, None]  # (column, j): S^(2j) rep is a state
+    rows = orbits[keep][in_orbit]
+    cols, j = np.nonzero(in_orbit)
+    vals = np.exp(-2j * np.pi * k / n_cells * j) / np.sqrt(p[cols])
+    vec = sparse.csr_array((vals, (rows, cols)), shape=(dim_full, p.size), dtype=complex)
+    return SectorBasis(L, m, k, list(zip(reps[keep].tolist(), p.tolist())), vec)
+
+
+@functools.lru_cache(maxsize=64)
+def _momentum_orbits(L, m):
+    """Orbits of the two-site shift S^2 on sector m; they do not depend on k.
+
+    Returns (reps, periods, orbits): each orbit's minimal state, in
+    increasing order, its period p, and a (orbit, L/2) array whose row
+    holds rep, S^2 rep, S^4 rep, ... (only the first p are the orbit).
+    Read-only, since the cache hands the same arrays to every caller.
+    """
+    states = sector_states(L, m)
+    n_cells = L // 2
+    shift = translation_permutation(L, 2)
+    images = np.empty((n_cells + 1, states.size), dtype=np.int64)  # S^(2j) of each state
+    images[0] = states
+    for j in range(1, n_cells + 1):
+        images[j] = shift[images[j - 1]]
+    first = images.min(axis=0) == states
+    reps = states[first]
+    periods = np.argmax(images[1:, first] == reps, axis=0) + 1  # S^(2 n_cells) = 1
+    orbits = np.ascontiguousarray(images[:-1, first].T)
+    for arr in (reps, periods, orbits):
+        arr.setflags(write=False)
+    return reps, periods, orbits
 
 
 def layer_bonds(L, boundary, i):

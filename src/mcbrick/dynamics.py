@@ -2,7 +2,8 @@
 
 Autocorrelations tr(A(t) A)/2^L of diagonal observables are computed
 either exactly or by typicality.  The exact trace works per magnetization
-sector: one Schur form of the sector propagator, then one contraction of
+sector: one eigendecomposition of the sector propagator (core.unitary_phases,
+a Hermitian eigensolve of its Cayley transform), then one contraction of
 the matrix-element weights with the matrix of eigenvalue powers, so 200
 time steps cost one diagonalization and a few matrix products.  The
 sector propagators are still sliced out of the dense build_propagator.
@@ -23,8 +24,6 @@ from math import comb
 import numpy as np
 from dataclasses import dataclass, field
 
-import scipy.linalg
-
 from .core import (
     FULL_DENSE_MAX_L,
     build_propagator,
@@ -35,6 +34,7 @@ from .core import (
     propagator_apply,
     sector_states,
     sector_step,
+    unitary_phases,
 )
 from .errors import CapacityError, ParameterError
 
@@ -110,8 +110,9 @@ def _staggered_diagonal(L):
 def _exact_autocorrelation(U, a, L, steps, m_values=None):
     """Normalized tr(U^-t A U^t A) for diagonal A over magnetization sectors.
 
-    Each unitary sector block is brought to Schur (here: diagonal) form
-    once; with w = |<alpha|A|beta>|^2 and V[a, t] = lambda_a^t the series
+    Each unitary sector block is diagonalized once by unitary_phases, its
+    eigenvectors orthonormal even where eigenphases are degenerate; with
+    w = |<alpha|A|beta>|^2 and V[a, t] = lambda_a^t the series
     is Re sum_a conj(V) (w V), contracted over blocks of at most
     _TIME_BLOCK steps with the power carried from block to block.
     m_values selects sectors (by number of up spins); the default is all
@@ -126,9 +127,8 @@ def _exact_autocorrelation(U, a, L, steps, m_values=None):
     for m in m_values:
         idx = np.flatnonzero(occ == m)
         dim += len(idx)
-        t_form, q = scipy.linalg.schur(U[np.ix_(idx, idx)], output="complex")
-        lam = np.diag(t_form).copy()
-        lam /= np.abs(lam)
+        phases, q = unitary_phases(U[np.ix_(idx, idx)], vectors=True)
+        lam = np.exp(1j * phases)
         atil = q.conj().T @ (a[idx, None] * q)
         w = np.abs(atil) ** 2
         power = np.ones_like(lam)

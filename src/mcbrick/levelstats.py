@@ -23,6 +23,11 @@ self-conjugate k); there it must be split as well, or its two parities
 sit on top of each other and fake extra degeneracies.  resolved_spectra
 applies every refinement that is detected to hold.
 
+Every block is unitary, so its eigenphases come from core.unitary_phases:
+one Hermitian eigensolve of the block's Cayley transform, not the general
+nonsymmetric solver.  The n^3 unitarity checks on U and K and the K^2
+residual run before it.
+
 Reference points: uncorrelated phases give mean gap ratio 2 ln 2 - 1, the
 orthogonal class (circuits with an antiunitary symmetry, e.g. open
 boundaries) about 0.53, the unitary class about 0.60.  Matching reference
@@ -33,6 +38,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .core import (
+    BLOCK_UNITARITY_TOL,
     Operator,
     build_propagator,
     build_sector_block,
@@ -42,6 +48,7 @@ from .core import (
     sector_states,
     sector_step,
     translation_permutation,
+    unitary_phases,
 )
 from .errors import CapacityError, ParameterError, SymmetryError
 from .gates import TwoQubitGate, magnetization_phase_gate, random_mc_gate
@@ -77,7 +84,6 @@ R_TILDE_COE = 0.5307
 R_TILDE_CUE = 0.5996
 
 SECTOR_DIM_MAX = 5000
-BLOCK_UNITARITY_TOL = 1e-10
 
 _SPACETIME_NOTE = "K = shift * odd layer, K^2 = S^2 U; one concrete choice"
 
@@ -166,11 +172,6 @@ def is_homogeneous(circuit, tol=1e-12):
     return all(np.abs(m - mats[0]).max() <= tol for m in mats[1:])
 
 
-def _phases(entries):
-    """Eigenphases in [0, 2 pi) of a dense unitary block."""
-    return np.angle(np.linalg.eigvals(entries)) % (2 * np.pi)
-
-
 def _checked_phases(block, what):
     defect = block.unitarity_defect()
     if defect > BLOCK_UNITARITY_TOL:
@@ -179,7 +180,7 @@ def _checked_phases(block, what):
             "the circuit does not respect the requested resolution",
             residual=float(defect),
         )
-    return _phases(block.entries)
+    return unitary_phases(block.entries)
 
 
 def sector_spectrum(circuit, m, k=None):
@@ -262,7 +263,7 @@ def _branch_phases(ub_entries, kb_entries, theta2):
             f"space-time block does not square to the propagator (residual {residual:.3e})",
             residual=float(residual),
         )
-    kappa = np.angle(np.linalg.eigvals(kb_entries)) % (2 * np.pi)
+    kappa = unitary_phases(kb_entries)
     phi = (2 * kappa - theta2) % (2 * np.pi)
     parities = np.rint((kappa - 0.5 * theta2 - 0.5 * phi) / np.pi).astype(int) % 2
     return phi, parities
@@ -351,11 +352,11 @@ def resolved_spectra(circuit, m, k=None, tol=1e-9):
         )
 
     if kb is None and xp is None:
-        return [result(_phases(ub.entries))]
+        return [result(unitary_phases(ub.entries))]
 
     theta2 = 0.0 if k is None else 2 * np.pi * basis.momentum / (circuit.L // 2)
     if kb is None:
-        return [result(_phases(wsub.conj().T @ ub.entries @ wsub), fp=sign)
+        return [result(unitary_phases(wsub.conj().T @ ub.entries @ wsub), fp=sign)
                 for sign, wsub in _parity_vectors(xp)]
     if xp is None or np.abs(xp @ kb.entries - kb.entries @ xp).max() > tol:
         # either no flip parity here, or it exchanges the K branches
@@ -449,7 +450,7 @@ def sample_cue_phases(dim, n_matrices, seed=0):
     out = []
     for _ in range(n_matrices):
         u = unitary_group.rvs(dim, random_state=rng)
-        out.append(np.sort(np.angle(np.linalg.eigvals(u)) % (2 * np.pi)))
+        out.append(np.sort(unitary_phases(u)))
     return out
 
 
@@ -464,7 +465,7 @@ def sample_coe_phases(dim, n_matrices, seed=0):
     out = []
     for _ in range(n_matrices):
         v = unitary_group.rvs(dim, random_state=rng)
-        out.append(np.sort(np.angle(np.linalg.eigvals(v @ v.T)) % (2 * np.pi)))
+        out.append(np.sort(unitary_phases(v @ v.T)))
     return out
 
 

@@ -49,6 +49,7 @@ from .core import (
     build_sector_block,
     sector_basis,
     sector_states,
+    unitary_phases,
 )
 from .errors import CapacityError, ParameterError, TimeReversalRefusal
 from .gates import (
@@ -215,15 +216,16 @@ def global_time_reversal(circuit, tol=1e-9):
 def spectral_match_error(u, v):
     """Largest distance between the eigenvalue multisets of two unitaries.
 
-    Sorted-eigenphase comparison first; if that misaligns (phases piling
-    near the branch cut), fall back to an optimal assignment.
+    The eigenvalues are exp(i phi) with phi from core.unitary_phases (one
+    Hermitian eigensolve each; a matrix that is not unitary raises
+    SymmetryError).  Sorted-eigenphase comparison first; if that misaligns
+    (phases piling near the branch cut), fall back to an optimal
+    assignment.
     """
-    a = np.asarray(u.entries if hasattr(u, "entries") else u, dtype=complex)
-    b = np.asarray(v.entries if hasattr(v, "entries") else v, dtype=complex)
-    ea = np.linalg.eigvals(a)
-    eb = np.linalg.eigvals(b)
-    ea = ea[np.argsort(np.angle(ea) % (2 * np.pi))]
-    eb = eb[np.argsort(np.angle(eb) % (2 * np.pi))]
+    a = u.entries if hasattr(u, "entries") else u
+    b = v.entries if hasattr(v, "entries") else v
+    ea = np.exp(1j * np.sort(unitary_phases(a)))
+    eb = np.exp(1j * np.sort(unitary_phases(b)))
     err = float(np.abs(ea - eb).max())
     if err < 1e-8:
         return err

@@ -7,10 +7,16 @@ x/y/z string enumeration of the window projection, and the dense ring
 coefficient of a {1, z, p, m} string.  The x-derivatives of Rc come from
 the hand-written closed forms of R' and R'' below, not from
 rmatrix.r_matrix_jet.  They share no code with the sector path.
+
+The per-state orbit walk of the momentum basis (loop_momentum_basis) is
+the construction core.sector_basis used before its orbits became cached
+array shifts.
 """
 
 import numpy as np
+from scipy import sparse
 
+from mcbrick.core import sector_states
 from mcbrick.rmatrix import ab_values, r_matrix
 
 _SWAP = np.array(
@@ -172,3 +178,44 @@ def ring_rep_coefficient(qmat, label, anchor, L):
             phase = phase * np.sqrt(2.0)
     rows = idx[ok] ^ flip
     return complex(np.sum(np.conj(phase[ok]) * qmat[rows, idx[ok]]) / 2**L)
+
+
+def translate_index(n, L, sites=1):
+    """Index of S^sites |n>, S shifting site j to site j+1 (cyclic)."""
+    sites %= L
+    mask = (1 << L) - 1
+    n = int(n)
+    return ((n >> sites) | (n << (L - sites))) & mask
+
+
+def loop_momentum_basis(L, m, k):
+    """(labels, vectors) of the momentum-k basis, one S^2 orbit walk per state.
+
+    Columns are ordered by orbit minimum, each orbit walked r, S^2 r, ...
+    with amplitudes exp(-2 pi i k j / (L/2)) / sqrt(p); orbits whose period
+    p is incompatible with k are dropped.
+    """
+    n_cells = L // 2
+    seen = set()
+    labels, rows, cols, vals = [], [], [], []
+    col = 0
+    for r in map(int, sector_states(L, m)):
+        if r in seen:
+            continue
+        orbit = [r]
+        n = translate_index(r, L, 2)
+        while n != r:
+            orbit.append(n)
+            n = translate_index(n, L, 2)
+        seen.update(orbit)
+        p = len(orbit)
+        if (k * p) % n_cells:
+            continue
+        amp = np.exp(-2j * np.pi * k / n_cells * np.arange(p)) / np.sqrt(p)
+        rows.extend(orbit)
+        cols.extend([col] * p)
+        vals.extend(amp)
+        labels.append((min(orbit), p))
+        col += 1
+    vec = sparse.csr_array((vals, (rows, cols)), shape=(1 << L, col), dtype=complex)
+    return labels, vec

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from math import comb
 
+from mcbrick import core
 from mcbrick.core import (
+    BLOCK_UNITARITY_TOL,
+    CAYLEY_ALPHA,
     GROUP_BONDS,
     BrickworkCircuit,
     Operator,
@@ -25,14 +28,16 @@ from mcbrick.core import (
     sector_operators,
     sector_states,
     sector_step,
-    translate_index,
     translation_matrix,
     translation_permutation,
+    unitary_phases,
 )
 from mcbrick.gates import gate_matrix, identity_gate, random_mc_gate, TwoQubitGate
 from mcbrick.errors import CapacityError, ParameterError, SymmetryError
 from mcbrick.levelstats import chaotic_gate_pair
 from mcbrick.symmetry import equivalent_circuit
+
+from dense_oracles import loop_momentum_basis, translate_index
 
 SWAP = TwoQubitGate(
     np.array(
@@ -82,6 +87,18 @@ def test_momentum_basis_against_projector():
         assert np.abs(s2 @ v - target * v).max() < 1e-12
         total += b.dim
     assert total == plain.dim
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 8, 10, 12])
+def test_momentum_basis_matches_the_orbit_walk_exactly(L):
+    for m in range(-L, L + 1, 2):
+        for k in range(L // 2):
+            labels, vectors = loop_momentum_basis(L, m, k)
+            basis = sector_basis(L, m, k)
+            assert basis.states == labels
+            assert all(type(x) is int for label in basis.states for x in label)
+            assert basis.vectors.shape == vectors.shape
+            assert (basis.vectors != vectors).nnz == 0
 
 
 def test_apply_gate_identity_and_swap():
@@ -326,3 +343,144 @@ def test_translation_permutation_order():
     assert np.array_equal(composed, np.arange(1 << L))
     # shifting by one site twice equals shifting by two
     assert np.array_equal(perm[perm], translation_permutation(L, 2))
+
+
+# ------------------------------------------------------- unitary eigenphases
+
+
+def _haar(n, seed):
+    from scipy.stats import unitary_group
+
+    return unitary_group.rvs(n, random_state=np.random.default_rng(seed)).reshape(n, n)
+
+
+def _circle_distance(a, b):
+    """Largest distance between two phase multisets under the optimal pairing."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.abs(np.angle(np.exp(1j * (np.asarray(a)[:, None] - np.asarray(b)[None, :]))))
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].max() if cost.size else 0.0
+
+
+def _check_decomposition(u, phases, q):
+    n = u.shape[0]
+    assert np.abs(q.conj().T @ q - np.eye(n)).max() < 1e-12
+    assert np.abs((q * np.exp(1j * phases)) @ q.conj().T - u).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 300])
+def test_unitary_phases_match_eigvals_on_the_circle(n):
+    u = _haar(n, seed=n)
+    phases = unitary_phases(u)
+    assert phases.shape == (n,) and (phases >= 0).all() and (phases < 2 * np.pi).all()
+    assert _circle_distance(phases, np.angle(np.linalg.eigvals(u))) < 1e-12
+    with_vectors, q = unitary_phases(u, vectors=True)
+    assert _circle_distance(with_vectors, phases) < 1e-12
+    _check_decomposition(u, with_vectors, q)
+
+
+def _solves(monkeypatch):
+    """Record the pole angle of every Cayley solve unitary_phases makes."""
+    alphas, cayley = [], core._cayley
+
+    def counted(u, alpha):
+        alphas.append(alpha)
+        return cayley(u, alpha)
+
+    monkeypatch.setattr(core, "_cayley", counted)
+    return alphas
+
+
+@pytest.mark.parametrize(
+    "offset", [0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 2.5e-3, -2.5e-3]
+)
+@pytest.mark.parametrize("at", ["pole", "+1", "-1"])
+def test_unitary_phases_at_and_near_the_poles(monkeypatch, at, offset):
+    # one eigenvalue at (or next to) the first pole -exp(i CAYLEY_ALPHA), +1 or -1;
+    # at 2.5e-3 from the pole max|mu| ~ 800 stays in the first pass, where only
+    # the Hermitian part of H keeps the other phases within 1e-12
+    n = 48
+    v = _haar(n, seed=3)
+    true = np.random.default_rng(4).uniform(0.0, 2 * np.pi, n)
+    true[0] = {"pole": CAYLEY_ALPHA + np.pi, "+1": 0.0, "-1": np.pi}[at] + offset
+    true[1] = np.pi - true[0]  # a second structured phase elsewhere on the circle
+    u = (v * np.exp(1j * true)) @ v.conj().T
+    alphas = _solves(monkeypatch)
+    phases, q = unitary_phases(u, vectors=True)
+    assert _circle_distance(phases, true) < 1e-12
+    _check_decomposition(u, phases, q)
+    assert 1 <= len(alphas) <= 2
+    if at == "pole" and abs(offset) <= 1e-6:
+        assert len(alphas) == 2  # max|mu| ~ 2/offset is past CAYLEY_MU_MAX
+
+
+@pytest.mark.parametrize(
+    "diag",
+    [[-1.0] * 6, [1.0] * 6, [1.0, -1.0, -1.0, 1.0, -1.0], [1j, -1j, 1j], [-1.0]],
+    ids=["minus-identity", "identity", "signs", "plus-minus-i", "one-by-one"],
+)
+def test_unitary_phases_of_fully_degenerate_inputs(diag):
+    v = _haar(len(diag), 5)
+    for u in (np.diag(diag).astype(complex), (v * np.asarray(diag)) @ v.conj().T):
+        phases, q = unitary_phases(u, vectors=True)
+        assert _circle_distance(phases, np.angle(diag)) < 1e-12
+        _check_decomposition(u, phases, q)
+
+
+def test_unitary_phases_moves_a_singular_first_pole_by_a_quarter_turn(monkeypatch):
+    alphas, cayley = [], core._cayley
+
+    def singular_first(u, alpha):
+        alphas.append(alpha)
+        if alpha == CAYLEY_ALPHA:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return cayley(u, alpha)
+
+    monkeypatch.setattr(core, "_cayley", singular_first)
+    u = _haar(16, seed=6)
+    assert _circle_distance(unitary_phases(u), np.angle(np.linalg.eigvals(u))) < 1e-12
+    assert alphas == [CAYLEY_ALPHA, CAYLEY_ALPHA + 0.5 * np.pi]
+
+
+def test_unitary_phases_refuse_matrices_that_are_not_unitary():
+    u = _haar(50, seed=7)
+    noise = 1e-6 * np.random.default_rng(8).normal(size=u.shape)
+    for bad in (u * (1.0 + 1e-6), u + noise, 2.0 * u, np.zeros((3, 3))):
+        with pytest.raises(SymmetryError) as err:
+            unitary_phases(bad)
+        assert err.value.residual > BLOCK_UNITARITY_TOL
+    with pytest.raises(ParameterError):
+        unitary_phases(np.ones((2, 3)))
+    assert unitary_phases(np.zeros((0, 0))).shape == (0,)
+
+
+def test_every_unitary_eigendecomposition_goes_through_unitary_phases():
+    # the general solvers stay only in rp, whose truncated propagator is not
+    # normal; tp.eig(c) there reads its cache and is not a solver call
+    import ast
+    from pathlib import Path
+
+    allowed = {("rp.py", "TruncatedPropagator.eig")}
+    found = set()
+
+    def general_solver(fn):
+        if isinstance(fn, ast.Name):
+            return fn.id in ("eigvals", "eig", "schur")
+        if not isinstance(fn, ast.Attribute):
+            return False
+        owner = getattr(fn.value, "attr", getattr(fn.value, "id", ""))
+        return fn.attr in ("eigvals", "schur") or (fn.attr == "eig" and owner == "linalg")
+
+    def walk(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and general_solver(child.func):
+                found.add((path.name, inner))
+            walk(child, inner, path)
+
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), "", path)
+    assert found == allowed

@@ -51,21 +51,41 @@ def test_boundary_phase_points_differ():
     assert np.abs(sII.values[40:]).mean() < sI.values[40:].mean()
 
 
+def _minus_corner_gate():
+    # <00|g|00> = <11|g|11> = -1, so the L - 1 gates of an open chain give
+    # the 1x1 sectors m = +-L the phase -1
+    g = gate_matrix(random_mc_gate(8)).copy()
+    g[0, 0] = g[3, 3] = -1.0
+    return g
+
+
 def test_exact_trace_matches_step_by_step_powers():
     # tr(U^-t A U^t A) from repeated dense products, over more steps than
-    # one contraction block, against the eigenvalue-power contraction
+    # one contraction block, against the eigenvalue-power contraction; the
+    # identity and SWAP have highly degenerate spectra, and the 1x1 sectors
+    # m = +-L carry the phase edge_phase
     L, steps = 6, 600
-    u = build_propagator(homogeneous_circuit(random_mc_gate(8), L, "open")).entries
     a = _sz_diagonal(L, 1)
-    for m_values, rows in ((None, np.arange(1 << L)), ([2], sector_states(L, -2))):
-        ut = np.eye(1 << L, dtype=complex)
-        want = np.empty(steps + 1)
-        for t in range(steps + 1):
-            heis = ut.conj().T @ (a[:, None] * ut)
-            want[t] = np.einsum("ii,i->", heis[np.ix_(rows, rows)], a[rows]).real / len(rows)
-            ut = u @ ut
-        got = _exact_autocorrelation(u, a, L, steps, m_values)
-        assert np.abs(got - want).max() < 1e-12
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    for gate, edge_phase in ((random_mc_gate(8), None), (identity_gate(), 1.0),
+                             (swap, 1.0), (_minus_corner_gate(), -1.0)):
+        u = build_propagator(homogeneous_circuit(gate, L, "open")).entries
+        if edge_phase is not None:
+            for m in (L, -L):
+                s = sector_states(L, m)[0]
+                assert abs(u[s, s] - edge_phase) < 1e-12
+        for m_values, rows in ((None, np.arange(1 << L)), ([2], sector_states(L, -2)),
+                               ([L], sector_states(L, L))):
+            ut = np.eye(1 << L, dtype=complex)
+            want = np.empty(steps + 1)
+            for t in range(steps + 1):
+                heis = ut.conj().T @ (a[:, None] * ut)
+                want[t] = np.einsum("ii,i->", heis[np.ix_(rows, rows)], a[rows]).real / len(rows)
+                ut = u @ ut
+            got = _exact_autocorrelation(u, a, L, steps, m_values)
+            assert np.abs(got - want).max() < 1e-12
+            if np.array_equal(u, np.eye(1 << L)):
+                assert np.abs(got - 1.0).max() < 1e-12  # C(t) = tr(A^2) / dim
 
 
 def test_sector_traces_recombine_to_full_trace():

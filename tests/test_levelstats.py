@@ -1,8 +1,12 @@
 """Eigenphase statistics: spacings, gap ratios, symmetry-resolved blocks."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mcbrick import levelstats
 from mcbrick.core import (
     BrickworkCircuit,
     build_propagator,
@@ -250,6 +254,37 @@ def test_resolved_union_matches_plain_eigvals_in_every_sector(L):
                 continue
             diff = _cut_phases(union, plain) - _cut_phases(plain, plain)
             assert np.abs(diff).max() < 1e-12, (m, k)
+
+
+def _eigvals_phases(u):
+    return np.angle(np.linalg.eigvals(u)) % (2 * np.pi)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.sampled_from([2, 4, 6, 8]),
+    boundary=st.sampled_from(["open", "periodic"]),
+    data=st.data(),
+)
+def test_resolved_blocks_match_eigvals_of_the_same_block(seed, L, boundary, data):
+    # the Cayley eigensolve against the general solver on every block that
+    # resolved_spectra forms (sector, parity halves, K branches)
+    m = data.draw(st.sampled_from(range(-L, L + 1, 2)), label="m")
+    k = None
+    if boundary == "periodic":
+        k = data.draw(st.sampled_from([None, *range(L // 2)]), label="k")
+    circ = homogeneous_circuit(random_mc_gate(seed), L, boundary)
+    got = resolved_spectra(circ, m, k)
+    with mock.patch.object(levelstats, "unitary_phases", _eigvals_phases):
+        want = resolved_spectra(circ, m, k)
+    assert [r.sector_key() for r in got] == [r.sector_key() for r in want]
+    for a, b in zip(got, want):
+        assert a.dim == b.dim
+        if a.dim:
+            ref = b.eigenphases
+            diff = _cut_phases(a.eigenphases, ref) - _cut_phases(ref, ref)
+            assert np.abs(diff).max() < 1e-12, a.sector_key()
 
 
 def test_branch_phases_refuse_a_propagator_of_another_gate():
