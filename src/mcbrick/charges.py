@@ -15,9 +15,8 @@ Every R conserves the magnetization of its site and the auxiliary qubit
 (the six-vertex ice rule), so T, its x-derivatives and every charge are
 block diagonal over the magnetization sectors of the chain.  They are
 built, solved, checked and projected as sector blocks {m: block} (see
-core.sector_blocks); no 2^L x 2^L array is formed.  ChargeFamily.matrix,
-transfer_matrix and propagator_from_transfer assemble the dense operator
-on request, for cross-checks.
+core.sector_blocks); no 2^L x 2^L array is formed.  ChargeFamily.matrix
+assembles the dense charge on request, for cross-checks.
 """
 
 import functools
@@ -29,7 +28,6 @@ from dataclasses import dataclass
 
 from .core import (
     FULL_DENSE_MAX_L,
-    Operator,
     commutator_defect,
     dense_from_sectors,
     embed_operator,
@@ -43,19 +41,6 @@ from .rmatrix import r_matrix_jet
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
-
-
-@dataclass(frozen=True)
-class TransferMatrixSpec:
-    params: object  # RMatrixParams
-    x: complex
-    L: int
-
-    def __post_init__(self):
-        if self.L % 2 or self.L < 2:
-            raise ParameterError("transfer matrix needs even L >= 2")
-        if self.L > FULL_DENSE_MAX_L:
-            raise CapacityError(f"transfer matrix limited to L <= {FULL_DENSE_MAX_L}")
 
 
 def _site_r_tensors(p, x, L, order):
@@ -92,7 +77,10 @@ def _transfer_family(p, x, L, order=0):
     trace (a = a0), and a permutation puts each sector in sector_states
     order.  Returns one dict {m: block} per derivative order.
     """
-    TransferMatrixSpec(p, x, L)  # validates L
+    if L % 2 or L < 2:
+        raise ParameterError("transfer matrix needs even L >= 2")
+    if L > FULL_DENSE_MAX_L:
+        raise CapacityError(f"transfer matrix limited to L <= {FULL_DENSE_MAX_L}")
     orders = range(order + 1)
     paths = [(0, 0), (0, 1), (1, 0), (1, 1)]
     part = [
@@ -134,23 +122,6 @@ def _transfer_family(p, x, L, order=0):
     return outs
 
 
-def transfer_matrix(spec):
-    """Dense T(x; u), assembled from its sector blocks; spec.x may be complex."""
-    (t,) = _transfer_family(spec.params, spec.x, spec.L, order=0)
-    return Operator(
-        dense_from_sectors(t, spec.L), label=f"T(x={spec.x}; u={spec.params.u}) L={spec.L}"
-    )
-
-
-def propagator_from_transfer(p, L):
-    """U = T(-u/2)^{-1} T(u/2), solved per sector and assembled dense;
-    cross-check against the brickwork build."""
-    (t_minus,) = _transfer_family(p, -0.5 * p.u, L, order=0)
-    (t_plus,) = _transfer_family(p, 0.5 * p.u, L, order=0)
-    blocks = {m: np.linalg.solve(t_minus[m], t_plus[m]) for m in t_plus}
-    return Operator(dense_from_sectors(blocks, L), label="transfer propagator")
-
-
 def _traceless(blocks, L):
     """Sector blocks minus their common identity share, trace / 2^L."""
     shift = sum(np.trace(b) for b in blocks.values()) / (1 << L)
@@ -179,7 +150,7 @@ class ChargeFamily:
         return (self.matrix - self.matrix.conj().T) / 2j
 
     def conservation_defect(self, propagator):
-        """max |[Q, U]|; U dense, an Operator, or sector blocks."""
+        """max |[Q, U]|; U as sector blocks or a dense MC matrix."""
         return commutator_defect(self.blocks, propagator, self.L)
 
     def hermitian_part_defect(self, propagator):

@@ -406,7 +406,7 @@ def _cmd_charges(params, root, sha):
     if L > FULL_DENSE_MAX_L:
         raise CapacityError(f"charges limited to L <= {FULL_DENSE_MAX_L}")
     # the propagator as magnetization-sector blocks, like the charges
-    prop = {m: build_sector_block(circuit, sector_basis(L, m)).entries for m in range(-L, L + 1, 2)}
+    prop = {m: build_sector_block(circuit, sector_basis(L, m)) for m in range(-L, L + 1, 2)}
     payload = {"L": L, "ell": run["ell"], "phase": p.phase, "charges": {}}
     for sign in ("+", "-") if run["sign"] == "both" else (run["sign"],):
         if run["ell"] == 1:
@@ -730,10 +730,12 @@ _COMMANDS = {
 def main(argv=None):
     parser, parsers = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
+        if args.threads is not None:
+            if args.threads < 1:
+                raise ParameterError(f"threads must be >= 1, got {args.threads}")
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ[var] = str(args.threads)
         cfg_gate, cfg_run = _load_config(args.config) if args.config else ({}, {})
         params = _resolve(args.command, args, cfg_gate, cfg_run)
     except ParameterError as exc:

@@ -70,36 +70,11 @@ def translation_permutation(L, sites=1):
     return ((ns >> sites) | (ns << (L - sites))) & ((1 << L) - 1)
 
 
-def translation_matrix(L, sites=1):
-    """Sparse unitary of the cyclic shift by `sites`."""
-    perm = translation_permutation(L, sites)
-    dim = 1 << L
-    return sparse.csr_array(
-        (np.ones(dim), (perm, np.arange(dim))), shape=(dim, dim), dtype=complex
-    )
-
-
-@dataclass
-class Operator:
-    """Dense operator on L qubits with an optional asserted unitarity flag."""
-
-    entries: np.ndarray
-    label: str = ""
-    unitary: bool = False
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ParameterError("operator entries must be a square matrix")
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
-
-    def unitarity_defect(self):
-        g = self.entries.conj().T @ self.entries
-        g[np.diag_indices_from(g)] -= 1.0
-        return np.abs(g).max()
+def unitarity_defect(a):
+    """max |A^dag A - 1| entrywise."""
+    g = a.conj().T @ a
+    g[np.diag_indices_from(g)] -= 1.0
+    return np.abs(g).max()
 
 
 def _cayley(u, alpha):
@@ -394,7 +369,7 @@ def build_propagator(circuit):
     mat = np.eye(1 << circuit.L, dtype=complex)
     for u, (a, b) in circuit.layer_pairs():
         mat = _left_multiply(u, mat, a, b, circuit.L)
-    return Operator(mat, label=f"brickwork L={circuit.L} {circuit.boundary}", unitary=True)
+    return mat
 
 
 def embed_operator(kernel, sites, L):
@@ -423,58 +398,17 @@ def magnetization_commutator_defect(entries, L):
     return np.abs(entries * (m[None, :] - m[:, None])).max()
 
 
-def _translation_commutator_defect(entries, L, sites):
-    perm = translation_permutation(L, sites)
-    # S O S^-1 has entries O[inv(i), inv(j)]; compare with O
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    return np.abs(entries[np.ix_(inv, inv)] - entries).max()
-
-
-def restrict(op, basis, tol=1e-10):
-    """Block <b'|O|b> of a dense operator in a SectorBasis.
-
-    Checks that O commutes with the sector's symmetries (total sigma^z, and
-    the two-site shift when the basis is momentum-resolved) before projecting.
-    """
-    entries = op.entries if isinstance(op, Operator) else np.asarray(op, dtype=complex)
-    if entries.shape != (1 << basis.L, 1 << basis.L):
-        raise ParameterError("operator dimension does not match basis.L")
-    defect = magnetization_commutator_defect(entries, basis.L)
-    if defect > tol:
-        raise SymmetryError(
-            f"operator does not conserve magnetization (defect {defect:.3e})",
-            residual=float(defect),
-        )
-    if basis.momentum is not None:
-        defect = _translation_commutator_defect(entries, basis.L, 2)
-        if defect > tol:
-            raise SymmetryError(
-                f"operator not two-site translation invariant (defect {defect:.3e})",
-                residual=float(defect),
-            )
-    w = basis.vectors
-    block = w.conj().T @ (w.conj().T @ entries.conj().T).conj().T
-    label = getattr(op, "label", "")
-    return Operator(
-        np.asarray(block),
-        label=f"{label} | m={basis.magnetization}"
-        + (f" k={basis.momentum}" if basis.momentum is not None else ""),
-        unitary=getattr(op, "unitary", False),
-    )
-
-
 def sector_blocks(op, L, tol=1e-10):
     """Magnetization-sector blocks {m: block} of an operator on L qubits.
 
-    A dict is taken to be sector blocks already.  A dense matrix or
-    Operator is split along sector_states; one with weight between
-    sectors (magnetization_commutator_defect above tol) is refused with
+    A dict is taken to be sector blocks already.  A dense matrix is split
+    along sector_states; one with weight between sectors
+    (magnetization_commutator_defect above tol) is refused with
     SymmetryError, since its blocks would silently drop that weight.
     """
     if isinstance(op, dict):
         return op
-    entries = op.entries if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+    entries = np.asarray(op, dtype=complex)
     if entries.shape != (1 << L, 1 << L):
         raise ParameterError("operator dimension does not match L")
     defect = magnetization_commutator_defect(entries, L)
@@ -500,21 +434,14 @@ def dense_from_sectors(blocks, L):
 
 
 def commutator_defect(a, b, L):
-    """max |[A, B]| entrywise.
+    """max |[A, B]| entrywise, computed sector by sector.
 
-    A and B are dense matrices, Operators or sector blocks {m: block}.
-    When both conserve magnetization the commutator is computed sector by
-    sector, which is what makes L=12 checks affordable; two dense
-    operators that do not fall back to the dense product.
+    A and B are sector blocks {m: block} or dense magnetization-conserving
+    matrices, split by sector_blocks; a dense one with weight between
+    sectors raises SymmetryError.  Working per sector is what makes L=12
+    checks affordable.
     """
-    try:
-        a, b = sector_blocks(a, L, 1e-8), sector_blocks(b, L, 1e-8)
-    except SymmetryError:
-        if isinstance(a, dict) or isinstance(b, dict):
-            raise
-        a = a.entries if isinstance(a, Operator) else np.asarray(a)
-        b = b.entries if isinstance(b, Operator) else np.asarray(b)
-        return float(np.abs(a @ b - b @ a).max())
+    a, b = sector_blocks(a, L, 1e-8), sector_blocks(b, L, 1e-8)
     return max(float(np.abs(a[m] @ b[m] - b[m] @ a[m]).max()) for m in a)
 
 
@@ -683,8 +610,4 @@ def build_sector_block(circuit, basis):
     if basis.dim:
         v0 = basis.vectors[:, [0]].toarray().ravel()
         check_sector_column(propagator_apply(circuit, v0), x[:, 0], states, "propagator")
-    return Operator(
-        w.conj().T @ x,
-        label=f"brickwork block m={basis.magnetization} k={basis.momentum}",
-        unitary=True,
-    )
+    return w.conj().T @ x

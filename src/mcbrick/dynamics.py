@@ -201,9 +201,7 @@ def boundary_autocorrelation(
             )
         circuit = homogeneous_circuit(gate, L, "open")
         a = _sz_diagonal(L, 0)
-        vals = _exact_autocorrelation(
-            build_propagator(circuit).entries, a, L, steps, m_sel
-        )
+        vals = _exact_autocorrelation(build_propagator(circuit), a, L, steps, m_sel)
         return CorrelationSeries(times, vals, method, None, base)
     if method != "typicality":
         raise ParameterError(f"method must be exact-trace or typicality, got {method!r}")
@@ -251,7 +249,7 @@ def staggered_correlation(gate, L, steps):
         raise CapacityError(f"exact trace limited to L <= {FULL_DENSE_MAX_L}")
     circuit = homogeneous_circuit(gate, L, "periodic")
     a = _staggered_diagonal(L)
-    vals = _exact_autocorrelation(build_propagator(circuit).entries, a, L, steps) / L
+    vals = _exact_autocorrelation(build_propagator(circuit), a, L, steps) / L
     times = np.arange(steps + 1)
     meta = {"L": L, "boundary": "periodic", "steps": steps, "oscillations": "retained"}
     series = CorrelationSeries(times, vals, "exact-trace", None, meta)

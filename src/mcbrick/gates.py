@@ -112,10 +112,6 @@ def mc_zero_pattern_defect(matrix):
     return float(np.abs(m[_mc_zero_mask(m.shape[0])]).max())
 
 
-def identity_gate():
-    return TwoQubitGate(np.eye(4, dtype=complex), provenance="identity")
-
-
 def gate_from_hamiltonian(p):
     """Closed-form exp(-i tau h); the central block is a 2-level rotation.
 

@@ -30,8 +30,8 @@ residual run before it.
 
 Reference points: uncorrelated phases give mean gap ratio 2 ln 2 - 1, the
 orthogonal class (circuits with an antiunitary symmetry, e.g. open
-boundaries) about 0.53, the unitary class about 0.60.  Matching reference
-samplers and the three surmise curves are provided for calibration.
+boundaries) about 0.53, the unitary class about 0.60; the R_TILDE_*
+constants hold these three references.
 """
 
 import numpy as np
@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 from .core import (
     BLOCK_UNITARITY_TOL,
-    Operator,
     build_propagator,
     build_sector_block,
     check_sector_column,
@@ -48,6 +47,7 @@ from .core import (
     sector_states,
     sector_step,
     translation_permutation,
+    unitarity_defect,
     unitary_phases,
 )
 from .errors import CapacityError, ParameterError, SymmetryError
@@ -58,7 +58,6 @@ __all__ = [
     "R_TILDE_COE",
     "R_TILDE_CUE",
     "SpectrumResult",
-    "SpacingHistogram",
     "spacing_ratios",
     "scaled_spacings",
     "pooled_r_tilde",
@@ -67,13 +66,6 @@ __all__ = [
     "flip_reflection_permutation",
     "resolved_spectra",
     "full_spectrum",
-    "reference_curve",
-    "spacing_histogram",
-    "sample_poisson_phases",
-    "sample_cue_phases",
-    "sample_coe_phases",
-    "pooled_ratios",
-    "pooled_spacings",
     "phase_modded_overlap",
     "random_hopping_gate",
     "chaotic_gate_pair",
@@ -173,14 +165,14 @@ def is_homogeneous(circuit, tol=1e-12):
 
 
 def _checked_phases(block, what):
-    defect = block.unitarity_defect()
+    defect = unitarity_defect(block)
     if defect > BLOCK_UNITARITY_TOL:
         raise SymmetryError(
             f"{what} block is not unitary (defect {defect:.3e}); "
             "the circuit does not respect the requested resolution",
             residual=float(defect),
         )
-    return unitary_phases(block.entries)
+    return unitary_phases(block)
 
 
 def sector_spectrum(circuit, m, k=None):
@@ -236,8 +228,8 @@ def _k_block(circuit, basis):
         col[shifted] = x[:, 0]
         v0 = basis.vectors[:, [0]].toarray().ravel()
         check_sector_column(_apply_k(circuit, v0), col, states, "space-time")
-    kb = Operator(w[shifted, :].conj().T @ x, label="K block", unitary=True)
-    defect = kb.unitarity_defect()
+    kb = w[shifted, :].conj().T @ x
+    defect = unitarity_defect(kb)
     if defect > BLOCK_UNITARITY_TOL:
         raise SymmetryError(
             f"space-time block is not unitary (defect {defect:.3e})",
@@ -246,7 +238,7 @@ def _k_block(circuit, basis):
     return kb
 
 
-def _branch_phases(ub_entries, kb_entries, theta2):
+def _branch_phases(ub, kb, theta2):
     """Propagator eigenphases with K-branch parities, from K eigenvalues.
 
     K^2 = S^2 U and S^2 is the scalar exp(i theta2) on an (m, k) block, so
@@ -255,15 +247,15 @@ def _branch_phases(ub_entries, kb_entries, theta2):
     checked on the block itself: max|K^2 - exp(i theta2) U| must stay
     within BLOCK_UNITARITY_TOL, which proves U = exp(-i theta2) K^2 there.
     """
-    if not ub_entries.size:
+    if not ub.size:
         return np.zeros(0), np.zeros(0, dtype=int)
-    residual = np.abs(kb_entries @ kb_entries - np.exp(1j * theta2) * ub_entries).max()
+    residual = np.abs(kb @ kb - np.exp(1j * theta2) * ub).max()
     if residual > BLOCK_UNITARITY_TOL:
         raise SymmetryError(
             f"space-time block does not square to the propagator (residual {residual:.3e})",
             residual=float(residual),
         )
-    kappa = unitary_phases(kb_entries)
+    kappa = unitary_phases(kb)
     phi = (2 * kappa - theta2) % (2 * np.pi)
     parities = np.rint((kappa - 0.5 * theta2 - 0.5 * phi) / np.pi).astype(int) % 2
     return phi, parities
@@ -288,8 +280,10 @@ def _flip_reflection_block(basis, tol=BLOCK_UNITARITY_TOL):
 
     The operation sends m to -m and k to -k, so it closes on a sector only
     at m = 0 (and self-conjugate k on rings); elsewhere the restriction is
-    not unitary and None is returned.
+    not unitary and None is returned, for m != 0 before any 2^L work.
     """
+    if basis.magnetization != 0:
+        return None
     perm = flip_reflection_permutation(basis.L)
     w = basis.vectors
     xp = (w.conj().T @ w[perm, :]).toarray()
@@ -321,7 +315,7 @@ def resolved_spectra(circuit, m, k=None, tol=1e-9):
     if basis.dim == 0:
         return []
     ub = build_sector_block(circuit, basis)
-    defect = ub.unitarity_defect()
+    defect = unitarity_defect(ub)
     if defect > BLOCK_UNITARITY_TOL:
         raise SymmetryError(
             "sector block is not unitary; the circuit does not respect "
@@ -330,7 +324,7 @@ def resolved_spectra(circuit, m, k=None, tol=1e-9):
         )
 
     xp = _flip_reflection_block(basis)
-    if xp is not None and np.abs(xp @ ub.entries - ub.entries @ xp).max() > tol:
+    if xp is not None and np.abs(xp @ ub - ub @ xp).max() > tol:
         xp = None
 
     ring = circuit.boundary == "periodic" and is_homogeneous(circuit)
@@ -352,20 +346,20 @@ def resolved_spectra(circuit, m, k=None, tol=1e-9):
         )
 
     if kb is None and xp is None:
-        return [result(unitary_phases(ub.entries))]
+        return [result(unitary_phases(ub))]
 
     theta2 = 0.0 if k is None else 2 * np.pi * basis.momentum / (circuit.L // 2)
     if kb is None:
-        return [result(unitary_phases(wsub.conj().T @ ub.entries @ wsub), fp=sign)
+        return [result(unitary_phases(wsub.conj().T @ ub @ wsub), fp=sign)
                 for sign, wsub in _parity_vectors(xp)]
-    if xp is None or np.abs(xp @ kb.entries - kb.entries @ xp).max() > tol:
+    if xp is None or np.abs(xp @ kb - kb @ xp).max() > tol:
         # either no flip parity here, or it exchanges the K branches
-        phi, par = _branch_phases(ub.entries, kb.entries, theta2)
+        phi, par = _branch_phases(ub, kb, theta2)
         return [result(phi[par == p], st=p) for p in (0, 1)]
     out = []
     for sign, wsub in _parity_vectors(xp):
-        ub_s = wsub.conj().T @ ub.entries @ wsub
-        kb_s = wsub.conj().T @ kb.entries @ wsub
+        ub_s = wsub.conj().T @ ub @ wsub
+        kb_s = wsub.conj().T @ kb @ wsub
         phi, par = _branch_phases(ub_s, kb_s, theta2)
         out.extend(result(phi[par == p], st=p, fp=sign) for p in (0, 1))
     return out
@@ -387,96 +381,6 @@ def full_spectrum(circuit):
     op = build_propagator(circuit)
     phases = _checked_phases(op, "full")
     return _result_from_phases(phases, circuit.L, circuit.boundary, None, None)
-
-
-def reference_curve(name, s):
-    """Spacing density of the named reference on the grid s."""
-    s = np.asarray(s, dtype=float)
-    if name == "poisson":
-        return np.exp(-s)
-    if name == "coe":
-        return 0.5 * np.pi * s * np.exp(-0.25 * np.pi * s * s)
-    if name == "cue":
-        return (32.0 / np.pi**2) * s * s * np.exp(-4.0 * s * s / np.pi)
-    raise ParameterError(f"unknown reference {name!r}")
-
-
-@dataclass
-class SpacingHistogram:
-    bin_edges: np.ndarray
-    density: np.ndarray
-    references: dict
-    tv_distance: dict
-    few_phases: bool = False
-
-    def closest_reference(self):
-        return min(self.tv_distance, key=self.tv_distance.get)
-
-
-def spacing_histogram(result, bins=32, s_max=5.0):
-    """Normalized spacing histogram with the three reference curves.
-
-    Spacings can come from a SpectrumResult or a raw array.  Fewer than
-    200 phases sets few_phases instead of failing.  tv_distance holds the
-    total-variation distance to each reference on the same grid.
-    """
-    s = result.spacings if isinstance(result, SpectrumResult) else np.asarray(result)
-    few = s.size < 200
-    density, edges = np.histogram(s, bins=bins, range=(0.0, s_max), density=True)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    widths = np.diff(edges)
-    refs = {n: reference_curve(n, centers) for n in ("poisson", "coe", "cue")}
-    tv = {
-        n: float(0.5 * np.sum(np.abs(density - c) * widths)) for n, c in refs.items()
-    }
-    return SpacingHistogram(edges, density, refs, tv, few_phases=few)
-
-
-def sample_poisson_phases(n, seed=0):
-    """i.i.d. uniform phases: the uncorrelated reference."""
-    return np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=n)
-
-
-def sample_cue_phases(dim, n_matrices, seed=0):
-    """Eigenphases of Haar unitaries (unitary class reference).
-
-    One sorted array per matrix: spacings and ratios carry the level
-    correlations, so they must be computed per spectrum and only then
-    pooled; see pooled_ratios / pooled_spacings.
-    """
-    from scipy.stats import unitary_group
-
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_matrices):
-        u = unitary_group.rvs(dim, random_state=rng)
-        out.append(np.sort(unitary_phases(u)))
-    return out
-
-
-def sample_coe_phases(dim, n_matrices, seed=0):
-    """Eigenphases of symmetric unitaries V V^T (orthogonal class).
-
-    Same per-matrix layout as sample_cue_phases.
-    """
-    from scipy.stats import unitary_group
-
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_matrices):
-        v = unitary_group.rvs(dim, random_state=rng)
-        out.append(np.sort(unitary_phases(v @ v.T)))
-    return out
-
-
-def pooled_ratios(phase_sets):
-    """Gap ratios computed per spectrum, then pooled."""
-    return np.concatenate([spacing_ratios(p) for p in phase_sets])
-
-
-def pooled_spacings(phase_sets):
-    """Unit-mean spacings computed per spectrum, then pooled."""
-    return np.concatenate([scaled_spacings(p) for p in phase_sets])
 
 
 CHAOS_HOP_WINDOW = (0.55, 0.75)

@@ -24,12 +24,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import CriticalManifoldError, ParameterError, RefusalError
-from .gates import (
-    HamiltonianGateParams,
-    TwoQubitGate,
-    gate_from_haar,
-    mc_zero_pattern_defect,
-)
+from .gates import gate_from_haar
 
 EPS_CRITICAL = 1e-9
 
@@ -111,11 +106,6 @@ def r_matrix_jet(p, x, order):
         sum(comb(n, k) * (1j * p.beta) ** (n - k) * scaled[k] for k in range(n + 1))
         for n in range(1, order + 1)
     ]
-
-
-def gate_from_r(p):
-    """The physical two-qubit gate Rc(u)."""
-    return TwoQubitGate(r_matrix(p, p.u), provenance=f"r-matrix phase {p.phase}")
 
 
 def _on_01(r, x):

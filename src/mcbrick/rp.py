@@ -53,14 +53,10 @@ from .rmatrix import haar_to_r
 
 __all__ = [
     "LETTERS",
-    "LocalOperatorSpace",
     "TruncatedPropagator",
     "RPMode",
     "RPSpectrum",
-    "build_basis",
     "charge_of_string",
-    "string_tensor",
-    "heisenberg_step",
     "truncated_propagator",
     "rp_spectrum",
     "unit_multiplicity",
@@ -77,33 +73,8 @@ UNIT_TOL = 1e-8
 CHARGE_OVERLAP_MIN = 0.99
 
 
-@dataclass(frozen=True)
-class LocalOperatorSpace:
-    """Ordered string basis of one (support, parity, charge) class."""
-
-    r: int
-    parity: str
-    charge_block: int
-    basis: tuple
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-
 def _all_strings(r):
     return ["".join(t) for t in product(LETTERS, repeat=r) if t[0] != "1"]
-
-
-def build_basis(r, parity, charge_block):
-    """Translation-class representatives: length-r strings over {1,z,+,-}
-    with a non-identity first letter and the requested charge."""
-    if not 1 <= r <= R_MAX:
-        raise CapacityError(f"support must satisfy 1 <= r <= {R_MAX}, got {r}")
-    if parity not in ("even", "odd"):
-        raise ParameterError(f"parity must be 'even' or 'odd', got {parity!r}")
-    labels = tuple(s for s in _all_strings(r) if charge_of_string(s) == charge_block)
-    return LocalOperatorSpace(r, parity, charge_block, labels)
 
 
 def _conjugation_superop(gate):
@@ -118,90 +89,6 @@ def _conjugation_superop(gate):
         for a_idx, pa in enumerate(basis):
             out[a_idx, b_idx] = np.trace(pa.conj().T @ evolved) / 4.0
     return out
-
-
-def _apply_pair(superop, flat, i, w):
-    """Contract a 16x16 superoperator into axes (i, i+1) of string tensors.
-
-    flat: (4**w, n) coefficient columns, C-ordered site axes.
-    """
-    lead = 4**i
-    rest = flat.size // (lead * 16)
-    m = flat.reshape(lead, 16, rest)
-    return np.matmul(superop[None, :, :], m).reshape(flat.shape)
-
-
-def _one_step(flat, w, window_parity, superop):
-    """U^dag q U for string-coefficient columns on a w-site window.
-
-    window_parity: lattice parity of window site 0.  Layer-one gates start
-    on even lattice sites and are applied to states first, so conjugation
-    applies the layer-two superoperators first.
-    """
-    first = [i for i in range(w - 1) if (i + window_parity) % 2 == 0]
-    second = [i for i in range(w - 1) if (i + window_parity) % 2 == 1]
-    out = flat
-    for i in second:
-        out = _apply_pair(superop, out, i, w)
-    for i in first:
-        out = _apply_pair(superop, out, i, w)
-    return out
-
-
-def _support_range(coeffs, w):
-    """First and last window site carrying non-identity weight, or None."""
-    t = np.abs(coeffs).reshape((4,) * w)
-    occupied = []
-    for i in range(w):
-        m = np.moveaxis(t, i, 0)
-        occupied.append(m[1:].sum() > 1e-14)
-    idx = [i for i, o in enumerate(occupied) if o]
-    if not idx:
-        return None
-    return idx[0], idx[-1]
-
-
-def string_tensor(label, position, w):
-    """Embed a string with its first letter at window site `position`."""
-    if position < 0 or position + len(label) > w:
-        raise ParameterError("string does not fit in the window")
-    t = np.zeros((4,) * w, dtype=complex)
-    idx = [0] * w
-    for i, ch in enumerate(label):
-        idx[position + i] = LETTERS.index(ch)
-    t[tuple(idx)] = 1.0
-    return t
-
-
-def heisenberg_step(q, gate, window):
-    """One brickwall step U^dag q U of a window operator, exactly.
-
-    q: string coefficients, shape (4,)*w.  window: lattice position of
-    window site 0; its parity aligns the two gate layers.  The operator
-    must leave enough identity margin for its one-step light cone: two
-    sites on a side where the outermost letter touches a layer-two gate
-    from outside (even lattice site on the left edge, odd on the right),
-    one site otherwise.  Too little margin raises ParameterError.
-    """
-    t = np.asarray(q, dtype=complex)
-    w = t.ndim
-    if t.shape != (4,) * w or w < 2:
-        raise ParameterError("operator must have shape (4,)*w with w >= 2")
-    span = _support_range(t, w)
-    if span is not None:
-        left, right = span
-        need_left = 2 if (window + left) % 2 == 0 else 1
-        need_right = 2 if (window + right) % 2 == 1 else 1
-        if left < need_left or (w - 1 - right) < need_right:
-            raise ParameterError(
-                "window cannot contain the one-step light cone: need "
-                f"{need_left} free sites left and {need_right} right of the "
-                "support for this alignment"
-            )
-    superop = _conjugation_superop(gate)
-    flat = t.reshape(-1, 1)
-    out = _one_step(flat, w, window % 2, superop)
-    return out.reshape((4,) * w)
 
 
 @dataclass
@@ -235,14 +122,13 @@ class TruncatedPropagator:
             default=0.0,
         )
 
-    def block_of(self, charge):
-        return self.blocks[charge]
-
 
 def _cone_operators(superop, pos, r):
     """Light cone (lo, hi) of a length-r string at window site `pos` (site
     0 even) and its sparse pair superoperators, layer two (odd bonds)
-    first; the edges move as heisenberg_step's margins require."""
+    first.  An edge moves out by two sites where its outermost letter
+    meets a layer-two gate from outside (an even left edge, an odd right
+    edge), by one otherwise."""
     end = pos + r - 1
     lo, hi = pos - (2 if pos % 2 == 0 else 1), end + (2 if end % 2 == 1 else 1)
     s, eye = scipy.sparse.csr_matrix(superop), scipy.sparse.identity
@@ -350,9 +236,6 @@ class RPSpectrum:
     eps_keep: float
     modes: list
     block_dims: dict
-
-    def eigenvalues(self):
-        return np.array([m.eigenvalue for m in self.modes])
 
 
 def rp_spectrum(tp, eps_keep=0.25, conserved=None):

@@ -34,14 +34,10 @@ matrix.  A match in every sector implies a match of the full eigenvalue
 multisets, and the residual of T U~ T^{-1} - U~^dag, being block
 diagonal, has its largest entry in one of the sector blocks.  Momentum
 blocks do not apply: the site angles of W break the two-site shift.
-
-The same single-bond z rotation removes the antisymmetric (DM) part of a
-gate generator: rotating by half of atan2(-D, J) maps the couplings
-(J, D) to (sqrt(J^2 + D^2), 0) and leaves the other terms alone.
 """
 
 import numpy as np
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     FULL_DENSE_MAX_L,
@@ -52,20 +48,11 @@ from .core import (
     unitary_phases,
 )
 from .errors import CapacityError, ParameterError, TimeReversalRefusal
-from .gates import (
-    TwoQubitGate,
-    gate_sqrt,
-    haar_params_from_gate,
-    hamiltonian_params_from_gate,
-)
+from .gates import gate_sqrt, haar_params_from_gate, hamiltonian_params_from_gate
 
 __all__ = [
     "AntiUnitary",
-    "single_gate_time_reversal",
     "reversal_residual",
-    "dm_rotation_angle",
-    "dm_rotation_gate",
-    "rotate_out_dm",
     "equivalent_circuit",
     "closure_defect",
     "global_time_reversal",
@@ -98,7 +85,7 @@ class AntiUnitary:
 
     def conjugate_operator(self, op):
         """T A T^{-1} = W conj(A) W^dag."""
-        a = np.asarray(op.entries if hasattr(op, "entries") else op, dtype=complex)
+        a = np.asarray(op, dtype=complex)
         return self.diag[:, None] * a.conj() * self.diag.conj()[None, :]
 
     def involution_defect(self):
@@ -106,41 +93,10 @@ class AntiUnitary:
         return np.abs(self.diag * self.diag.conj() - 1.0).max()
 
 
-def _w_pair(theta):
-    return np.array([1.0, np.exp(-1j * theta), np.exp(1j * theta), 1.0])
-
-
-def single_gate_time_reversal(gate):
-    """Antiunitary T1 with T1 g T1^{-1} = g^dag for one MC gate."""
-    theta = haar_params_from_gate(gate).params.theta_v
-    return AntiUnitary(_w_pair(theta), label=f"W(theta={theta:.6g}) K")
-
-
 def reversal_residual(tr, op):
     """max-entry size of T A T^{-1} - A^dag."""
-    a = np.asarray(op.entries if hasattr(op, "entries") else op, dtype=complex)
+    a = np.asarray(op, dtype=complex)
     return float(np.abs(tr.conjugate_operator(a) - a.conj().T).max())
-
-
-def dm_rotation_angle(params):
-    """Half-angle of the z rotation that cancels the DM coupling."""
-    return 0.5 * np.arctan2(-params.D, params.J)
-
-
-def dm_rotation_gate(params):
-    """The two-qubit z rotation W implementing rotate_out_dm by conjugation."""
-    return TwoQubitGate(
-        np.diag(_w_pair(dm_rotation_angle(params))), provenance="dm-rotation"
-    )
-
-
-def rotate_out_dm(params):
-    """Generator parameters after rotating the DM term away.
-
-    W g(params) W^dag equals the gate generated by the returned parameters,
-    which have D = 0 and the hopping promoted to sqrt(J^2 + D^2).
-    """
-    return replace(params, J=float(np.hypot(params.J, params.D)), D=0.0)
 
 
 def equivalent_circuit(circuit):
@@ -222,10 +178,8 @@ def spectral_match_error(u, v):
     (phases piling near the branch cut), fall back to an optimal
     assignment.
     """
-    a = u.entries if hasattr(u, "entries") else u
-    b = v.entries if hasattr(v, "entries") else v
-    ea = np.exp(1j * np.sort(unitary_phases(a)))
-    eb = np.exp(1j * np.sort(unitary_phases(b)))
+    ea = np.exp(1j * np.sort(unitary_phases(u)))
+    eb = np.exp(1j * np.sort(unitary_phases(v)))
     err = float(np.abs(ea - eb).max())
     if err < 1e-8:
         return err
@@ -254,8 +208,8 @@ def time_reversal_report(circuit):
     residuals, mismatches = [], []
     for m in range(-L, L + 1, 2):
         basis = sector_basis(L, m)
-        u = build_sector_block(circuit, basis).entries
-        ut = build_sector_block(sym, basis).entries
+        u = build_sector_block(circuit, basis)
+        ut = build_sector_block(sym, basis)
         tr_m = AntiUnitary(tr.diag[sector_states(L, m)])
         residuals.append(reversal_residual(tr_m, ut))
         mismatches.append(spectral_match_error(u, ut))

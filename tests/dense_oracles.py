@@ -1,23 +1,48 @@
-"""Dense 2^L reference builds, kept as oracles for the sector-blocked code.
+"""Reference constructions kept as oracles for the package's live code.
 
-These are the full-space constructions the package used before its charge
-path moved to magnetization-sector blocks: the auxiliary-space einsum
-contraction of the transfer matrix and its x-derivatives, the Pauli
-x/y/z string enumeration of the window projection, and the dense ring
-coefficient of a {1, z, p, m} string.  The x-derivatives of Rc come from
-the hand-written closed forms of R' and R'' below, not from
-rmatrix.r_matrix_jet.  They share no code with the sector path.
+None of these is on a CLI path; each is what a test compares live code
+against.
 
-The per-state orbit walk of the momentum basis (loop_momentum_basis) is
-the construction core.sector_basis used before its orbits became cached
-array shifts.
+* Dense 2^L builds of the charge path: the auxiliary-space einsum
+  contraction of the transfer matrix and its x-derivatives, the Pauli
+  x/y/z string enumeration of the window projection, and the dense ring
+  coefficient of a {1, z, p, m} string.  The x-derivatives of Rc come from
+  the hand-written closed forms of R' and R'' below, not from
+  rmatrix.r_matrix_jet.  They share no code with the sector path.
+  transfer_matrix and propagator_from_transfer assemble the sector-blocked
+  charges._transfer_family into dense operators.
+* The per-state orbit walk of the momentum basis (loop_momentum_basis),
+  the dense sector restriction (restrict) and the sparse shift
+  (translation_matrix), against which core.sector_basis and the sector
+  blocks are checked.
+* The window-by-window Heisenberg step of rp (heisenberg_step), which
+  conjugates one string tensor through every gate of a fixed window,
+  against the light-cone rp.truncated_propagator.
+* Eigenphase samplers of the three level-statistics classes, which pin
+  the levelstats.R_TILDE_* references.
+* The one-gate time reversal W(theta) K and the single-bond z rotation
+  that removes the DM coupling of a Hamiltonian gate.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from scipy import sparse
 
-from mcbrick.core import sector_states
+from mcbrick.charges import LETTERS, _transfer_family
+from mcbrick.core import (
+    dense_from_sectors,
+    magnetization_commutator_defect,
+    sector_states,
+    translation_permutation,
+    unitary_phases,
+)
+from mcbrick.errors import ParameterError, SymmetryError
+from mcbrick.gates import TwoQubitGate, haar_params_from_gate
+from mcbrick.levelstats import spacing_ratios
 from mcbrick.rmatrix import ab_values, r_matrix
+from mcbrick.rp import _conjugation_superop
+from mcbrick.symmetry import AntiUnitary
 
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -219,3 +244,238 @@ def loop_momentum_basis(L, m, k):
         col += 1
     vec = sparse.csr_array((vals, (rows, cols)), shape=(1 << L, col), dtype=complex)
     return labels, vec
+
+
+# ------------------------------------------------------------ gates and R
+
+def identity_gate():
+    return TwoQubitGate(np.eye(4, dtype=complex), provenance="identity")
+
+
+def gate_from_r(p):
+    """The physical two-qubit gate Rc(u)."""
+    return TwoQubitGate(r_matrix(p, p.u), provenance=f"r-matrix phase {p.phase}")
+
+
+# ------------------------------------------------------- transfer matrices
+
+def transfer_matrix(p, x, L):
+    """Dense T(x; u), assembled from its sector blocks; x may be complex."""
+    (t,) = _transfer_family(p, x, L, order=0)
+    return dense_from_sectors(t, L)
+
+
+def propagator_from_transfer(p, L):
+    """U = T(-u/2)^{-1} T(u/2), solved per sector and assembled dense."""
+    (t_minus,) = _transfer_family(p, -0.5 * p.u, L, order=0)
+    (t_plus,) = _transfer_family(p, 0.5 * p.u, L, order=0)
+    return dense_from_sectors({m: np.linalg.solve(t_minus[m], t_plus[m]) for m in t_plus}, L)
+
+
+# --------------------------------------------------------- sector blocks
+
+def translation_matrix(L, sites=1):
+    """Sparse unitary of the cyclic shift by `sites`."""
+    perm = translation_permutation(L, sites)
+    dim = 1 << L
+    return sparse.csr_array(
+        (np.ones(dim), (perm, np.arange(dim))), shape=(dim, dim), dtype=complex
+    )
+
+
+def _translation_commutator_defect(entries, L, sites):
+    perm = translation_permutation(L, sites)
+    # S O S^-1 has entries O[inv(i), inv(j)]; compare with O
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    return np.abs(entries[np.ix_(inv, inv)] - entries).max()
+
+
+def restrict(op, basis, tol=1e-10):
+    """Block <b'|O|b> of a dense operator in a SectorBasis.
+
+    Checks that O commutes with the sector's symmetries (total sigma^z, and
+    the two-site shift when the basis is momentum-resolved) before projecting.
+    """
+    entries = np.asarray(op, dtype=complex)
+    if entries.shape != (1 << basis.L, 1 << basis.L):
+        raise ParameterError("operator dimension does not match basis.L")
+    defect = magnetization_commutator_defect(entries, basis.L)
+    if defect > tol:
+        raise SymmetryError(
+            f"operator does not conserve magnetization (defect {defect:.3e})",
+            residual=float(defect),
+        )
+    if basis.momentum is not None:
+        defect = _translation_commutator_defect(entries, basis.L, 2)
+        if defect > tol:
+            raise SymmetryError(
+                f"operator not two-site translation invariant (defect {defect:.3e})",
+                residual=float(defect),
+            )
+    w = basis.vectors
+    return np.asarray(w.conj().T @ (w.conj().T @ entries.conj().T).conj().T)
+
+
+# ------------------------------------------------------ RP window step
+
+def _apply_pair(superop, flat, i, w):
+    """Contract a 16x16 superoperator into axes (i, i+1) of string tensors.
+
+    flat: (4**w, n) coefficient columns, C-ordered site axes.
+    """
+    lead = 4**i
+    rest = flat.size // (lead * 16)
+    m = flat.reshape(lead, 16, rest)
+    return np.matmul(superop[None, :, :], m).reshape(flat.shape)
+
+
+def _one_step(flat, w, window_parity, superop):
+    """U^dag q U for string-coefficient columns on a w-site window.
+
+    window_parity: lattice parity of window site 0.  Layer-one gates start
+    on even lattice sites and are applied to states first, so conjugation
+    applies the layer-two superoperators first.
+    """
+    first = [i for i in range(w - 1) if (i + window_parity) % 2 == 0]
+    second = [i for i in range(w - 1) if (i + window_parity) % 2 == 1]
+    out = flat
+    for i in second:
+        out = _apply_pair(superop, out, i, w)
+    for i in first:
+        out = _apply_pair(superop, out, i, w)
+    return out
+
+
+def _support_range(coeffs, w):
+    """First and last window site carrying non-identity weight, or None."""
+    t = np.abs(coeffs).reshape((4,) * w)
+    occupied = []
+    for i in range(w):
+        m = np.moveaxis(t, i, 0)
+        occupied.append(m[1:].sum() > 1e-14)
+    idx = [i for i, o in enumerate(occupied) if o]
+    if not idx:
+        return None
+    return idx[0], idx[-1]
+
+
+def string_tensor(label, position, w):
+    """Embed a string with its first letter at window site `position`."""
+    if position < 0 or position + len(label) > w:
+        raise ParameterError("string does not fit in the window")
+    t = np.zeros((4,) * w, dtype=complex)
+    idx = [0] * w
+    for i, ch in enumerate(label):
+        idx[position + i] = LETTERS.index(ch)
+    t[tuple(idx)] = 1.0
+    return t
+
+
+def heisenberg_step(q, gate, window):
+    """One brickwall step U^dag q U of a window operator, exactly.
+
+    q: string coefficients, shape (4,)*w.  window: lattice position of
+    window site 0; its parity aligns the two gate layers.  The operator
+    must leave enough identity margin for its one-step light cone: two
+    sites on a side where the outermost letter touches a layer-two gate
+    from outside (even lattice site on the left edge, odd on the right),
+    one site otherwise.  Too little margin raises ParameterError.
+    """
+    t = np.asarray(q, dtype=complex)
+    w = t.ndim
+    if t.shape != (4,) * w or w < 2:
+        raise ParameterError("operator must have shape (4,)*w with w >= 2")
+    span = _support_range(t, w)
+    if span is not None:
+        left, right = span
+        need_left = 2 if (window + left) % 2 == 0 else 1
+        need_right = 2 if (window + right) % 2 == 1 else 1
+        if left < need_left or (w - 1 - right) < need_right:
+            raise ParameterError(
+                "window cannot contain the one-step light cone: need "
+                f"{need_left} free sites left and {need_right} right of the "
+                "support for this alignment"
+            )
+    superop = _conjugation_superop(gate)
+    flat = t.reshape(-1, 1)
+    out = _one_step(flat, w, window % 2, superop)
+    return out.reshape((4,) * w)
+
+
+# ------------------------------------------------ level-statistics classes
+
+def sample_poisson_phases(n, seed=0):
+    """i.i.d. uniform phases: the uncorrelated reference."""
+    return np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=n)
+
+
+def sample_cue_phases(dim, n_matrices, seed=0):
+    """Eigenphases of Haar unitaries (unitary class reference).
+
+    One sorted array per matrix: ratios carry the level correlations, so
+    they must be computed per spectrum and only then pooled; see
+    pooled_ratios.
+    """
+    from scipy.stats import unitary_group
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_matrices):
+        u = unitary_group.rvs(dim, random_state=rng)
+        out.append(np.sort(unitary_phases(u)))
+    return out
+
+
+def sample_coe_phases(dim, n_matrices, seed=0):
+    """Eigenphases of symmetric unitaries V V^T (orthogonal class).
+
+    Same per-matrix layout as sample_cue_phases.
+    """
+    from scipy.stats import unitary_group
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_matrices):
+        v = unitary_group.rvs(dim, random_state=rng)
+        out.append(np.sort(unitary_phases(v @ v.T)))
+    return out
+
+
+def pooled_ratios(phase_sets):
+    """Gap ratios computed per spectrum, then pooled."""
+    return np.concatenate([spacing_ratios(p) for p in phase_sets])
+
+
+# ------------------------------------------------------- time reversal
+
+def _w_pair(theta):
+    return np.array([1.0, np.exp(-1j * theta), np.exp(1j * theta), 1.0])
+
+
+def single_gate_time_reversal(gate):
+    """Antiunitary T1 with T1 g T1^{-1} = g^dag for one MC gate."""
+    theta = haar_params_from_gate(gate).params.theta_v
+    return AntiUnitary(_w_pair(theta), label=f"W(theta={theta:.6g}) K")
+
+
+def dm_rotation_angle(params):
+    """Half-angle of the z rotation that cancels the DM coupling."""
+    return 0.5 * np.arctan2(-params.D, params.J)
+
+
+def dm_rotation_gate(params):
+    """The two-qubit z rotation W implementing rotate_out_dm by conjugation."""
+    return TwoQubitGate(
+        np.diag(_w_pair(dm_rotation_angle(params))), provenance="dm-rotation"
+    )
+
+
+def rotate_out_dm(params):
+    """Generator parameters after rotating the DM term away.
+
+    Rotating by half of atan2(-D, J) maps the couplings (J, D) to
+    (sqrt(J^2 + D^2), 0) and leaves the other terms alone, so W g(params)
+    W^dag equals the gate generated by the returned parameters.
+    """
+    return replace(params, J=float(np.hypot(params.J, params.D)), D=0.0)

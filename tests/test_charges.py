@@ -8,8 +8,11 @@ import pytest
 from dense_oracles import (
     dense_charges,
     einsum_transfer_family,
+    gate_from_r,
     pauli_window_projection,
+    propagator_from_transfer,
     traceless,
+    transfer_matrix,
 )
 from mcbrick.core import (
     build_propagator,
@@ -25,19 +28,16 @@ from mcbrick.core import (
     translation_permutation,
 )
 from mcbrick.gates import haar_params_from_gate, random_mc_gate, sample_haar
-from mcbrick.rmatrix import RMatrixParams, gate_from_r, haar_to_r, r_matrix, r_matrix_jet
+from mcbrick.rmatrix import RMatrixParams, haar_to_r, r_matrix, r_matrix_jet
 from mcbrick.charges import (
     ChargeFamily,
-    TransferMatrixSpec,
     _transfer_family,
     charge_q1,
     charge_q1_closed_form,
     closed_form_kernel,
     higher_charge,
     pauli_string_window_projection,
-    propagator_from_transfer,
     q1_kernels,
-    transfer_matrix,
 )
 from mcbrick.errors import CapacityError, CriticalManifoldError, ParameterError, SymmetryError
 
@@ -47,7 +47,7 @@ P_II = RMatrixParams(beta=0.3, xi=0.8, theta=1.1, rho=0.45, u=0.8, phase="II")
 
 def brickwork_unitary(p, L):
     circ = homogeneous_circuit(gate_from_r(p), L, boundary="periodic")
-    return build_propagator(circ).entries
+    return build_propagator(circ)
 
 
 def sample_mapped(seed):
@@ -65,8 +65,7 @@ def sample_mapped(seed):
 def test_transfer_matrix_l2_hand_contraction():
     p = P_I
     x = 0.37
-    spec = TransferMatrixSpec(p, x, 2)
-    t = transfer_matrix(spec).entries
+    t = transfer_matrix(p, x, 2)
     swap = np.array(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     )
@@ -82,22 +81,22 @@ def test_transfer_matrices_commute():
     for p in (P_I, P_II):
         for _ in range(5):
             x, y = rng.uniform(-1.5, 1.5, size=2)
-            tx = transfer_matrix(TransferMatrixSpec(p, x, 8)).entries
-            ty = transfer_matrix(TransferMatrixSpec(p, y, 8)).entries
+            tx = transfer_matrix(p, x, 8)
+            ty = transfer_matrix(p, y, 8)
             assert np.abs(tx @ ty - ty @ tx).max() < 1e-9
 
 
 def test_transfer_matrix_capacity_and_validation():
     with pytest.raises(CapacityError):
-        TransferMatrixSpec(P_I, 0.1, 14)
+        _transfer_family(P_I, 0.1, 14)
     with pytest.raises(ParameterError):
-        TransferMatrixSpec(P_I, 0.1, 7)
+        _transfer_family(P_I, 0.1, 7)
 
 
 def test_propagator_identity():
     for p in (P_I, P_II):
         for L in (4, 8):
-            u_tm = propagator_from_transfer(p, L).entries
+            u_tm = propagator_from_transfer(p, L)
             u_brick = brickwork_unitary(p, L)
             assert np.abs(u_tm - u_brick).max() < 1e-10
 
@@ -342,7 +341,7 @@ def test_charges_command_builds_no_dense_operator(ell, monkeypatch, tmp_path):
 def test_second_charges_at_the_L12_cap():
     L = 12
     circuit = homogeneous_circuit(gate_from_r(P_I), L, boundary="periodic")
-    prop = {m: build_sector_block(circuit, sector_basis(L, m)).entries for m in range(-L, L + 1, 2)}
+    prop = {m: build_sector_block(circuit, sector_basis(L, m)) for m in range(-L, L + 1, 2)}
     for sign in "+-":
         q2 = higher_charge(P_I, 2, sign, L)
         assert q2.conservation_defect(prop) < 1e-7

@@ -1,6 +1,7 @@
 """Batch CLI: exit codes, run records and determinism, run in-process."""
 
 import json
+import os
 
 import pytest
 
@@ -203,3 +204,13 @@ def test_non_finite_run_floats_are_parameter_errors(tmp_path, capsys, command, a
     assert "must be finite" in capsys.readouterr().err
     strict_json(tmp_path / f"{command}-runrecord.json")
     assert not (tmp_path / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_are_parameter_errors(tmp_path, capsys, monkeypatch, threads):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    assert run(tmp_path, "classify", *GATE_II, "--threads", threads) == 2
+    assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert not (tmp_path / "classify.json").exists()

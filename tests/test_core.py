@@ -11,33 +11,39 @@ from mcbrick.core import (
     CAYLEY_ALPHA,
     GROUP_BONDS,
     BrickworkCircuit,
-    Operator,
     _bond_pattern,
     _group_pattern,
     apply_gate,
     build_propagator,
     check_sector_column,
+    commutator_defect,
+    dense_from_sectors,
     homogeneous_circuit,
     layer_bonds,
     layer_operators,
     magnetization_commutator_defect,
     magnetization_of,
     propagator_apply,
-    restrict,
     sector_basis,
     sector_operators,
     sector_states,
     sector_step,
-    translation_matrix,
     translation_permutation,
+    unitarity_defect,
     unitary_phases,
 )
-from mcbrick.gates import gate_matrix, identity_gate, random_mc_gate, TwoQubitGate
+from mcbrick.gates import gate_matrix, random_mc_gate, TwoQubitGate
 from mcbrick.errors import CapacityError, ParameterError, SymmetryError
 from mcbrick.levelstats import chaotic_gate_pair
 from mcbrick.symmetry import equivalent_circuit
 
-from dense_oracles import loop_momentum_basis, translate_index
+from dense_oracles import (
+    identity_gate,
+    loop_momentum_basis,
+    restrict,
+    translate_index,
+    translation_matrix,
+)
 
 SWAP = TwoQubitGate(
     np.array(
@@ -141,19 +147,19 @@ def test_apply_gate_rejects_non_adjacent():
 def test_propagator_trivial_cases():
     circ = homogeneous_circuit(identity_gate(), 6, boundary="periodic")
     u = build_propagator(circ)
-    assert np.abs(u.entries - np.eye(64)).max() < 1e-14
+    assert np.abs(u - np.eye(64)).max() < 1e-14
 
     gate = random_mc_gate(3)
     circ2 = BrickworkCircuit(2, layers=([gate], []), boundary="open")
     u2 = build_propagator(circ2)
-    assert np.abs(u2.entries - gate.matrix).max() < 1e-14
+    assert np.abs(u2 - gate.matrix).max() < 1e-14
 
 
 def test_propagator_matches_gate_composition():
     L = 4
     gate = random_mc_gate(5)
     circ = homogeneous_circuit(gate, L, boundary="periodic")
-    u = build_propagator(circ).entries
+    u = build_propagator(circ)
     rng = np.random.default_rng(7)
     psi = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
     # odd layer on (0,1) and (2,3), then even layer on (1,2) and (3,0)
@@ -169,7 +175,7 @@ def test_matrix_free_propagator_agrees_with_dense():
         L = 8
         gate = random_mc_gate(9)
         circ = homogeneous_circuit(gate, L, boundary=boundary)
-        u = build_propagator(circ).entries
+        u = build_propagator(circ)
         rng = np.random.default_rng(13)
         for _ in range(100):
             psi = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
@@ -179,31 +185,59 @@ def test_matrix_free_propagator_agrees_with_dense():
 def test_propagator_conserves_magnetization():
     circ = homogeneous_circuit(random_mc_gate(21), 8, boundary="periodic")
     u = build_propagator(circ)
-    assert magnetization_commutator_defect(u.entries, 8) < 1e-12
-    assert u.unitarity_defect() < 1e-12
+    assert magnetization_commutator_defect(u, 8) < 1e-12
+    assert unitarity_defect(u) < 1e-12
+
+
+def _random_sector_blocks(L, rng):
+    return {
+        m: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for m, n in ((m, sector_states(L, m).size) for m in range(-L, L + 1, 2))
+    }
+
+
+def test_commutator_defect_refuses_dense_non_mc_matrices():
+    L, dim = 6, 1 << 6
+    rng = np.random.default_rng(3)
+    a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
+    with pytest.raises(SymmetryError, match="does not conserve magnetization") as err:
+        commutator_defect(a, b, L)
+    assert err.value.residual > 1e-8
+    with pytest.raises(SymmetryError):
+        commutator_defect(a, _random_sector_blocks(L, rng), L)
+
+
+def test_commutator_defect_of_mc_operators_dense_blocked_or_mixed():
+    # random MC operators make the commutator O(1), so a wrong block formula shows
+    L = 6
+    rng = np.random.default_rng(4)
+    a_blocks, b_blocks = _random_sector_blocks(L, rng), _random_sector_blocks(L, rng)
+    a, b = dense_from_sectors(a_blocks, L), dense_from_sectors(b_blocks, L)
+    want = np.abs(a @ b - b @ a).max()
+    assert want > 1e-3
+    for x, y in ((a, b), (a_blocks, b_blocks), (a, b_blocks), (a_blocks, b)):
+        assert commutator_defect(x, y, L) == pytest.approx(want, rel=1e-12)
 
 
 def test_restrict_trivial_cases():
     basis = sector_basis(4, 0)
-    eye = Operator(np.eye(16), unitary=True)
-    r = restrict(eye, basis)
-    assert np.abs(r.entries - np.eye(6)).max() < 1e-14
+    r = restrict(np.eye(16), basis)
+    assert np.abs(r - np.eye(6)).max() < 1e-14
 
     mags = np.array([magnetization_of(n, 4) for n in range(16)], dtype=float)
-    sz_total = Operator(np.diag(mags))
-    r2 = restrict(sz_total, basis)
-    assert np.abs(r2.entries).max() < 1e-14
+    r2 = restrict(np.diag(mags), basis)
+    assert np.abs(r2).max() < 1e-14
 
 
 def test_restrict_reassembles_full_spectrum():
     L = 8
     circ = homogeneous_circuit(random_mc_gate(17), L, boundary="periodic")
     u = build_propagator(circ)
-    full = np.sort(np.angle(np.linalg.eigvals(u.entries)))
+    full = np.sort(np.angle(np.linalg.eigvals(u)))
     blocks = []
     for m in range(-L, L + 1, 2):
         r = restrict(u, sector_basis(L, m))
-        blocks.append(np.angle(np.linalg.eigvals(r.entries)))
+        blocks.append(np.angle(np.linalg.eigvals(r)))
     assert np.abs(np.sort(np.concatenate(blocks)) - full).max() < 1e-10
 
 

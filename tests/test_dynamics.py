@@ -25,9 +25,10 @@ from mcbrick.gates import (
     HamiltonianGateParams,
     gate_from_hamiltonian,
     gate_matrix,
-    identity_gate,
     random_mc_gate,
 )
+
+from dense_oracles import identity_gate
 
 
 def phase_point(delta):
@@ -69,7 +70,7 @@ def test_exact_trace_matches_step_by_step_powers():
     swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
     for gate, edge_phase in ((random_mc_gate(8), None), (identity_gate(), 1.0),
                              (swap, 1.0), (_minus_corner_gate(), -1.0)):
-        u = build_propagator(homogeneous_circuit(gate, L, "open")).entries
+        u = build_propagator(homogeneous_circuit(gate, L, "open"))
         if edge_phase is not None:
             for m in (L, -L):
                 s = sector_states(L, m)[0]

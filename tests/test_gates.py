@@ -14,12 +14,13 @@ from mcbrick.gates import (
     gate_sqrt,
     haar_params_from_gate,
     hamiltonian_params_from_gate,
-    identity_gate,
     magnetization_phase_gate,
     mc_zero_pattern_defect,
     sample_haar,
 )
 from mcbrick.errors import StructureError
+
+from dense_oracles import identity_gate
 
 # single-site operators; bit value 1 means sigma^z = +1
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

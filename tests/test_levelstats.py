@@ -13,9 +13,7 @@ from mcbrick.core import (
     build_sector_block,
     homogeneous_circuit,
     layer_bonds,
-    restrict,
     sector_basis,
-    translation_matrix,
 )
 from mcbrick.errors import CapacityError, ParameterError, SymmetryError
 from mcbrick.gates import gate_matrix, random_mc_gate
@@ -28,19 +26,22 @@ from mcbrick.levelstats import (
     full_spectrum,
     phase_modded_overlap,
     pooled_r_tilde,
-    pooled_ratios,
-    reference_curve,
     resolved_spectra,
-    sample_coe_phases,
-    sample_cue_phases,
-    sample_poisson_phases,
     scaled_spacings,
     sector_spectrum,
-    spacing_histogram,
     spacing_ratios,
 )
 from mcbrick.levelstats import BLOCK_UNITARITY_TOL, _branch_phases, _k_block
 from mcbrick.symmetry import equivalent_circuit
+
+from dense_oracles import (
+    pooled_ratios,
+    restrict,
+    sample_coe_phases,
+    sample_cue_phases,
+    sample_poisson_phases,
+    translation_matrix,
+)
 
 
 def two_gate_circuit(L, boundary, seed):
@@ -96,29 +97,6 @@ def test_coe_reference_value():
     assert abs(r - R_TILDE_COE) < 0.008
 
 
-def test_histogram_identifies_its_own_class():
-    cue = np.concatenate(sample_cue_phases(96, 30, seed=3))
-    # pooled spacings per matrix, then one histogram
-    from mcbrick.levelstats import pooled_spacings
-
-    h = spacing_histogram(pooled_spacings(sample_cue_phases(96, 30, seed=3)))
-    assert h.closest_reference() == "cue"
-    assert not h.few_phases
-    hp = spacing_histogram(pooled_spacings([sample_poisson_phases(400, seed=4)]))
-    assert hp.closest_reference() == "poisson"
-    small = spacing_histogram(np.ones(10))
-    assert small.few_phases
-
-
-def test_reference_curves_normalized():
-    s = np.linspace(0, 30, 20001)
-    for name in ("poisson", "coe", "cue"):
-        dens = reference_curve(name, s)
-        assert abs(np.trapezoid(dens, s) - 1.0) < 1e-6
-    with pytest.raises(ParameterError):
-        reference_curve("gue", s)
-
-
 # ------------------------------------------------------------ sector blocks
 
 
@@ -146,17 +124,17 @@ def test_sector_block_matches_restricted_propagator(boundary):
     shift = translation_matrix(L, 1)
     for name, circ in circuits.items():
         u = build_propagator(circ)
-        odd = build_propagator(BrickworkCircuit(L, circ.layers[:1], boundary)).entries
+        odd = build_propagator(BrickworkCircuit(L, circ.layers[:1], boundary))
         k_dense = shift @ odd
         for m in range(-L, L + 1, 2):
             for k in k_values:
                 basis = sector_basis(L, m, k)
                 if basis.dim == 0:
                     continue
-                block = build_sector_block(circ, basis).entries
-                assert np.abs(block - restrict(u, basis).entries).max() < 1e-12, (name, m, k)
-                kb = _k_block(circ, basis).entries
-                assert np.abs(kb - restrict(k_dense, basis).entries).max() < 1e-12, (name, m, k)
+                block = build_sector_block(circ, basis)
+                assert np.abs(block - restrict(u, basis)).max() < 1e-12, (name, m, k)
+                kb = _k_block(circ, basis)
+                assert np.abs(kb - restrict(k_dense, basis)).max() < 1e-12, (name, m, k)
 
 
 def test_sector_block_refuses_non_mc_gate():
@@ -195,6 +173,35 @@ def test_flip_reflection_permutation_is_involution():
         assert (perm[perm] == np.arange(1 << L)).all()
         # spin flip of the reflected word: all-ones maps to zero
         assert perm[(1 << L) - 1] == 0
+
+
+def test_flip_reflection_block_is_formed_at_zero_magnetization_only(monkeypatch):
+    L = 8
+    ring = homogeneous_circuit(random_mc_gate(5), L, "periodic")
+    real = flip_reflection_permutation
+    seen = []
+
+    def spy(n):
+        seen.append(n)
+        return real(n)
+
+    monkeypatch.setattr(levelstats, "flip_reflection_permutation", spy)
+    for m in range(-L, L + 1, 2):
+        for k in range(L // 2):
+            before = len(seen)
+            split = resolved_spectra(ring, m, k)
+            assert len(seen) == before + (m == 0), (m, k)
+            plain = sector_spectrum(ring, m, k).eigenphases
+            union = np.concatenate([np.zeros(0)] + [r.eigenphases for r in split])
+            assert union.size == plain.size
+            if not plain.size:
+                continue
+            diff = _cut_phases(union, plain) - _cut_phases(plain, plain)
+            assert np.abs(diff).max() < 1e-12, (m, k)
+            if m:
+                # the flip maps m to -m: its restriction to the sector is zero
+                w = sector_basis(L, m, k).vectors
+                assert (w.conj().T @ w[real(L), :]).count_nonzero() == 0, (m, k)
 
 
 def test_resolved_spectra_block_structure():
@@ -292,11 +299,11 @@ def test_branch_phases_refuse_a_propagator_of_another_gate():
     other = homogeneous_circuit(random_mc_gate(6), 8, "periodic")
     basis = sector_basis(8, 0, 1)
     theta2 = 2 * np.pi * basis.momentum / 4
-    kb = _k_block(ring, basis).entries
-    phi, par = _branch_phases(build_sector_block(ring, basis).entries, kb, theta2)
+    kb = _k_block(ring, basis)
+    phi, par = _branch_phases(build_sector_block(ring, basis), kb, theta2)
     assert phi.size == par.size == basis.dim
     with pytest.raises(SymmetryError, match="residual") as err:
-        _branch_phases(build_sector_block(other, basis).entries, kb, theta2)
+        _branch_phases(build_sector_block(other, basis), kb, theta2)
     assert err.value.residual > BLOCK_UNITARITY_TOL
     # an empty parity half has no phases and nothing to check
     phi, par = _branch_phases(np.zeros((0, 0)), np.zeros((0, 0)), theta2)

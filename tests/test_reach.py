@@ -1,0 +1,123 @@
+"""Every top-level definition of the package is reachable from the CLI.
+
+The walk is by name over the source: it starts from the top-level
+definitions of cli.py (and the statements any module runs at import) and
+follows bare names, `module.attr` references and `from .x import y`
+imports, including the lazy ones inside the command handlers.  A
+function, class or constant no path reaches is dead weight in the
+package: delete it, or move it to the tests when a test compares live
+code against it.  `__all__` lists names; it does not use them.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcbrick"
+
+# (module, name) -> why it stays although no CLI path reaches it
+ALLOWED = {
+    ("levelstats", "full_spectrum"):
+        "binds levelstats.build_propagator, which the benchmark's tracing test patches",
+}
+
+
+def _relative_module(node):
+    """Package module a `from .x import ...` names, or None for other imports."""
+    if node.level != 1:
+        return None
+    return node.module or "__init__"
+
+
+class _Module:
+    """Top-level definitions of one module and the names each one uses."""
+
+    def __init__(self, path):
+        self.name = path.stem
+        tree = ast.parse(path.read_text(), filename=str(path))
+        self.defs = {}        # name -> the top-level nodes that define it
+        self.runs = []        # statements executed at import that define nothing
+        self.aliases = {}     # local name -> (module, attr) or (module, None)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                self.defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                if names == ["__all__"]:
+                    continue
+                for name in names:
+                    self.defs.setdefault(name, []).append(node)
+            elif isinstance(node, ast.ImportFrom):
+                self.aliases.update(_bindings(node))
+            elif not isinstance(node, ast.Import) and not _is_docstring(node):
+                self.runs.append(node)
+
+    def uses(self, nodes):
+        """(module, name) pairs the given nodes reference."""
+        out = set()
+        for node in nodes:
+            # a lazy import inside a handler binds its names for that handler
+            aliases = dict(self.aliases)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.ImportFrom):
+                    aliases.update(_bindings(sub))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.ImportFrom):
+                    out.update(t for t in _bindings(sub).values() if t[1] is not None)
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                    target = aliases.get(sub.value.id)
+                    if target is not None and target[1] is None:
+                        out.add((target[0], sub.attr))
+                elif isinstance(sub, ast.Name):
+                    if sub.id in self.defs:
+                        out.add((self.name, sub.id))
+                    elif sub.id in aliases and aliases[sub.id][1] is not None:
+                        out.add(aliases[sub.id])
+        return out
+
+
+def _bindings(node):
+    """local name -> (module, attr) of a `from .x import ...`; attr None for a module."""
+    module = _relative_module(node)
+    if module is None:
+        return {}
+    out = {}
+    for alias in node.names:
+        if module == "__init__" and (PACKAGE / f"{alias.name}.py").exists():
+            out[alias.asname or alias.name] = (alias.name, None)
+        else:
+            out[alias.asname or alias.name] = (module, alias.name)
+    return out
+
+
+def _is_docstring(node):
+    return isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+
+
+def unreachable():
+    """Top-level (module, name) definitions no CLI path reaches, sorted."""
+    modules = {m.name: m for m in map(_Module, sorted(PACKAGE.glob("*.py")))}
+    todo = [("cli", name) for name in modules["cli"].defs]
+    todo += [ref for m in modules.values() for ref in m.uses(m.runs)]
+    seen = set()
+    while todo:
+        key = todo.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        module = modules.get(key[0])
+        if module is not None and key[1] in module.defs:
+            todo.extend(module.uses(module.defs[key[1]]))
+    return sorted(
+        (m.name, name) for m in modules.values() for name in m.defs if (m.name, name) not in seen
+    )
+
+
+def test_every_definition_is_reached_from_the_cli():
+    dead = [key for key in unreachable() if key not in ALLOWED]
+    assert dead == [], "unreachable from cli.py: " + ", ".join(".".join(k) for k in dead)
+
+
+def test_every_allowlist_entry_is_still_needed():
+    assert set(ALLOWED) <= set(unreachable())
+    assert all(reason for reason in ALLOWED.values())

@@ -17,7 +17,6 @@ from mcbrick.rmatrix import (
     ab_values,
     check_yang_baxter,
     classify_phase_hamiltonian,
-    gate_from_r,
     haar_to_r,
     map_report,
     r_matrix,

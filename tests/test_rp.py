@@ -1,10 +1,18 @@
 """Operator-space propagator: basis, window conjugation, spectra, gap fits."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from dense_oracles import dense_charges, ring_rep_coefficient
+from dense_oracles import (
+    dense_charges,
+    heisenberg_step,
+    identity_gate,
+    ring_rep_coefficient,
+    string_tensor,
+)
 from mcbrick.charges import q1_kernels
 from mcbrick.core import build_propagator, embed_operator, homogeneous_circuit
 from mcbrick.errors import (
@@ -20,7 +28,6 @@ from mcbrick.gates import (
     gate_from_haar,
     gate_from_hamiltonian,
     haar_params_from_gate,
-    identity_gate,
     random_mc_gate,
 )
 from mcbrick.rmatrix import haar_to_r
@@ -30,13 +37,10 @@ from mcbrick.rp import (
     RADIUS_TOL,
     _SITE_OPS,
     _lambda2,
-    build_basis,
     charge_of_string,
     conserved_density_vectors,
     gap_scaling,
-    heisenberg_step,
     rp_spectrum,
-    string_tensor,
     truncated_propagator,
     unit_multiplicity,
 )
@@ -51,27 +55,16 @@ def phase_point(delta):
 
 
 def test_basis_counts_and_partition():
-    for r in (1, 2, 3, 4):
-        dims = 0
-        for parity in ("even", "odd"):
-            for c in range(-r, r + 1):
-                dims += build_basis(r, parity, c).dim
-        assert dims == 2 * (4**r - 4 ** (r - 1))
-
-
-def test_basis_r1_and_r2_enumeration():
-    assert build_basis(1, "even", 0).basis == ("z",)
-    assert build_basis(1, "even", 1).basis == ("p",)
-    assert build_basis(1, "odd", -1).basis == ("m",)
-    # r=2 charge 0 by brute force: first letter non-identity, equal +/- counts
-    brute = sorted(
-        a + b
-        for a in "zpm"
-        for b in "1zpm"
-        if charge_of_string(a + b) == 0
-    )
-    assert sorted(build_basis(2, "odd", 0).basis) == brute
-    assert len(brute) == 4
+    # representatives: length-r strings with a non-identity first letter,
+    # at both start parities, each in the block of its own charge
+    g = random_mc_gate(1)
+    for r in (1, 2, 3):
+        tp = truncated_propagator(g, r, 0.0)
+        assert sum(len(b) for b in tp.blocks.values()) == 2 * (4**r - 4 ** (r - 1))
+        assert all(charge_of_string(s) == c for c, labs in tp.labels.items() for _, s in labs)
+    for r in (0, 7):
+        with pytest.raises(CapacityError):
+            truncated_propagator(g, r, 0.0)
 
 
 def test_basis_orthonormal_single_site():
@@ -79,13 +72,6 @@ def test_basis_orthonormal_single_site():
         for b in LETTERS:
             ip = np.trace(_SITE_OPS[a].conj().T @ _SITE_OPS[b]) / 2.0
             assert abs(ip - (1.0 if a == b else 0.0)) < 1e-15
-
-
-def test_basis_capacity_and_parameters():
-    with pytest.raises(CapacityError):
-        build_basis(7, "even", 0)
-    with pytest.raises(ParameterError):
-        build_basis(3, "sideways", 0)
 
 
 # -------------------------------------------------------- window stepping
@@ -106,7 +92,7 @@ def test_heisenberg_step_identity_gate_and_charge():
 def test_heisenberg_step_matches_dense_conjugation():
     L = 10
     g = random_mc_gate(3)
-    U = build_propagator(homogeneous_circuit(g, L, "periodic")).entries
+    U = build_propagator(homogeneous_circuit(g, L, "periodic"))
 
     def dense_string(label, start):
         mats = [np.eye(2, dtype=complex)] * L
@@ -358,7 +344,8 @@ def test_gap_scaling_models_and_refusals():
 
 def _dense_conserved_columns(gate, r):
     """conserved_density_vectors rebuilt from dense charges on a 10-site ring."""
-    zero = build_basis(r, "even", 0).basis
+    zero = ["".join(t) for t in product(LETTERS, repeat=r)
+            if t[0] != "1" and charge_of_string(t) == 0]
     placed = [(s, 0) for s in zero] + [(s, 1) for s in zero]
     cols = [np.array([float(s == "z" + "1" * (r - 1)) for s, _ in placed], dtype=complex)]
     p = haar_to_r(haar_params_from_gate(gate).params)
