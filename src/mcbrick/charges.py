@@ -15,8 +15,7 @@ Every R conserves the magnetization of its site and the auxiliary qubit
 (the six-vertex ice rule), so T, its x-derivatives and every charge are
 block diagonal over the magnetization sectors of the chain.  They are
 built, solved, checked and projected as sector blocks {m: block} (see
-core.sector_blocks); no 2^L x 2^L array is formed.  ChargeFamily.matrix
-assembles the dense charge on request, for cross-checks.
+core.sector_blocks); no 2^L x 2^L array is formed.
 """
 
 import functools
@@ -29,7 +28,6 @@ from dataclasses import dataclass
 from .core import (
     FULL_DENSE_MAX_L,
     commutator_defect,
-    dense_from_sectors,
     embed_operator,
     sector_blocks,
     sector_operators,
@@ -137,17 +135,6 @@ class ChargeFamily:
     blocks: dict  # traceless charge, {m: block} over the magnetization sectors
     kernel: object = None  # local density on the support window, when cell-built
     L: int = 0
-
-    @property
-    def matrix(self):
-        """The dense 2^L charge, assembled on request."""
-        return dense_from_sectors(self.blocks, self.L)
-
-    def hermitian_part(self):
-        return 0.5 * (self.matrix + self.matrix.conj().T)
-
-    def antihermitian_part(self):
-        return (self.matrix - self.matrix.conj().T) / 2j
 
     def conservation_defect(self, propagator):
         """max |[Q, U]|; U as sector blocks or a dense MC matrix."""

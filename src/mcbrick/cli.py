@@ -27,7 +27,8 @@ angles, or haar_seed for a random draw.
 All randomness flows from the single --seed root:
 SeedSequence(root).spawn(3) yields, in order, the gate stream (random
 gate and ensemble-seed defaults), the method stream (typicality
-vectors), and the ensemble stream (per-realization gate pairs).
+vectors and the unset spectral arguments x, y of verify-ybe), and the
+ensemble stream (per-realization gate pairs).
 
 Exit codes: 0 success, 1 a verification subcommand measured a
 violation, 2 parameter or config errors, 3 capacity limits and
@@ -344,10 +345,10 @@ def _cmd_verify_ybe(params, root, sha):
     run = params["run"]
     if run["trials"] < 1:
         raise ParameterError(f"trials must be >= 1, got {run['trials']}")
-    gate_stream, _, _ = _seed_streams(root)
+    gate_stream, method_stream, _ = _seed_streams(root)
     seed = run["haar_seed"] if run["haar_seed"] is not None else gate_stream
     draws = sample_haar(seed, run["trials"])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(method_stream)
     eye = np.eye(4)
     worst_braid = worst_inverse = 0.0
     skipped = 0

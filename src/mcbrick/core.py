@@ -28,9 +28,13 @@ operator, so the kernel refuses any operator that is not MC.  Each block
 or evolution is also compared, on one column and one step, with the
 full-space propagator_apply (check_sector_column).
 
-Operators that conserve magnetization are passed around as sector blocks
-{m: block}, rows and columns ordered like sector_states(L, m);
-sector_blocks splits a dense one and dense_from_sectors assembles one.
+Sector states are the only coordinates: a sector basis matrix W has the
+rows of sector_states(L, m), the shift and flip-reflection maps act on
+int arrays of states, and time reversal forms its diagonal on them; a
+2^L vector appears only in the one-column full-space oracles
+(lift_column).  Operators that conserve magnetization are passed around
+as sector blocks {m: block} on those rows; sector_blocks splits a dense
+one.
 """
 
 import functools
@@ -63,10 +67,10 @@ def magnetization_of(n, L):
     return 2 * _popcount(n) - L
 
 
-def translation_permutation(L, sites=1):
-    """perm with S^sites |n> = |perm[n]> for all computational states."""
+def translation_permutation(states, L, sites=1):
+    """Images S^sites |n> of an int array of computational states n."""
     sites %= L
-    ns = np.arange(1 << L, dtype=np.int64)
+    ns = np.asarray(states, dtype=np.int64)
     return ((ns >> sites) | (ns << (L - sites))) & ((1 << L) - 1)
 
 
@@ -165,7 +169,8 @@ class SectorBasis:
 
     `states` holds labels: plain basis indices for bitstring bases, or
     (representative, orbit period) pairs for momentum-symmetrized states.
-    `vectors` is the sparse 2^L x dim matrix of basis columns.
+    `vectors` is the sparse dim_m x dim matrix W of basis columns, its rows
+    those of sector_states(L, magnetization).
     """
 
     L: int
@@ -177,11 +182,6 @@ class SectorBasis:
     @property
     def dim(self):
         return self.vectors.shape[1]
-
-    def gram_defect(self):
-        g = (self.vectors.conj().T @ self.vectors).toarray()
-        g[np.diag_indices_from(g)] -= 1.0
-        return np.abs(g).max()
 
 
 def sector_states(L, m):
@@ -202,14 +202,11 @@ def sector_basis(L, m, k=None):
     if (L + m) % 2 or not 0 <= (L + m) // 2 <= L:
         raise ParameterError(f"magnetization {m} impossible for L={L}")
     states = sector_states(L, m)
-    dim_full = 1 << L
 
     if k is None:
-        cols = np.arange(len(states))
+        rows = np.arange(len(states))
         vec = sparse.csr_array(
-            (np.ones(len(states)), (states, cols)),
-            shape=(dim_full, len(states)),
-            dtype=complex,
+            (np.ones(len(states)), (rows, rows)), shape=(len(states),) * 2, dtype=complex
         )
         return SectorBasis(L, m, None, list(map(int, states)), vec)
 
@@ -220,10 +217,10 @@ def sector_basis(L, m, k=None):
     keep = (k * periods) % n_cells == 0  # momentum compatible with orbit period
     p = periods[keep]
     in_orbit = np.arange(n_cells) < p[:, None]  # (column, j): S^(2j) rep is a state
-    rows = orbits[keep][in_orbit]
+    rows = np.searchsorted(states, orbits[keep][in_orbit])
     cols, j = np.nonzero(in_orbit)
     vals = np.exp(-2j * np.pi * k / n_cells * j) / np.sqrt(p[cols])
-    vec = sparse.csr_array((vals, (rows, cols)), shape=(dim_full, p.size), dtype=complex)
+    vec = sparse.csr_array((vals, (rows, cols)), shape=(len(states), p.size), dtype=complex)
     return SectorBasis(L, m, k, list(zip(reps[keep].tolist(), p.tolist())), vec)
 
 
@@ -238,11 +235,10 @@ def _momentum_orbits(L, m):
     """
     states = sector_states(L, m)
     n_cells = L // 2
-    shift = translation_permutation(L, 2)
     images = np.empty((n_cells + 1, states.size), dtype=np.int64)  # S^(2j) of each state
     images[0] = states
     for j in range(1, n_cells + 1):
-        images[j] = shift[images[j - 1]]
+        images[j] = translation_permutation(images[j - 1], L, 2)
     first = images.min(axis=0) == states
     reps = states[first]
     periods = np.argmax(images[1:, first] == reps, axis=0) + 1  # S^(2 n_cells) = 1
@@ -311,10 +307,9 @@ def _act_on_axes(u4, tensor, ax_a, ax_b):
 
 
 def apply_gate(target, gate, sites, L, boundary="open"):
-    """Act with a two-qubit gate embedded at `sites` = (a, b), b next to a.
+    """G|psi> for a two-qubit gate embedded at `sites` = (a, b), b next to a.
 
-    State vectors (1d arrays) are mapped to G|psi>; dense operators (2d) are
-    conjugated, G O Gdag. The action is matrix-free, cost O(2^L) per state.
+    The action on the 2^L state vector is matrix-free, cost O(2^L).
     """
     a, b = sites
     if not (0 <= a < L and 0 <= b < L):
@@ -325,21 +320,10 @@ def apply_gate(target, gate, sites, L, boundary="open"):
         adjacent = b == a + 1
     if not adjacent:
         raise ParameterError(f"sites {sites} are not an adjacent ordered pair")
-    u = gate_matrix(gate)
-    arr = np.asarray(target, dtype=complex)
-    if arr.ndim == 1:
-        if arr.size != 1 << L:
-            raise ParameterError("state length does not match L")
-        out = _act_on_axes(u, arr.reshape((2,) * L), a, b)
-        return out.reshape(-1)
-    if arr.ndim == 2:
-        if arr.shape != (1 << L, 1 << L):
-            raise ParameterError("operator shape does not match L")
-        t = arr.reshape((2,) * (2 * L))
-        t = _act_on_axes(u, t, a, b)
-        t = _act_on_axes(u.conj(), t, L + a, L + b)
-        return t.reshape(1 << L, 1 << L)
-    raise ParameterError("target must be a vector or a square matrix")
+    psi = np.asarray(target, dtype=complex)
+    if psi.shape != (1 << L,):
+        raise ParameterError("state length does not match L")
+    return _act_on_axes(gate_matrix(gate), psi.reshape((2,) * L), a, b).reshape(-1)
 
 
 def _left_multiply(u4, mat, a, b, L):
@@ -422,15 +406,6 @@ def sector_blocks(op, L, tol=1e-10):
         s = sector_states(L, m)
         blocks[m] = entries[np.ix_(s, s)]
     return blocks
-
-
-def dense_from_sectors(blocks, L):
-    """Dense 2^L x 2^L matrix with the given magnetization-sector blocks."""
-    out = np.zeros((1 << L, 1 << L), dtype=complex)
-    for m, block in blocks.items():
-        s = sector_states(L, m)
-        out[np.ix_(s, s)] = block
-    return out
 
 
 def commutator_defect(a, b, L):
@@ -574,6 +549,16 @@ def sector_step(ops, x):
     return x
 
 
+def lift_column(basis, states):
+    """Column 0 of the basis matrix as a 2^L vector, for the full-space oracles.
+
+    states is sector_states(basis.L, basis.magnetization), W's rows.
+    """
+    out = np.zeros(1 << basis.L, dtype=complex)
+    out[states] = basis.vectors[:, [0]].toarray().ravel()
+    return out
+
+
 def check_sector_column(full, col, states, what):
     """Compare one sector-space column with its full-space image.
 
@@ -595,19 +580,19 @@ def check_sector_column(full, col, states, what):
 def build_sector_block(circuit, basis):
     """Sector block W^dag U W of the propagator, built inside the sector.
 
-    The rows of the basis matrix W on the magnetization sector are evolved
-    all at once by sector_step (one sparse product per group of bonds from
-    layer_operators on a dim_m x dim array, no 2^L vector per column),
-    then projected back with the sparse W^dag.  Non-MC gates are refused,
-    and column 0 is checked against propagator_apply.
+    The basis matrix W is evolved all at once by sector_step (one sparse
+    product per group of bonds from layer_operators on a dim_m x dim
+    array, no 2^L vector per column), then projected back with the sparse
+    W^dag.  Non-MC gates are refused, and column 0 is checked against
+    propagator_apply.
     """
     if circuit.L > SECTOR_MAX_L:
         raise CapacityError(f"sector-dense work limited to L <= {SECTOR_MAX_L}")
     m = basis.magnetization
-    states = sector_states(circuit.L, m)
-    w = basis.vectors[states, :]
+    w = basis.vectors
     x = sector_step(layer_operators(circuit, m), w.toarray())
     if basis.dim:
-        v0 = basis.vectors[:, [0]].toarray().ravel()
+        states = sector_states(circuit.L, m)
+        v0 = lift_column(basis, states)
         check_sector_column(propagator_apply(circuit, v0), x[:, 0], states, "propagator")
     return w.conj().T @ x

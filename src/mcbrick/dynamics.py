@@ -52,6 +52,7 @@ TYPICALITY_MAX_L = 14
 DOMAIN_WALL_MAX_L = 16
 TYPICALITY_SAMPLES = 20
 FIT_FLOOR = 1e-14
+FIT_WINDOW_RATIO = 20.0  # decay fits use the window [t_max / ratio, t_max]
 _TIME_BLOCK = 256  # time steps per power-matrix contraction in the exact trace
 
 
@@ -259,8 +260,8 @@ def staggered_correlation(gate, L, steps):
     return series
 
 
-def decay_fits(times, values, t_min=None, t_max=None):
-    """Compare power-law and exponential decay on a time window.
+def decay_fits(times, values):
+    """Compare power-law and exponential decay on [t_max / FIT_WINDOW_RATIO, t_max].
 
     Both models are linear fits of log|C|: against log t (power law,
     slope = exponent) and against t (exponential, slope = -rate); the
@@ -269,10 +270,8 @@ def decay_fits(times, values, t_min=None, t_max=None):
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if t_max is None:
-        t_max = float(times.max())
-    if t_min is None:
-        t_min = t_max / 20.0
+    t_max = float(times.max())
+    t_min = t_max / FIT_WINDOW_RATIO
     mask = (times >= t_min) & (times <= t_max) & (np.abs(values) > FIT_FLOOR)
     if mask.sum() < 4:
         raise ParameterError("fit window holds fewer than 4 usable points")

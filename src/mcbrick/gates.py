@@ -167,7 +167,7 @@ class HaarExtraction:
 _DEGENERATE_EPS = 1e-12
 
 
-def haar_params_from_gate(g, tol=1e-10):
+def haar_params_from_gate(g):
     """Invert the Hurwitz parametrization.
 
     Unequal corner phases (an M field) are factored out first and reported as
@@ -176,7 +176,7 @@ def haar_params_from_gate(g, tol=1e-10):
     """
     m = gate_matrix(g)
     defect = mc_zero_pattern_defect(m)
-    if defect > tol:
+    if defect > MC_DEFECT_TOL:
         raise StructureError(
             f"matrix is not magnetization conserving (defect {defect:.3e})"
         )
@@ -196,7 +196,7 @@ def haar_params_from_gate(g, tol=1e-10):
     return HaarExtraction(HaarGateParams(delta, alpha, phi, chi, theta_v), float(mu))
 
 
-def hamiltonian_params_from_gate(g, tol=1e-10):
+def hamiltonian_params_from_gate(g):
     """Invert gate_from_hamiltonian in the J=1 gauge.
 
     The duration only ever multiplies the couplings, so the gate fixes them
@@ -206,7 +206,7 @@ def hamiltonian_params_from_gate(g, tol=1e-10):
     """
     m = gate_matrix(g)
     defect = mc_zero_pattern_defect(m)
-    if defect > tol:
+    if defect > MC_DEFECT_TOL:
         raise StructureError(
             f"matrix is not magnetization conserving (defect {defect:.3e})"
         )

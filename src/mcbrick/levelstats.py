@@ -43,6 +43,7 @@ from .core import (
     build_sector_block,
     check_sector_column,
     layer_operators,
+    lift_column,
     sector_basis,
     sector_states,
     sector_step,
@@ -76,6 +77,9 @@ R_TILDE_COE = 0.5307
 R_TILDE_CUE = 0.5996
 
 SECTOR_DIM_MAX = 5000
+# largest commutator defect with U (and between the flip and K) under which a
+# detected symmetry is split off
+REFINEMENT_TOL = 1e-9
 
 _SPACETIME_NOTE = "K = shift * odd layer, K^2 = S^2 U; one concrete choice"
 
@@ -102,7 +106,7 @@ def spacing_ratios(phases):
 
 @dataclass
 class SpectrumResult:
-    """Eigenphases of one resolved block, with spacings and gap-ratio mean."""
+    """Eigenphases of one resolved block, with their gap-ratio mean."""
 
     L: int
     boundary: str
@@ -111,7 +115,6 @@ class SpectrumResult:
     spacetime_block: object = None
     flip_parity: object = None
     eigenphases: np.ndarray = None
-    spacings: np.ndarray = None
     r_tilde: float = np.nan
     metadata: dict = field(default_factory=dict)
 
@@ -141,7 +144,6 @@ def _result_from_phases(phases, L, boundary, m, k=None, st=None, fp=None, metada
         spacetime_block=st,
         flip_parity=fp,
         eigenphases=ph,
-        spacings=scaled_spacings(ph),
         r_tilde=float(ratios.mean()) if ratios.size else np.nan,
         metadata=metadata or {},
     )
@@ -164,7 +166,8 @@ def is_homogeneous(circuit, tol=1e-12):
     return all(np.abs(m - mats[0]).max() <= tol for m in mats[1:])
 
 
-def _checked_phases(block, what):
+def _unitary(block, what):
+    """The block itself, once max|B^dag B - 1| is within BLOCK_UNITARITY_TOL."""
     defect = unitarity_defect(block)
     if defect > BLOCK_UNITARITY_TOL:
         raise SymmetryError(
@@ -172,14 +175,14 @@ def _checked_phases(block, what):
             "the circuit does not respect the requested resolution",
             residual=float(defect),
         )
-    return unitary_phases(block)
+    return block
 
 
-def sector_spectrum(circuit, m, k=None):
-    """Eigenphases of the propagator restricted to one symmetry block.
+def _sector_block(circuit, m, k):
+    """Basis and checked propagator block of one (m, k) sector; None when empty.
 
-    k resolves two-site momentum (rings only).  resolved_spectra applies
-    the further refinements (space-time branch, flip-reflection parity).
+    k needs a periodic circuit, the basis must fit SECTOR_DIM_MAX, and the
+    block must be unitary.
     """
     if k is not None and circuit.boundary != "periodic":
         raise ParameterError("momentum resolution requires a periodic circuit")
@@ -189,9 +192,18 @@ def sector_spectrum(circuit, m, k=None):
             f"sector dimension {basis.dim} exceeds dense limit {SECTOR_DIM_MAX}"
         )
     if basis.dim == 0:
-        return _result_from_phases(np.zeros(0), circuit.L, circuit.boundary, m, k)
-    block = build_sector_block(circuit, basis)
-    phases = _checked_phases(block, "sector")
+        return basis, None
+    return basis, _unitary(build_sector_block(circuit, basis), "sector")
+
+
+def sector_spectrum(circuit, m, k=None):
+    """Eigenphases of the propagator restricted to one symmetry block.
+
+    k resolves two-site momentum (rings only).  resolved_spectra applies
+    the further refinements (space-time branch, flip-reflection parity).
+    """
+    _, ub = _sector_block(circuit, m, k)
+    phases = np.zeros(0) if ub is None else unitary_phases(ub)
     return _result_from_phases(phases, circuit.L, circuit.boundary, m, k)
 
 
@@ -202,7 +214,7 @@ def _apply_k(circuit, vec):
     out = vec
     for g, bond in circuit.layer(0):
         out = apply_gate(out, g, bond, circuit.L, circuit.boundary)
-    perm = translation_permutation(circuit.L, 1)
+    perm = translation_permutation(np.arange(1 << circuit.L), circuit.L, 1)
     shifted = np.empty_like(out)
     shifted[perm] = out
     return shifted
@@ -220,22 +232,15 @@ def _k_block(circuit, basis):
     """
     L, m = circuit.L, basis.magnetization
     states = sector_states(L, m)
-    w = basis.vectors[states, :]
+    w = basis.vectors
     x = sector_step(layer_operators(circuit, m, layers=(0,)), w.toarray())
-    shifted = np.searchsorted(states, translation_permutation(L, 1)[states])
+    shifted = np.searchsorted(states, translation_permutation(states, L, 1))
     if basis.dim:
         col = np.empty(len(states), dtype=complex)
         col[shifted] = x[:, 0]
-        v0 = basis.vectors[:, [0]].toarray().ravel()
-        check_sector_column(_apply_k(circuit, v0), col, states, "space-time")
-    kb = w[shifted, :].conj().T @ x
-    defect = unitarity_defect(kb)
-    if defect > BLOCK_UNITARITY_TOL:
-        raise SymmetryError(
-            f"space-time block is not unitary (defect {defect:.3e})",
-            residual=float(defect),
-        )
-    return kb
+        check_sector_column(_apply_k(circuit, lift_column(basis, states)), col, states,
+                            "space-time")
+    return _unitary(w[shifted, :].conj().T @ x, "space-time")
 
 
 def _branch_phases(ub, kb, theta2):
@@ -261,39 +266,43 @@ def _branch_phases(ub, kb, theta2):
     return phi, parities
 
 
-def flip_reflection_permutation(L):
-    """Basis-index map of the global spin flip * site reflection j -> L-1-j.
+def flip_reflection_permutation(states, L):
+    """Images of an int array of states under spin flip * site reflection.
 
-    An involution: bit-reverse the L-bit word (site 0 is the most
-    significant bit, so reversal is the reflection) and complement it.
+    The reflection is j -> L-1-j.  An involution: bit-reverse the L-bit
+    word (site 0 is the most significant bit, so reversal is the
+    reflection) and complement it.
     """
-    n = np.arange(1 << L)
+    n = np.asarray(states, dtype=np.int64)
     rev = np.zeros_like(n)
     for _ in range(L):
         rev = (rev << 1) | (n & 1)
-        n >>= 1
+        n = n >> 1
     return rev ^ ((1 << L) - 1)
 
 
-def _flip_reflection_block(basis, tol=BLOCK_UNITARITY_TOL):
+def _flip_reflection_block(basis):
     """Restriction of flip * reflection to a sector basis, or None.
 
     The operation sends m to -m and k to -k, so it closes on a sector only
     at m = 0 (and self-conjugate k on rings); elsewhere the restriction is
-    not unitary and None is returned, for m != 0 before any 2^L work.
+    not unitary and None is returned, for m != 0 before any work.  At
+    m = 0 the map permutes the sector's states, so its block is a row
+    permutation of W.
     """
     if basis.magnetization != 0:
         return None
-    perm = flip_reflection_permutation(basis.L)
+    states = sector_states(basis.L, 0)
+    flipped = np.searchsorted(states, flip_reflection_permutation(states, basis.L))
     w = basis.vectors
-    xp = (w.conj().T @ w[perm, :]).toarray()
+    xp = (w.conj().T @ w[flipped, :]).toarray()
     defect = np.abs(xp.conj().T @ xp - np.eye(basis.dim)).max()
-    if defect > tol:
+    if defect > BLOCK_UNITARITY_TOL:
         return None
     return xp
 
 
-def resolved_spectra(circuit, m, k=None, tol=1e-9):
+def resolved_spectra(circuit, m, k=None):
     """Fully resolved eigenphase blocks of one magnetization (and k) sector.
 
     Applies every refinement that is detected to hold on the block: the
@@ -305,26 +314,12 @@ def resolved_spectra(circuit, m, k=None, tol=1e-9):
     clean, so the parity split is skipped there.  Returns a list of
     SpectrumResult covering the sector.
     """
-    if k is not None and circuit.boundary != "periodic":
-        raise ParameterError("momentum resolution requires a periodic circuit")
-    basis = sector_basis(circuit.L, m, k)
-    if basis.dim > SECTOR_DIM_MAX:
-        raise CapacityError(
-            f"sector dimension {basis.dim} exceeds dense limit {SECTOR_DIM_MAX}"
-        )
-    if basis.dim == 0:
+    basis, ub = _sector_block(circuit, m, k)
+    if ub is None:
         return []
-    ub = build_sector_block(circuit, basis)
-    defect = unitarity_defect(ub)
-    if defect > BLOCK_UNITARITY_TOL:
-        raise SymmetryError(
-            "sector block is not unitary; the circuit does not respect "
-            "the requested resolution",
-            residual=float(defect),
-        )
 
     xp = _flip_reflection_block(basis)
-    if xp is not None and np.abs(xp @ ub - ub @ xp).max() > tol:
+    if xp is not None and np.abs(xp @ ub - ub @ xp).max() > REFINEMENT_TOL:
         xp = None
 
     ring = circuit.boundary == "periodic" and is_homogeneous(circuit)
@@ -352,7 +347,7 @@ def resolved_spectra(circuit, m, k=None, tol=1e-9):
     if kb is None:
         return [result(unitary_phases(wsub.conj().T @ ub @ wsub), fp=sign)
                 for sign, wsub in _parity_vectors(xp)]
-    if xp is None or np.abs(xp @ kb - kb @ xp).max() > tol:
+    if xp is None or np.abs(xp @ kb - kb @ xp).max() > REFINEMENT_TOL:
         # either no flip parity here, or it exchanges the K branches
         phi, par = _branch_phases(ub, kb, theta2)
         return [result(phi[par == p], st=p) for p in (0, 1)]
@@ -378,8 +373,7 @@ def _parity_vectors(xp):
 
 def full_spectrum(circuit):
     """Eigenphases of the whole propagator, no resolution (negative control)."""
-    op = build_propagator(circuit)
-    phases = _checked_phases(op, "full")
+    phases = unitary_phases(_unitary(build_propagator(circuit), "full"))
     return _result_from_phases(phases, circuit.L, circuit.boundary, None, None)
 
 
@@ -402,14 +396,15 @@ def phase_modded_overlap(ga, gb):
     return float(np.abs(f).max()) / 4.0
 
 
-def random_hopping_gate(rng, hop_window=CHAOS_HOP_WINDOW):
+def random_hopping_gate(rng):
     """Haar gate with a random corner-phase twist and mid-range hopping.
 
-    Conditions the hopping weight |<01|g|10>|^2 on hop_window.  Gates near
-    the window are the fastest scramblers at accessible sizes: weak hopping
-    stalls transport, strong hopping approaches the (integrable) swap.
+    Conditions the hopping weight |<01|g|10>|^2 on CHAOS_HOP_WINDOW.  Gates
+    near the window are the fastest scramblers at accessible sizes: weak
+    hopping stalls transport, strong hopping approaches the (integrable)
+    swap.
     """
-    lo, hi = hop_window
+    lo, hi = CHAOS_HOP_WINDOW
     while True:
         g = random_mc_gate(int(rng.integers(2**63)))
         mat = magnetization_phase_gate(rng.uniform(0.0, 2.0 * np.pi)) @ g.matrix
@@ -417,16 +412,16 @@ def random_hopping_gate(rng, hop_window=CHAOS_HOP_WINDOW):
             return TwoQubitGate(mat, provenance="hopping-conditioned")
 
 
-def chaotic_gate_pair(seed, hop_window=CHAOS_HOP_WINDOW, max_overlap=CHAOS_OVERLAP_MAX):
+def chaotic_gate_pair(seed):
     """Independent gate pair for a two-gate brickwall, screened for chaos.
 
     Both gates are hopping-conditioned draws from one generator; pairs that
     are equal up to magnetization phases (phase_modded_overlap above
-    max_overlap) are rejected and redrawn, see phase_modded_overlap.
+    CHAOS_OVERLAP_MAX) are rejected and redrawn, see phase_modded_overlap.
     """
     rng = np.random.default_rng(seed)
     while True:
-        ga = random_hopping_gate(rng, hop_window)
-        gb = random_hopping_gate(rng, hop_window)
-        if phase_modded_overlap(ga, gb) <= max_overlap:
+        ga = random_hopping_gate(rng)
+        gb = random_hopping_gate(rng)
+        if phase_modded_overlap(ga, gb) <= CHAOS_OVERLAP_MAX:
             return ga, gb

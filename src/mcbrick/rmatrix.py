@@ -156,11 +156,11 @@ def _arccosh_one_plus(delta):
     return np.log1p(delta + np.sqrt(delta) * np.sqrt(2.0 + delta))
 
 
-def haar_to_r(p, eps_critical=EPS_CRITICAL):
+def haar_to_r(p):
     """Map Hurwitz angles to R-matrix parameters (beta, xi, theta, rho, u).
 
     Phase I when cos(phi) < cos(gamma), phase II when cos(phi) > cos(gamma);
-    gates within eps_critical of the manifold cos(phi) = cos(gamma) are
+    gates within EPS_CRITICAL of the manifold cos(phi) = cos(gamma) are
     refused with a critical-manifold report, as are gates where the ratio
     that sets u rounds onto its value on the manifold (u = 0, which would
     give beta = inf).  Gates at the a = 0 origin (rho -> infinity) and gates
@@ -181,7 +181,7 @@ def haar_to_r(p, eps_critical=EPS_CRITICAL):
         "cos_phi": float(cos_phi),
         "cos_gamma": float(cos_gamma),
     }
-    if abs(cos_phi - cos_gamma) < eps_critical:
+    if abs(cos_phi - cos_gamma) < EPS_CRITICAL:
         if sin_phi < 1e-12 and abs(sin_gamma) < 1e-12:
             # swap-type gates: a on the unit circle at gamma = 0, rho = 0,
             # where Rc no longer depends on u; any u > 0 represents them
@@ -194,7 +194,7 @@ def haar_to_r(p, eps_critical=EPS_CRITICAL):
         raise CriticalManifoldError(
             "gate lies on the critical manifold cos(phi) = cos(gamma)", report=report
         )
-    if cos_phi < 1e-300 and cos_gamma > eps_critical:
+    if cos_phi < 1e-300 and cos_gamma > EPS_CRITICAL:
         raise RefusalError("gate at the a=0 disk origin needs rho -> infinity")
     if sin_phi < 1e-12:
         # |a| = 1 off the swap family: the phase II map sends u -> infinity
@@ -234,7 +234,7 @@ def haar_to_r(p, eps_critical=EPS_CRITICAL):
     )
 
 
-def map_report(p, eps_critical=EPS_CRITICAL):
+def map_report(p):
     """JSON-friendly record of the gate -> R map, including failures."""
     gamma, _, _, _ = _reduce_gamma(p.delta_phase, p.alpha, p.chi, p.theta_v)
     rec = {
@@ -246,7 +246,7 @@ def map_report(p, eps_critical=EPS_CRITICAL):
         "phi": float(p.phi),
     }
     try:
-        rp = haar_to_r(p, eps_critical)
+        rp = haar_to_r(p)
     except CriticalManifoldError as exc:
         rec.update(phase="critical", **exc.report)
         return rec
@@ -268,7 +268,7 @@ class PhaseClassification:
     singular: bool = False  # vanishing denominator, lhs reported as inf
 
 
-def classify_phase_hamiltonian(p, eps_critical=EPS_CRITICAL):
+def classify_phase_hamiltonian(p):
     """Phase label from the Hamiltonian parameters.
 
     The phase-I condition compares |sin(2 tau delta)| sqrt(1 + B^2/(J^2+D^2))
@@ -293,9 +293,9 @@ def classify_phase_hamiltonian(p, eps_critical=EPS_CRITICAL):
     else:
         lhs = num / den
         singular = False
-    if lhs > 1.0 + eps_critical:
+    if lhs > 1.0 + EPS_CRITICAL:
         label = "I"
-    elif lhs < 1.0 - eps_critical:
+    elif lhs < 1.0 - EPS_CRITICAL:
         label = "II"
     else:
         label = "critical"

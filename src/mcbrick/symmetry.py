@@ -17,10 +17,11 @@ form sqrt(odd) . even . sqrt(odd) (a similarity transform, so the
 spectrum is unchanged) restores it: a product of single-site z rotations
 whose accumulated angles drop by the local bond angle theta_j across each
 bond (j, j+1) yields an antiunitary T with T U~ T^{-1} = U~^dag on open
-chains.  On a ring the site angles must close around the loop, which
-requires the bond angle sum to vanish mod pi; a shift by pi only flips
-the overall sign of the rotation product, so pi, not 2 pi, is the true
-period of the obstruction.  Generic rings fail the condition and the
+chains.  T is given by its site angles a_j, T = exp(i sum_j a_j sz_j) K
+(global_time_reversal returns the L angles).  On a ring the site angles
+must close around the loop, which requires the bond angle sum to vanish
+mod pi; a shift by pi only flips the overall sign of the rotation
+product, so pi, not 2 pi, is the true period of the obstruction.  Generic rings fail the condition and the
 measured defect is raised through TimeReversalRefusal.
 
 The time-reversal functions (closure_defect, global_time_reversal,
@@ -29,15 +30,15 @@ BrickworkCircuit, and symmetrize it themselves with equivalent_circuit.
 
 Both the period and its symmetrized twin conserve total S^z, and W is
 diagonal, so time_reversal_report checks the reversal and the spectral
-match one magnetization sector at a time and never forms a 2^L x 2^L
-matrix.  A match in every sector implies a match of the full eigenvalue
-multisets, and the residual of T U~ T^{-1} - U~^dag, being block
-diagonal, has its largest entry in one of the sector blocks.  Momentum
-blocks do not apply: the site angles of W break the two-site shift.
+match one magnetization sector at a time, with W's diagonal formed from
+the angles on that sector's states; no 2^L object is formed.  A match in
+every sector implies a match of the full eigenvalue multisets, and the
+residual of T U~ T^{-1} - U~^dag, being block diagonal, has its largest
+entry in one of the sector blocks.  Momentum blocks do not apply: the
+site angles of W break the two-site shift.
 """
 
 import numpy as np
-from dataclasses import dataclass
 
 from .core import (
     FULL_DENSE_MAX_L,
@@ -51,52 +52,31 @@ from .errors import CapacityError, ParameterError, TimeReversalRefusal
 from .gates import gate_sqrt, haar_params_from_gate, hamiltonian_params_from_gate
 
 __all__ = [
-    "AntiUnitary",
     "reversal_residual",
     "equivalent_circuit",
     "closure_defect",
     "global_time_reversal",
+    "site_phases",
     "spectral_match_error",
     "time_reversal_report",
 ]
 
-
-@dataclass
-class AntiUnitary:
-    """T = W K with W a diagonal unitary, stored as its diagonal."""
-
-    diag: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        self.diag = np.asarray(self.diag, dtype=complex).reshape(-1)
-
-    @property
-    def dim(self):
-        return self.diag.size
-
-    def matrix(self):
-        """Dense unitary part W."""
-        return np.diag(self.diag)
-
-    def apply(self, state):
-        """T|psi> = W conj(|psi>)."""
-        return self.diag * np.conj(np.asarray(state, dtype=complex).reshape(-1))
-
-    def conjugate_operator(self, op):
-        """T A T^{-1} = W conj(A) W^dag."""
-        a = np.asarray(op, dtype=complex)
-        return self.diag[:, None] * a.conj() * self.diag.conj()[None, :]
-
-    def involution_defect(self):
-        """max |T^2 - 1| = max |W conj(W) - 1|; zero for pure phases."""
-        return np.abs(self.diag * self.diag.conj() - 1.0).max()
+CLOSURE_TOL = 1e-9  # largest |closure_defect| for which a ring's T is built
 
 
-def reversal_residual(tr, op):
-    """max-entry size of T A T^{-1} - A^dag."""
+def reversal_residual(w, op):
+    """max-entry size of T A T^{-1} - A^dag for T = diag(w) K.
+
+    T A T^{-1} = W conj(A) W^dag, with w the diagonal of W.
+    """
     a = np.asarray(op, dtype=complex)
-    return float(np.abs(tr.conjugate_operator(a) - a.conj().T).max())
+    return float(np.abs(w[:, None] * a.conj() * w.conj()[None, :] - a.conj().T).max())
+
+
+def site_phases(angles, states, L):
+    """Diagonal of W = exp(i sum_j a_j sz_j) on an int array of states."""
+    z = 2 * ((np.asarray(states)[:, None] >> (L - 1 - np.arange(L))) & 1) - 1
+    return np.exp(1j * (z @ angles))
 
 
 def equivalent_circuit(circuit):
@@ -144,29 +124,27 @@ def closure_defect(circuit):
     return _loop_defect(_bond_angles(circuit), circuit.boundary)
 
 
-def global_time_reversal(circuit, tol=1e-9):
-    """Antiunitary T with T U~ T^{-1} = U~^dag for the symmetrized period.
+def global_time_reversal(circuit):
+    """Site angles a_j of the antiunitary T with T U~ T^{-1} = U~^dag.
 
-    Takes the brickwork period U and reverses U~ = equivalent_circuit(U).
-    Site j carries the accumulated angle a_j = -sum_{k<j} theta_k with
-    a_0 = 0 (the overall rotation phase is immaterial, so the first site
-    is gauge-fixed to zero), and W acts as exp(i sum_j a_j sz_j).  For a
-    periodic circuit the construction exists only when closure_defect
-    vanishes; otherwise TimeReversalRefusal carries the measured defect.
+    Takes the brickwork period U and reverses its symmetrized twin U~ =
+    equivalent_circuit(U) with T = exp(i sum_j a_j sz_j) K.  Site j
+    carries the accumulated angle a_j = -sum_{k<j} theta_k with a_0 = 0
+    (the overall rotation phase is immaterial, so the first site is
+    gauge-fixed to zero); the L angles are returned, and site_phases
+    forms W's diagonal on any set of states.  For a periodic circuit the
+    construction exists only when closure_defect vanishes within
+    CLOSURE_TOL; otherwise TimeReversalRefusal carries the measured defect.
     """
     thetas = _bond_angles(circuit)
     defect = _loop_defect(thetas, circuit.boundary)
-    if abs(defect) > tol:
+    if abs(defect) > CLOSURE_TOL:
         raise TimeReversalRefusal(
             f"bond angles do not close around the ring "
             f"(defect {defect:.6g} mod pi)",
             angle_defect=defect,
         )
-    L = circuit.L
-    a_site = np.concatenate([[0.0], np.cumsum(-thetas[: L - 1])])
-    n = np.arange(1 << L)
-    z = 2 * ((n[:, None] >> (L - 1 - np.arange(L))[None, :]) & 1) - 1
-    return AntiUnitary(np.exp(1j * (z @ a_site)), label=f"global W K, L={L}")
+    return np.concatenate([[0.0], np.cumsum(-thetas[: circuit.L - 1])])
 
 
 def spectral_match_error(u, v):
@@ -197,10 +175,10 @@ def time_reversal_report(circuit):
     CapacityError beyond the full-dense L cap.  Works sector by sector:
     for each magnetization m it builds the blocks of the period and of
     its symmetrized twin, and reports the largest reversal residual (W's
-    diagonal restricted to the sector's states) and the largest
+    diagonal formed on the sector's states by site_phases) and the largest
     eigenvalue mismatch over the sectors.
     """
-    tr = global_time_reversal(circuit)
+    angles = global_time_reversal(circuit)
     L = circuit.L
     if L > FULL_DENSE_MAX_L:
         raise CapacityError(f"time-reversal report limited to L <= {FULL_DENSE_MAX_L}")
@@ -210,8 +188,8 @@ def time_reversal_report(circuit):
         basis = sector_basis(L, m)
         u = build_sector_block(circuit, basis)
         ut = build_sector_block(sym, basis)
-        tr_m = AntiUnitary(tr.diag[sector_states(L, m)])
-        residuals.append(reversal_residual(tr_m, ut))
+        w = site_phases(angles, sector_states(L, m), L)
+        residuals.append(reversal_residual(w, ut))
         mismatches.append(spectral_match_error(u, ut))
     return {
         "boundary": circuit.boundary,

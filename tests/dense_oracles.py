@@ -9,8 +9,9 @@ against.
   coefficient of a {1, z, p, m} string.  The x-derivatives of Rc come from
   the hand-written closed forms of R' and R'' below, not from
   rmatrix.r_matrix_jet.  They share no code with the sector path.
-  transfer_matrix and propagator_from_transfer assemble the sector-blocked
-  charges._transfer_family into dense operators.
+  dense_from_sectors assembles sector blocks {m: block} into a dense
+  operator; transfer_matrix and propagator_from_transfer use it on the
+  sector-blocked charges._transfer_family, and tests use it on charges.
 * The per-state orbit walk of the momentum basis (loop_momentum_basis),
   the dense sector restriction (restrict) and the sparse shift
   (translation_matrix), against which core.sector_basis and the sector
@@ -20,8 +21,9 @@ against.
   against the light-cone rp.truncated_propagator.
 * Eigenphase samplers of the three level-statistics classes, which pin
   the levelstats.R_TILDE_* references.
-* The one-gate time reversal W(theta) K and the single-bond z rotation
-  that removes the DM coupling of a Hamiltonian gate.
+* The one-gate time reversal W(theta) K, as the diagonal of W, and the
+  single-bond z rotation that removes the DM coupling of a Hamiltonian
+  gate.
 """
 
 from dataclasses import replace
@@ -31,7 +33,6 @@ from scipy import sparse
 
 from mcbrick.charges import LETTERS, _transfer_family
 from mcbrick.core import (
-    dense_from_sectors,
     magnetization_commutator_defect,
     sector_states,
     translation_permutation,
@@ -42,7 +43,6 @@ from mcbrick.gates import TwoQubitGate, haar_params_from_gate
 from mcbrick.levelstats import spacing_ratios
 from mcbrick.rmatrix import ab_values, r_matrix
 from mcbrick.rp import _conjugation_superop
-from mcbrick.symmetry import AntiUnitary
 
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -218,13 +218,16 @@ def loop_momentum_basis(L, m, k):
 
     Columns are ordered by orbit minimum, each orbit walked r, S^2 r, ...
     with amplitudes exp(-2 pi i k j / (L/2)) / sqrt(p); orbits whose period
-    p is incompatible with k are dropped.
+    p is incompatible with k are dropped.  The rows are the sector's
+    states, in sector_states order.
     """
     n_cells = L // 2
+    states = sector_states(L, m)
+    row_of = {int(s): i for i, s in enumerate(states)}
     seen = set()
     labels, rows, cols, vals = [], [], [], []
     col = 0
-    for r in map(int, sector_states(L, m)):
+    for r in map(int, states):
         if r in seen:
             continue
         orbit = [r]
@@ -237,12 +240,12 @@ def loop_momentum_basis(L, m, k):
         if (k * p) % n_cells:
             continue
         amp = np.exp(-2j * np.pi * k / n_cells * np.arange(p)) / np.sqrt(p)
-        rows.extend(orbit)
+        rows.extend(row_of[n] for n in orbit)
         cols.extend([col] * p)
         vals.extend(amp)
         labels.append((min(orbit), p))
         col += 1
-    vec = sparse.csr_array((vals, (rows, cols)), shape=(1 << L, col), dtype=complex)
+    vec = sparse.csr_array((vals, (rows, cols)), shape=(len(states), col), dtype=complex)
     return labels, vec
 
 
@@ -258,6 +261,15 @@ def gate_from_r(p):
 
 
 # ------------------------------------------------------- transfer matrices
+
+def dense_from_sectors(blocks, L):
+    """Dense 2^L x 2^L matrix with the given magnetization-sector blocks."""
+    out = np.zeros((1 << L, 1 << L), dtype=complex)
+    for m, block in blocks.items():
+        s = sector_states(L, m)
+        out[np.ix_(s, s)] = block
+    return out
+
 
 def transfer_matrix(p, x, L):
     """Dense T(x; u), assembled from its sector blocks; x may be complex."""
@@ -276,15 +288,15 @@ def propagator_from_transfer(p, L):
 
 def translation_matrix(L, sites=1):
     """Sparse unitary of the cyclic shift by `sites`."""
-    perm = translation_permutation(L, sites)
     dim = 1 << L
+    perm = translation_permutation(np.arange(dim), L, sites)
     return sparse.csr_array(
         (np.ones(dim), (perm, np.arange(dim))), shape=(dim, dim), dtype=complex
     )
 
 
 def _translation_commutator_defect(entries, L, sites):
-    perm = translation_permutation(L, sites)
+    perm = translation_permutation(np.arange(1 << L), L, sites)
     # S O S^-1 has entries O[inv(i), inv(j)]; compare with O
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
@@ -313,8 +325,10 @@ def restrict(op, basis, tol=1e-10):
                 f"operator not two-site translation invariant (defect {defect:.3e})",
                 residual=float(defect),
             )
+    s = sector_states(basis.L, basis.magnetization)
     w = basis.vectors
-    return np.asarray(w.conj().T @ (w.conj().T @ entries.conj().T).conj().T)
+    sub = entries[np.ix_(s, s)]
+    return np.asarray(w.conj().T @ (w.conj().T @ sub.conj().T).conj().T)
 
 
 # ------------------------------------------------------ RP window step
@@ -454,9 +468,8 @@ def _w_pair(theta):
 
 
 def single_gate_time_reversal(gate):
-    """Antiunitary T1 with T1 g T1^{-1} = g^dag for one MC gate."""
-    theta = haar_params_from_gate(gate).params.theta_v
-    return AntiUnitary(_w_pair(theta), label=f"W(theta={theta:.6g}) K")
+    """Diagonal of W in T1 = W K, with T1 g T1^{-1} = g^dag for one MC gate."""
+    return _w_pair(haar_params_from_gate(gate).params.theta_v)
 
 
 def dm_rotation_angle(params):

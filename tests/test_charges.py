@@ -7,6 +7,7 @@ import pytest
 
 from dense_oracles import (
     dense_charges,
+    dense_from_sectors,
     einsum_transfer_family,
     gate_from_r,
     pauli_window_projection,
@@ -18,7 +19,6 @@ from mcbrick.core import (
     build_propagator,
     build_sector_block,
     commutator_defect,
-    dense_from_sectors,
     embed_operator,
     homogeneous_circuit,
     magnetization_of,
@@ -43,6 +43,11 @@ from mcbrick.errors import CapacityError, CriticalManifoldError, ParameterError,
 
 P_I = RMatrixParams(beta=0.3, xi=0.8, theta=1.1, rho=0.7, u=0.6, phase="I")
 P_II = RMatrixParams(beta=0.3, xi=0.8, theta=1.1, rho=0.45, u=0.8, phase="II")
+
+
+def charge_matrix(q):
+    """The dense 2^L charge of a ChargeFamily."""
+    return dense_from_sectors(q.blocks, q.L)
 
 
 def brickwork_unitary(p, L):
@@ -122,8 +127,8 @@ def test_charge_q1_closed_form_equality():
     for seed in range(20):
         p = sample_mapped(1000 + seed)
         for sign in "+-":
-            qa = charge_q1(p, sign, 8).matrix
-            qb = charge_q1_closed_form(p, sign, 8).matrix
+            qa = charge_matrix(charge_q1(p, sign, 8))
+            qb = charge_matrix(charge_q1_closed_form(p, sign, 8))
             assert np.abs(qa - qb).max() < 1e-10
 
 
@@ -132,18 +137,18 @@ def test_charge_hermiticity_convention():
     for p in (P_I, P_II):
         u_full = brickwork_unitary(p, 8)
         for sign in "+-":
-            q = charge_q1_closed_form(p, sign, 8)
-            assert np.abs(q.hermitian_part()).max() < 1e-12
-            h = q.antihermitian_part()
+            q = charge_matrix(charge_q1_closed_form(p, sign, 8))
+            assert np.abs(q + q.conj().T).max() < 1e-12
+            h = q / 1j
             assert np.abs(h - h.conj().T).max() < 1e-12
             assert commutator_defect(h, u_full, 8) < 1e-9
 
 
 def test_charge_translation_invariance():
     L = 8
-    perm = translation_permutation(L, 2)
+    perm = translation_permutation(np.arange(1 << L), L, 2)
     for sign in "+-":
-        q = charge_q1(P_I, sign, L).matrix
+        q = charge_matrix(charge_q1(P_I, sign, L))
         # S^2 Q S^-2 has entries Q[perm^-1 i, perm^-1 j]
         inv = np.argsort(perm)
         assert np.abs(q[np.ix_(inv, inv)] - q).max() < 1e-12
@@ -152,8 +157,8 @@ def test_charge_translation_invariance():
 def test_charges_mutually_commute():
     L = 8
     for p in (P_I, P_II):
-        qp = charge_q1(p, "+", L).matrix
-        qm = charge_q1(p, "-", L).matrix
+        qp = charge_matrix(charge_q1(p, "+", L))
+        qm = charge_matrix(charge_q1(p, "-", L))
         assert commutator_defect(qp, qm, L) < 1e-9
         mags = np.array([magnetization_of(n, L) for n in range(1 << L)], dtype=float)
         assert np.abs((qp * mags[None, :]) - (mags[:, None] * qp)).max() < 1e-12
@@ -164,7 +169,7 @@ def test_higher_charge_order_one_matches_cell_build():
         for sign in "+-":
             g = higher_charge(p, 1, sign, 8)
             q = charge_q1(p, sign, 8)
-            assert np.abs(g.matrix - q.matrix).max() < 1e-7
+            assert np.abs(charge_matrix(g) - charge_matrix(q)).max() < 1e-7
 
 
 def test_higher_charge_order_two():
@@ -176,10 +181,10 @@ def test_higher_charge_order_two():
             q2 = higher_charge(p, 2, sign, L)
             assert q2.density_support == 5
             assert q2.conservation_defect(u_full) < 1e-7
-            assert commutator_defect(q2.matrix, q1.matrix, L) < 1e-9
+            assert commutator_defect(charge_matrix(q2), charge_matrix(q1), L) < 1e-9
             # support: diameter-3 strings carry Q1 entirely, diameter-5 carry Q2
-            _, r1 = pauli_string_window_projection(q1.matrix, L, 3)
-            _, r2 = pauli_string_window_projection(q2.matrix, L, 5)
+            _, r1 = pauli_string_window_projection(charge_matrix(q1), L, 3)
+            _, r2 = pauli_string_window_projection(charge_matrix(q2), L, 5)
             assert r1 < 1e-7
             assert r2 < 1e-7
 
@@ -206,13 +211,13 @@ def test_charge_count_for_small_supports():
     p = P_I
     mags = np.array([magnetization_of(n, L) for n in range(1 << L)], dtype=float)
     ops3 = [
-        charge_q1(p, "+", L).matrix,
-        charge_q1(p, "-", L).matrix,
+        charge_matrix(charge_q1(p, "+", L)),
+        charge_matrix(charge_q1(p, "-", L)),
         np.diag(mags.astype(complex)),
     ]
     ops5 = ops3 + [
-        higher_charge(p, 2, "+", L).matrix,
-        higher_charge(p, 2, "-", L).matrix,
+        charge_matrix(higher_charge(p, 2, "+", L)),
+        charge_matrix(higher_charge(p, 2, "-", L)),
     ]
     for ops, expected in ((ops3, 3), (ops5, 5)):
         gram = np.array([[np.vdot(a, b) for b in ops] for a in ops])
@@ -270,14 +275,14 @@ def test_q1_sector_gather_matches_the_dense_window_sum():
                 embed_operator(kernel, [(2 * j + start + t) % L for t in range(3)], L)
                 for j in range(L // 2)
             )
-            assert np.abs(charge_q1(p, sign, L).matrix - traceless(dense)).max() < 1e-13
+            assert np.abs(charge_matrix(charge_q1(p, sign, L)) - traceless(dense)).max() < 1e-13
 
 
 def test_higher_charges_match_dense_solves():
     L = 10
     for p, sign in ((P_I, "+"), (P_II, "-")):
         for ell, want in enumerate(dense_charges(p, sign, L), start=1):
-            got = higher_charge(p, ell, sign, L).matrix
+            got = charge_matrix(higher_charge(p, ell, sign, L))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -303,7 +308,7 @@ def test_charge0_string_projection_matches_the_pauli_enumeration(L, window):
             want, rel=1e-12
         )
     # a local translation-invariant charge keeps its weight in the window
-    q = charge_q1(P_I, "+", L).matrix
+    q = charge_matrix(charge_q1(P_I, "+", L))
     assert pauli_string_window_projection(q, L, 3) == pytest.approx(
         pauli_window_projection(q, L, 3), rel=1e-12, abs=1e-13
     )
@@ -319,13 +324,12 @@ def test_projection_refuses_weight_between_sectors():
 
 @pytest.mark.parametrize("ell", ["1", "2"])
 def test_charges_command_builds_no_dense_operator(ell, monkeypatch, tmp_path):
-    from mcbrick import charges, cli, core
+    from mcbrick import cli, core
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense 2^L operator built on the charges path")
 
     monkeypatch.setattr(core, "build_propagator", refuse)
-    monkeypatch.setattr(charges, "dense_from_sectors", refuse)
     gate = ["--delta-phase", "0.1", "--alpha", "0.4", "--phi", "0.9", "--chi", "0.3",
             "--theta", "0.2"]
     out = tmp_path / "out"
@@ -361,9 +365,9 @@ def test_sector_defects_match_their_dense_definitions():
         q_blocks[m] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     u = dense_from_sectors(u_blocks, L)
     q = ChargeFamily(1, "+", 0.5, 3, q_blocks, L=L)
-    h = q.hermitian_part()
+    h = 0.5 * (charge_matrix(q) + charge_matrix(q).conj().T)
     want_h = np.abs(u.conj().T @ h @ u - h).max()
-    want_c = np.abs(q.matrix @ u - u @ q.matrix).max()
+    want_c = np.abs(charge_matrix(q) @ u - u @ charge_matrix(q)).max()
     assert want_h > 1e-3 and want_c > 1e-3
     for prop in (u_blocks, u):
         assert q.hermitian_part_defect(prop) == pytest.approx(want_h, rel=1e-12)

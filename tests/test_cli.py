@@ -87,6 +87,25 @@ def test_verify_ybe_refuses_empty_trials(tmp_path):
         assert not (tmp_path / "verify-ybe.json").exists()
 
 
+def test_verify_ybe_draws_spectral_arguments_from_the_method_stream(tmp_path, monkeypatch):
+    # the gate stream feeds sample_haar; x and y must not repeat its uniforms
+    import numpy as np
+
+    from mcbrick import rmatrix
+
+    real, seen = rmatrix.check_yang_baxter, []
+
+    def spy(p, x, y):
+        seen.append((x, y))
+        return real(p, x, y)
+
+    monkeypatch.setattr(rmatrix, "check_yang_baxter", spy)
+    assert run(tmp_path, "verify-ybe", "--trials", "3", "--seed", "0") == 0
+    assert json.loads((tmp_path / "verify-ybe.json").read_text())["skipped_degenerate"] == 0
+    rng = np.random.default_rng(np.random.SeedSequence(0).spawn(3)[1])
+    assert seen == [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(3)]
+
+
 def test_spectrum_stats_refuses_to_pool_no_ratio(tmp_path, capsys):
     # the only block, m=6 at L=6, holds a single phase
     args = ("spectrum-stats", *GATE_II, "--L", "6", "--m-values", "6", "--min-dim", "0")

@@ -17,7 +17,6 @@ from mcbrick.core import (
     build_propagator,
     check_sector_column,
     commutator_defect,
-    dense_from_sectors,
     homogeneous_circuit,
     layer_bonds,
     layer_operators,
@@ -34,10 +33,11 @@ from mcbrick.core import (
 )
 from mcbrick.gates import gate_matrix, random_mc_gate, TwoQubitGate
 from mcbrick.errors import CapacityError, ParameterError, SymmetryError
-from mcbrick.levelstats import chaotic_gate_pair
-from mcbrick.symmetry import equivalent_circuit
+from mcbrick.levelstats import chaotic_gate_pair, flip_reflection_permutation
+from mcbrick.symmetry import equivalent_circuit, global_time_reversal
 
 from dense_oracles import (
+    dense_from_sectors,
     identity_gate,
     loop_momentum_basis,
     restrict,
@@ -87,9 +87,11 @@ def test_momentum_basis_against_projector():
         target = np.exp(2j * np.pi * k / n_cells)
         count = int(np.sum(np.abs(evals - target) < 1e-8))
         assert b.dim == count
-        assert b.gram_defect() < 1e-12
-        # the stored vectors really are S^2 eigenvectors
-        v = b.vectors.toarray()
+        w = b.vectors.toarray()
+        assert np.abs(w.conj().T @ w - np.eye(b.dim)).max() < 1e-12
+        # the stored vectors, lifted to 2^L, really are S^2 eigenvectors
+        v = np.zeros((1 << L, b.dim), dtype=complex)
+        v[plain.states] = w
         assert np.abs(s2 @ v - target * v).max() < 1e-12
         total += b.dim
     assert total == plain.dim
@@ -125,8 +127,9 @@ def test_apply_gate_identity_and_swap():
 def test_apply_gate_preserves_magnetization_sector():
     L = 8
     rng = np.random.default_rng(2)
-    basis = sector_basis(L, 2)
-    psi = basis.vectors @ (rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim))
+    psi = np.zeros(1 << L, dtype=complex)
+    states = sector_states(L, 2)
+    psi[states] = rng.normal(size=states.size) + 1j * rng.normal(size=states.size)
     psi /= np.linalg.norm(psi)
     gate = random_mc_gate(11)
     out = apply_gate(psi, gate, (3, 4), L, boundary="periodic")
@@ -370,13 +373,32 @@ def test_capacity_limits():
 
 def test_translation_permutation_order():
     L = 8
-    perm = translation_permutation(L, 1)
-    composed = np.arange(1 << L)
+    states = np.arange(1 << L)
+    composed = states
     for _ in range(L):
-        composed = perm[composed]
-    assert np.array_equal(composed, np.arange(1 << L))
+        composed = translation_permutation(composed, L, 1)
+    assert np.array_equal(composed, states)
     # shifting by one site twice equals shifting by two
-    assert np.array_equal(perm[perm], translation_permutation(L, 2))
+    once = translation_permutation(states, L, 1)
+    assert np.array_equal(translation_permutation(once, L, 1), translation_permutation(states, L, 2))
+
+
+def test_sector_coordinates_hold_no_full_space_object():
+    # W is stored on the sector's rows, T as its L site angles
+    assert sector_basis(14, 0, 1).vectors.shape == (3432, 490)
+    circuit = homogeneous_circuit(random_mc_gate(3), 10, "open")
+    assert global_time_reversal(circuit).shape == (10,)
+    # the shift and flip-reflection maps act on arrays of states
+    for L in (8, 10):
+        states = np.arange(1 << L)
+        for sites in range(L):
+            want = [translate_index(n, L, sites) for n in states]
+            assert translation_permutation(states, L, sites).tolist() == want
+        # bit-reverse the L-bit word, then complement it
+        want = [int(format(n, f"0{L}b")[::-1], 2) ^ ((1 << L) - 1) for n in states]
+        assert flip_reflection_permutation(states, L).tolist() == want
+        sector = sector_states(L, 0)
+        assert flip_reflection_permutation(sector, L).tolist() == [want[n] for n in sector]
 
 
 # ------------------------------------------------------- unitary eigenphases

@@ -1,12 +1,21 @@
-"""Every top-level definition of the package is reachable from the CLI.
+"""Every definition of the package, class members too, is reachable from the CLI.
 
 The walk is by name over the source: it starts from the top-level
 definitions of cli.py (and the statements any module runs at import) and
 follows bare names, `module.attr` references and `from .x import y`
-imports, including the lazy ones inside the command handlers.  A
-function, class or constant no path reaches is dead weight in the
-package: delete it, or move it to the tests when a test compares live
-code against it.  `__all__` lists names; it does not use them.
+imports, including the lazy ones inside the command handlers.  A method
+or property `Class.name` is reached when its class is reached and some
+reached definition uses `.name` on any object (dunder methods come with
+their class).  A function, class, member or constant no path reaches is
+dead weight in the package: delete it, or move it to the tests when a
+test compares live code against it.  `__all__` lists names; it does not
+use them.
+
+Members are matched by name alone, since the walk does not know the type
+of the object left of the dot.  So a member that shares its name with a
+reached one is not caught: any `.matrix` keeps every `matrix` member
+alive, which is how `ChargeFamily.matrix` outlived its last caller next
+to the live `TwoQubitGate.matrix`.  Such a member must be found by hand.
 """
 
 import ast
@@ -29,16 +38,27 @@ def _relative_module(node):
 
 
 class _Module:
-    """Top-level definitions of one module and the names each one uses."""
+    """Definitions of one module, class members included, and the names each uses."""
 
     def __init__(self, path):
         self.name = path.stem
         tree = ast.parse(path.read_text(), filename=str(path))
-        self.defs = {}        # name -> the top-level nodes that define it
+        self.defs = {}        # name or "Class.member" -> the nodes that define it
+        self.members = []     # (class, member) of every method and property
         self.runs = []        # statements executed at import that define nothing
         self.aliases = {}     # local name -> (module, attr) or (module, None)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                # the class keeps its decorators, bases and fields; methods stand alone
+                shell = self.defs.setdefault(node.name, [])
+                shell += node.decorator_list + node.bases + node.keywords
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        self.defs.setdefault(f"{node.name}.{item.name}", []).append(item)
+                        self.members.append((node.name, item.name))
+                    else:
+                        shell.append(item)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.defs.setdefault(node.name, []).append(node)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -94,20 +114,37 @@ def _is_docstring(node):
     return isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
 
 
+def _attributes(nodes):
+    """Names used as `.name` anywhere in the given nodes."""
+    return {sub.attr for node in nodes for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 def unreachable():
-    """Top-level (module, name) definitions no CLI path reaches, sorted."""
+    """(module, name) definitions no CLI path reaches, sorted; members as Class.name."""
     modules = {m.name: m for m in map(_Module, sorted(PACKAGE.glob("*.py")))}
-    todo = [("cli", name) for name in modules["cli"].defs]
+    todo = [("cli", name) for name in modules["cli"].defs if "." not in name]
     todo += [ref for m in modules.values() for ref in m.uses(m.runs)]
+    attrs = {name for m in modules.values() for name in _attributes(m.runs)}
     seen = set()
     while todo:
-        key = todo.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        module = modules.get(key[0])
-        if module is not None and key[1] in module.defs:
-            todo.extend(module.uses(module.defs[key[1]]))
+        while todo:
+            key = todo.pop()
+            if key in seen:
+                continue
+            seen.add(key)
+            module = modules.get(key[0])
+            if module is not None and key[1] in module.defs:
+                todo.extend(module.uses(module.defs[key[1]]))
+                attrs |= _attributes(module.defs[key[1]])
+        # members of reached classes that a reached definition names
+        todo = [
+            (m.name, f"{cls}.{name}")
+            for m in modules.values()
+            for cls, name in m.members
+            if (m.name, cls) in seen
+            and (name in attrs or name.startswith("__"))
+            and (m.name, f"{cls}.{name}") not in seen
+        ]
     return sorted(
         (m.name, name) for m in modules.values() for name in m.defs if (m.name, name) not in seen
     )
