@@ -1,13 +1,19 @@
 """Batch command line: one subcommand per experiment, provenance-stamped.
 
 Heavy imports happen inside the handlers so --threads can cap the BLAS
-thread pools before numpy first loads.  Every run writes a RunRecord
-JSON whose sha256 covers the deterministic fields (subcommand, resolved
-parameters, package version, root seed); each output file embeds that
-hash, and re-running an identical record reproduces the outputs bit for
-bit within a fixed build (wall time and file paths stay outside the
-hash).  The record is strict JSON: a non-finite parameter is written as
-null, while the hash covers its value.
+thread pools before numpy first loads.  scipy loads later still, only
+inside the core and rp functions that build sparse matrices or call the
+nonsymmetric eigensolver (the two module docstrings name them): its
+import costs a fresh process about 0.2 s and 22 MB, more than several
+commands compute.  Every run writes a RunRecord JSON whose sha256 covers
+the deterministic fields (subcommand, resolved parameters, package
+version, root seed); each output file embeds that hash, and re-running
+an identical record reproduces the outputs bit for bit within a fixed
+build (wall time, the environment and file paths stay outside the hash).
+The environment names the Python version and the numpy and scipy
+versions the run loaded, null for one it never imported.  The record is
+strict JSON: a non-finite parameter is written as null, while the hash
+covers its value.
 
 Two tables drive the parser, config resolution and the gate spec:
 _COMMANDS (per subcommand: help, gate form, [run] keys, handler) and
@@ -41,6 +47,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -272,6 +279,13 @@ def _require_finite_run(run, table):
     for key, (typ, _default) in table.items():
         if typ is float and run[key] is not None and not math.isfinite(run[key]):
             raise ParameterError(f"{key} must be finite, got {run[key]}")
+
+
+def _environment():
+    """Python version and the numpy and scipy versions the run loaded (None if not)."""
+    loaded = {name: getattr(sys.modules.get(name), "__version__", None)
+              for name in ("numpy", "scipy")}
+    return {"python": platform.python_version(), **loaded}
 
 
 def _seed_streams(root):
@@ -787,6 +801,7 @@ def main(argv=None):
         parameters=_finite_or_null(params),  # the hash covers the given values
         sha256=sha,
         wall_time_s=time.monotonic() - started,
+        environment=_environment(),
         outputs=outputs,
         status=status,
         exit_code=code,

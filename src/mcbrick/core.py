@@ -35,13 +35,17 @@ int arrays of states, and time reversal forms its diagonal on them; a
 (lift_column).  Operators that conserve magnetization are passed around
 as sector blocks {m: block} on those rows; sector_blocks splits a dense
 one.
+
+Only sector_basis, sector_operators and layer_operators import
+scipy.sparse, inside the function: the dense paths (build_propagator,
+unitary_phases) are numpy only, and a process that never builds a CSR
+matrix then never pays scipy's import.
 """
 
 import functools
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy import sparse
 
 from .errors import CapacityError, ParameterError, SymmetryError
 from .gates import MC_DEFECT_TOL, gate_matrix, mc_zero_pattern_defect
@@ -201,6 +205,8 @@ def sector_basis(L, m, k=None):
         raise ParameterError(f"L must be even with 2 <= L <= {BASIS_MAX_L}, got {L}")
     if (L + m) % 2 or not 0 <= (L + m) // 2 <= L:
         raise ParameterError(f"magnetization {m} impossible for L={L}")
+    from scipy import sparse
+
     states = sector_states(L, m)
 
     if k is None:
@@ -500,6 +506,8 @@ def sector_operators(pairs, L, m):
     holds only the MC entries of an operator, so one with weight off the
     MC pattern raises SymmetryError instead of being silently truncated.
     """
+    from scipy import sparse
+
     ops = []
     for u, sites in pairs:
         _require_mc(u, sites)
@@ -525,6 +533,8 @@ def layer_operators(circuit, m, layers=None):
     layer indices (default: all).  Any gate that is not MC raises
     SymmetryError.
     """
+    from scipy import sparse
+
     ops = []
     for i in range(len(circuit.layers)) if layers is None else layers:
         pairs = circuit.layer(i)

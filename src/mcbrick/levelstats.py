@@ -80,6 +80,8 @@ SECTOR_DIM_MAX = 5000
 # largest commutator defect with U (and between the flip and K) under which a
 # detected symmetry is split off
 REFINEMENT_TOL = 1e-9
+# largest entrywise difference between two gates of a circuit that is homogeneous
+HOMOGENEITY_TOL = 1e-12
 
 _SPACETIME_NOTE = "K = shift * odd layer, K^2 = S^2 U; one concrete choice"
 
@@ -161,9 +163,9 @@ def pooled_r_tilde(results):
     return float(np.concatenate(ratios).mean())
 
 
-def is_homogeneous(circuit, tol=1e-12):
+def is_homogeneous(circuit):
     mats = [u for layer in circuit.layers for u in layer]
-    return all(np.abs(m - mats[0]).max() <= tol for m in mats[1:])
+    return all(np.abs(m - mats[0]).max() <= HOMOGENEITY_TOL for m in mats[1:])
 
 
 def _unitary(block, what):

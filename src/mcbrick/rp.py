@@ -24,14 +24,16 @@ the light cone as one sparse matrix.
 
 k is a free real parameter of the translation class, not a lattice
 momentum of any finite ring.
+
+scipy is imported inside truncated_propagator (after its capacity
+refusals), _cone_operators and TruncatedPropagator.eig, the only users
+of its sparse kron and nonsymmetric eigensolver, so importing this module
+or refusing a support loads no scipy.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
 from itertools import product
-
-import scipy.linalg
-import scipy.sparse
 
 from .charges import (
     LETTERS,
@@ -113,6 +115,8 @@ class TruncatedPropagator:
     def eig(self, charge):
         """(eigenvalues, left, right eigenvectors) of one charge block."""
         if charge not in self._eig:
+            import scipy.linalg
+
             self._eig[charge] = scipy.linalg.eig(self.blocks[charge], left=True, right=True)
         return self._eig[charge]
 
@@ -129,6 +133,8 @@ def _cone_operators(superop, pos, r):
     first.  An edge moves out by two sites where its outermost letter
     meets a layer-two gate from outside (an even left edge, an odd right
     edge), by one otherwise."""
+    import scipy.sparse
+
     end = pos + r - 1
     lo, hi = pos - (2 if pos % 2 == 0 else 1), end + (2 if end % 2 == 1 else 1)
     s, eye = scipy.sparse.csr_matrix(superop), scipy.sparse.identity
@@ -163,6 +169,7 @@ def truncated_propagator(gate, r, k):
               for c in charges}
     if max(len(v) for v in labels.values()) > BLOCK_DIM_MAX:
         raise CapacityError(f"largest charge block exceeds {BLOCK_DIM_MAX}")
+    import scipy.sparse
 
     # slot of every representative (its letters as base-4 digits, ascending)
     # and its charge; other charges' slots are watched for leakage
