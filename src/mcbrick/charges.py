@@ -128,13 +128,9 @@ def _traceless(blocks, L):
 
 @dataclass(frozen=True)
 class ChargeFamily:
-    ell: int
-    sign: str  # "+" or "-"
-    u: float
-    density_support: int  # 2 ell + 1 sites
+    density_support: int  # 2 ell + 1 sites for the order-ell charge
     blocks: dict  # traceless charge, {m: block} over the magnetization sectors
-    kernel: object = None  # local density on the support window, when cell-built
-    L: int = 0
+    L: int
 
     def conservation_defect(self, propagator):
         """max |[Q, U]|; U as sector blocks or a dense MC matrix."""
@@ -207,9 +203,9 @@ def _q1_family(p, sign, L, kernel):
     windows = [tuple((2 * j + start + t) % L for t in range(3)) for j in range(L // 2)]
     blocks = {}
     for m in range(-L, L + 1, 2):
-        ops = sector_operators([(kernel, w) for w in windows], L, m)
+        ops = sector_operators([[(kernel, w)] for w in windows], L, m)
         blocks[m] = sum(ops[1:], ops[0]).toarray()
-    return ChargeFamily(1, sign, p.u, 3, _traceless(blocks, L), kernel=kernel, L=L)
+    return ChargeFamily(3, _traceless(blocks, L), L)
 
 
 # two-site blocks of the closed-form density, basis {|00>,|01>,|10>,|11>}
@@ -364,7 +360,7 @@ def higher_charge(p, ell, sign, L):
         sol = np.linalg.solve(tm, np.hstack([d[m] for d in derivs]))
         g = sol[:, : len(tm)]
         blocks[m] = g if ell == 1 else sol[:, len(tm):] - g @ g
-    return ChargeFamily(ell, sign, p.u, 2 * ell + 1, _traceless(blocks, L), L=L)
+    return ChargeFamily(2 * ell + 1, _traceless(blocks, L), L)
 
 
 # operator strings over {1, z, p, m}: p = sqrt2 sigma+, m = sqrt2 sigma-, each

@@ -533,23 +533,14 @@ def _cmd_spectrum_stats(params, root, sha):
 
 
 def _cmd_rp_spectrum(params, root, sha):
-    from .rp import (
-        conserved_density_vectors,
-        gap_scaling,
-        rp_spectrum,
-        truncated_propagator,
-        unit_multiplicity,
-    )
+    from .rp import gap_scaling, rp_spectrum, truncated_propagator, unit_multiplicity
 
     run = params["run"]
     gate, _hp = _build_gate(params["gate"])
     tp = truncated_propagator(gate, run["r"], run["k"])
-    conserved = conserved_density_vectors(gate, run["r"]) if abs(run["k"]) < 1e-12 else None
-    spectrum = rp_spectrum(tp, eps_keep=run["eps_keep"], conserved=conserved)
     rows = [
-        (run["k"], run["r"], mode.charge_block,
-         mode.eigenvalue.real, mode.eigenvalue.imag)
-        for mode in spectrum.modes
+        (run["k"], run["r"], charge_block, eigenvalue.real, eigenvalue.imag)
+        for eigenvalue, charge_block in rp_spectrum(tp, eps_keep=run["eps_keep"])
     ]
     payload = {
         "k": run["k"],
@@ -557,14 +548,13 @@ def _cmd_rp_spectrum(params, root, sha):
         "eps_keep": run["eps_keep"],
         "phase": _phase_label(gate),
         "unit_multiplicity": int(unit_multiplicity(tp)),
-        "spectral_radius": tp.metadata["spectral_radius"],
+        "spectral_radius": tp.spectral_radius,
         "charge_mixing_defect": float(tp.mixing_defect),
-        "block_dims": {str(c): int(d) for c, d in spectrum.block_dims.items()},
-        "modes_kept": len(spectrum.modes),
+        "block_dims": {str(c): len(v) for c, v in tp.labels.items()},
+        "modes_kept": len(rows),
     }
     if run["r_list"]:
-        fit = gap_scaling(gate, run["k"], _parse_int_list(run["r_list"], "r_list"),
-                          tp=tp, conserved=conserved)
+        fit = gap_scaling(gate, run["k"], _parse_int_list(run["r_list"], "r_list"), tp=tp)
         fit_payload = {
             "model": fit.model,
             "r_values": list(fit.r_values),

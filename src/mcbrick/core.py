@@ -19,14 +19,13 @@ it differs from by a 01 <-> 10 swap.  The gates of one layer sit on
 disjoint bonds, so their product over a group of up to GROUP_BONDS bonds
 has 2^d entries in a row with d bonds reading 01 or 10.  That sparsity
 pattern depends only on (L, m, bonds); _group_pattern computes it once
-per key (cached), and layer_operators multiplies the gates' entries into
-it as one CSR matrix per group, so a step is a few sparse products on
-all columns at once (sector_step).  The one-block pattern on any tuple
-of sites gathers a w-site MC operator such as a charge density
-(sector_operators).  The pattern holds only the MC entries of an
-operator, so the kernel refuses any operator that is not MC.  Each block
-or evolution is also compared, on one column and one step, with the
-full-space propagator_apply (check_sector_column).
+per key (cached), and sector_operators multiplies the operators' entries
+into it as one CSR matrix per group, so a step is a few sparse products
+on all columns at once (layer_operators, sector_step).  A group may also
+be one w-site MC operator, such as a charge density.  The pattern holds
+only the MC entries of an operator, so the kernel refuses any operator
+that is not MC.  Each block or evolution is also compared, on one column
+and one step, with the full-space propagator_apply (check_sector_column).
 
 Sector states are the only coordinates: a sector basis matrix W has the
 rows of sector_states(L, m), the shift and flip-reflection maps act on
@@ -36,10 +35,10 @@ int arrays of states, and time reversal forms its diagonal on them; a
 as sector blocks {m: block} on those rows; sector_blocks splits a dense
 one.
 
-Only sector_basis, sector_operators and layer_operators import
-scipy.sparse, inside the function: the dense paths (build_propagator,
-unitary_phases) are numpy only, and a process that never builds a CSR
-matrix then never pays scipy's import.
+Only sector_basis and sector_operators import scipy.sparse, inside the
+function: the dense paths (build_propagator, unitary_phases) are numpy
+only, and a process that never builds a CSR matrix then never pays
+scipy's import.
 """
 
 import functools
@@ -76,13 +75,6 @@ def translation_permutation(states, L, sites=1):
     sites %= L
     ns = np.asarray(states, dtype=np.int64)
     return ((ns >> sites) | (ns << (L - sites))) & ((1 << L) - 1)
-
-
-def unitarity_defect(a):
-    """max |A^dag A - 1| entrywise."""
-    g = a.conj().T @ a
-    g[np.diag_indices_from(g)] -= 1.0
-    return np.abs(g).max()
 
 
 def _cayley(u, alpha):
@@ -171,8 +163,6 @@ def unitary_phases(u, vectors=False):
 class SectorBasis:
     """Orthonormal basis of a magnetization (and optionally momentum) sector.
 
-    `states` holds labels: plain basis indices for bitstring bases, or
-    (representative, orbit period) pairs for momentum-symmetrized states.
     `vectors` is the sparse dim_m x dim matrix W of basis columns, its rows
     those of sector_states(L, magnetization).
     """
@@ -180,7 +170,6 @@ class SectorBasis:
     L: int
     magnetization: int
     momentum: object  # int k index under the two-site shift, or None
-    states: list
     vectors: object = field(repr=False)
 
     @property
@@ -214,12 +203,12 @@ def sector_basis(L, m, k=None):
         vec = sparse.csr_array(
             (np.ones(len(states)), (rows, rows)), shape=(len(states),) * 2, dtype=complex
         )
-        return SectorBasis(L, m, None, list(map(int, states)), vec)
+        return SectorBasis(L, m, None, vec)
 
     n_cells = L // 2
     if not 0 <= k < n_cells:
         raise ParameterError(f"momentum index {k} outside 0..{n_cells - 1}")
-    reps, periods, orbits = _momentum_orbits(L, m)
+    _, periods, orbits = _momentum_orbits(L, m)
     keep = (k * periods) % n_cells == 0  # momentum compatible with orbit period
     p = periods[keep]
     in_orbit = np.arange(n_cells) < p[:, None]  # (column, j): S^(2j) rep is a state
@@ -227,7 +216,7 @@ def sector_basis(L, m, k=None):
     cols, j = np.nonzero(in_orbit)
     vals = np.exp(-2j * np.pi * k / n_cells * j) / np.sqrt(p[cols])
     vec = sparse.csr_array((vals, (rows, cols)), shape=(len(states), p.size), dtype=complex)
-    return SectorBasis(L, m, k, list(zip(reps[keep].tolist(), p.tolist())), vec)
+    return SectorBasis(L, m, k, vec)
 
 
 @functools.lru_cache(maxsize=64)
@@ -477,17 +466,6 @@ def _group_pattern(L, m, blocks):
     return pattern
 
 
-@functools.lru_cache(maxsize=512)
-def _bond_pattern(L, m, *sites):
-    """_group_pattern of one MC operator on `sites`, its entries a flat array.
-
-    On a bond (a, b) a row holds the diagonal entry u[c, c] and, for a 01
-    or 10 row, u[c, c ^ 3] at its swap partner.
-    """
-    indptr, indices, entry = _group_pattern(L, m, (sites,))
-    return indptr, indices, entry[0]
-
-
 def _require_mc(u, sites):
     defect = mc_zero_pattern_defect(u)
     if defect > MC_DEFECT_TOL:
@@ -498,58 +476,48 @@ def _require_mc(u, sites):
         )
 
 
-def sector_operators(pairs, L, m):
-    """CSR matrices of (operator, sites) pairs inside magnetization sector m.
+def sector_operators(groups, L, m):
+    """CSR matrices inside magnetization sector m, one per group of
+    (operator, sites) pairs on disjoint sites.
 
-    Each is the operator's entries gathered into the cached _bond_pattern
-    of its sites, one matrix per pair (charges sum them).  The pattern
-    holds only the MC entries of an operator, so one with weight off the
-    MC pattern raises SymmetryError instead of being silently truncated.
+    A group's matrix is the product of its operators: their entries
+    multiplied into the cached _group_pattern of their sites.  Charges
+    pass one density window per group and sum the matrices; circuit
+    layers pass runs of bonds (layer_operators).  The pattern holds only
+    the MC entries of an operator, so one with weight off the MC pattern
+    raises SymmetryError instead of being silently truncated.
     """
     from scipy import sparse
 
     ops = []
-    for u, sites in pairs:
-        _require_mc(u, sites)
-        indptr, indices, entry = _bond_pattern(L, m, *sites)
+    for group in groups:
+        for u, sites in group:
+            _require_mc(u, sites)
+        indptr, indices, entry = _group_pattern(L, m, tuple(tuple(s) for _, s in group))
+        data = np.ones(indices.size, dtype=complex)
+        for (u, _), e in zip(group, entry):
+            data *= u.ravel()[e]
         dim = indptr.size - 1
-        ops.append(sparse.csr_array((u.ravel()[entry], indices, indptr), shape=(dim, dim)))
+        ops.append(sparse.csr_array((data, indices, indptr), shape=(dim, dim)))
     return ops
 
 
-def _bond_groups(pairs):
+def bond_groups(pairs):
     """Split a layer's (gate, bond) pairs into balanced runs of <= GROUP_BONDS."""
     n, n_groups = len(pairs), -(-len(pairs) // GROUP_BONDS)
     return [pairs[n * g // n_groups : n * (g + 1) // n_groups] for g in range(n_groups)]
 
 
-def layer_operators(circuit, m, layers=None):
+def layer_operators(circuit, m):
     """Step operators of a circuit's layers in sector m, in application order.
 
     The gates of a layer sit on disjoint bonds, so each run of at most
-    GROUP_BONDS of them is one CSR matrix: the gates' entries multiplied
-    into the cached _group_pattern of their bonds.  A step (sector_step)
-    is then a few sparse products instead of one per bond.  layers picks
-    layer indices (default: all).  Any gate that is not MC raises
-    SymmetryError.
+    GROUP_BONDS of them (bond_groups) is one sector_operators matrix, and
+    a step (sector_step) is a few sparse products instead of one per bond.
+    Any gate that is not MC raises SymmetryError.
     """
-    from scipy import sparse
-
-    ops = []
-    for i in range(len(circuit.layers)) if layers is None else layers:
-        pairs = circuit.layer(i)
-        for u, sites in pairs:
-            _require_mc(u, sites)
-        for group in _bond_groups(pairs):
-            indptr, indices, entry = _group_pattern(
-                circuit.L, m, tuple(tuple(sites) for _, sites in group)
-            )
-            data = np.ones(indices.size, dtype=complex)
-            for (u, _), e in zip(group, entry):
-                data *= u.ravel()[e]
-            dim = indptr.size - 1
-            ops.append(sparse.csr_array((data, indices, indptr), shape=(dim, dim)))
-    return ops
+    groups = [g for i in range(len(circuit.layers)) for g in bond_groups(circuit.layer(i))]
+    return sector_operators(groups, circuit.L, m)
 
 
 def sector_step(ops, x):

@@ -30,7 +30,6 @@ from .core import (
     check_sector_column,
     homogeneous_circuit,
     layer_operators,
-    magnetization_of,
     propagator_apply,
     sector_states,
     sector_step,
@@ -40,7 +39,6 @@ from .errors import CapacityError, ParameterError
 
 __all__ = [
     "CorrelationSeries",
-    "DecayFitComparison",
     "DomainWallResult",
     "boundary_autocorrelation",
     "staggered_correlation",
@@ -72,20 +70,6 @@ class CorrelationSeries:
 
 
 @dataclass
-class DecayFitComparison:
-    """Least-squares fits of log|C| against log t (power) and t (exponential)."""
-
-    t_min: float
-    t_max: float
-    n_points: int
-    power_exponent: float
-    power_sse: float
-    exp_rate: float
-    exp_sse: float
-    sse_ratio: float
-
-
-@dataclass
 class DomainWallResult:
     times: np.ndarray
     profiles: np.ndarray  # (steps+1, L) site-resolved <sigma^z_j(t)>
@@ -111,22 +95,21 @@ def _staggered_diagonal(L):
 def _exact_autocorrelation(U, a, L, steps, m_values=None):
     """Normalized tr(U^-t A U^t A) for diagonal A over magnetization sectors.
 
-    Each unitary sector block is diagonalized once by unitary_phases, its
-    eigenvectors orthonormal even where eigenphases are degenerate; with
-    w = |<alpha|A|beta>|^2 and V[a, t] = lambda_a^t the series
-    is Re sum_a conj(V) (w V), contracted over blocks of at most
-    _TIME_BLOCK steps with the power carried from block to block.
-    m_values selects sectors (by number of up spins); the default is all
-    of them, i.e. the full trace, and the normalization is always the
-    summed sector dimension.
+    Each unitary sector block, sliced from U on the rows sector_states(L, m),
+    is diagonalized once by unitary_phases, its eigenvectors orthonormal
+    even where eigenphases are degenerate; with w = |<alpha|A|beta>|^2 and
+    V[a, t] = lambda_a^t the series is Re sum_a conj(V) (w V), contracted
+    over blocks of at most _TIME_BLOCK steps with the power carried from
+    block to block.  m_values selects sectors by magnetization m; the
+    default is all of them, i.e. the full trace, and the normalization is
+    always the summed sector dimension.
     """
-    occ = (magnetization_of(np.arange(1 << L), L) + L) // 2
     if m_values is None:
-        m_values = range(L + 1)
+        m_values = range(-L, L + 1, 2)
     vals = np.zeros(steps + 1)
     dim = 0
     for m in m_values:
-        idx = np.flatnonzero(occ == m)
+        idx = sector_states(L, m)
         dim += len(idx)
         phases, q = unitary_phases(U[np.ix_(idx, idx)], vectors=True)
         lam = np.exp(1j * phases)
@@ -163,13 +146,6 @@ def _check_steps(steps):
         raise ParameterError(f"steps must be >= 0, got {steps}")
 
 
-def _sector_up_count(L, sector):
-    """Number of up spins for a total-sigma^z sector value."""
-    if (L + sector) % 2 or not 0 <= (L + sector) // 2 <= L:
-        raise ParameterError(f"magnetization {sector} impossible for L={L}")
-    return (L + sector) // 2
-
-
 def boundary_autocorrelation(
     gate,
     L,
@@ -192,9 +168,11 @@ def boundary_autocorrelation(
     the series there decays to zero whenever no zero mode survives.
     """
     _check_steps(steps)
+    if sector is not None and ((L + sector) % 2 or not -L <= sector <= L):
+        raise ParameterError(f"magnetization {sector} impossible for L={L}")
     base = {"L": L, "boundary": "open", "site": 0, "steps": steps, "sector": sector}
     times = np.arange(steps + 1)
-    m_sel = None if sector is None else [_sector_up_count(L, sector)]
+    m_values = range(-L, L + 1, 2) if sector is None else [sector]
     if method == "exact-trace":
         if L > FULL_DENSE_MAX_L:
             raise CapacityError(
@@ -202,7 +180,7 @@ def boundary_autocorrelation(
             )
         circuit = homogeneous_circuit(gate, L, "open")
         a = _sz_diagonal(L, 0)
-        vals = _exact_autocorrelation(build_propagator(circuit), a, L, steps, m_sel)
+        vals = _exact_autocorrelation(build_propagator(circuit), a, L, steps, m_values)
         return CorrelationSeries(times, vals, method, None, base)
     if method != "typicality":
         raise ParameterError(f"method must be exact-trace or typicality, got {method!r}")
@@ -214,13 +192,13 @@ def boundary_autocorrelation(
     a = _sz_diagonal(L, 0)
     rng = np.random.default_rng(seed)
     # all samples drawn up front, in the order of a per-sample loop
-    size = 1 << L if sector is None else comb(L, m_sel[0])
+    size = 1 << L if sector is None else comb(L, (L + sector) // 2)
     draws = np.empty((samples, size), dtype=complex)
     for s in range(samples):
         v = rng.normal(size=size) + 1j * rng.normal(size=size)
         draws[s] = v / np.linalg.norm(v)
     est = np.zeros((samples, steps + 1))
-    for m in range(-L, L + 1, 2) if sector is None else [sector]:
+    for m in m_values:
         states = sector_states(L, m)
         am = a[states, None]
         x = np.empty((states.size, 2 * samples), dtype=complex)  # v_s, then A v_s
@@ -239,9 +217,13 @@ def boundary_autocorrelation(
 def staggered_correlation(gate, L, steps):
     """C(t) = tr(S(t) S)/(L 2^L) on the ring, S the staggered cell magnetization.
 
-    S flips sign under a one-cell shift, so this probes the k = pi sector.
-    The series keeps its oscillations; a power-law/exponential fit
-    comparison on the window [t_max/20, t_max] is attached as metadata.
+    S = sum_j (-1)^j (sigma^z on both sites of cell j) over the L/2 cells.
+    For L = 0 mod 4 the cell count is even, S flips sign under a one-cell
+    shift and this probes the k = pi sector.  For L = 2 mod 4 the two
+    cells at the wrap carry the same sign, so S is no shift eigenoperator
+    and has weight at other momenta too.  The series keeps its
+    oscillations; a power-law/exponential fit comparison on the window
+    [t_max/20, t_max] is attached as metadata.
     """
     _check_steps(steps)
     if L % 2:
@@ -255,8 +237,7 @@ def staggered_correlation(gate, L, steps):
     meta = {"L": L, "boundary": "periodic", "steps": steps, "oscillations": "retained"}
     series = CorrelationSeries(times, vals, "exact-trace", None, meta)
     if steps >= 20:
-        fit = decay_fits(times, vals)
-        series.metadata["fit"] = fit.__dict__.copy()
+        series.metadata["fit"] = decay_fits(times, vals)
     return series
 
 
@@ -267,6 +248,8 @@ def decay_fits(times, values):
     slope = exponent) and against t (exponential, slope = -rate); the
     shared response makes the summed squared residuals comparable.
     Points with |C| below the fit floor are dropped, not clamped.
+    Returns a dict of the window, the point count, both slopes, both
+    squared-residual sums and their ratio exp_sse / power_sse.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -281,16 +264,16 @@ def decay_fits(times, values):
     power_sse = float(np.sum((y - (p_slope * np.log(t) + p_int)) ** 2))
     e_slope, e_int = np.polyfit(t, y, 1)
     exp_sse = float(np.sum((y - (e_slope * t + e_int)) ** 2))
-    return DecayFitComparison(
-        t_min=float(t_min),
-        t_max=float(t_max),
-        n_points=int(mask.sum()),
-        power_exponent=float(p_slope),
-        power_sse=power_sse,
-        exp_rate=float(-e_slope),
-        exp_sse=exp_sse,
-        sse_ratio=float(exp_sse / power_sse) if power_sse > 0 else np.inf,
-    )
+    return {
+        "t_min": float(t_min),
+        "t_max": float(t_max),
+        "n_points": int(mask.sum()),
+        "power_exponent": float(p_slope),
+        "power_sse": power_sse,
+        "exp_rate": float(-e_slope),
+        "exp_sse": exp_sse,
+        "sse_ratio": float(exp_sse / power_sse) if power_sse > 0 else np.inf,
+    }
 
 
 def domain_wall_evolution(gate, L, steps):

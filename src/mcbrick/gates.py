@@ -69,22 +69,15 @@ class HaarGateParams:
 @dataclass(frozen=True)
 class TwoQubitGate:
     matrix: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ParameterError("gate matrix must be 4x4")
-        object.__setattr__(self, "matrix", m)
-        defect = mc_zero_pattern_defect(m)
-        if defect > MC_DEFECT_TOL:
-            raise StructureError(
-                f"matrix is not magnetization conserving (defect {defect:.3e})"
-            )
-        g = m.conj().T @ m
-        g[np.diag_indices_from(g)] -= 1.0
-        if np.abs(g).max() > 1e-10:
+        _require_mc_structure(m)
+        if unitarity_defect(m) > 1e-10:
             raise ParameterError("gate matrix is not unitary")
+        object.__setattr__(self, "matrix", m)
 
 
 def gate_matrix(gate):
@@ -112,6 +105,21 @@ def mc_zero_pattern_defect(matrix):
     return float(np.abs(m[_mc_zero_mask(m.shape[0])]).max())
 
 
+def _require_mc_structure(m):
+    """The matrix m, once no entry MC requires to vanish exceeds MC_DEFECT_TOL."""
+    defect = mc_zero_pattern_defect(m)
+    if defect > MC_DEFECT_TOL:
+        raise StructureError(f"matrix is not magnetization conserving (defect {defect:.3e})")
+    return m
+
+
+def unitarity_defect(a):
+    """max |A^dag A - 1| entrywise."""
+    g = a.conj().T @ a
+    g[np.diag_indices_from(g)] -= 1.0
+    return np.abs(g).max()
+
+
 def gate_from_hamiltonian(p):
     """Closed-form exp(-i tau h); the central block is a 2-level rotation.
 
@@ -129,7 +137,7 @@ def gate_from_hamiltonian(p):
     mat[2, 2] = block_phase * (cos_t + 2j * p.B * sinc_t)
     mat[1, 2] = block_phase * (-1j * sinc_t * 2.0 * (p.J - 1j * p.D))
     mat[2, 1] = block_phase * (-1j * sinc_t * 2.0 * (p.J + 1j * p.D))
-    return TwoQubitGate(mat, provenance="hamiltonian")
+    return TwoQubitGate(mat)
 
 
 def gate_from_haar(p):
@@ -144,7 +152,7 @@ def gate_from_haar(p):
     mat[1, 2] = ea * c * np.exp(-1j * p.theta_v)
     mat[2, 1] = ea * c * np.exp(1j * p.theta_v)
     mat[2, 2] = -ea * s * np.exp(1j * p.chi)
-    return TwoQubitGate(mat, provenance="haar")
+    return TwoQubitGate(mat)
 
 
 def magnetization_phase_gate(mu):
@@ -174,12 +182,7 @@ def haar_params_from_gate(g):
     mu. At the degenerate edges the undefined angle is set to zero: theta_v
     when cos(phi) = 0, chi when sin(phi) = 0.
     """
-    m = gate_matrix(g)
-    defect = mc_zero_pattern_defect(m)
-    if defect > MC_DEFECT_TOL:
-        raise StructureError(
-            f"matrix is not magnetization conserving (defect {defect:.3e})"
-        )
+    m = _require_mc_structure(gate_matrix(g))
     d1 = np.angle(m[0, 0])
     d2 = np.angle(m[3, 3])
     mu = 0.5 * (d1 - d2)
@@ -204,12 +207,7 @@ def hamiltonian_params_from_gate(g):
     definition. Gates whose central block has no hopping part (J sin(tau w)
     of zero) do not admit this gauge and are rejected.
     """
-    m = gate_matrix(g)
-    defect = mc_zero_pattern_defect(m)
-    if defect > MC_DEFECT_TOL:
-        raise StructureError(
-            f"matrix is not magnetization conserving (defect {defect:.3e})"
-        )
+    m = _require_mc_structure(gate_matrix(g))
     v = m[1:3, 1:3]
     det_v = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
     phi0 = 0.5 * np.angle(det_v)
@@ -263,10 +261,4 @@ def random_mc_gate(rng_seed):
 
 def gate_sqrt(p):
     """MC square root: halve the duration in the Hamiltonian form."""
-    return replace_provenance(
-        gate_from_hamiltonian(replace(p, tau=0.5 * p.tau)), "hamiltonian-sqrt"
-    )
-
-
-def replace_provenance(gate, provenance):
-    return TwoQubitGate(gate.matrix, provenance=provenance)
+    return gate_from_hamiltonian(replace(p, tau=0.5 * p.tau))

@@ -11,8 +11,7 @@ with the period U and obeys K^2 = S^2 U, where S^2 is the scalar
 exp(i theta2) on an (m, k) block.  So the K eigenvalues alone refine each
 block: every K phase fixes one U eigenphase and the square-root branch it
 sits on, which splits the block into two halves.  This concrete operator
-is one choice of the construction and is flagged as such in result
-metadata.
+is one choice of the construction.
 
 Homogeneous circuits whose gate has equal corner phases (<00|g|00> =
 <11|g|11>, which includes every gate drawn from the Haar family) carry
@@ -35,24 +34,24 @@ constants hold these three references.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     BLOCK_UNITARITY_TOL,
+    bond_groups,
     build_propagator,
     build_sector_block,
     check_sector_column,
-    layer_operators,
     lift_column,
     sector_basis,
+    sector_operators,
     sector_states,
     sector_step,
     translation_permutation,
-    unitarity_defect,
     unitary_phases,
 )
 from .errors import CapacityError, ParameterError, SymmetryError
-from .gates import TwoQubitGate, magnetization_phase_gate, random_mc_gate
+from .gates import TwoQubitGate, magnetization_phase_gate, random_mc_gate, unitarity_defect
 
 __all__ = [
     "R_TILDE_POISSON",
@@ -83,8 +82,6 @@ REFINEMENT_TOL = 1e-9
 # largest entrywise difference between two gates of a circuit that is homogeneous
 HOMOGENEITY_TOL = 1e-12
 
-_SPACETIME_NOTE = "K = shift * odd layer, K^2 = S^2 U; one concrete choice"
-
 
 def scaled_spacings(phases):
     """Circular gaps of sorted phases, scaled to unit mean."""
@@ -110,15 +107,12 @@ def spacing_ratios(phases):
 class SpectrumResult:
     """Eigenphases of one resolved block, with their gap-ratio mean."""
 
-    L: int
-    boundary: str
     m: object
     k: object = None
     spacetime_block: object = None
     flip_parity: object = None
     eigenphases: np.ndarray = None
     r_tilde: float = np.nan
-    metadata: dict = field(default_factory=dict)
 
     @property
     def dim(self):
@@ -135,19 +129,16 @@ class SpectrumResult:
         return key
 
 
-def _result_from_phases(phases, L, boundary, m, k=None, st=None, fp=None, metadata=None):
+def _result_from_phases(phases, m, k=None, st=None, fp=None):
     ph = np.sort(np.asarray(phases, dtype=float) % (2 * np.pi))
     ratios = spacing_ratios(ph)
     return SpectrumResult(
-        L=L,
-        boundary=boundary,
         m=m,
         k=k,
         spacetime_block=st,
         flip_parity=fp,
         eigenphases=ph,
         r_tilde=float(ratios.mean()) if ratios.size else np.nan,
-        metadata=metadata or {},
     )
 
 
@@ -206,7 +197,7 @@ def sector_spectrum(circuit, m, k=None):
     """
     _, ub = _sector_block(circuit, m, k)
     phases = np.zeros(0) if ub is None else unitary_phases(ub)
-    return _result_from_phases(phases, circuit.L, circuit.boundary, m, k)
+    return _result_from_phases(phases, m, k)
 
 
 def _apply_k(circuit, vec):
@@ -226,8 +217,8 @@ def _k_block(circuit, basis):
     """Restriction of K = S * (odd layer) to a sector basis.
 
     The odd layer acts inside the magnetization sector on all basis columns
-    at once, one sparse product per group of its bonds (core.layer_operators
-    with layers=(0,), then core.sector_step).  The shift S only relabels
+    at once, one sparse product per group of its bonds (core.sector_operators
+    on its core.bond_groups, then core.sector_step).  The shift S only relabels
     sector rows, row i going to the row of S|states[i]>, so it is applied
     to the sparse W^dag instead of moving the dense array.  Column 0 is
     checked against the full-space _apply_k, and the block must be unitary.
@@ -235,7 +226,7 @@ def _k_block(circuit, basis):
     L, m = circuit.L, basis.magnetization
     states = sector_states(L, m)
     w = basis.vectors
-    x = sector_step(layer_operators(circuit, m, layers=(0,)), w.toarray())
+    x = sector_step(sector_operators(bond_groups(circuit.layer(0)), L, m), w.toarray())
     shifted = np.searchsorted(states, translation_permutation(states, L, 1))
     if basis.dim:
         col = np.empty(len(states), dtype=complex)
@@ -327,38 +318,23 @@ def resolved_spectra(circuit, m, k=None):
     ring = circuit.boundary == "periodic" and is_homogeneous(circuit)
     kb = _k_block(circuit, basis) if (ring and k is not None) else None
 
-    meta = {"resolved": ["magnetization"]}
-    if k is not None:
-        meta["resolved"].append("momentum")
-    if kb is not None:
-        meta["resolved"].append("spacetime-branch")
-        meta["spacetime_construction"] = _SPACETIME_NOTE
-    if xp is not None:
-        meta["resolved"].append("flip-reflection-parity")
-
-    def result(phases, st=None, fp=None):
-        return _result_from_phases(
-            phases, circuit.L, circuit.boundary, m, k, st=st, fp=fp,
-            metadata=dict(meta),
-        )
-
     if kb is None and xp is None:
-        return [result(unitary_phases(ub))]
+        return [_result_from_phases(unitary_phases(ub), m, k)]
 
     theta2 = 0.0 if k is None else 2 * np.pi * basis.momentum / (circuit.L // 2)
     if kb is None:
-        return [result(unitary_phases(wsub.conj().T @ ub @ wsub), fp=sign)
+        return [_result_from_phases(unitary_phases(wsub.conj().T @ ub @ wsub), m, k, fp=sign)
                 for sign, wsub in _parity_vectors(xp)]
     if xp is None or np.abs(xp @ kb - kb @ xp).max() > REFINEMENT_TOL:
         # either no flip parity here, or it exchanges the K branches
         phi, par = _branch_phases(ub, kb, theta2)
-        return [result(phi[par == p], st=p) for p in (0, 1)]
+        return [_result_from_phases(phi[par == p], m, k, st=p) for p in (0, 1)]
     out = []
     for sign, wsub in _parity_vectors(xp):
         ub_s = wsub.conj().T @ ub @ wsub
         kb_s = wsub.conj().T @ kb @ wsub
         phi, par = _branch_phases(ub_s, kb_s, theta2)
-        out.extend(result(phi[par == p], st=p, fp=sign) for p in (0, 1))
+        out.extend(_result_from_phases(phi[par == p], m, k, st=p, fp=sign) for p in (0, 1))
     return out
 
 
@@ -376,7 +352,7 @@ def _parity_vectors(xp):
 def full_spectrum(circuit):
     """Eigenphases of the whole propagator, no resolution (negative control)."""
     phases = unitary_phases(_unitary(build_propagator(circuit), "full"))
-    return _result_from_phases(phases, circuit.L, circuit.boundary, None, None)
+    return _result_from_phases(phases, None)
 
 
 CHAOS_HOP_WINDOW = (0.55, 0.75)
@@ -411,7 +387,7 @@ def random_hopping_gate(rng):
         g = random_mc_gate(int(rng.integers(2**63)))
         mat = magnetization_phase_gate(rng.uniform(0.0, 2.0 * np.pi)) @ g.matrix
         if lo <= abs(mat[1, 2]) ** 2 <= hi:
-            return TwoQubitGate(mat, provenance="hopping-conditioned")
+            return TwoQubitGate(mat)
 
 
 def chaotic_gate_pair(seed):

@@ -56,8 +56,6 @@ from .rmatrix import haar_to_r
 __all__ = [
     "LETTERS",
     "TruncatedPropagator",
-    "RPMode",
-    "RPSpectrum",
     "charge_of_string",
     "truncated_propagator",
     "rp_spectrum",
@@ -100,7 +98,8 @@ class TruncatedPropagator:
     labels[c] lists (parity, string) row/column labels of blocks[c]; all
     even-start representatives come first.  mixing_defect is the largest
     matrix element between different charge blocks (exactly conserved,
-    so this is a numerical-noise figure).  Each block is eigensolved once,
+    so this is a numerical-noise figure).  spectral_radius is the largest
+    eigenvalue modulus over all blocks.  Each block is eigensolved once,
     on first use, and every spectral reading shares that decomposition.
     """
 
@@ -109,22 +108,16 @@ class TruncatedPropagator:
     blocks: dict
     labels: dict
     mixing_defect: float
-    metadata: dict = field(default_factory=dict)
+    spectral_radius: float = None
     _eig: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def eig(self, charge):
-        """(eigenvalues, left, right eigenvectors) of one charge block."""
+        """(eigenvalues, right eigenvectors) of one charge block."""
         if charge not in self._eig:
             import scipy.linalg
 
-            self._eig[charge] = scipy.linalg.eig(self.blocks[charge], left=True, right=True)
+            self._eig[charge] = scipy.linalg.eig(self.blocks[charge])
         return self._eig[charge]
-
-    def spectral_radius(self):
-        return max(
-            (np.abs(self.eig(c)[0]).max() for c, b in self.blocks.items() if b.size),
-            default=0.0,
-        )
 
 
 def _cone_operators(superop, pos, r):
@@ -155,8 +148,8 @@ def truncated_propagator(gate, r, k):
     r+2 or r+4 for even r by column parity); gates outside it map identity
     to identity.  The columns of a charge block travel as one sparse
     matrix; row slots with a letter outside the cone are zero.  The radius
-    check eigendecomposes every block once, left and right vectors
-    included, and the result caches them for every later spectral reading.
+    check eigendecomposes every block once, right vectors included, and
+    the result caches them for every later spectral reading.
     One BLAS thread on a 2-core Xeon: r=5 about 1.4 s (0.8 s of it the
     decompositions); r=R_MAX=6 about 34 s (21 s of it the decompositions)
     and 2.1 GB peak RSS, set by the build.
@@ -209,95 +202,37 @@ def truncated_propagator(gate, r, k):
 
     if mixing > MIXING_TOL:
         raise SymmetryError("propagator mixes operator-charge blocks", residual=mixing)
-    tp = TruncatedPropagator(
-        k=float(k),
-        r=r,
-        blocks=blocks,
-        labels=labels,
-        mixing_defect=mixing,
-        metadata={"gate": getattr(gate, "provenance", "")},
-    )
-    radius = tp.spectral_radius()
+    tp = TruncatedPropagator(k=float(k), r=r, blocks=blocks, labels=labels, mixing_defect=mixing)
+    radius = max((np.abs(tp.eig(c)[0]).max() for c in charges if blocks[c].size), default=0.0)
     if radius > 1.0 + RADIUS_TOL:
         raise SymmetryError(
             "truncated propagator exceeds unit spectral radius",
             residual=float(radius - 1.0),
         )
-    tp.metadata["spectral_radius"] = float(radius)
+    tp.spectral_radius = float(radius)
     return tp
 
 
-@dataclass
-class RPMode:
-    eigenvalue: complex
-    charge_block: int
-    right: np.ndarray
-    left: np.ndarray
-    charge_overlap: object = None
-
-
-@dataclass
-class RPSpectrum:
-    k: float
-    r: int
-    eps_keep: float
-    modes: list
-    block_dims: dict
-
-
-def rp_spectrum(tp, eps_keep=0.25, conserved=None):
+def rp_spectrum(tp, eps_keep=0.25):
     """Leading spectrum of the truncated propagator, per charge block.
 
-    Keeps eigenvalues with |lambda| > 1 - eps_keep together with left and
-    right eigenvectors.  If `conserved` maps charge blocks to column
-    stacks of conserved-density vectors, each kept mode also records the
-    norm of its right eigenvector's projection onto that span.
+    Returns the (eigenvalue, charge block) pairs with |lambda| > 1 -
+    eps_keep, in order of decreasing modulus.
     """
-    if any(len(v) > BLOCK_DIM_MAX for v in tp.labels.values()):
-        raise CapacityError(f"block dimension exceeds {BLOCK_DIM_MAX}")
     modes = []
-    proj = _charge_projectors(conserved)
     for c, block in tp.blocks.items():
         if not block.size:
             continue
-        vals, vl, vr = tp.eig(c)
-        keep = np.abs(vals) > 1.0 - eps_keep
-        for i in np.flatnonzero(keep):
-            overlap = _overlap(proj[c], vr[:, i]) if c in proj else None
-            modes.append(
-                RPMode(
-                    eigenvalue=complex(vals[i]),
-                    charge_block=c,
-                    right=vr[:, i],
-                    left=vl[:, i],
-                    charge_overlap=overlap,
-                )
-            )
-    modes.sort(key=lambda m: -abs(m.eigenvalue))
-    return RPSpectrum(
-        k=tp.k,
-        r=tp.r,
-        eps_keep=float(eps_keep),
-        modes=modes,
-        block_dims={c: len(v) for c, v in tp.labels.items()},
-    )
+        vals = tp.eig(c)[0]
+        modes += [(complex(vals[i]), c) for i in np.flatnonzero(np.abs(vals) > 1.0 - eps_keep)]
+    modes.sort(key=lambda mode: -abs(mode[0]))
+    return modes
 
 
 def unit_multiplicity(tp, tol=UNIT_TOL):
     """Number of eigenvalues within tol of 1 across all blocks."""
     return sum(int(np.sum(np.abs(tp.eig(c)[0] - 1.0) < tol))
                for c, block in tp.blocks.items() if block.size)
-
-
-def _charge_projectors(conserved):
-    """Orthonormal bases of the conserved-density spans, per charge block."""
-    return {c: np.linalg.qr(np.asarray(mat, dtype=complex))[0]
-            for c, mat in (conserved or {}).items()}
-
-
-def _overlap(q, v):
-    """Norm of the projection of the normalized vector v onto span(q)."""
-    return float(np.linalg.norm(q.conj().T @ (v / np.linalg.norm(v))))
 
 
 # ----------------------------------------------------- conserved densities
@@ -377,7 +312,6 @@ def conserved_density_vectors(gate, r):
 class GapFit:
     """Decay of the leading non-conserved eigenvalue with support size."""
 
-    k: float
     model: str
     r_values: tuple
     gaps: dict
@@ -389,33 +323,42 @@ class GapFit:
 
 
 def _lambda2(tp, conserved):
-    """Largest-modulus eigenvalue outside the conserved eigenspace."""
-    proj = _charge_projectors(conserved)
+    """Largest-modulus eigenvalue outside the conserved eigenspace.
+
+    conserved maps charge blocks to column stacks of conserved-density
+    vectors (or is None); a unit eigenvalue is conserved when more than
+    CHARGE_OVERLAP_MIN of its normalized eigenvector lies in their span.
+    """
+    proj = {c: np.linalg.qr(np.asarray(mat, dtype=complex))[0]
+            for c, mat in (conserved or {}).items()}
     best = 0.0 + 0.0j
     for c, block in tp.blocks.items():
         if not block.size:
             continue
-        vals, _, vr = tp.eig(c)
+        vals, vr = tp.eig(c)
         for i, lam in enumerate(vals):
-            if (abs(lam - 1.0) < UNIT_TOL and c in proj
-                    and _overlap(proj[c], vr[:, i]) > CHARGE_OVERLAP_MIN):
-                continue
+            if abs(lam - 1.0) < UNIT_TOL and c in proj:
+                v = vr[:, i] / np.linalg.norm(vr[:, i])
+                if np.linalg.norm(proj[c].conj().T @ v) > CHARGE_OVERLAP_MIN:
+                    continue
             if abs(lam) > abs(best):
                 best = lam
     return complex(best)
 
 
-def gap_scaling(gate, k, r_list, tp=None, conserved=None):
+def gap_scaling(gate, k, r_list, tp=None):
     """Fit 1 - |lambda_2| against support size r.
 
     k = 0 uses the exponential model log(1-|lambda2|) = log c - rate * r;
-    other k fit the gap linearly in r.  Conserved unit eigenvalues are
-    excluded by the overlap rule in _lambda2.  Fits need at least two
-    distinct supports and a nonzero gap everywhere, otherwise refused.
+    other k fit the gap linearly in r.  Conserved unit eigenvalues, whose
+    eigenvectors lie in the span of conserved_density_vectors at each
+    support, are excluded by the overlap rule in _lambda2.  Fits need at
+    least two distinct supports and a nonzero gap everywhere, otherwise
+    refused.
 
-    tp, if given, is this gate's T(k) at one support, and conserved its
-    conserved_density_vectors (at k = 0); that support is then read from
-    them, eigendecompositions included, instead of being built again.
+    tp, if given, is this gate's T(k) at one support; that support is then
+    read from it, eigendecompositions included, instead of being built
+    again.
     """
     r_values = tuple(sorted(set(int(r) for r in r_list)))
     if any(not 3 <= r <= R_MAX for r in r_values):
@@ -427,12 +370,8 @@ def gap_scaling(gate, k, r_list, tp=None, conserved=None):
     at_zero = abs(k) < 1e-12
     gaps, lam2 = {}, {}
     for r in r_values:
-        reuse = tp is not None and tp.r == r
-        t = tp if reuse else truncated_propagator(gate, r, k)
-        cons = conserved if reuse and at_zero else None
-        if at_zero and cons is None:
-            cons = conserved_density_vectors(gate, r)
-        lam = _lambda2(t, cons)
+        t = tp if tp is not None and tp.r == r else truncated_propagator(gate, r, k)
+        lam = _lambda2(t, conserved_density_vectors(gate, r) if at_zero else None)
         gap = 1.0 - abs(lam)
         if gap < 1e-12:
             raise RefusalError(
@@ -445,7 +384,6 @@ def gap_scaling(gate, k, r_list, tp=None, conserved=None):
     if at_zero:
         slope, intercept = np.polyfit(rs, np.log(ys), 1)
         return GapFit(
-            k=float(k),
             model="exponential",
             r_values=r_values,
             gaps=gaps,
@@ -455,7 +393,6 @@ def gap_scaling(gate, k, r_list, tp=None, conserved=None):
         )
     slope, intercept = np.polyfit(rs, ys, 1)
     return GapFit(
-        k=float(k),
         model="linear",
         r_values=r_values,
         gaps=gaps,

@@ -214,7 +214,7 @@ def translate_index(n, L, sites=1):
 
 
 def loop_momentum_basis(L, m, k):
-    """(labels, vectors) of the momentum-k basis, one S^2 orbit walk per state.
+    """Vectors of the momentum-k basis, one S^2 orbit walk per state.
 
     Columns are ordered by orbit minimum, each orbit walked r, S^2 r, ...
     with amplitudes exp(-2 pi i k j / (L/2)) / sqrt(p); orbits whose period
@@ -225,7 +225,7 @@ def loop_momentum_basis(L, m, k):
     states = sector_states(L, m)
     row_of = {int(s): i for i, s in enumerate(states)}
     seen = set()
-    labels, rows, cols, vals = [], [], [], []
+    rows, cols, vals = [], [], []
     col = 0
     for r in map(int, states):
         if r in seen:
@@ -243,21 +243,19 @@ def loop_momentum_basis(L, m, k):
         rows.extend(row_of[n] for n in orbit)
         cols.extend([col] * p)
         vals.extend(amp)
-        labels.append((min(orbit), p))
         col += 1
-    vec = sparse.csr_array((vals, (rows, cols)), shape=(len(states), col), dtype=complex)
-    return labels, vec
+    return sparse.csr_array((vals, (rows, cols)), shape=(len(states), col), dtype=complex)
 
 
 # ------------------------------------------------------------ gates and R
 
 def identity_gate():
-    return TwoQubitGate(np.eye(4, dtype=complex), provenance="identity")
+    return TwoQubitGate(np.eye(4, dtype=complex))
 
 
 def gate_from_r(p):
     """The physical two-qubit gate Rc(u)."""
-    return TwoQubitGate(r_matrix(p, p.u), provenance=f"r-matrix phase {p.phase}")
+    return TwoQubitGate(r_matrix(p, p.u))
 
 
 # ------------------------------------------------------- transfer matrices
@@ -479,9 +477,7 @@ def dm_rotation_angle(params):
 
 def dm_rotation_gate(params):
     """The two-qubit z rotation W implementing rotate_out_dm by conjugation."""
-    return TwoQubitGate(
-        np.diag(_w_pair(dm_rotation_angle(params))), provenance="dm-rotation"
-    )
+    return TwoQubitGate(np.diag(_w_pair(dm_rotation_angle(params))))
 
 
 def rotate_out_dm(params):

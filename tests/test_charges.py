@@ -364,7 +364,7 @@ def test_sector_defects_match_their_dense_definitions():
         u_blocks[m], _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         q_blocks[m] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     u = dense_from_sectors(u_blocks, L)
-    q = ChargeFamily(1, "+", 0.5, 3, q_blocks, L=L)
+    q = ChargeFamily(3, q_blocks, L)
     h = 0.5 * (charge_matrix(q) + charge_matrix(q).conj().T)
     want_h = np.abs(u.conj().T @ h @ u - h).max()
     want_c = np.abs(charge_matrix(q) @ u - u @ charge_matrix(q)).max()

@@ -1,6 +1,7 @@
 """Batch CLI: exit codes, run records and determinism, run in-process."""
 
 import json
+import math
 import os
 
 import pytest
@@ -189,6 +190,18 @@ def test_dynamics_on_gate_with_sin_phi_zero_labels_the_phase(tmp_path):
     d = strict_json(tmp_path / "szm.json")
     assert d["phase"].startswith("unmapped (") and "sin(phi) = 0" in d["phase"]
     strict_json(tmp_path / "szm-runrecord.json")
+
+
+def test_rp_spectrum_on_a_critical_gate_labels_the_phase(tmp_path, capsys):
+    # the spectrum needs no conserved densities, which a critical gate lacks;
+    # the gap fit excludes them at k = 0, so with --r-list the run is refused
+    critical = ["rp-spectrum", "--delta-phase", str(0.5 - math.pi), "--phi", "0.5",
+                "--r", "3", "--k", "0"]
+    assert run(tmp_path, *critical) == 0
+    d = strict_json(tmp_path / "rp-spectrum.json")
+    assert d["phase"] == "critical" and d["modes_kept"] > 0
+    assert run(tmp_path, *critical, "--r-list", "3,4") == 3
+    assert "critical manifold" in capsys.readouterr().err
 
 
 def test_fields_of_another_gate_family_are_errors(tmp_path, capsys):

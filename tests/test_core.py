@@ -11,9 +11,9 @@ from mcbrick.core import (
     CAYLEY_ALPHA,
     GROUP_BONDS,
     BrickworkCircuit,
-    _bond_pattern,
     _group_pattern,
     apply_gate,
+    bond_groups,
     build_propagator,
     check_sector_column,
     commutator_defect,
@@ -28,10 +28,9 @@ from mcbrick.core import (
     sector_states,
     sector_step,
     translation_permutation,
-    unitarity_defect,
     unitary_phases,
 )
-from mcbrick.gates import gate_matrix, random_mc_gate, TwoQubitGate
+from mcbrick.gates import gate_matrix, random_mc_gate, TwoQubitGate, unitarity_defect
 from mcbrick.errors import CapacityError, ParameterError, SymmetryError
 from mcbrick.levelstats import chaotic_gate_pair, flip_reflection_permutation
 from mcbrick.symmetry import equivalent_circuit, global_time_reversal
@@ -48,8 +47,7 @@ from dense_oracles import (
 SWAP = TwoQubitGate(
     np.array(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    ),
-    provenance="swap",
+    )
 )
 
 
@@ -57,7 +55,8 @@ def test_sector_dimensions():
     assert sector_basis(4, 0).dim == 6
     b = sector_basis(4, 4)
     assert b.dim == 1
-    assert b.states == [0b1111]
+    assert sector_states(4, 4).tolist() == [0b1111]
+    assert b.vectors.toarray().tolist() == [[1.0]]
     for L in (4, 8, 12, 14):
         total = sum(sector_basis(L, m).dim for m in range(-L, L + 1, 2))
         assert total == 2**L
@@ -74,9 +73,10 @@ def test_momentum_basis_against_projector():
     # brute-force: diagonalize the two-site shift on the m=0 sector of L=8
     L, m = 8, 0
     plain = sector_basis(L, m)
-    pos = {s: i for i, s in enumerate(plain.states)}
+    states = sector_states(L, m)
+    pos = {s: i for i, s in enumerate(states)}
     shift = np.zeros((plain.dim, plain.dim))
-    for i, s in enumerate(plain.states):
+    for i, s in enumerate(states):
         shift[pos[translate_index(s, L, 2)], i] = 1.0
     evals = np.linalg.eigvals(shift)
     n_cells = L // 2
@@ -91,7 +91,7 @@ def test_momentum_basis_against_projector():
         assert np.abs(w.conj().T @ w - np.eye(b.dim)).max() < 1e-12
         # the stored vectors, lifted to 2^L, really are S^2 eigenvectors
         v = np.zeros((1 << L, b.dim), dtype=complex)
-        v[plain.states] = w
+        v[states] = w
         assert np.abs(s2 @ v - target * v).max() < 1e-12
         total += b.dim
     assert total == plain.dim
@@ -101,10 +101,8 @@ def test_momentum_basis_against_projector():
 def test_momentum_basis_matches_the_orbit_walk_exactly(L):
     for m in range(-L, L + 1, 2):
         for k in range(L // 2):
-            labels, vectors = loop_momentum_basis(L, m, k)
+            vectors = loop_momentum_basis(L, m, k)
             basis = sector_basis(L, m, k)
-            assert basis.states == labels
-            assert all(type(x) is int for label in basis.states for x in label)
             assert basis.vectors.shape == vectors.shape
             assert (basis.vectors != vectors).nnz == 0
 
@@ -247,7 +245,7 @@ def test_restrict_reassembles_full_spectrum():
 def test_check_sector_column_flags_mismatch_and_leak():
     L, m = 6, 0
     states = sector_states(L, m)
-    assert list(states) == sector_basis(L, m).states
+    assert sector_basis(L, m).vectors.shape == (states.size, states.size)
     rng = np.random.default_rng(2)
     full = np.zeros(1 << L, dtype=complex)
     full[states] = rng.normal(size=states.size)
@@ -277,11 +275,11 @@ def test_cached_bond_pattern_matches_fresh_searchsorted_build(boundary):
                 if c in (1, 2):
                     partner = np.searchsorted(states, s ^ (mask_a | mask_b))
                     want[row, partner] = u[c, 3 - c]
-            (op,) = sector_operators([(u, (a, b))], L, m)
+            (op,) = sector_operators([[(u, (a, b))]], L, m)
             assert op.has_canonical_format
             assert np.array_equal(op.toarray(), want)
-            pattern = _bond_pattern(L, m, a, b)
-            assert _bond_pattern(L, m, a, b) is pattern
+            pattern = _group_pattern(L, m, ((a, b),))
+            assert _group_pattern(L, m, ((a, b),)) is pattern
             assert not any(arr.flags.writeable for arr in pattern)
 
 
@@ -310,11 +308,12 @@ def test_grouped_layer_step_matches_bond_by_bond(L, boundary):
             n = sector_states(L, m).size
             x = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
             grouped = sector_step(layer_operators(circ, m), x)
-            by_bond = sector_step(sector_operators(circ.layer_pairs(), L, m), x)
+            by_bond = sector_step(sector_operators([[p] for p in circ.layer_pairs()], L, m), x)
             assert np.abs(grouped - by_bond).max() < 1e-13, (name, m)
-            for i in range(len(circ.layers)):  # L = 2 open: no even-layer operator
-                ops = layer_operators(circ, m, layers=(i,))
-                assert len(ops) == -(-len(circ.layers[i]) // GROUP_BONDS)
+            # one operator per run of GROUP_BONDS bonds; L = 2 open has no even layer
+            runs = [len(bond_groups(circ.layer(i))) for i in range(len(circ.layers))]
+            assert runs == [-(-len(layer) // GROUP_BONDS) for layer in circ.layers]
+            assert len(layer_operators(circ, m)) == sum(runs)
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
@@ -338,7 +337,7 @@ def test_group_pattern_cached_read_only_canonical(boundary):
                     for a, b in group
                 )
                 assert np.array_equal(np.diff(indptr), 2**mixed)
-            for op in layer_operators(circ, m, layers=(i,)):
+            for op in sector_operators(bond_groups(circ.layer(i)), L, m):
                 assert op.has_canonical_format
                 assert op.nnz == np.count_nonzero(op.data)  # a generic gate fills the pattern
 

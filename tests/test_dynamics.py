@@ -10,10 +10,12 @@ from mcbrick.core import (
     layer_bonds,
     propagator_apply,
     sector_states,
+    translation_permutation,
 )
 from mcbrick.dynamics import (
     _checked_sector_operators,
     _exact_autocorrelation,
+    _staggered_diagonal,
     _sz_diagonal,
     boundary_autocorrelation,
     decay_fits,
@@ -75,7 +77,7 @@ def test_exact_trace_matches_step_by_step_powers():
             for m in (L, -L):
                 s = sector_states(L, m)[0]
                 assert abs(u[s, s] - edge_phase) < 1e-12
-        for m_values, rows in ((None, np.arange(1 << L)), ([2], sector_states(L, -2)),
+        for m_values, rows in ((None, np.arange(1 << L)), ([-2], sector_states(L, -2)),
                                ([L], sector_states(L, L))):
             ut = np.eye(1 << L, dtype=complex)
             want = np.empty(steps + 1)
@@ -131,6 +133,8 @@ def test_sector_parameter_validation():
         boundary_autocorrelation(g, 8, 5, sector=1)  # parity mismatch
     with pytest.raises(ParameterError):
         boundary_autocorrelation(g, 8, 5, sector=10)  # out of range
+    with pytest.raises(ParameterError):
+        boundary_autocorrelation(g, 8, 5, method="typicality", sector=-10)
 
 
 def test_typicality_tracks_exact_within_errors():
@@ -169,23 +173,31 @@ def test_staggered_normalization_and_guards():
         staggered_correlation(phase_point(1.0), 14, 10)
 
 
+@pytest.mark.parametrize("L, flips", [(6, False), (8, True), (10, False), (12, True)])
+def test_staggered_magnetization_flips_under_a_cell_shift_only_for_even_cell_counts(L, flips):
+    # with L/2 odd the two cells at the wrap carry the same sign
+    a = _staggered_diagonal(L)
+    shifted = a[translation_permutation(np.arange(1 << L), L, 2)]
+    assert np.array_equal(shifted, -a) is flips
+
+
 def test_decay_fits_identify_models():
     t = np.arange(201)
     power = 2.0 * np.maximum(t, 1) ** -0.7
     fp = decay_fits(t, power)
-    assert fp.t_min == 10.0 and fp.t_max == 200.0
-    assert abs(fp.power_exponent + 0.7) < 1e-9
-    assert fp.sse_ratio > 100
+    assert fp["t_min"] == 10.0 and fp["t_max"] == 200.0
+    assert abs(fp["power_exponent"] + 0.7) < 1e-9
+    assert fp["sse_ratio"] > 100
     expo = 1.5 * np.exp(-0.05 * t)
     fe = decay_fits(t, expo)
-    assert abs(fe.exp_rate - 0.05) < 1e-9
-    assert fe.sse_ratio < 1
+    assert abs(fe["exp_rate"] - 0.05) < 1e-9
+    assert fe["sse_ratio"] < 1
     with pytest.raises(ParameterError):
         decay_fits(t[:3], power[:3])
     # near-zero points are dropped, not clamped into the fit
     dirty = power.copy()
     dirty[50] = 0.0
-    assert decay_fits(t, dirty).n_points == fp.n_points - 1
+    assert decay_fits(t, dirty)["n_points"] == fp["n_points"] - 1
 
 
 def test_domain_wall_profiles_and_conservation():

@@ -215,8 +215,8 @@ def test_resolved_spectra_block_structure():
     assert len(res) == 4
     assert all(".f" in key and ".st" in key for key in kinds)
     assert sum(r.dim for r in res) == sector_basis(8, 0, 0).dim
-    assert "flip-reflection-parity" in res[0].metadata["resolved"]
-    assert "spacetime-branch" in res[0].metadata["resolved"]
+    assert sorted((r.flip_parity, r.spacetime_block) for r in res) == [
+        (-1, 0), (-1, 1), (1, 0), (1, 1)]
     # self-conjugate k = L/4 has theta2 = pi: branch exchange, two blocks
     res2 = resolved_spectra(ring, 0, 2)
     assert len(res2) == 2
@@ -327,7 +327,6 @@ def test_spacetime_pair_covers_block():
     assert r0.spacetime_block == 0 and r1.spacetime_block == 1
     assert r0.flip_parity is None and r1.flip_parity is None
     assert r0.dim + r1.dim == sector_basis(8, 0, 1).dim
-    assert "spacetime_construction" in r0.metadata
 
 
 def test_spacetime_needs_homogeneous_ring():
@@ -335,7 +334,8 @@ def test_spacetime_needs_homogeneous_ring():
     # resolved_spectra silently skips refinements that do not apply
     res = resolved_spectra(circ, 0, 1)
     assert len(res) == 1
-    assert res[0].metadata["resolved"] == ["magnetization", "momentum"]
+    assert (res[0].m, res[0].k) == (0, 1)
+    assert res[0].spacetime_block is None and res[0].flip_parity is None
 
 
 def test_sector_capacity_guard():
