@@ -14,8 +14,10 @@ multiples of the identity, which carries no information.
 Every R conserves the magnetization of its site and the auxiliary qubit
 (the six-vertex ice rule), so T, its x-derivatives and every charge are
 block diagonal over the magnetization sectors of the chain.  They are
-built, solved, checked and projected as sector blocks {m: block} (see
-core.sector_blocks); no 2^L x 2^L array is formed.
+built, solved, checked and projected as sector blocks {m: block} on the
+rows of core.sector_states, and every function here that takes an
+operator (a charge or the propagator) takes it in that form; no 2^L x 2^L
+array is formed.
 """
 
 import functools
@@ -29,7 +31,6 @@ from .core import (
     FULL_DENSE_MAX_L,
     commutator_defect,
     embed_operator,
-    sector_blocks,
     sector_operators,
     sector_states,
 )
@@ -130,19 +131,18 @@ def _traceless(blocks, L):
 class ChargeFamily:
     density_support: int  # 2 ell + 1 sites for the order-ell charge
     blocks: dict  # traceless charge, {m: block} over the magnetization sectors
-    L: int
 
     def conservation_defect(self, propagator):
-        """max |[Q, U]|; U as sector blocks or a dense MC matrix."""
-        return commutator_defect(self.blocks, propagator, self.L)
+        """max |[Q, U]| for U given as sector blocks {m: block}."""
+        return commutator_defect(self.blocks, propagator)
 
     def hermitian_part_defect(self, propagator):
-        """max |U^dag H U - H| for the Hermitian part H of Q, per sector."""
-        u = sector_blocks(propagator, self.L)
+        """max |U^dag H U - H| for the Hermitian part H of Q, per sector of U."""
         worst = 0.0
         for m, q in self.blocks.items():
             h = 0.5 * (q + q.conj().T)
-            worst = max(worst, float(np.abs(u[m].conj().T @ h @ u[m] - h).max()))
+            u = propagator[m]
+            worst = max(worst, float(np.abs(u.conj().T @ h @ u - h).max()))
         return worst
 
 
@@ -205,7 +205,7 @@ def _q1_family(p, sign, L, kernel):
     for m in range(-L, L + 1, 2):
         ops = sector_operators([[(kernel, w)] for w in windows], L, m)
         blocks[m] = sum(ops[1:], ops[0]).toarray()
-    return ChargeFamily(3, _traceless(blocks, L), L)
+    return ChargeFamily(3, _traceless(blocks, L))
 
 
 # two-site blocks of the closed-form density, basis {|00>,|01>,|10>,|11>}
@@ -360,7 +360,7 @@ def higher_charge(p, ell, sign, L):
         sol = np.linalg.solve(tm, np.hstack([d[m] for d in derivs]))
         g = sol[:, : len(tm)]
         blocks[m] = g if ell == 1 else sol[:, len(tm):] - g @ g
-    return ChargeFamily(2 * ell + 1, _traceless(blocks, L), L)
+    return ChargeFamily(2 * ell + 1, _traceless(blocks, L))
 
 
 # operator strings over {1, z, p, m}: p = sqrt2 sigma+, m = sqrt2 sigma-, each
@@ -381,9 +381,8 @@ def charge_of_string(label):
     return sum(_LETTER_CHARGE[ch] for ch in label)
 
 
-def _packed(op, L):
-    """The sector blocks of op, raveled in ascending m into one array."""
-    blocks = sector_blocks(op, L)
+def _packed(blocks, L):
+    """Sector blocks {m: block}, raveled in ascending m into one array."""
     return np.concatenate([blocks[m].ravel() for m in range(-L, L + 1, 2)])
 
 
@@ -427,12 +426,12 @@ def _string_gather(label, anchor, L):
     return offset[b] + pos[b ^ flip] * dim[b] + pos[b], val
 
 
-def string_coefficients(op, L, placed):
+def string_coefficients(blocks, L, placed):
     """tr(S^dag Q) / 2^L for each charge-0 string (label, anchor) in `placed`.
 
-    op is sector blocks or a dense MC matrix (see core.sector_blocks).
+    Q is given by its sector blocks {m: block} on L sites.
     """
-    packed = _packed(op, L)
+    packed = _packed(blocks, L)
     out = np.empty(len(placed), dtype=complex)
     for i, (label, anchor) in enumerate(placed):
         flat, val = _string_gather(label, anchor, L)
@@ -440,24 +439,23 @@ def string_coefficients(op, L, placed):
     return out
 
 
-def pauli_string_window_projection(op, L, window):
+def pauli_string_window_projection(blocks, L, window):
     """sqrt of the weight of operator strings with cyclic support diameter
     <= window, in the normalized Hilbert-Schmidt norm, plus the residual.
 
     Strings are over {1, z, p, m}: they span the same space per site as
     the Paulis {1, x, y, z} and are orthonormal alike, so the weight is
     the same; a magnetization-conserving operator has weight only on the
-    net-charge-0 strings, which act inside every sector.  op is sector
-    blocks or a dense MC matrix; a dense one with weight between sectors
-    raises SymmetryError.  Strings are enumerated by their anchor site
-    (first non-identity letter) and a pattern over the window; for
-    window < L/2 + 1 this covers every short-diameter string exactly once.
-    Each string is one gather from the packed blocks.  Returns
-    (norm_within, residual).
+    net-charge-0 strings, which act inside every sector, so the operator
+    is given by its sector blocks {m: block}.  Strings are enumerated by
+    their anchor site (first non-identity letter) and a pattern over the
+    window; for window < L/2 + 1 this covers every short-diameter string
+    exactly once.  Each string is one gather from the packed blocks.
+    Returns (norm_within, residual).
     """
     if window >= L // 2 + 1:
         raise ParameterError("window too large for unique anchoring")
-    packed = _packed(op, L)
+    packed = _packed(blocks, L)
     labels = [
         s for s in product(LETTERS, repeat=window)
         if s[0] != "1" and charge_of_string(s) == 0

@@ -29,11 +29,11 @@ and one step, with the full-space propagator_apply (check_sector_column).
 
 Sector states are the only coordinates: a sector basis matrix W has the
 rows of sector_states(L, m), the shift and flip-reflection maps act on
-int arrays of states, and time reversal forms its diagonal on them; a
-2^L vector appears only in the one-column full-space oracles
-(lift_column).  Operators that conserve magnetization are passed around
-as sector blocks {m: block} on those rows; sector_blocks splits a dense
-one.
+int arrays of states, and diagonal observables and time reversal read
+their sigma^z per site from site_spins on them; a 2^L vector appears only
+in the one-column full-space oracles (check_sector_column).  Operators
+that conserve magnetization are passed around as sector blocks
+{m: block} on those rows, and nothing takes them in any other form.
 
 Only sector_basis and sector_operators import scipy.sparse, inside the
 function: the dense paths (build_propagator, unitary_phases) are numpy
@@ -63,11 +63,6 @@ CAYLEY_MU_MAX = 1e3  # largest |mu| a pass may keep; eigvalsh errs by eps * max|
 
 def _popcount(n):
     return np.bitwise_count(np.asarray(n, dtype=np.uint64)).astype(np.int64)
-
-
-def magnetization_of(n, L):
-    """Total sigma^z of computational basis state(s) n."""
-    return 2 * _popcount(n) - L
 
 
 def translation_permutation(states, L, sites=1):
@@ -183,6 +178,11 @@ def sector_states(L, m):
     return ns[_popcount(ns) == (L + m) // 2]
 
 
+def site_spins(states, L):
+    """sigma^z of every site on an int array of states: float64 +-1.0, shape (n, L)."""
+    return 2.0 * ((np.asarray(states)[:, None] >> (L - 1 - np.arange(L))) & 1) - 1.0
+
+
 def sector_basis(L, m, k=None):
     """Basis of the magnetization-m sector, optionally momentum-resolved.
 
@@ -295,16 +295,11 @@ def homogeneous_circuit(gate, L, boundary="open"):
     )
 
 
-def _act_on_axes(u4, tensor, ax_a, ax_b):
-    # contract a 4x4 gate (viewed as rank-4) into two qubit axes of `tensor`
-    res = np.tensordot(u4.reshape(2, 2, 2, 2), tensor, axes=([2, 3], [ax_a, ax_b]))
-    return np.moveaxis(res, [0, 1], [ax_a, ax_b])
-
-
 def apply_gate(target, gate, sites, L, boundary="open"):
     """G|psi> for a two-qubit gate embedded at `sites` = (a, b), b next to a.
 
-    The action on the 2^L state vector is matrix-free, cost O(2^L).
+    target is one 2^L state vector or a (2^L, n) array of them as columns;
+    the action is matrix-free, cost O(2^L) per column.
     """
     a, b = sites
     if not (0 <= a < L and 0 <= b < L):
@@ -316,15 +311,11 @@ def apply_gate(target, gate, sites, L, boundary="open"):
     if not adjacent:
         raise ParameterError(f"sites {sites} are not an adjacent ordered pair")
     psi = np.asarray(target, dtype=complex)
-    if psi.shape != (1 << L,):
+    if psi.shape[:1] != (1 << L,) or psi.ndim > 2:
         raise ParameterError("state length does not match L")
-    return _act_on_axes(gate_matrix(gate), psi.reshape((2,) * L), a, b).reshape(-1)
-
-
-def _left_multiply(u4, mat, a, b, L):
-    # embed(gate) @ mat without forming the embedding
-    t = mat.reshape((2,) * L + (mat.shape[1],))
-    return _act_on_axes(u4, t, a, b).reshape(mat.shape)
+    t = psi.reshape((2,) * L + psi.shape[1:])
+    res = np.tensordot(gate_matrix(gate).reshape(2, 2, 2, 2), t, axes=([2, 3], [a, b]))
+    return np.moveaxis(res, [0, 1], [a, b]).reshape(psi.shape)
 
 
 def propagator_apply(circuit, psi):
@@ -332,10 +323,9 @@ def propagator_apply(circuit, psi):
     out = np.asarray(psi, dtype=complex).reshape(-1)
     if out.size != 1 << circuit.L:
         raise ParameterError("state length does not match circuit.L")
-    out = out.reshape((2,) * circuit.L)
-    for u, (a, b) in circuit.layer_pairs():
-        out = _act_on_axes(u, out, a, b)
-    return out.reshape(-1)
+    for u, bond in circuit.layer_pairs():
+        out = apply_gate(out, u, bond, circuit.L, circuit.boundary)
+    return out
 
 
 def build_propagator(circuit):
@@ -346,8 +336,8 @@ def build_propagator(circuit):
             "use propagator_apply or build_sector_block instead"
         )
     mat = np.eye(1 << circuit.L, dtype=complex)
-    for u, (a, b) in circuit.layer_pairs():
-        mat = _left_multiply(u, mat, a, b, circuit.L)
+    for u, bond in circuit.layer_pairs():
+        mat = apply_gate(mat, u, bond, circuit.L, circuit.boundary)
     return mat
 
 
@@ -371,47 +361,11 @@ def embed_operator(kernel, sites, L):
     return np.ascontiguousarray(t.reshape(1 << L, 1 << L))
 
 
-def magnetization_commutator_defect(entries, L):
-    """max |[O, sum sigma^z]| entrywise, computed from the diagonal charge."""
-    m = magnetization_of(np.arange(1 << L), L)
-    return np.abs(entries * (m[None, :] - m[:, None])).max()
+def commutator_defect(a, b):
+    """max |[A, B]| entrywise, from the sector blocks {m: block} of A and B.
 
-
-def sector_blocks(op, L, tol=1e-10):
-    """Magnetization-sector blocks {m: block} of an operator on L qubits.
-
-    A dict is taken to be sector blocks already.  A dense matrix is split
-    along sector_states; one with weight between sectors
-    (magnetization_commutator_defect above tol) is refused with
-    SymmetryError, since its blocks would silently drop that weight.
+    Working per sector is what makes L=12 checks affordable.
     """
-    if isinstance(op, dict):
-        return op
-    entries = np.asarray(op, dtype=complex)
-    if entries.shape != (1 << L, 1 << L):
-        raise ParameterError("operator dimension does not match L")
-    defect = magnetization_commutator_defect(entries, L)
-    if defect > tol:
-        raise SymmetryError(
-            f"operator does not conserve magnetization (defect {defect:.3e})",
-            residual=float(defect),
-        )
-    blocks = {}
-    for m in range(-L, L + 1, 2):
-        s = sector_states(L, m)
-        blocks[m] = entries[np.ix_(s, s)]
-    return blocks
-
-
-def commutator_defect(a, b, L):
-    """max |[A, B]| entrywise, computed sector by sector.
-
-    A and B are sector blocks {m: block} or dense magnetization-conserving
-    matrices, split by sector_blocks; a dense one with weight between
-    sectors raises SymmetryError.  Working per sector is what makes L=12
-    checks affordable.
-    """
-    a, b = sector_blocks(a, L, 1e-8), sector_blocks(b, L, 1e-8)
     return max(float(np.abs(a[m] @ b[m] - b[m] @ a[m]).max()) for m in a)
 
 
@@ -527,23 +481,18 @@ def sector_step(ops, x):
     return x
 
 
-def lift_column(basis, states):
-    """Column 0 of the basis matrix as a 2^L vector, for the full-space oracles.
-
-    states is sector_states(basis.L, basis.magnetization), W's rows.
-    """
-    out = np.zeros(1 << basis.L, dtype=complex)
-    out[states] = basis.vectors[:, [0]].toarray().ravel()
-    return out
-
-
-def check_sector_column(full, col, states, what):
+def check_sector_column(oracle, circuit, col_in, col, states, what):
     """Compare one sector-space column with its full-space image.
 
-    full is the 2^L oracle vector, col the same column on the rows `states`.
-    A mismatch above SECTOR_ORACLE_TOL, or weight outside the sector, raises
-    SymmetryError carrying the larger of the two.
+    col_in (amplitudes on the sector rows `states`) is lifted to a 2^L
+    vector and mapped by oracle(circuit, vector); col is the sector
+    kernel's image of col_in on the same rows.  A mismatch above
+    SECTOR_ORACLE_TOL, or weight outside the sector, raises SymmetryError
+    carrying the larger of the two.
     """
+    full = np.zeros(1 << circuit.L, dtype=complex)
+    full[states] = col_in
+    full = oracle(circuit, full)
     outside = np.abs(full)
     outside[states] = 0.0
     residual = max(float(np.abs(full[states] - col).max()), float(outside.max()))
@@ -570,7 +519,6 @@ def build_sector_block(circuit, basis):
     w = basis.vectors
     x = sector_step(layer_operators(circuit, m), w.toarray())
     if basis.dim:
-        states = sector_states(circuit.L, m)
-        v0 = lift_column(basis, states)
-        check_sector_column(propagator_apply(circuit, v0), x[:, 0], states, "propagator")
+        check_sector_column(propagator_apply, circuit, w[:, [0]].toarray().ravel(), x[:, 0],
+                            sector_states(circuit.L, m), "propagator")
     return w.conj().T @ x

@@ -33,6 +33,7 @@ from .core import (
     propagator_apply,
     sector_states,
     sector_step,
+    site_spins,
     unitary_phases,
 )
 from .errors import CapacityError, ParameterError
@@ -77,25 +78,16 @@ class DomainWallResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _sz_diagonal(L, site):
-    """Diagonal of sigma^z at `site` (site 0 is the leftmost/most significant bit)."""
-    bits = (np.arange(1 << L) >> (L - 1 - site)) & 1
-    return np.where(bits == 1, 1.0, -1.0)
+def _staggered_weights(L):
+    """Site weights of sum_j (-1)^(j+1) (sigma^z on both sites of cell j)."""
+    return np.repeat(np.resize([-1.0, 1.0], L // 2), 2)
 
 
-def _staggered_diagonal(L):
-    """Diagonal of sum_j (-1)^j (sigma^z on both sites of cell j)."""
-    a = np.zeros(1 << L)
-    for cell in range(L // 2):
-        sign = -1.0 if cell % 2 == 0 else 1.0
-        a += sign * (_sz_diagonal(L, 2 * cell) + _sz_diagonal(L, 2 * cell + 1))
-    return a
+def _exact_autocorrelation(U, weights, L, steps, m_values=None):
+    """Normalized tr(U^-t A U^t A) for A = sum_j weights[j] sigma^z_j, per sector.
 
-
-def _exact_autocorrelation(U, a, L, steps, m_values=None):
-    """Normalized tr(U^-t A U^t A) for diagonal A over magnetization sectors.
-
-    Each unitary sector block, sliced from U on the rows sector_states(L, m),
+    On the rows states = sector_states(L, m), A's diagonal is
+    site_spins(states, L) @ weights, and the unitary block sliced from U
     is diagonalized once by unitary_phases, its eigenvectors orthonormal
     even where eigenphases are degenerate; with w = |<alpha|A|beta>|^2 and
     V[a, t] = lambda_a^t the series is Re sum_a conj(V) (w V), contracted
@@ -113,7 +105,7 @@ def _exact_autocorrelation(U, a, L, steps, m_values=None):
         dim += len(idx)
         phases, q = unitary_phases(U[np.ix_(idx, idx)], vectors=True)
         lam = np.exp(1j * phases)
-        atil = q.conj().T @ (a[idx, None] * q)
+        atil = q.conj().T @ ((site_spins(idx, L) @ weights)[:, None] * q)
         w = np.abs(atil) ** 2
         power = np.ones_like(lam)
         for start in range(0, steps + 1, _TIME_BLOCK):
@@ -135,9 +127,7 @@ def _checked_sector_operators(circuit, m, states, col, what):
     must agree (core.check_sector_column).  Non-MC gates are refused.
     """
     ops = layer_operators(circuit, m)
-    full = np.zeros(1 << circuit.L, dtype=complex)
-    full[states] = col
-    check_sector_column(propagator_apply(circuit, full), sector_step(ops, col), states, what)
+    check_sector_column(propagator_apply, circuit, col, sector_step(ops, col), states, what)
     return ops
 
 
@@ -179,8 +169,8 @@ def boundary_autocorrelation(
                 f"exact trace limited to L <= {FULL_DENSE_MAX_L}; use typicality"
             )
         circuit = homogeneous_circuit(gate, L, "open")
-        a = _sz_diagonal(L, 0)
-        vals = _exact_autocorrelation(build_propagator(circuit), a, L, steps, m_values)
+        u = build_propagator(circuit)
+        vals = _exact_autocorrelation(u, np.eye(L)[0], L, steps, m_values)
         return CorrelationSeries(times, vals, method, None, base)
     if method != "typicality":
         raise ParameterError(f"method must be exact-trace or typicality, got {method!r}")
@@ -189,7 +179,6 @@ def boundary_autocorrelation(
     if L > TYPICALITY_MAX_L:
         raise CapacityError(f"typicality limited to L <= {TYPICALITY_MAX_L}")
     circuit = homogeneous_circuit(gate, L, "open")
-    a = _sz_diagonal(L, 0)
     rng = np.random.default_rng(seed)
     # all samples drawn up front, in the order of a per-sample loop
     size = 1 << L if sector is None else comb(L, (L + sector) // 2)
@@ -200,7 +189,7 @@ def boundary_autocorrelation(
     est = np.zeros((samples, steps + 1))
     for m in m_values:
         states = sector_states(L, m)
-        am = a[states, None]
+        am = site_spins(states, L)[:, :1]
         x = np.empty((states.size, 2 * samples), dtype=complex)  # v_s, then A v_s
         x[:, :samples] = draws[:, states].T if sector is None else draws.T
         np.multiply(am, x[:, :samples], out=x[:, samples:])
@@ -231,8 +220,7 @@ def staggered_correlation(gate, L, steps):
     if L > FULL_DENSE_MAX_L:
         raise CapacityError(f"exact trace limited to L <= {FULL_DENSE_MAX_L}")
     circuit = homogeneous_circuit(gate, L, "periodic")
-    a = _staggered_diagonal(L)
-    vals = _exact_autocorrelation(build_propagator(circuit), a, L, steps) / L
+    vals = _exact_autocorrelation(build_propagator(circuit), _staggered_weights(L), L, steps) / L
     times = np.arange(steps + 1)
     meta = {"L": L, "boundary": "periodic", "steps": steps, "oscillations": "retained"}
     series = CorrelationSeries(times, vals, "exact-trace", None, meta)
@@ -298,7 +286,7 @@ def domain_wall_evolution(gate, L, steps):
     x = np.zeros(states.size, dtype=complex)
     x[np.searchsorted(states, ((1 << half) - 1) << half)] = 1.0
     ops = _checked_sector_operators(circuit, 0, states, x, "domain-wall")
-    sz = np.where((states >> (L - 1 - np.arange(L))[:, None]) & 1, 1.0, -1.0)
+    sz = np.ascontiguousarray(site_spins(states, L).T)
     profiles = np.empty((steps + 1, L))
     drift = 0.0
     for t in range(steps + 1):

@@ -42,7 +42,6 @@ from .core import (
     build_propagator,
     build_sector_block,
     check_sector_column,
-    lift_column,
     sector_basis,
     sector_operators,
     sector_states,
@@ -231,7 +230,7 @@ def _k_block(circuit, basis):
     if basis.dim:
         col = np.empty(len(states), dtype=complex)
         col[shifted] = x[:, 0]
-        check_sector_column(_apply_k(circuit, lift_column(basis, states)), col, states,
+        check_sector_column(_apply_k, circuit, w[:, [0]].toarray().ravel(), col, states,
                             "space-time")
     return _unitary(w[shifted, :].conj().T @ x, "space-time")
 
@@ -318,22 +317,17 @@ def resolved_spectra(circuit, m, k=None):
     ring = circuit.boundary == "periodic" and is_homogeneous(circuit)
     kb = _k_block(circuit, basis) if (ring and k is not None) else None
 
-    if kb is None and xp is None:
-        return [_result_from_phases(unitary_phases(ub), m, k)]
-
+    if xp is not None and kb is not None and np.abs(xp @ kb - kb @ xp).max() > REFINEMENT_TOL:
+        xp = None  # the flip exchanges the K branches
     theta2 = 0.0 if k is None else 2 * np.pi * basis.momentum / (circuit.L // 2)
-    if kb is None:
-        return [_result_from_phases(unitary_phases(wsub.conj().T @ ub @ wsub), m, k, fp=sign)
-                for sign, wsub in _parity_vectors(xp)]
-    if xp is None or np.abs(xp @ kb - kb @ xp).max() > REFINEMENT_TOL:
-        # either no flip parity here, or it exchanges the K branches
-        phi, par = _branch_phases(ub, kb, theta2)
-        return [_result_from_phases(phi[par == p], m, k, st=p) for p in (0, 1)]
     out = []
-    for sign, wsub in _parity_vectors(xp):
-        ub_s = wsub.conj().T @ ub @ wsub
-        kb_s = wsub.conj().T @ kb @ wsub
-        phi, par = _branch_phases(ub_s, kb_s, theta2)
+    for sign, wsub in [(None, None)] if xp is None else _parity_vectors(xp):
+        u_s = ub if wsub is None else wsub.conj().T @ ub @ wsub
+        if kb is None:
+            out.append(_result_from_phases(unitary_phases(u_s), m, k, fp=sign))
+            continue
+        k_s = kb if wsub is None else wsub.conj().T @ kb @ wsub
+        phi, par = _branch_phases(u_s, k_s, theta2)
         out.extend(_result_from_phases(phi[par == p], m, k, st=p, fp=sign) for p in (0, 1))
     return out
 

@@ -229,9 +229,9 @@ def rp_spectrum(tp, eps_keep=0.25):
     return modes
 
 
-def unit_multiplicity(tp, tol=UNIT_TOL):
-    """Number of eigenvalues within tol of 1 across all blocks."""
-    return sum(int(np.sum(np.abs(tp.eig(c)[0] - 1.0) < tol))
+def unit_multiplicity(tp):
+    """Number of eigenvalues within UNIT_TOL of 1 across all blocks."""
+    return sum(int(np.sum(np.abs(tp.eig(c)[0] - 1.0) < UNIT_TOL))
                for c, block in tp.blocks.items() if block.size)
 
 
@@ -241,23 +241,22 @@ def unit_multiplicity(tp, tol=UNIT_TOL):
 def _fold_kernel(kernel, start_parity, r, index):
     """Map a three-site density at a given start parity to basis coefficients.
 
-    The kernel's charge-0 string coefficients come from
-    charges.string_coefficients on a 3-site chain; the all-identity string
-    is skipped, since the kernels are traceless.  Strings whose leading
-    letters are the identity are the same translation class seen from a
-    shifted start; they fold onto the representative with the parity of
-    their first non-identity site.
+    The coefficient of a string S is tr(S^dag K) / 8, read off the 8x8
+    kernel with S the kron of its letters' SITE_OPS; only charge-0
+    strings are read, and the all-identity string is skipped, since the
+    kernels are traceless.  Strings whose leading letters are the identity
+    are the same translation class seen from a shifted start; they fold
+    onto the representative with the parity of their first non-identity
+    site.
     """
-    strings = [
-        "".join(t) for t in product(LETTERS, repeat=3)
-        if t != ("1",) * 3 and charge_of_string(t) == 0
-    ]
-    coeffs = string_coefficients(kernel, 3, [(s, 0) for s in strings])
     vec = np.zeros(len(index), dtype=complex)
-    for letters, coeff in zip(strings, coeffs):
-        tail = letters.lstrip("1")
+    for a, b, c in product(LETTERS, repeat=3):
+        tail = (a + b + c).lstrip("1")
+        if not tail or charge_of_string(tail):
+            continue
+        string = np.kron(np.kron(_SITE_OPS[a], _SITE_OPS[b]), _SITE_OPS[c])
         parity = "even" if (start_parity + 3 - len(tail)) % 2 == 0 else "odd"
-        vec[index[(parity, tail + "1" * (r - len(tail)))]] += coeff
+        vec[index[(parity, tail + "1" * (r - len(tail)))]] += np.vdot(string, kernel) / 8
     return vec
 
 
@@ -267,11 +266,10 @@ def conserved_density_vectors(gate, r):
     Magnetization always; for r >= 3 the first charge pair, from the
     three-site kernels charges.q1_kernels; for r >= 5 the second pair,
     from the sector blocks of the transfer-matrix charges on a 10-site
-    ring.  Both read their {1, z, p, m} string coefficients with
-    charges.string_coefficients.  A gate the R-matrix map refuses
-    for an infinite rho or u, and an identity or swap-family gate, whose
-    charge kernels are undefined, keep magnetization only; a critical
-    gate raises.  Columns are normalized; ordering matches
+    ring, read with charges.string_coefficients.  A gate the R-matrix map
+    refuses for an infinite rho or u, and an identity or swap-family gate,
+    whose charge kernels are undefined, keep magnetization only; a
+    critical gate raises.  Columns are normalized; ordering matches
     truncated_propagator labels.
     """
     zero = [s for s in _all_strings(r) if charge_of_string(s) == 0]

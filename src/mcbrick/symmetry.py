@@ -46,6 +46,7 @@ from .core import (
     build_sector_block,
     sector_basis,
     sector_states,
+    site_spins,
     unitary_phases,
 )
 from .errors import CapacityError, ParameterError, TimeReversalRefusal
@@ -75,8 +76,7 @@ def reversal_residual(w, op):
 
 def site_phases(angles, states, L):
     """Diagonal of W = exp(i sum_j a_j sz_j) on an int array of states."""
-    z = 2 * ((np.asarray(states)[:, None] >> (L - 1 - np.arange(L))) & 1) - 1
-    return np.exp(1j * (z @ angles))
+    return np.exp(1j * (site_spins(states, L) @ angles))
 
 
 def equivalent_circuit(circuit):

@@ -12,6 +12,8 @@ against.
   dense_from_sectors assembles sector blocks {m: block} into a dense
   operator; transfer_matrix and propagator_from_transfer use it on the
   sector-blocked charges._transfer_family, and tests use it on charges.
+  split_sectors is its inverse, which hands a dense MC operator to the
+  package's block-only functions.
 * The per-state orbit walk of the momentum basis (loop_momentum_basis),
   the dense sector restriction (restrict) and the sparse shift
   (translation_matrix), against which core.sector_basis and the sector
@@ -33,8 +35,8 @@ from scipy import sparse
 
 from mcbrick.charges import LETTERS, _transfer_family
 from mcbrick.core import (
-    magnetization_commutator_defect,
     sector_states,
+    site_spins,
     translation_permutation,
     unitary_phases,
 )
@@ -267,6 +269,30 @@ def dense_from_sectors(blocks, L):
         s = sector_states(L, m)
         out[np.ix_(s, s)] = block
     return out
+
+
+def magnetization_commutator_defect(entries, L):
+    """max |[O, sum sigma^z]| entrywise, computed from the diagonal charge."""
+    m = site_spins(np.arange(1 << L), L).sum(axis=1)
+    return np.abs(entries * (m[None, :] - m[:, None])).max()
+
+
+def split_sectors(op, L, tol=1e-10):
+    """Sector blocks {m: block} of a dense 2^L operator, the inverse of
+    dense_from_sectors.  Weight between sectors above tol raises
+    SymmetryError, since the blocks would silently drop it."""
+    entries = np.asarray(op, dtype=complex)
+    defect = magnetization_commutator_defect(entries, L)
+    if defect > tol:
+        raise SymmetryError(
+            f"operator does not conserve magnetization (defect {defect:.3e})",
+            residual=float(defect),
+        )
+    blocks = {}
+    for m in range(-L, L + 1, 2):
+        s = sector_states(L, m)
+        blocks[m] = entries[np.ix_(s, s)]
+    return blocks
 
 
 def transfer_matrix(p, x, L):

@@ -12,6 +12,7 @@ from dense_oracles import (
     gate_from_r,
     pauli_window_projection,
     propagator_from_transfer,
+    split_sectors,
     traceless,
     transfer_matrix,
 )
@@ -21,10 +22,9 @@ from mcbrick.core import (
     commutator_defect,
     embed_operator,
     homogeneous_circuit,
-    magnetization_of,
     sector_basis,
-    sector_blocks,
     sector_states,
+    site_spins,
     translation_permutation,
 )
 from mcbrick.gates import haar_params_from_gate, random_mc_gate, sample_haar
@@ -39,15 +39,15 @@ from mcbrick.charges import (
     pauli_string_window_projection,
     q1_kernels,
 )
-from mcbrick.errors import CapacityError, CriticalManifoldError, ParameterError, SymmetryError
+from mcbrick.errors import CapacityError, CriticalManifoldError, ParameterError
 
 P_I = RMatrixParams(beta=0.3, xi=0.8, theta=1.1, rho=0.7, u=0.6, phase="I")
 P_II = RMatrixParams(beta=0.3, xi=0.8, theta=1.1, rho=0.45, u=0.8, phase="II")
 
 
 def charge_matrix(q):
-    """The dense 2^L charge of a ChargeFamily."""
-    return dense_from_sectors(q.blocks, q.L)
+    """The dense 2^L charge of a ChargeFamily (its largest sector is m = L)."""
+    return dense_from_sectors(q.blocks, max(q.blocks))
 
 
 def brickwork_unitary(p, L):
@@ -116,10 +116,10 @@ def test_charge_q1_commutes_with_propagator():
         if found[p.phase] >= 50:
             continue
         found[p.phase] += 1
-        u_full = brickwork_unitary(p, 8)
+        u_blocks = split_sectors(brickwork_unitary(p, 8), 8)
         for sign in "+-":
             q = charge_q1(p, sign, 8)
-            assert q.conservation_defect(u_full) < 1e-9
+            assert q.conservation_defect(u_blocks) < 1e-9
 
 
 def test_charge_q1_closed_form_equality():
@@ -141,7 +141,7 @@ def test_charge_hermiticity_convention():
             assert np.abs(q + q.conj().T).max() < 1e-12
             h = q / 1j
             assert np.abs(h - h.conj().T).max() < 1e-12
-            assert commutator_defect(h, u_full, 8) < 1e-9
+            assert commutator_defect(split_sectors(h, 8), split_sectors(u_full, 8)) < 1e-9
 
 
 def test_charge_translation_invariance():
@@ -157,10 +157,10 @@ def test_charge_translation_invariance():
 def test_charges_mutually_commute():
     L = 8
     for p in (P_I, P_II):
-        qp = charge_matrix(charge_q1(p, "+", L))
-        qm = charge_matrix(charge_q1(p, "-", L))
-        assert commutator_defect(qp, qm, L) < 1e-9
-        mags = np.array([magnetization_of(n, L) for n in range(1 << L)], dtype=float)
+        qp, qm = charge_q1(p, "+", L), charge_q1(p, "-", L)
+        assert commutator_defect(qp.blocks, qm.blocks) < 1e-9
+        qp = charge_matrix(qp)
+        mags = site_spins(np.arange(1 << L), L).sum(axis=1)
         assert np.abs((qp * mags[None, :]) - (mags[:, None] * qp)).max() < 1e-12
 
 
@@ -175,16 +175,16 @@ def test_higher_charge_order_one_matches_cell_build():
 def test_higher_charge_order_two():
     L = 10
     for p in (P_I, P_II):
-        u_full = brickwork_unitary(p, L)
+        u_blocks = split_sectors(brickwork_unitary(p, L), L)
         for sign in "+-":
             q1 = higher_charge(p, 1, sign, L)
             q2 = higher_charge(p, 2, sign, L)
             assert q2.density_support == 5
-            assert q2.conservation_defect(u_full) < 1e-7
-            assert commutator_defect(charge_matrix(q2), charge_matrix(q1), L) < 1e-9
+            assert q2.conservation_defect(u_blocks) < 1e-7
+            assert commutator_defect(q2.blocks, q1.blocks) < 1e-9
             # support: diameter-3 strings carry Q1 entirely, diameter-5 carry Q2
-            _, r1 = pauli_string_window_projection(charge_matrix(q1), L, 3)
-            _, r2 = pauli_string_window_projection(charge_matrix(q2), L, 5)
+            _, r1 = pauli_string_window_projection(q1.blocks, L, 3)
+            _, r2 = pauli_string_window_projection(q2.blocks, L, 5)
             assert r1 < 1e-7
             assert r2 < 1e-7
 
@@ -209,7 +209,7 @@ def test_charge_count_for_small_supports():
     # 5 at r=5 (operator-space Gram matrix has full rank)
     L = 10
     p = P_I
-    mags = np.array([magnetization_of(n, L) for n in range(1 << L)], dtype=float)
+    mags = site_spins(np.arange(1 << L), L).sum(axis=1)
     ops3 = [
         charge_matrix(charge_q1(p, "+", L)),
         charge_matrix(charge_q1(p, "-", L)),
@@ -301,25 +301,13 @@ def test_charge0_string_projection_matches_the_pauli_enumeration(L, window):
     for seed in (1, 2):
         mat = _random_mc_matrix(L, seed)
         want = pauli_window_projection(mat, L, window)
-        got = pauli_string_window_projection(mat, L, window)
+        got = pauli_string_window_projection(split_sectors(mat, L), L, window)
         assert got == pytest.approx(want, rel=1e-12)
-        # the same from sector blocks, without the dense detour
-        assert pauli_string_window_projection(sector_blocks(mat, L), L, window) == pytest.approx(
-            want, rel=1e-12
-        )
     # a local translation-invariant charge keeps its weight in the window
-    q = charge_matrix(charge_q1(P_I, "+", L))
-    assert pauli_string_window_projection(q, L, 3) == pytest.approx(
-        pauli_window_projection(q, L, 3), rel=1e-12, abs=1e-13
+    q = charge_q1(P_I, "+", L)
+    assert pauli_string_window_projection(q.blocks, L, 3) == pytest.approx(
+        pauli_window_projection(charge_matrix(q), L, 3), rel=1e-12, abs=1e-13
     )
-
-
-def test_projection_refuses_weight_between_sectors():
-    L = 6
-    mat = _random_mc_matrix(L, 3)
-    mat[0, 1] = 0.5  # |000000> <- |000001>: changes the magnetization
-    with pytest.raises(SymmetryError):
-        pauli_string_window_projection(mat, L, 3)
 
 
 @pytest.mark.parametrize("ell", ["1", "2"])
@@ -364,11 +352,10 @@ def test_sector_defects_match_their_dense_definitions():
         u_blocks[m], _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         q_blocks[m] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     u = dense_from_sectors(u_blocks, L)
-    q = ChargeFamily(3, q_blocks, L)
+    q = ChargeFamily(3, q_blocks)
     h = 0.5 * (charge_matrix(q) + charge_matrix(q).conj().T)
     want_h = np.abs(u.conj().T @ h @ u - h).max()
     want_c = np.abs(charge_matrix(q) @ u - u @ charge_matrix(q)).max()
     assert want_h > 1e-3 and want_c > 1e-3
-    for prop in (u_blocks, u):
-        assert q.hermitian_part_defect(prop) == pytest.approx(want_h, rel=1e-12)
-        assert q.conservation_defect(prop) == pytest.approx(want_c, rel=1e-12)
+    assert q.hermitian_part_defect(u_blocks) == pytest.approx(want_h, rel=1e-12)
+    assert q.conservation_defect(u_blocks) == pytest.approx(want_c, rel=1e-12)

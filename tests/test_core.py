@@ -20,13 +20,12 @@ from mcbrick.core import (
     homogeneous_circuit,
     layer_bonds,
     layer_operators,
-    magnetization_commutator_defect,
-    magnetization_of,
     propagator_apply,
     sector_basis,
     sector_operators,
     sector_states,
     sector_step,
+    site_spins,
     translation_permutation,
     unitary_phases,
 )
@@ -39,6 +38,7 @@ from dense_oracles import (
     dense_from_sectors,
     identity_gate,
     loop_momentum_basis,
+    magnetization_commutator_defect,
     restrict,
     translate_index,
     translation_matrix,
@@ -131,9 +131,39 @@ def test_apply_gate_preserves_magnetization_sector():
     psi /= np.linalg.norm(psi)
     gate = random_mc_gate(11)
     out = apply_gate(psi, gate, (3, 4), L, boundary="periodic")
-    mags = np.array([magnetization_of(n, L) for n in range(1 << L)])
+    mags = site_spins(np.arange(1 << L), L).sum(axis=1)
     leak = np.linalg.norm(out[mags != 2])
     assert leak < 1e-13
+
+
+@pytest.mark.parametrize("boundary, sites", [("open", (2, 3)), ("periodic", (5, 0))])
+def test_apply_gate_to_a_matrix_acts_column_by_column(boundary, sites):
+    L = 6
+    rng = np.random.default_rng(4)
+    mat = rng.normal(size=(1 << L, 5)) + 1j * rng.normal(size=(1 << L, 5))
+    gate = random_mc_gate(7)
+    got = apply_gate(mat, gate, sites, L, boundary)
+    assert got.shape == mat.shape
+    for j in range(mat.shape[1]):
+        assert np.array_equal(got[:, j], apply_gate(mat[:, j], gate, sites, L, boundary))
+    with pytest.raises(ParameterError):
+        apply_gate(mat[:-1], gate, sites, L, boundary)
+    with pytest.raises(ParameterError):
+        apply_gate(mat.reshape(1 << L, 5, 1), gate, sites, L, boundary)
+
+
+def test_site_spins_layout():
+    L = 6
+    for m in range(-L, L + 1, 2):
+        states = sector_states(L, m)
+        spins = site_spins(states, L)
+        assert spins.dtype == np.float64 and spins.shape == (states.size, L)
+        assert np.array_equal(spins.sum(axis=1), np.full(states.size, float(m)))
+    # column j is the diagonal of sigma^z_j = diag(-1, 1) on site j, dense on 2^L
+    sz = np.diag([-1.0, 1.0])
+    for j in range(L):
+        dense = np.kron(np.kron(np.eye(1 << j), sz), np.eye(1 << (L - 1 - j)))
+        assert np.array_equal(site_spins(np.arange(1 << L), L)[:, j], np.diag(dense))
 
 
 def test_apply_gate_rejects_non_adjacent():
@@ -197,18 +227,7 @@ def _random_sector_blocks(L, rng):
     }
 
 
-def test_commutator_defect_refuses_dense_non_mc_matrices():
-    L, dim = 6, 1 << 6
-    rng = np.random.default_rng(3)
-    a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
-    with pytest.raises(SymmetryError, match="does not conserve magnetization") as err:
-        commutator_defect(a, b, L)
-    assert err.value.residual > 1e-8
-    with pytest.raises(SymmetryError):
-        commutator_defect(a, _random_sector_blocks(L, rng), L)
-
-
-def test_commutator_defect_of_mc_operators_dense_blocked_or_mixed():
+def test_commutator_defect_of_mc_sector_blocks_matches_dense():
     # random MC operators make the commutator O(1), so a wrong block formula shows
     L = 6
     rng = np.random.default_rng(4)
@@ -216,8 +235,7 @@ def test_commutator_defect_of_mc_operators_dense_blocked_or_mixed():
     a, b = dense_from_sectors(a_blocks, L), dense_from_sectors(b_blocks, L)
     want = np.abs(a @ b - b @ a).max()
     assert want > 1e-3
-    for x, y in ((a, b), (a_blocks, b_blocks), (a, b_blocks), (a_blocks, b)):
-        assert commutator_defect(x, y, L) == pytest.approx(want, rel=1e-12)
+    assert commutator_defect(a_blocks, b_blocks) == pytest.approx(want, rel=1e-12)
 
 
 def test_restrict_trivial_cases():
@@ -225,7 +243,7 @@ def test_restrict_trivial_cases():
     r = restrict(np.eye(16), basis)
     assert np.abs(r - np.eye(6)).max() < 1e-14
 
-    mags = np.array([magnetization_of(n, 4) for n in range(16)], dtype=float)
+    mags = site_spins(np.arange(16), 4).sum(axis=1)
     r2 = restrict(np.diag(mags), basis)
     assert np.abs(r2).max() < 1e-14
 
@@ -247,17 +265,21 @@ def test_check_sector_column_flags_mismatch_and_leak():
     states = sector_states(L, m)
     assert sector_basis(L, m).vectors.shape == (states.size, states.size)
     rng = np.random.default_rng(2)
-    full = np.zeros(1 << L, dtype=complex)
-    full[states] = rng.normal(size=states.size)
-    col = full[states].copy()
-    check_sector_column(full, col, states, "test")
+    circuit = homogeneous_circuit(identity_gate(), L)
+    col_in = rng.normal(size=states.size)
+    col = col_in.copy()
+    check_sector_column(propagator_apply, circuit, col_in, col, states, "test")
     col[3] += 1e-9
     with pytest.raises(SymmetryError):
-        check_sector_column(full, col, states, "test")
-    leaked = full.copy()
-    leaked[0] = 1e-9  # all-zeros word, outside the m=0 sector
+        check_sector_column(propagator_apply, circuit, col_in, col, states, "test")
+
+    def leaky(circuit, full):
+        out = full.copy()
+        out[0] = 1e-9  # all-zeros word, outside the m=0 sector
+        return out
+
     with pytest.raises(SymmetryError):
-        check_sector_column(leaked, full[states], states, "test")
+        check_sector_column(leaky, circuit, col_in, col_in, states, "test")
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
@@ -355,12 +377,9 @@ def test_grouped_step_matches_full_space_propagator(seed, L, boundary, data):
     states = sector_states(L, m)
     rng = np.random.default_rng(seed)
     col = rng.normal(size=states.size) + 1j * rng.normal(size=states.size)
-    full = np.zeros(1 << L, dtype=complex)
-    full[states] = col
-    want = propagator_apply(circ, full)
     got = sector_step(layer_operators(circ, m), col)
     # raises on a mismatch above SECTOR_ORACLE_TOL or on weight outside the sector
-    check_sector_column(want, got, states, "grouped step")
+    check_sector_column(propagator_apply, circ, col, got, states, "grouped step")
 
 
 def test_capacity_limits():

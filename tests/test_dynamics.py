@@ -10,13 +10,13 @@ from mcbrick.core import (
     layer_bonds,
     propagator_apply,
     sector_states,
+    site_spins,
     translation_permutation,
 )
 from mcbrick.dynamics import (
     _checked_sector_operators,
     _exact_autocorrelation,
-    _staggered_diagonal,
-    _sz_diagonal,
+    _staggered_weights,
     boundary_autocorrelation,
     decay_fits,
     domain_wall_evolution,
@@ -68,7 +68,8 @@ def test_exact_trace_matches_step_by_step_powers():
     # identity and SWAP have highly degenerate spectra, and the 1x1 sectors
     # m = +-L carry the phase edge_phase
     L, steps = 6, 600
-    a = _sz_diagonal(L, 1)
+    weights = np.eye(L)[1]
+    a = site_spins(np.arange(1 << L), L) @ weights
     swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
     for gate, edge_phase in ((random_mc_gate(8), None), (identity_gate(), 1.0),
                              (swap, 1.0), (_minus_corner_gate(), -1.0)):
@@ -85,7 +86,7 @@ def test_exact_trace_matches_step_by_step_powers():
                 heis = ut.conj().T @ (a[:, None] * ut)
                 want[t] = np.einsum("ii,i->", heis[np.ix_(rows, rows)], a[rows]).real / len(rows)
                 ut = u @ ut
-            got = _exact_autocorrelation(u, a, L, steps, m_values)
+            got = _exact_autocorrelation(u, weights, L, steps, m_values)
             assert np.abs(got - want).max() < 1e-12
             if np.array_equal(u, np.eye(1 << L)):
                 assert np.abs(got - 1.0).max() < 1e-12  # C(t) = tr(A^2) / dim
@@ -176,7 +177,7 @@ def test_staggered_normalization_and_guards():
 @pytest.mark.parametrize("L, flips", [(6, False), (8, True), (10, False), (12, True)])
 def test_staggered_magnetization_flips_under_a_cell_shift_only_for_even_cell_counts(L, flips):
     # with L/2 odd the two cells at the wrap carry the same sign
-    a = _staggered_diagonal(L)
+    a = site_spins(np.arange(1 << L), L) @ _staggered_weights(L)
     shifted = a[translation_permutation(np.arange(1 << L), L, 2)]
     assert np.array_equal(shifted, -a) is flips
 
@@ -220,7 +221,7 @@ def full_space_domain_wall(gate, L, steps):
     circ = homogeneous_circuit(gate, L, "open")
     psi = np.zeros(1 << L, dtype=complex)
     psi[((1 << (L // 2)) - 1) << (L // 2)] = 1.0
-    sz = np.array([_sz_diagonal(L, j) for j in range(L)])
+    sz = site_spins(np.arange(1 << L), L).T
     profiles = [sz @ np.abs(psi) ** 2]
     for _ in range(steps):
         psi = propagator_apply(circ, psi)
@@ -240,7 +241,7 @@ def test_domain_wall_matches_full_space_evolution(L, gate):
 def full_space_typicality(gate, L, steps, seed, samples, sector):
     # reference: one full 2^L vector per sample, drawn as the estimator draws
     circ = homogeneous_circuit(gate, L, "open")
-    a = _sz_diagonal(L, 0)
+    a = site_spins(np.arange(1 << L), L)[:, 0]
     support = np.arange(1 << L) if sector is None else sector_states(L, sector)
     rng = np.random.default_rng(seed)
     est = np.empty((samples, steps + 1))

@@ -13,9 +13,9 @@ from mcbrick.core import (
     build_sector_block,
     homogeneous_circuit,
     layer_bonds,
-    magnetization_of,
     sector_basis,
     sector_states,
+    site_spins,
 )
 from mcbrick.errors import CapacityError, ParameterError, SymmetryError
 from mcbrick.gates import gate_matrix, random_mc_gate
@@ -204,7 +204,7 @@ def test_flip_reflection_block_is_formed_at_zero_magnetization_only(monkeypatch)
             if m:
                 # the flip maps m to -m: no state of the sector stays in it
                 images = real(sector_states(L, m), L)
-                assert (magnetization_of(images, L) == -m).all(), (m, k)
+                assert (site_spins(images, L).sum(axis=1) == -m).all(), (m, k)
 
 
 def test_resolved_spectra_block_structure():
