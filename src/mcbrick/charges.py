@@ -1,4 +1,4 @@
-"""Staggered transfer matrices and the conserved charges they generate.
+"""Local conserved charges of the staggered transfer matrix.
 
 The transfer matrix on L qubits is the auxiliary-space trace
 
@@ -11,18 +11,41 @@ Q_l^{+-}(u) = d^l/dx^l log T(x; u) at x = +-u/2; their densities live on
 charges: the scalar gauge e^{i beta x} inside Rc only shifts them by
 multiples of the identity, which carries no information.
 
+No transfer matrix is formed.  At x0 = +-u/2 one parity of sites carries
+Rc(0) = 1 and the other Rc(a), a = +-u, so T(x0) is a shift times one
+layer of commuting Rc(a) gates, and each x-derivative inserts one jet of
+Rc at one site.  Moved to the front through T^{-1}, the insertion of Rc'
+at site k is a local term e_k, that of Rc'' a term f_k, and a double
+insertion is T^{-1} d_k d_l T = e_k e_l with k the site met first going
+round the ring.  Hence
+
+    Q1 = sum_k e_k,    Q2 = sum_k (f_k - e_k^2) + sum_{k<l} [e_k, e_l],
+
+in which only overlapping pairs survive.  On a five-site window whose
+site 0 carries Rc(0) (windows start on odd sites for +, even ones for -),
+with R = Rc(a), unitary at real a so that R^dag = R^{-1}, and X_(ij)
+meaning X on window sites (i, j),
+
+    e0 = R_(12)^dag Rc'(0)_(01) R_(12),   f0 the same with Rc''(0),
+    e1 = (R^dag Rc'(a))_(12),             f1 = (R^dag Rc''(a))_(12),
+    e2 = e0 moved by two sites,
+
+so the cell density of Q1 is e0 + e1 on three sites and that of Q2 is
+(f0 - e0^2) + (f1 - e1^2) + [e0, e1] + [e0 + e1, e2] on five
+(charge_kernels).  A charge is its cell density summed over the L/2
+windows.
+
 Every R conserves the magnetization of its site and the auxiliary qubit
-(the six-vertex ice rule), so T, its x-derivatives and every charge are
-block diagonal over the magnetization sectors of the chain.  They are
-built, solved, checked and projected as sector blocks {m: block} on the
-rows of core.sector_states, and every function here that takes an
-operator (a charge or the propagator) takes it in that form; no 2^L x 2^L
-array is formed.
+(the six-vertex ice rule), so every density and every charge is block
+diagonal over the magnetization sectors of the chain.  Charges are
+gathered, checked and projected as sector blocks {m: block} on the rows of
+core.sector_states, and every function here that takes an operator (a
+charge or the propagator) takes it in that form; no 2^L x 2^L array is
+formed.
 """
 
 import functools
 from itertools import product
-from math import comb
 
 import numpy as np
 from dataclasses import dataclass
@@ -36,89 +59,6 @@ from .core import (
 )
 from .errors import CapacityError, ParameterError
 from .rmatrix import r_matrix_jet
-
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
-
-def _site_r_tensors(p, x, L, order):
-    """R = P Rc and its first `order` x-derivatives as (s_out, a_row, s_in,
-    a_col) tensors, one list per site.  The sites alternate between two
-    arguments, x + u/2 on the even sites and x - u/2 on the odd ones, so
-    two r_matrix_jet calls serve the whole chain."""
-    even, odd = (
-        [(_SWAP @ r).reshape(2, 2, 2, 2) for r in r_matrix_jet(p, arg, order)]
-        for arg in (x + 0.5 * p.u, x - 0.5 * p.u)
-    )
-    return [odd if i % 2 else even for i in range(L)]
-
-
-def _prefix_count(n, k):
-    """Number of n-bit prefixes of popcount k."""
-    return comb(n, k) if k >= 0 else 0
-
-
-def _transfer_family(p, x, L, order=0):
-    """T(x;u) and its first `order` x-derivatives, as sector blocks.
-
-    The sweep multiplies in R_0a, R_1a, ... one site at a time.  After i
-    sites, part[d][a0, a][k] is the d-th derivative of the partial product
-    from auxiliary state a0 to a, on the column prefixes (bits of sites
-    0..i-1) of popcount k.  The ice rule s_out + a_row = s_in + a_col fixes
-    the row prefixes' popcount to k + a - a0, so each piece is a dense
-    block between two popcount classes and entries that cannot end in a
-    sector are never stored.  Site i appends a bit s to the row and c to
-    the column prefixes; ordering the prefixes that end in 0 first makes
-    the new block a 2x2 grid of old blocks, each scaled by the one entry
-    of R it can meet.  Derivatives follow the Leibniz rule
-    (C R)^(d) = sum_j C(d,j) C^(d-j) R^(j).  The last site closes the
-    trace (a = a0), and a permutation puts each sector in sector_states
-    order.  Returns one dict {m: block} per derivative order.
-    """
-    if L % 2 or L < 2:
-        raise ParameterError("transfer matrix needs even L >= 2")
-    if L > FULL_DENSE_MAX_L:
-        raise CapacityError(f"transfer matrix limited to L <= {FULL_DENSE_MAX_L}")
-    orders = range(order + 1)
-    paths = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    part = [
-        {(a0, a): {0: np.full((int(a == a0), 1), float(d == 0), dtype=complex)} for a0, a in paths}
-        for d in orders
-    ]
-    empty = np.zeros(0, dtype=np.int64)
-    labels = {0: np.zeros(1, dtype=np.int64)}  # prefix values per popcount, in block order
-    for i, r in enumerate(_site_r_tensors(p, x, L, order)):
-        keys = [(0, 0), (1, 1)] if i == L - 1 else paths
-        new = [{key: {} for key in keys} for d in orders]
-        for a0, a1 in keys:
-            for k in range(i + 2):
-                rows = (_prefix_count(i, k + a1 - a0), _prefix_count(i, k + a1 - a0 - 1))
-                cols = (_prefix_count(i, k), _prefix_count(i, k - 1))
-                blocks = [np.zeros((sum(rows), sum(cols)), dtype=complex) for d in orders]
-                for s, c in paths:
-                    a = c + a1 - s
-                    if a not in (0, 1) or not rows[s] or not cols[c]:
-                        continue
-                    grid = np.s_[s * rows[0]:rows[0] + s * rows[1], c * cols[0]:cols[0] + c * cols[1]]
-                    for d in orders:
-                        blocks[d][grid] = sum(
-                            comb(d, j) * r[j][s, a, c, a1] * part[d - j][a0, a][k - c]
-                            for j in range(d + 1)
-                        )
-                for d in orders:
-                    new[d][a0, a1][k] = blocks[d]
-        part = new
-        labels = {
-            k: np.concatenate([labels.get(k, empty) * 2, labels.get(k - 1, empty) * 2 + 1])
-            for k in range(i + 2)
-        }
-    outs = [{} for d in orders]
-    for k in range(L + 1):
-        order_k = np.ix_(*[np.argsort(labels[k])] * 2)
-        for out, pd in zip(outs, part):
-            out[2 * k - L] = (pd[0, 0][k] + pd[1, 1][k])[order_k]
-    return outs
 
 
 def _traceless(blocks, L):
@@ -151,61 +91,60 @@ def _check_sign(sign):
         raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def _check_q1_pre(p, sign, L):
+def _check_request(p, sign, L, ell):
     _check_sign(sign)
-    if L % 2 or L < 6:
-        raise ParameterError("first charges need even L >= 6")
+    if L < 2 * (2 * ell + 1):
+        raise ParameterError(f"L={L} too small for an order-{ell} density")
+    if L % 2:
+        raise ParameterError(f"charges need even L, got L={L}")
     if L > FULL_DENSE_MAX_L:
         raise CapacityError(f"charges limited to L <= {FULL_DENSE_MAX_L}")
     if p.degenerate:
         raise ParameterError(f"charges undefined for degenerate gate ({p.degenerate})")
 
 
-def q1_kernels(p):
-    """Three-site cell kernels of Q1+- from the order-1 jets of Rc.
-
-    Cell of the + charge: d/dx [Rc_01(x+) Rc_12(x-)] U01^{-1} at x = u/2;
-    cell of the - charge: U12 d/dx [Rc_01(x+) Rc_12(x-)] at x = -u/2.
-    With x+- = x +- u/2 this needs Rc(u) = U and Rc' at u, 0 and -u, all
-    from r_matrix_jet.  Both are returned traceless (the identity share of
-    a density is gauge).
-    """
-    eye2 = np.eye(2, dtype=complex)
-    ru, dru = r_matrix_jet(p, p.u, 1)
-    _, dr0 = r_matrix_jet(p, 0.0, 1)
-    _, drmu = r_matrix_jet(p, -p.u, 1)
-    a = np.kron(ru, eye2)
-    da = np.kron(dru, eye2)
-    b0 = np.kron(eye2, dr0)
-    k_plus = da @ a.conj().T + a @ b0 @ a.conj().T
-    d = np.kron(eye2, ru)
-    c0 = np.kron(dr0, eye2)
-    dd = np.kron(eye2, drmu)
-    k_minus = d @ c0 @ d.conj().T + d @ dd
-    return tuple(k - np.trace(k) / 8 * np.eye(8) for k in (k_plus, k_minus))
+def charge_kernels(p, sign):
+    """Cell densities (Q1, Q2) of one sign: 8x8 on three window sites and
+    32x32 on five, from the order-2 jets of Rc at 0 and a = +-u (module
+    docstring).  Both are returned traceless (the identity share of a
+    density is gauge)."""
+    _check_sign(sign)
+    eye2, eye4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
+    r, dr, ddr = r_matrix_jet(p, p.u if sign == "+" else -p.u, 2)
+    _, dr0, ddr0 = r_matrix_jet(p, 0.0, 2)
+    r12 = np.kron(eye2, r)
+    e0, f0 = (r12.conj().T @ np.kron(d, eye2) @ r12 for d in (dr0, ddr0))
+    e1, f1 = (np.kron(eye2, r.conj().T @ d) for d in (dr, ddr))
+    k1 = e0 + e1
+    cell = (f0 - e0 @ e0) + (f1 - e1 @ e1) + (e0 @ e1 - e1 @ e0)
+    first, e2 = np.kron(k1, eye4), np.kron(eye4, e0)
+    k2 = np.kron(cell, eye4) + (first @ e2 - e2 @ first)
+    return tuple(k - np.trace(k) / len(k) * np.eye(len(k)) for k in (k1, k2))
 
 
 def charge_q1(p, sign, L):
-    """First charge from the analytic-derivative cell construction (periodic).
+    """First charge from its three-site cell density (periodic).
 
     The + density sits on windows (2m+1, 2m+2, 2m+3), the - density on
     (2m, 2m+1, 2m+2), m = 0..L/2-1, all mod L.
     """
-    _check_q1_pre(p, sign, L)
-    k_plus, k_minus = q1_kernels(p)
-    return _q1_family(p, sign, L, k_plus if sign == "+" else k_minus)
+    _check_request(p, sign, L, 1)
+    return _cell_family(sign, L, charge_kernels(p, sign)[0])
 
 
-def _q1_family(p, sign, L, kernel):
-    """First charge from a three-site density summed over its windows,
-    gathered into each sector with the core.sector_operators pattern."""
+def _cell_family(sign, L, kernel):
+    """A charge from a w-site cell density (w read off the kernel) summed
+    over its L/2 windows, the + ones starting on odd sites and the - ones
+    on even sites, gathered into each sector with the
+    core.sector_operators pattern."""
+    w = len(kernel).bit_length() - 1
     start = 1 if sign == "+" else 0
-    windows = [tuple((2 * j + start + t) % L for t in range(3)) for j in range(L // 2)]
+    windows = [tuple((2 * j + start + t) % L for t in range(w)) for j in range(L // 2)]
     blocks = {}
     for m in range(-L, L + 1, 2):
-        ops = sector_operators([[(kernel, w)] for w in windows], L, m)
+        ops = sector_operators([[(kernel, s)] for s in windows], L, m)
         blocks[m] = sum(ops[1:], ops[0]).toarray()
-    return ChargeFamily(3, _traceless(blocks, L))
+    return ChargeFamily(w, _traceless(blocks, L))
 
 
 # two-site blocks of the closed-form density, basis {|00>,|01>,|10>,|11>}
@@ -319,7 +258,7 @@ def closed_form_kernel(p, sign):
 
 def charge_q1_closed_form(p, sign, L):
     """First charge assembled from the explicit three-site density."""
-    _check_q1_pre(p, sign, L)
+    _check_request(p, sign, L, 1)
     if abs(np.cos(2 * p.u) - np.cosh(2 * p.rho)) < 1e-14 and p.phase == "I":
         raise ParameterError("degenerate density: cos 2u = cosh 2 rho needs u = rho = 0")
     if p.phase == "II" and abs(np.cosh(2 * p.u) - np.cos(2 * p.rho)) < 1e-14:
@@ -328,39 +267,24 @@ def charge_q1_closed_form(p, sign, L):
         raise ParameterError("closed form needs rho > 0 (coth rho appears)")
     if p.phase == "II" and abs(p.rho) < 1e-14:
         raise ParameterError("closed form needs rho != 0 (cot rho appears)")
-    return _q1_family(p, sign, L, closed_form_kernel(p, sign))
+    return _cell_family(sign, L, closed_form_kernel(p, sign))
 
 
 def higher_charge(p, ell, sign, L):
-    """Charge of order ell >= 1 from transfer-matrix log-derivatives.
+    """Charge of order ell in {1, 2} from its (2 ell + 1)-site cell density.
 
-    Uses G(x) = T^{-1} T' and, for ell = 2, Q2 = T^{-1} T'' - G^2.  T and
-    its x-derivatives come from _transfer_family, whose site tensors are
-    the analytic jets of Rc (r_matrix_jet), so no numerical
-    differentiation enters anywhere.  Within the commuting family these
-    equal d^ell/dx^ell log T exactly.  T and its derivatives are sector
-    blocks, so each sector is one solve.  Orders above 2 are refused: their
-    densities need rings past the transfer-matrix cap.
+    Both densities come from charge_kernels, whose insertion terms are the
+    analytic jets of Rc (r_matrix_jet), so no numerical differentiation and
+    no solve enters; they equal d^ell/dx^ell log T exactly.  Orders above
+    2 are refused: their densities need third and higher jets and the
+    products of three insertion terms, which are not built.
     """
-    _check_sign(sign)
     if ell < 1:
         raise ParameterError("charge order must be >= 1")
     if ell > 2:
-        raise CapacityError(
-            f"orders above 2 need L >= 14, beyond the transfer-matrix cap L <= {FULL_DENSE_MAX_L}"
-        )
-    if L < 2 * (2 * ell + 1):
-        raise ParameterError(f"L={L} too small for an order-{ell} density")
-    if p.degenerate:
-        raise ParameterError(f"charges undefined for degenerate gate ({p.degenerate})")
-    x0 = 0.5 * p.u if sign == "+" else -0.5 * p.u
-    t, *derivs = _transfer_family(p, x0, L, order=ell)
-    blocks = {}
-    for m, tm in t.items():
-        sol = np.linalg.solve(tm, np.hstack([d[m] for d in derivs]))
-        g = sol[:, : len(tm)]
-        blocks[m] = g if ell == 1 else sol[:, len(tm):] - g @ g
-    return ChargeFamily(2 * ell + 1, _traceless(blocks, L))
+        raise CapacityError(f"charge densities are built up to order 2, got order {ell}")
+    _check_request(p, sign, L, ell)
+    return _cell_family(sign, L, charge_kernels(p, sign)[ell - 1])
 
 
 # operator strings over {1, z, p, m}: p = sqrt2 sigma+, m = sqrt2 sigma-, each
@@ -424,19 +348,6 @@ def _string_gather(label, anchor, L):
     b, val = b[ok], val[ok]
     pos, offset, dim = _packed_layout(L)
     return offset[b] + pos[b ^ flip] * dim[b] + pos[b], val
-
-
-def string_coefficients(blocks, L, placed):
-    """tr(S^dag Q) / 2^L for each charge-0 string (label, anchor) in `placed`.
-
-    Q is given by its sector blocks {m: block} on L sites.
-    """
-    packed = _packed(blocks, L)
-    out = np.empty(len(placed), dtype=complex)
-    for i, (label, anchor) in enumerate(placed):
-        flat, val = _string_gather(label, anchor, L)
-        out[i] = val @ packed[flat] / (1 << L)
-    return out
 
 
 def pauli_string_window_projection(blocks, L, window):

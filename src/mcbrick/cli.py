@@ -228,6 +228,11 @@ def _resolve(command, args, cfg_gate, cfg_run):
         if two_gate and gate:
             raise ParameterError("two-gate ensembles draw their gates; drop the gate parameters")
         params["gate"] = gate
+    # numpy refuses negative seeds deep inside a handler; refuse them here
+    for key, value in (("seed", args.seed), ("haar_seed", params["run"].get("haar_seed")),
+                       ("haar_seed", (params.get("gate") or {}).get("haar_seed"))):
+        if value is not None and value < 0:
+            raise ParameterError(f"{key} must be >= 0, got {value}")
     return params
 
 

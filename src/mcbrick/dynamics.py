@@ -276,9 +276,9 @@ def domain_wall_evolution(gate, L, steps):
     lost from, or gained in, the sector.
     """
     _check_steps(steps)
-    if L % 2:
-        raise ParameterError("domain wall needs an even number of sites")
-    if not 2 <= L <= DOMAIN_WALL_MAX_L:
+    if L % 2 or L < 2:
+        raise ParameterError(f"domain wall needs an even number of sites L >= 2, got L={L}")
+    if L > DOMAIN_WALL_MAX_L:
         raise CapacityError(f"state evolution limited to L <= {DOMAIN_WALL_MAX_L}")
     circuit = homogeneous_circuit(gate, L, "open")
     half = L // 2

@@ -31,6 +31,8 @@ of its sparse kron and nonsymmetric eigensolver, so importing this module
 or refusing a support loads no scipy.
 """
 
+import functools
+
 import numpy as np
 from dataclasses import dataclass, field
 from itertools import product
@@ -38,10 +40,8 @@ from itertools import product
 from .charges import (
     LETTERS,
     SITE_OPS as _SITE_OPS,
+    charge_kernels,
     charge_of_string,
-    higher_charge,
-    q1_kernels,
-    string_coefficients,
 )
 from .errors import (
     CapacityError,
@@ -154,7 +154,9 @@ def truncated_propagator(gate, r, k):
     decompositions); r=R_MAX=6 about 34 s (21 s of it the decompositions)
     and 2.1 GB peak RSS, set by the build.
     """
-    if not 1 <= r <= R_MAX:
+    if r < 1:
+        raise ParameterError(f"support must satisfy 1 <= r <= {R_MAX}, got {r}")
+    if r > R_MAX:
         raise CapacityError(f"support must satisfy 1 <= r <= {R_MAX}, got {r}")
     strings = _all_strings(r)
     charges = sorted({charge_of_string(s) for s in strings})
@@ -239,38 +241,39 @@ def unit_multiplicity(tp):
 
 
 def _fold_kernel(kernel, start_parity, r, index):
-    """Map a three-site density at a given start parity to basis coefficients.
+    """Map a w-site density at a given start parity to basis coefficients.
 
-    The coefficient of a string S is tr(S^dag K) / 8, read off the 8x8
-    kernel with S the kron of its letters' SITE_OPS; only charge-0
-    strings are read, and the all-identity string is skipped, since the
-    kernels are traceless.  Strings whose leading letters are the identity
-    are the same translation class seen from a shifted start; they fold
-    onto the representative with the parity of their first non-identity
-    site.
+    w is read off the kernel (2^w x 2^w, w <= r).  The coefficient of a
+    string S is tr(S^dag K) / 2^w, with S the kron of its letters'
+    SITE_OPS; only charge-0 strings are read, and the all-identity string
+    is skipped, since the kernels are traceless.  Strings whose leading
+    letters are the identity are the same translation class seen from a
+    shifted start; they fold onto the representative with the parity of
+    their first non-identity site, so the windows a class meets at
+    different offsets add up.
     """
+    w = len(kernel).bit_length() - 1
     vec = np.zeros(len(index), dtype=complex)
-    for a, b, c in product(LETTERS, repeat=3):
-        tail = (a + b + c).lstrip("1")
+    for letters in product(LETTERS, repeat=w):
+        tail = "".join(letters).lstrip("1")
         if not tail or charge_of_string(tail):
             continue
-        string = np.kron(np.kron(_SITE_OPS[a], _SITE_OPS[b]), _SITE_OPS[c])
-        parity = "even" if (start_parity + 3 - len(tail)) % 2 == 0 else "odd"
-        vec[index[(parity, tail + "1" * (r - len(tail)))]] += np.vdot(string, kernel) / 8
+        string = functools.reduce(np.kron, [_SITE_OPS[ch] for ch in letters])
+        parity = "even" if (start_parity + w - len(tail)) % 2 == 0 else "odd"
+        vec[index[(parity, tail + "1" * (r - len(tail)))]] += np.vdot(string, kernel) / (1 << w)
     return vec
 
 
 def conserved_density_vectors(gate, r):
     """Charge-0 basis vectors of the densities conserved at k = 0.
 
-    Magnetization always; for r >= 3 the first charge pair, from the
-    three-site kernels charges.q1_kernels; for r >= 5 the second pair,
-    from the sector blocks of the transfer-matrix charges on a 10-site
-    ring, read with charges.string_coefficients.  A gate the R-matrix map
-    refuses for an infinite rho or u, and an identity or swap-family gate,
-    whose charge kernels are undefined, keep magnetization only; a
-    critical gate raises.  Columns are normalized; ordering matches
-    truncated_propagator labels.
+    Magnetization always; for r >= 3 the first charge pair, folded from
+    the three-site cell densities of charges.charge_kernels; for r >= 5
+    the second pair, folded from its five-site ones.  A gate the R-matrix
+    map refuses for an infinite rho or u, and an identity or swap-family
+    gate, whose charge kernels are undefined, keep magnetization only; a
+    critical gate raises.  Columns are normalized and ordered magnetization,
+    Q1+, Q1-, Q2+, Q2-; rows match truncated_propagator labels.
     """
     zero = [s for s in _all_strings(r) if charge_of_string(s) == 0]
     labels = [("even", s) for s in zero] + [("odd", s) for s in zero]
@@ -289,14 +292,10 @@ def conserved_density_vectors(gate, r):
         except RefusalError:
             pass  # rho or u would be infinite: no charge columns
     if p is not None and not p.degenerate:  # no charge kernels at identity or swap points
-        k_plus, k_minus = q1_kernels(p)
-        cols.append(_fold_kernel(k_plus, 1, r, index))
-        cols.append(_fold_kernel(k_minus, 0, r, index))
-        if r >= 5:
-            L = 10
-            placed = [(label, 0 if parity == "even" else 1) for parity, label in labels]
-            for sign in ("+", "-"):
-                cols.append(string_coefficients(higher_charge(p, 2, sign, L).blocks, L, placed))
+        kernels = {sign: charge_kernels(p, sign) for sign in "+-"}
+        for order in range(2 if r >= 5 else 1):
+            cols.append(_fold_kernel(kernels["+"][order], 1, r, index))
+            cols.append(_fold_kernel(kernels["-"][order], 0, r, index))
     mat = np.column_stack(cols)
     norms = np.linalg.norm(mat, axis=0)
     good = norms > 1e-10

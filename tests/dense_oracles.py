@@ -8,12 +8,12 @@ against.
   x/y/z string enumeration of the window projection, and the dense ring
   coefficient of a {1, z, p, m} string.  The x-derivatives of Rc come from
   the hand-written closed forms of R' and R'' below, not from
-  rmatrix.r_matrix_jet.  They share no code with the sector path.
-  dense_from_sectors assembles sector blocks {m: block} into a dense
-  operator; transfer_matrix and propagator_from_transfer use it on the
-  sector-blocked charges._transfer_family, and tests use it on charges.
-  split_sectors is its inverse, which hands a dense MC operator to the
-  package's block-only functions.
+  rmatrix.r_matrix_jet.  They share no code with the package's cell
+  densities.  transfer_matrix and propagator_from_transfer read the same
+  einsum build.  dense_from_sectors assembles sector blocks {m: block}
+  into a dense operator, and tests use it on charges; split_sectors is
+  its inverse, which hands a dense MC operator to the package's
+  block-only functions.
 * The per-state orbit walk of the momentum basis (loop_momentum_basis),
   the dense sector restriction (restrict) and the sparse shift
   (translation_matrix), against which core.sector_basis and the sector
@@ -33,7 +33,7 @@ from dataclasses import replace
 import numpy as np
 from scipy import sparse
 
-from mcbrick.charges import LETTERS, _transfer_family
+from mcbrick.charges import LETTERS
 from mcbrick.core import (
     sector_states,
     site_spins,
@@ -296,16 +296,14 @@ def split_sectors(op, L, tol=1e-10):
 
 
 def transfer_matrix(p, x, L):
-    """Dense T(x; u), assembled from its sector blocks; x may be complex."""
-    (t,) = _transfer_family(p, x, L, order=0)
-    return dense_from_sectors(t, L)
+    """Dense T(x; u) from the einsum build; x may be complex."""
+    (t,) = einsum_transfer_family(p, x, L)
+    return t
 
 
 def propagator_from_transfer(p, L):
-    """U = T(-u/2)^{-1} T(u/2), solved per sector and assembled dense."""
-    (t_minus,) = _transfer_family(p, -0.5 * p.u, L, order=0)
-    (t_plus,) = _transfer_family(p, 0.5 * p.u, L, order=0)
-    return dense_from_sectors({m: np.linalg.solve(t_minus[m], t_plus[m]) for m in t_plus}, L)
+    """U = T(-u/2)^{-1} T(u/2), one dense solve."""
+    return np.linalg.solve(transfer_matrix(p, -0.5 * p.u, L), transfer_matrix(p, 0.5 * p.u, L))
 
 
 # --------------------------------------------------------- sector blocks

@@ -246,3 +246,42 @@ def test_threads_below_one_are_parameter_errors(tmp_path, capsys, monkeypatch, t
     assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
     assert "OPENBLAS_NUM_THREADS" not in os.environ
     assert not (tmp_path / "classify.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args, config, key, value",
+    [
+        (("map-params", "--haar-seed", "-1"), None, "haar_seed", -1),
+        (("map-params",), "[gate]\nhaar_seed = -2\n", "haar_seed", -2),
+        (("verify-ybe", "--trials", "2", "--haar-seed", "-5"), None, "haar_seed", -5),
+        (("szm", *GATE_II, "--method", "typicality", "--seed", "-3"), None, "seed", -3),
+    ],
+    ids=["map-params-haar-seed", "config-haar-seed", "verify-ybe-haar-seed", "szm-root-seed"],
+)
+def test_negative_seeds_are_parameter_errors(tmp_path, capsys, args, config, key, value):
+    # refused while the parameters are resolved, before numpy sees the seed
+    out = tmp_path / "out"
+    if config:
+        (tmp_path / "gate.ini").write_text(config)
+        args = (*args, "--config", str(tmp_path / "gate.ini"))
+    assert run(out, *args) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be >= 0, got {value}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("domain-wall", *GATE_II, "--L", "0"), "domain wall needs an even number of sites"),
+        (("domain-wall", *GATE_II, "--L", "-2"), "domain wall needs an even number of sites"),
+        (("rp-spectrum", *GATE_II, "--r", "0"), "support must satisfy 1 <= r <= 6, got 0"),
+        (("rp-spectrum", *GATE_II, "--r", "-1"), "support must satisfy 1 <= r <= 6, got -1"),
+    ],
+    ids=["domain-wall-L0", "domain-wall-L-2", "rp-r0", "rp-r-1"],
+)
+def test_sizes_below_their_lower_bound_are_parameter_errors(tmp_path, capsys, args, message):
+    # exit 3 is kept for well-formed requests past a capacity cap
+    assert run(tmp_path, *args) == 2
+    assert_parameter_error(tmp_path, args[0])
+    assert message in capsys.readouterr().err

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from math import comb
 
 from mcbrick import core
 from mcbrick.core import (

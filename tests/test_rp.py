@@ -13,7 +13,6 @@ from dense_oracles import (
     ring_rep_coefficient,
     string_tensor,
 )
-from mcbrick.charges import q1_kernels
 from mcbrick.core import build_propagator, embed_operator, homogeneous_circuit
 from mcbrick.errors import (
     CapacityError,
@@ -62,9 +61,11 @@ def test_basis_counts_and_partition():
         tp = truncated_propagator(g, r, 0.0)
         assert sum(len(b) for b in tp.blocks.values()) == 2 * (4**r - 4 ** (r - 1))
         assert all(charge_of_string(s) == c for c, labs in tp.labels.items() for _, s in labs)
-    for r in (0, 7):
-        with pytest.raises(CapacityError):
+    for r in (-1, 0):
+        with pytest.raises(ParameterError):
             truncated_propagator(g, r, 0.0)
+    with pytest.raises(CapacityError):
+        truncated_propagator(g, 7, 0.0)
 
 
 def test_basis_orthonormal_single_site():
@@ -352,14 +353,8 @@ def _dense_conserved_columns(gate, r):
     p = haar_to_r(haar_params_from_gate(gate).params)
     if not p.degenerate:
         L = 10
-        charges = []
-        for start, kernel in zip((1, 0), q1_kernels(p)):
-            charges.append(sum(
-                embed_operator(kernel, [(2 * j + start + t) % L for t in range(3)], L)
-                for j in range(L // 2)
-            ))
-        if r >= 5:
-            charges += [dense_charges(p, sign, L)[1] for sign in "+-"]
+        dense = [dense_charges(p, sign, L) for sign in "+-"]  # (Q1, Q2) per sign
+        charges = [q1 for q1, _ in dense] + ([q2 for _, q2 in dense] if r >= 5 else [])
         for q in charges:
             cols.append(np.array([ring_rep_coefficient(q, s, a, L) for s, a in placed]))
     mat = np.column_stack(cols)
@@ -395,7 +390,7 @@ def test_one_string_table_and_one_r_matrix_derivative_routine():
     assert rp.LETTERS is charges.LETTERS
     assert rp.charge_of_string is charges.charge_of_string
     gone = ("r_matrix_derivative", "ab_derivatives", "r_matrix_second_derivative",
-            "_kernel_strings")
+            "_kernel_strings", "_transfer_family", "string_coefficients", "q1_kernels")
     for info in pkgutil.iter_modules(mcbrick.__path__):
         module = importlib.import_module(f"mcbrick.{info.name}")
         assert not [name for name in gone if hasattr(module, name)], info.name

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from mcbrick.core import (
     BrickworkCircuit,
