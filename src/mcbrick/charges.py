@@ -62,9 +62,11 @@ from .rmatrix import r_matrix_jet
 
 
 def _traceless(blocks, L):
-    """Sector blocks minus their common identity share, trace / 2^L."""
+    """Sector blocks minus their common identity share, trace / 2^L, in place."""
     shift = sum(np.trace(b) for b in blocks.values()) / (1 << L)
-    return {m: b - shift * np.eye(len(b)) for m, b in blocks.items()}
+    for b in blocks.values():
+        b[np.diag_indices_from(b)] -= shift
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -381,5 +383,6 @@ def pauli_string_window_projection(blocks, L, window):
             coef = val @ packed[flat] / (1 << L)
             within_sq += abs(coef) ** 2
             recon[flat] += coef * val
-    residual_sq = float(np.sum(np.abs(packed - recon) ** 2)) / (1 << L)
+    recon -= packed  # the residual, in place: packed and recon are the two largest arrays
+    residual_sq = float(np.sum(np.abs(recon) ** 2)) / (1 << L)
     return float(np.sqrt(within_sq)), float(np.sqrt(residual_sq))

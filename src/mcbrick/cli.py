@@ -412,7 +412,7 @@ def _cmd_charges(params, root, sha):
         higher_charge,
         pauli_string_window_projection,
     )
-    from .core import FULL_DENSE_MAX_L, build_sector_block, homogeneous_circuit, sector_basis
+    from .core import build_propagator, homogeneous_circuit
     from .gates import haar_params_from_gate
     from .rmatrix import haar_to_r
 
@@ -422,11 +422,8 @@ def _cmd_charges(params, root, sha):
     if run["sign"] not in ("+", "-", "both"):
         raise ParameterError(f"sign must be +, - or both, got {run['sign']!r}")
     p = haar_to_r(haar_params_from_gate(gate).params)
-    circuit = homogeneous_circuit(gate, L, "periodic")
-    if L > FULL_DENSE_MAX_L:
-        raise CapacityError(f"charges limited to L <= {FULL_DENSE_MAX_L}")
     # the propagator as magnetization-sector blocks, like the charges
-    prop = {m: build_sector_block(circuit, sector_basis(L, m)) for m in range(-L, L + 1, 2)}
+    prop = build_propagator(homogeneous_circuit(gate, L, "periodic"))
     payload = {"L": L, "ell": run["ell"], "phase": p.phase, "charges": {}}
     for sign in ("+", "-") if run["sign"] == "both" else (run["sign"],):
         if run["ell"] == 1:
@@ -472,6 +469,8 @@ def _cmd_spectrum_stats(params, root, sha):
         raise ParameterError(f"boundary must be open or periodic, got {boundary!r}")
     if run["realizations"] < 1:
         raise ParameterError(f"realizations must be >= 1, got {run['realizations']}")
+    if run["min_dim"] < 0:
+        raise ParameterError(f"min_dim must be >= 0, got {run['min_dim']}")
     if run["realizations"] > 1 and not run["two_gate"]:
         raise ParameterError("realizations > 1 needs --two-gate")
     if boundary == "open" and run["k_values"]:

@@ -33,12 +33,12 @@ int arrays of states, and diagonal observables and time reversal read
 their sigma^z per site from site_spins on them; a 2^L vector appears only
 in the one-column full-space oracles (check_sector_column).  Operators
 that conserve magnetization are passed around as sector blocks
-{m: block} on those rows, and nothing takes them in any other form.
+{m: block} on those rows, and nothing takes them in any other form; the
+propagator's are one build_sector_block per sector (build_propagator).
 
 Only sector_basis and sector_operators import scipy.sparse, inside the
-function: the dense paths (build_propagator, unitary_phases) are numpy
-only, and a process that never builds a CSR matrix then never pays
-scipy's import.
+function: unitary_phases and the one-column oracles are numpy only, and
+a process that never builds a CSR matrix never pays scipy's import.
 """
 
 import functools
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from .errors import CapacityError, ParameterError, SymmetryError
 from .gates import MC_DEFECT_TOL, gate_matrix, mc_zero_pattern_defect
 
-FULL_DENSE_MAX_L = 12   # full 2^L x 2^L dense operators
+FULL_DENSE_MAX_L = 12   # all propagator blocks, 16 C(2L, L) bytes: 43 MB at L=12, 642 at L=14
 SECTOR_MAX_L = 14       # dense work inside a single symmetry sector
 BASIS_MAX_L = 20        # bases themselves stay cheap a bit longer
 SECTOR_ORACLE_TOL = 1e-12  # sector kernel against the full-space column
@@ -190,8 +190,10 @@ def sector_basis(L, m, k=None):
     symmetry of a homogeneous periodic brickwork circuit); k indexes its
     eigenvalue exp(2 pi i k / (L/2)) and requires periodic boundaries.
     """
-    if L % 2 or not 2 <= L <= BASIS_MAX_L:
-        raise ParameterError(f"L must be even with 2 <= L <= {BASIS_MAX_L}, got {L}")
+    if L % 2 or L < 2:
+        raise ParameterError(f"L must be even and >= 2, got {L}")
+    if L > BASIS_MAX_L:
+        raise CapacityError(f"sector bases limited to L <= {BASIS_MAX_L}, got {L}")
     if (L + m) % 2 or not 0 <= (L + m) // 2 <= L:
         raise ParameterError(f"magnetization {m} impossible for L={L}")
     from scipy import sparse
@@ -326,19 +328,6 @@ def propagator_apply(circuit, psi):
     for u, bond in circuit.layer_pairs():
         out = apply_gate(out, u, bond, circuit.L, circuit.boundary)
     return out
-
-
-def build_propagator(circuit):
-    """Dense one-step propagator. Refuses L beyond the full-dense cap."""
-    if circuit.L > FULL_DENSE_MAX_L:
-        raise CapacityError(
-            f"dense propagator limited to L <= {FULL_DENSE_MAX_L}; "
-            "use propagator_apply or build_sector_block instead"
-        )
-    mat = np.eye(1 << circuit.L, dtype=complex)
-    for u, bond in circuit.layer_pairs():
-        mat = apply_gate(mat, u, bond, circuit.L, circuit.boundary)
-    return mat
 
 
 def embed_operator(kernel, sites, L):
@@ -522,3 +511,12 @@ def build_sector_block(circuit, basis):
         check_sector_column(propagator_apply, circuit, w[:, [0]].toarray().ravel(), x[:, 0],
                             sector_states(circuit.L, m), "propagator")
     return w.conj().T @ x
+
+
+def build_propagator(circuit):
+    """One-step propagator as sector blocks {m: block}; refuses L > FULL_DENSE_MAX_L first."""
+    L = circuit.L
+    if L > FULL_DENSE_MAX_L:
+        raise CapacityError(f"propagator blocks limited to L <= {FULL_DENSE_MAX_L}; "
+                            "use propagator_apply or build_sector_block instead")
+    return {m: build_sector_block(circuit, sector_basis(L, m)) for m in range(-L, L + 1, 2)}

@@ -2,11 +2,11 @@
 
 Autocorrelations tr(A(t) A)/2^L of diagonal observables are computed
 either exactly or by typicality.  The exact trace works per magnetization
-sector: one eigendecomposition of the sector propagator (core.unitary_phases,
-a Hermitian eigensolve of its Cayley transform), then one contraction of
-the matrix-element weights with the matrix of eigenvalue powers, so 200
-time steps cost one diagonalization and a few matrix products.  The
-sector propagators are still sliced out of the dense build_propagator.
+sector: one eigendecomposition of the sector block of the propagator
+(core.build_propagator, then core.unitary_phases, a Hermitian eigensolve
+of its Cayley transform), then one contraction of the matrix-element
+weights with the matrix of eigenvalue powers, so 200 time steps cost one
+diagonalization and a few matrix products.
 
 Typicality averages <v|A(t)A|v> over normalized Gaussian random vectors,
 and the domain wall evolves one polarized state.  An MC circuit never
@@ -79,33 +79,30 @@ class DomainWallResult:
 
 
 def _staggered_weights(L):
-    """Site weights of sum_j (-1)^(j+1) (sigma^z on both sites of cell j)."""
+    """Site weights of S = sum_j (-1)^(j+1) (sigma^z on both sites of cell j)."""
     return np.repeat(np.resize([-1.0, 1.0], L // 2), 2)
 
 
-def _exact_autocorrelation(U, weights, L, steps, m_values=None):
+def _exact_autocorrelation(blocks, weights, L, steps):
     """Normalized tr(U^-t A U^t A) for A = sum_j weights[j] sigma^z_j, per sector.
 
-    On the rows states = sector_states(L, m), A's diagonal is
-    site_spins(states, L) @ weights, and the unitary block sliced from U
-    is diagonalized once by unitary_phases, its eigenvectors orthonormal
-    even where eigenphases are degenerate; with w = |<alpha|A|beta>|^2 and
-    V[a, t] = lambda_a^t the series is Re sum_a conj(V) (w V), contracted
-    over blocks of at most _TIME_BLOCK steps with the power carried from
-    block to block.  m_values selects sectors by magnetization m; the
-    default is all of them, i.e. the full trace, and the normalization is
-    always the summed sector dimension.
+    blocks holds the propagator's sector blocks {m: block} of the sectors
+    to trace: all of them (core.build_propagator) for the full trace.  On
+    the rows states = sector_states(L, m), A's diagonal is
+    site_spins(states, L) @ weights, and each block is diagonalized once
+    by unitary_phases, its eigenvectors orthonormal even where eigenphases
+    are degenerate; with w = |<alpha|A|beta>|^2 and V[a, t] = lambda_a^t
+    the series is Re sum_a conj(V) (w V), contracted over blocks of at
+    most _TIME_BLOCK steps with the power carried from block to block.
+    The normalization is the summed dimension of the given sectors.
     """
-    if m_values is None:
-        m_values = range(-L, L + 1, 2)
     vals = np.zeros(steps + 1)
     dim = 0
-    for m in m_values:
-        idx = sector_states(L, m)
-        dim += len(idx)
-        phases, q = unitary_phases(U[np.ix_(idx, idx)], vectors=True)
+    for m, block in blocks.items():
+        dim += len(block)
+        phases, q = unitary_phases(block, vectors=True)
         lam = np.exp(1j * phases)
-        atil = q.conj().T @ ((site_spins(idx, L) @ weights)[:, None] * q)
+        atil = q.conj().T @ ((site_spins(sector_states(L, m), L) @ weights)[:, None] * q)
         w = np.abs(atil) ** 2
         power = np.ones_like(lam)
         for start in range(0, steps + 1, _TIME_BLOCK):
@@ -147,7 +144,7 @@ def boundary_autocorrelation(
 ):
     """Normalized tr(sigma^z_0(t) sigma^z_0) for the open homogeneous circuit.
 
-    method "exact-trace" needs L within the dense-propagator cap;
+    method "exact-trace" needs L within the propagator-block cap;
     "typicality" estimates the trace from `samples` normalized Gaussian
     vectors (error bar = sample standard error) and reaches L = 14.
 
@@ -168,9 +165,9 @@ def boundary_autocorrelation(
             raise CapacityError(
                 f"exact trace limited to L <= {FULL_DENSE_MAX_L}; use typicality"
             )
-        circuit = homogeneous_circuit(gate, L, "open")
-        u = build_propagator(circuit)
-        vals = _exact_autocorrelation(u, np.eye(L)[0], L, steps, m_values)
+        blocks = build_propagator(homogeneous_circuit(gate, L, "open"))
+        blocks = {m: blocks[m] for m in m_values}
+        vals = _exact_autocorrelation(blocks, np.eye(L)[0], L, steps)
         return CorrelationSeries(times, vals, method, None, base)
     if method != "typicality":
         raise ParameterError(f"method must be exact-trace or typicality, got {method!r}")
@@ -206,7 +203,8 @@ def boundary_autocorrelation(
 def staggered_correlation(gate, L, steps):
     """C(t) = tr(S(t) S)/(L 2^L) on the ring, S the staggered cell magnetization.
 
-    S = sum_j (-1)^j (sigma^z on both sites of cell j) over the L/2 cells.
+    S = sum_j (-1)^(j+1) (sigma^z on both sites of cell j) over the L/2
+    cells (_staggered_weights); C(t) is quadratic in S, so its sign is moot.
     For L = 0 mod 4 the cell count is even, S flips sign under a one-cell
     shift and this probes the k = pi sector.  For L = 2 mod 4 the two
     cells at the wrap carry the same sign, so S is no shift eigenoperator
@@ -217,8 +215,6 @@ def staggered_correlation(gate, L, steps):
     _check_steps(steps)
     if L % 2:
         raise ParameterError("staggered magnetization needs an even number of sites")
-    if L > FULL_DENSE_MAX_L:
-        raise CapacityError(f"exact trace limited to L <= {FULL_DENSE_MAX_L}")
     circuit = homogeneous_circuit(gate, L, "periodic")
     vals = _exact_autocorrelation(build_propagator(circuit), _staggered_weights(L), L, steps) / L
     times = np.arange(steps + 1)

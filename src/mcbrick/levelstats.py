@@ -344,8 +344,9 @@ def _parity_vectors(xp):
 
 
 def full_spectrum(circuit):
-    """Eigenphases of the whole propagator, no resolution (negative control)."""
-    phases = unitary_phases(_unitary(build_propagator(circuit), "full"))
+    """Eigenphases of the whole propagator, its sector blocks pooled (negative control)."""
+    blocks = build_propagator(circuit).values()
+    phases = np.concatenate([unitary_phases(_unitary(b, "full")) for b in blocks])
     return _result_from_phases(phases, None)
 
 

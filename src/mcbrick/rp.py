@@ -219,8 +219,10 @@ def rp_spectrum(tp, eps_keep=0.25):
     """Leading spectrum of the truncated propagator, per charge block.
 
     Returns the (eigenvalue, charge block) pairs with |lambda| > 1 -
-    eps_keep, in order of decreasing modulus.
+    eps_keep, 0 < eps_keep <= 1, in order of decreasing modulus.
     """
+    if not 0.0 < eps_keep <= 1.0:
+        raise ParameterError(f"eps_keep must lie in (0, 1], got {eps_keep}")
     modes = []
     for c, block in tp.blocks.items():
         if not block.size:

@@ -41,15 +41,13 @@ site angles of W break the two-site shift.
 import numpy as np
 
 from .core import (
-    FULL_DENSE_MAX_L,
     BrickworkCircuit,
-    build_sector_block,
-    sector_basis,
+    build_propagator,
     sector_states,
     site_spins,
     unitary_phases,
 )
-from .errors import CapacityError, ParameterError, TimeReversalRefusal
+from .errors import ParameterError, TimeReversalRefusal
 from .gates import gate_sqrt, haar_params_from_gate, hamiltonian_params_from_gate
 
 __all__ = [
@@ -172,25 +170,21 @@ def time_reversal_report(circuit):
     """Summary of the global time-reversal test for one circuit.
 
     Raises TimeReversalRefusal for rings with nonzero defect, then
-    CapacityError beyond the full-dense L cap.  Works sector by sector:
-    for each magnetization m it builds the blocks of the period and of
-    its symmetrized twin, and reports the largest reversal residual (W's
-    diagonal formed on the sector's states by site_phases) and the largest
-    eigenvalue mismatch over the sectors.
+    CapacityError from core.build_propagator beyond its L cap.  Works
+    sector by sector on the propagator blocks {m: block} of the period
+    and of its symmetrized twin, and reports the largest reversal residual
+    (W's diagonal formed on the sector's states by site_phases) and the
+    largest eigenvalue mismatch over the sectors.
     """
     angles = global_time_reversal(circuit)
     L = circuit.L
-    if L > FULL_DENSE_MAX_L:
-        raise CapacityError(f"time-reversal report limited to L <= {FULL_DENSE_MAX_L}")
-    sym = equivalent_circuit(circuit)
+    u = build_propagator(circuit)
+    ut = build_propagator(equivalent_circuit(circuit))
     residuals, mismatches = [], []
-    for m in range(-L, L + 1, 2):
-        basis = sector_basis(L, m)
-        u = build_sector_block(circuit, basis)
-        ut = build_sector_block(sym, basis)
+    for m in u:
         w = site_phases(angles, sector_states(L, m), L)
-        residuals.append(reversal_residual(w, ut))
-        mismatches.append(spectral_match_error(u, ut))
+        residuals.append(reversal_residual(w, ut[m]))
+        mismatches.append(spectral_match_error(u[m], ut[m]))
     return {
         "boundary": circuit.boundary,
         "L": L,

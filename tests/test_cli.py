@@ -1,13 +1,17 @@
 """Batch CLI: exit codes, run records and determinism, run in-process."""
 
+import importlib
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 
 from mcbrick.cli import main
 
+GATE_I = ["--delta-phase", "0.1", "--alpha", "0.4", "--phi", "0.9", "--chi", "0.3",
+          "--theta", "0.2"]
 GATE_II = ["--tau", "0.7", "--delta", "0.3"]
 
 
@@ -285,3 +289,61 @@ def test_sizes_below_their_lower_bound_are_parameter_errors(tmp_path, capsys, ar
     assert run(tmp_path, *args) == 2
     assert_parameter_error(tmp_path, args[0])
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("rp-spectrum", *GATE_II, "--r", "2", "--eps-keep", "-1"), "eps_keep must lie in (0, 1]"),
+        (("rp-spectrum", *GATE_II, "--r", "2", "--eps-keep", "0"), "eps_keep must lie in (0, 1]"),
+        (("rp-spectrum", *GATE_II, "--r", "2", "--eps-keep", "5"), "eps_keep must lie in (0, 1]"),
+        (("spectrum-stats", *GATE_II, "--L", "6", "--min-dim", "-3"), "min_dim must be >= 0"),
+    ],
+    ids=["eps-keep-negative", "eps-keep-zero", "eps-keep-above-one", "min-dim-negative"],
+)
+def test_selection_thresholds_out_of_range_are_parameter_errors(tmp_path, capsys, args, message):
+    assert run(tmp_path, *args) == 2
+    assert_parameter_error(tmp_path, args[0])
+    assert message in capsys.readouterr().err
+
+
+def test_eps_keep_one_keeps_every_mode(tmp_path):
+    assert run(tmp_path, "rp-spectrum", *GATE_II, "--r", "2", "--eps-keep", "1") == 0
+    d = json.loads((tmp_path / "rp-spectrum.json").read_text())
+    assert d["modes_kept"] == sum(d["block_dims"].values())
+
+
+@pytest.mark.parametrize("L, m_values", [("16", "0"), ("22", "20")])
+def test_sizes_past_the_caps_are_refusals(tmp_path, capsys, L, m_values):
+    args = ("spectrum-stats", *GATE_II, "--L", L, "--m-values", m_values)
+    assert run(tmp_path, *args) == 3
+    rec = record(tmp_path, "spectrum-stats")
+    assert rec["status"].startswith("refused") and rec["exit_code"] == 3
+    assert "limited to L <=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ("szm", *GATE_I, "--L", "10", "--steps", "20"),
+    ("staggered-corr", *GATE_I, "--L", "10", "--steps", "20"),
+    ("charges", *GATE_I, "--L", "10", "--ell", "1"),
+    ("charges", *GATE_I, "--L", "10", "--ell", "2"),
+    ("time-reversal", *GATE_I, "--L", "10"),
+], ids=["szm", "staggered-corr", "charges-ell1", "charges-ell2", "time-reversal"])
+def test_no_command_forms_a_dense_2L_operator(tmp_path, args):
+    # one complex 2^L x 2^L array is 16 * 4^L bytes, 16 MB at L = 10; all
+    # propagator sector blocks together are 16 C(2L, L) bytes, 3 MB
+    importlib.import_module("scipy.sparse")  # a one-time import is not the command's
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 4**10, f"{args[0]} peaked at {peak / 2**20:.1f} MiB"
+    if args[0] == "charges":
+        for c in json.loads((tmp_path / "charges.json").read_text())["charges"].values():
+            assert c["conservation_defect"] < 1e-9 and c["hermitian_part_defect"] < 1e-9
+            if args[-1] == "2":
+                assert c["support_window_norm"] == pytest.approx(3.16085007040542, abs=1e-8)
+                assert c["support_window_residual"] < 1e-7

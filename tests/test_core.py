@@ -35,6 +35,7 @@ from mcbrick.symmetry import equivalent_circuit, global_time_reversal
 
 from dense_oracles import (
     dense_from_sectors,
+    dense_propagator,
     identity_gate,
     loop_momentum_basis,
     magnetization_commutator_defect,
@@ -176,12 +177,12 @@ def test_apply_gate_rejects_non_adjacent():
 
 def test_propagator_trivial_cases():
     circ = homogeneous_circuit(identity_gate(), 6, boundary="periodic")
-    u = build_propagator(circ)
+    u = dense_propagator(circ)
     assert np.abs(u - np.eye(64)).max() < 1e-14
 
     gate = random_mc_gate(3)
     circ2 = BrickworkCircuit(2, layers=([gate], []), boundary="open")
-    u2 = build_propagator(circ2)
+    u2 = dense_propagator(circ2)
     assert np.abs(u2 - gate.matrix).max() < 1e-14
 
 
@@ -189,7 +190,7 @@ def test_propagator_matches_gate_composition():
     L = 4
     gate = random_mc_gate(5)
     circ = homogeneous_circuit(gate, L, boundary="periodic")
-    u = build_propagator(circ)
+    u = dense_propagator(circ)
     rng = np.random.default_rng(7)
     psi = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
     # odd layer on (0,1) and (2,3), then even layer on (1,2) and (3,0)
@@ -205,7 +206,7 @@ def test_matrix_free_propagator_agrees_with_dense():
         L = 8
         gate = random_mc_gate(9)
         circ = homogeneous_circuit(gate, L, boundary=boundary)
-        u = build_propagator(circ)
+        u = dense_propagator(circ)
         rng = np.random.default_rng(13)
         for _ in range(100):
             psi = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
@@ -214,7 +215,7 @@ def test_matrix_free_propagator_agrees_with_dense():
 
 def test_propagator_conserves_magnetization():
     circ = homogeneous_circuit(random_mc_gate(21), 8, boundary="periodic")
-    u = build_propagator(circ)
+    u = dense_propagator(circ)
     assert magnetization_commutator_defect(u, 8) < 1e-12
     assert unitarity_defect(u) < 1e-12
 
@@ -250,7 +251,7 @@ def test_restrict_trivial_cases():
 def test_restrict_reassembles_full_spectrum():
     L = 8
     circ = homogeneous_circuit(random_mc_gate(17), L, boundary="periodic")
-    u = build_propagator(circ)
+    u = dense_propagator(circ)
     full = np.sort(np.angle(np.linalg.eigvals(u)))
     blocks = []
     for m in range(-L, L + 1, 2):
@@ -384,8 +385,23 @@ def test_grouped_step_matches_full_space_propagator(seed, L, boundary, data):
 def test_capacity_limits():
     with pytest.raises(CapacityError):
         build_propagator(homogeneous_circuit(identity_gate(), 14, boundary="open"))
-    with pytest.raises(ParameterError):
+    # an even L past the basis cap is a size refusal, a malformed L a bad request
+    with pytest.raises(CapacityError):
         sector_basis(22, 0)
+    with pytest.raises(ParameterError):
+        sector_basis(21, 1)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_propagator_blocks_are_the_dense_sector_blocks(boundary):
+    L = 8
+    circ = homogeneous_circuit(random_mc_gate(19), L, boundary=boundary)
+    dense = dense_propagator(circ)
+    blocks = build_propagator(circ)
+    assert list(blocks) == list(range(-L, L + 1, 2))
+    for m, block in blocks.items():
+        s = sector_states(L, m)
+        assert np.abs(block - dense[np.ix_(s, s)]).max() < 1e-12
 
 
 def test_translation_permutation_order():

@@ -30,7 +30,7 @@ from mcbrick.gates import (
     random_mc_gate,
 )
 
-from dense_oracles import identity_gate
+from dense_oracles import dense_propagator, identity_gate
 
 
 def phase_point(delta):
@@ -73,7 +73,9 @@ def test_exact_trace_matches_step_by_step_powers():
     swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
     for gate, edge_phase in ((random_mc_gate(8), None), (identity_gate(), 1.0),
                              (swap, 1.0), (_minus_corner_gate(), -1.0)):
-        u = build_propagator(homogeneous_circuit(gate, L, "open"))
+        circuit = homogeneous_circuit(gate, L, "open")
+        u = dense_propagator(circuit)
+        blocks = build_propagator(circuit)
         if edge_phase is not None:
             for m in (L, -L):
                 s = sector_states(L, m)[0]
@@ -86,7 +88,8 @@ def test_exact_trace_matches_step_by_step_powers():
                 heis = ut.conj().T @ (a[:, None] * ut)
                 want[t] = np.einsum("ii,i->", heis[np.ix_(rows, rows)], a[rows]).real / len(rows)
                 ut = u @ ut
-            got = _exact_autocorrelation(u, weights, L, steps, m_values)
+            sectors = {m: blocks[m] for m in m_values or blocks}
+            got = _exact_autocorrelation(sectors, weights, L, steps)
             assert np.abs(got - want).max() < 1e-12
             if np.array_equal(u, np.eye(1 << L)):
                 assert np.abs(got - 1.0).max() < 1e-12  # C(t) = tr(A^2) / dim

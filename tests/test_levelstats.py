@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from mcbrick import levelstats
 from mcbrick.core import (
     BrickworkCircuit,
-    build_propagator,
     build_sector_block,
     homogeneous_circuit,
     layer_bonds,
@@ -37,6 +36,7 @@ from mcbrick.levelstats import BLOCK_UNITARITY_TOL, _branch_phases, _k_block
 from mcbrick.symmetry import equivalent_circuit
 
 from dense_oracles import (
+    dense_propagator,
     pooled_ratios,
     restrict,
     sample_coe_phases,
@@ -125,8 +125,8 @@ def test_sector_block_matches_restricted_propagator(boundary):
     k_values = range(L // 2) if boundary == "periodic" else [None]
     shift = translation_matrix(L, 1)
     for name, circ in circuits.items():
-        u = build_propagator(circ)
-        odd = build_propagator(BrickworkCircuit(L, circ.layers[:1], boundary))
+        u = dense_propagator(circ)
+        odd = dense_propagator(BrickworkCircuit(L, circ.layers[:1], boundary))
         k_dense = shift @ odd
         for m in range(-L, L + 1, 2):
             for k in k_values:

@@ -8,12 +8,13 @@ import scipy.linalg
 
 from dense_oracles import (
     dense_charges,
+    dense_propagator,
     heisenberg_step,
     identity_gate,
     ring_rep_coefficient,
     string_tensor,
 )
-from mcbrick.core import build_propagator, embed_operator, homogeneous_circuit
+from mcbrick.core import embed_operator, homogeneous_circuit
 from mcbrick.errors import (
     CapacityError,
     CriticalManifoldError,
@@ -93,7 +94,7 @@ def test_heisenberg_step_identity_gate_and_charge():
 def test_heisenberg_step_matches_dense_conjugation():
     L = 10
     g = random_mc_gate(3)
-    U = build_propagator(homogeneous_circuit(g, L, "periodic"))
+    U = dense_propagator(homogeneous_circuit(g, L, "periodic"))
 
     def dense_string(label, start):
         mats = [np.eye(2, dtype=complex)] * L

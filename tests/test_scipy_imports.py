@@ -28,8 +28,6 @@ SCIPY_FREE = [
     (["classify", *GATE_II], 0),
     (["map-params", *GATE_II], 0),
     (["verify-ybe", "--trials", "20"], 0),
-    (["szm", *GATE_I, "--L", "6", "--steps", "20"], 0),
-    (["staggered-corr", *GATE_I, "--L", "6", "--steps", "20"], 0),
     (["time-reversal", *GATE_I, "--L", "10", "--boundary", "periodic"], 3),
     (["charges", *GATE_II, "--L", "14"], 3),
     (["rp-spectrum", *GATE_I, "--r", "7"], 3),
@@ -61,6 +59,22 @@ assert main(["spectrum-stats", "--tau", "0.7", "--delta", "0.3", "--L", "4",
 assert "scipy.sparse" in sys.modules, "spectrum-stats built its sector blocks without scipy"
 """
 
+# commands whose propagator sector blocks are CSR products but whose
+# eigensolves are Hermitian (numpy), so scipy.linalg stays unloaded
+SPARSE_ONLY = [
+    ["szm", *GATE_I, "--L", "6", "--steps", "20"],
+    ["staggered-corr", *GATE_I, "--L", "6", "--steps", "20"],
+]
+
+SPARSE_CHILD = """
+import json, sys
+from mcbrick.cli import main
+for i, argv in enumerate(json.loads(sys.argv[2])):
+    assert main([*argv, "--out-dir", f"{sys.argv[1]}/{i}"]) == 0
+    assert "scipy.sparse" in sys.modules, f"{argv[0]} built its blocks without scipy.sparse"
+    assert "scipy.linalg" not in sys.modules, f"{argv[0]} loaded scipy.linalg"
+"""
+
 
 def run_child(source, tmp_path, *args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -86,3 +100,9 @@ def test_scipy_free_commands_never_load_scipy(tmp_path):
 def test_spectrum_stats_loads_scipy_sparse(tmp_path):
     run_child(POSITIVE, tmp_path)
     assert environment(tmp_path, 0, "spectrum-stats")["scipy"] == scipy.__version__
+
+
+def test_correlators_load_scipy_sparse_but_not_linalg(tmp_path):
+    run_child(SPARSE_CHILD, tmp_path, json.dumps(SPARSE_ONLY))
+    for i, argv in enumerate(SPARSE_ONLY):
+        assert environment(tmp_path, i, argv[0])["scipy"] == scipy.__version__

@@ -5,12 +5,11 @@ import pytest
 
 from mcbrick.core import (
     BrickworkCircuit,
-    build_propagator,
     homogeneous_circuit,
     layer_bonds,
     propagator_apply,
 )
-from mcbrick import symmetry
+from mcbrick import core
 from mcbrick.errors import CapacityError, ParameterError, TimeReversalRefusal
 from mcbrick.gates import (
     HaarGateParams,
@@ -30,7 +29,12 @@ from mcbrick.symmetry import (
     time_reversal_report,
 )
 
-from dense_oracles import dm_rotation_gate, rotate_out_dm, single_gate_time_reversal
+from dense_oracles import (
+    dense_propagator,
+    dm_rotation_gate,
+    rotate_out_dm,
+    single_gate_time_reversal,
+)
 
 
 def disordered_circuit(L, boundary, seed):
@@ -100,8 +104,8 @@ def test_equivalent_circuit_preserves_spectrum():
     for boundary in ("open", "periodic"):
         circ = disordered_circuit(8, boundary, seed=40)
         sym = equivalent_circuit(circ)
-        u = build_propagator(circ)
-        ut = build_propagator(sym)
+        u = dense_propagator(circ)
+        ut = dense_propagator(sym)
         assert spectral_match_error(u, ut) < 1e-10
         # only a two-layer period can be symmetrized
         with pytest.raises(ParameterError):
@@ -113,7 +117,7 @@ def test_symmetrized_circuit_state_application():
     sym = equivalent_circuit(circ)
     rng = np.random.default_rng(1)
     psi = rng.normal(size=64) + 1j * rng.normal(size=64)
-    dense = build_propagator(sym)
+    dense = dense_propagator(sym)
     assert np.abs(propagator_apply(sym, psi) - dense @ psi).max() < 1e-12
 
 
@@ -123,10 +127,10 @@ def test_global_reversal_open_chain():
         sym = equivalent_circuit(circ)
         tr = site_phases(global_time_reversal(circ), np.arange(1 << 8), 8)
         assert np.abs(tr * tr.conj() - 1.0).max() < 1e-13  # T^2 = 1
-        ut = build_propagator(sym)
+        ut = dense_propagator(sym)
         assert reversal_residual(tr, ut) < 1e-11
         # the unsymmetrized period does not reverse: layer order obstructs it
-        u = build_propagator(circ)
+        u = dense_propagator(circ)
         assert reversal_residual(tr, u) > 1e-3
 
 
@@ -166,8 +170,8 @@ def test_fine_tuned_ring_reverses():
 def dense_report(circuit):
     """The time-reversal report from the two dense propagators."""
     tr = site_phases(global_time_reversal(circuit), np.arange(1 << circuit.L), circuit.L)
-    u = build_propagator(circuit)
-    ut = build_propagator(equivalent_circuit(circuit))
+    u = dense_propagator(circuit)
+    ut = dense_propagator(equivalent_circuit(circuit))
     return {
         "boundary": circuit.boundary,
         "L": circuit.L,
@@ -204,7 +208,7 @@ def test_report_refuses_beyond_the_dense_cap_before_any_block(monkeypatch):
     def no_block(*args):
         raise AssertionError("a sector block was built")
 
-    monkeypatch.setattr(symmetry, "build_sector_block", no_block)
+    monkeypatch.setattr(core, "build_sector_block", no_block)
     p = HamiltonianGateParams(tau=0.5, delta=0.8, B=0.2, D=0.6, M=0.0, A=0.1)
     gate = gate_from_hamiltonian(p)
     with pytest.raises(CapacityError):
