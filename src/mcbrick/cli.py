@@ -537,10 +537,12 @@ def _cmd_spectrum_stats(params, root, sha):
 
 
 def _cmd_rp_spectrum(params, root, sha):
-    from .rp import gap_scaling, rp_spectrum, truncated_propagator, unit_multiplicity
+    from .rp import check_eps_keep, gap_scaling, rp_spectrum
+    from .rp import truncated_propagator, unit_multiplicity
 
     run = params["run"]
     gate, _hp = _build_gate(params["gate"])
+    check_eps_keep(run["eps_keep"])  # before the build, which is the whole cost
     tp = truncated_propagator(gate, run["r"], run["k"])
     rows = [
         (run["k"], run["r"], charge_block, eigenvalue.real, eigenvalue.imag)

@@ -2,11 +2,11 @@
 
 Autocorrelations tr(A(t) A)/2^L of diagonal observables are computed
 either exactly or by typicality.  The exact trace works per magnetization
-sector: one eigendecomposition of the sector block of the propagator
-(core.build_propagator, then core.unitary_phases, a Hermitian eigensolve
-of its Cayley transform), then one contraction of the matrix-element
-weights with the matrix of eigenvalue powers, so 200 time steps cost one
-diagonalization and a few matrix products.
+sector: one eigendecomposition of the sector's propagator block (by
+core.unitary_phases, a Hermitian eigensolve of its Cayley transform),
+then one contraction of the matrix-element weights with the matrix of
+eigenvalue powers, so 200 time steps cost one diagonalization and a few
+matrix products.
 
 Typicality averages <v|A(t)A|v> over normalized Gaussian random vectors,
 and the domain wall evolves one polarized state.  An MC circuit never
@@ -27,10 +27,12 @@ from dataclasses import dataclass, field
 from .core import (
     FULL_DENSE_MAX_L,
     build_propagator,
+    build_sector_block,
     check_sector_column,
     homogeneous_circuit,
     layer_operators,
     propagator_apply,
+    sector_basis,
     sector_states,
     sector_step,
     site_spins,
@@ -87,8 +89,7 @@ def _exact_autocorrelation(blocks, weights, L, steps):
     """Normalized tr(U^-t A U^t A) for A = sum_j weights[j] sigma^z_j, per sector.
 
     blocks holds the propagator's sector blocks {m: block} of the sectors
-    to trace: all of them (core.build_propagator) for the full trace.  On
-    the rows states = sector_states(L, m), A's diagonal is
+    to trace.  On the rows states = sector_states(L, m), A's diagonal is
     site_spins(states, L) @ weights, and each block is diagonalized once
     by unitary_phases, its eigenvectors orthonormal even where eigenphases
     are degenerate; with w = |<alpha|A|beta>|^2 and V[a, t] = lambda_a^t
@@ -162,11 +163,10 @@ def boundary_autocorrelation(
     m_values = range(-L, L + 1, 2) if sector is None else [sector]
     if method == "exact-trace":
         if L > FULL_DENSE_MAX_L:
-            raise CapacityError(
-                f"exact trace limited to L <= {FULL_DENSE_MAX_L}; use typicality"
-            )
-        blocks = build_propagator(homogeneous_circuit(gate, L, "open"))
-        blocks = {m: blocks[m] for m in m_values}
+            raise CapacityError(f"exact trace limited to L <= {FULL_DENSE_MAX_L}; use typicality")
+        circuit = homogeneous_circuit(gate, L, "open")
+        blocks = (build_propagator(circuit) if sector is None
+                  else {sector: build_sector_block(circuit, sector_basis(L, sector))})
         vals = _exact_autocorrelation(blocks, np.eye(L)[0], L, steps)
         return CorrelationSeries(times, vals, method, None, base)
     if method != "typicality":

@@ -19,16 +19,16 @@ of a unitary channel, so its spectral radius never exceeds 1; eigenvalues
 strictly inside the unit circle are the Ruelle-Pollicott resonances, and
 unit eigenvalues at k = 0 are densities of conserved charges.  Gate
 charge (raising minus lowering letters) is conserved, so T is block
-diagonal over operator charge; the columns of one block travel through
-the light cone as one sparse matrix.
+diagonal over operator charge.  Strings travel as base-4 slot integers,
+pushed bond by bond through the two-site superoperator (_push).
 
 k is a free real parameter of the translation class, not a lattice
 momentum of any finite ring.
 
 scipy is imported inside truncated_propagator (after its capacity
-refusals), _cone_operators and TruncatedPropagator.eig, the only users
-of its sparse kron and nonsymmetric eigensolver, so importing this module
-or refusing a support loads no scipy.
+refusals), for the sparse row-column products, and inside
+TruncatedPropagator.eig, for the nonsymmetric eigensolver, so importing
+this module or refusing a support loads no scipy.
 """
 
 import functools
@@ -59,6 +59,7 @@ __all__ = [
     "charge_of_string",
     "truncated_propagator",
     "rp_spectrum",
+    "check_eps_keep",
     "unit_multiplicity",
     "conserved_density_vectors",
     "gap_scaling",
@@ -71,18 +72,21 @@ MIXING_TOL = 1e-12
 RADIUS_TOL = 1e-10
 UNIT_TOL = 1e-8
 CHARGE_OVERLAP_MIN = 0.99
+ORDER_TOL = 1e-9  # moduli and real parts this close tie in rp_spectrum
 
 
-def _all_strings(r):
-    return ["".join(t) for t in product(LETTERS, repeat=r) if t[0] != "1"]
+def _labels(r):
+    """(parity, string) labels of every charge block, even starts first."""
+    strings = ["".join(t) for t in product(LETTERS, repeat=r) if t[0] != "1"]
+    charge = {s: charge_of_string(s) for s in strings}
+    return {c: [(p, s) for p in ("even", "odd") for s in strings if charge[s] == c]
+            for c in sorted(set(charge.values()))}
 
 
 def _conjugation_superop(gate):
     """16x16 matrix of q -> g^dag q g in the normalized two-site string basis."""
     g = gate_matrix(gate)
-    basis = [
-        np.kron(_SITE_OPS[a], _SITE_OPS[b]) for a in LETTERS for b in LETTERS
-    ]
+    basis = [np.kron(_SITE_OPS[a], _SITE_OPS[b]) for a in LETTERS for b in LETTERS]
     out = np.empty((16, 16), dtype=complex)
     for b_idx, pb in enumerate(basis):
         evolved = g.conj().T @ pb @ g
@@ -97,7 +101,8 @@ class TruncatedPropagator:
 
     labels[c] lists (parity, string) row/column labels of blocks[c]; all
     even-start representatives come first.  mixing_defect is the largest
-    matrix element between different charge blocks (exactly conserved,
+    charge-changing entry of the two-site superoperator, a factor of every
+    element between different charge blocks (charge is exactly conserved,
     so this is a numerical-noise figure).  spectral_radius is the largest
     eigenvalue modulus over all blocks.  Each block is eigensolved once,
     on first use, and every spectral reading shares that decomposition.
@@ -120,123 +125,130 @@ class TruncatedPropagator:
         return self._eig[charge]
 
 
-def _cone_operators(superop, pos, r):
-    """Light cone (lo, hi) of a length-r string at window site `pos` (site
-    0 even) and its sparse pair superoperators, layer two (odd bonds)
-    first.  An edge moves out by two sites where its outermost letter
-    meets a layer-two gate from outside (an even left edge, an odd right
-    edge), by one otherwise."""
-    import scipy.sparse
-
-    end = pos + r - 1
-    lo, hi = pos - (2 if pos % 2 == 0 else 1), end + (2 if end % 2 == 1 else 1)
-    s, eye = scipy.sparse.csr_matrix(superop), scipy.sparse.identity
-    bonds = [i for i in range(lo, hi) if i % 2 == 1] + [i for i in range(lo, hi) if i % 2 == 0]
-    return lo, hi, [
-        scipy.sparse.kron(eye(4 ** (i - lo)), scipy.sparse.kron(s, eye(4 ** (hi - i - 1))),
-                          format="csr")
-        for i in bonds
-    ]
+def _push(superop, bonds, hi, ids, slots, n):
+    """Unit strings (column ids < n; slots: letters as base-4 digits, site
+    hi the last) pushed through the pair superoperator on each bond (i,
+    i+1) in turn: split out the pair's two digits, repeat each entry once
+    per exact nonzero of that pair's superoperator column, put the new
+    digits back, and sum entries that land on one (column, slot).
+    Returns the coalesced (ids, slots, values).
+    """
+    pin, pout = np.nonzero(superop.T)  # the nonzeros grouped by input pair
+    coef, count = superop[pout, pin], np.bincount(pin, minlength=16)
+    start = np.cumsum(count) - count
+    key, vals = np.asarray(slots) * n + ids, np.ones(len(ids), dtype=complex)
+    for i in bonds:
+        unit = n * 4 ** (hi - i - 1)
+        pair = key // unit % 16
+        cnt = count[pair]
+        rep = np.repeat(np.arange(cnt.size), cnt)
+        nth = np.arange(rep.size) + np.repeat(start[pair] - np.cumsum(cnt) + cnt, cnt)
+        key = key[rep] + (pout[nth] - pair[rep]) * unit
+        vals = vals[rep] * coef[nth]
+        key, at = np.unique(key, return_inverse=True)
+        vals = np.bincount(at, vals.real) + 1j * np.bincount(at, vals.imag)
+    return key % n, key // n, vals
 
 
 def truncated_propagator(gate, r, k):
     """Build T(k) on all charge blocks of the r-local string classes.
 
-    Row placements for shifts j in {-1, 0, 1} span lattice sites -2 to
-    r+2; elements with |j| > 1 vanish identically.  Each column is
-    conjugated only inside its one-step light cone (r+3 sites for odd r,
-    r+2 or r+4 for even r by column parity); gates outside it map identity
-    to identity.  The columns of a charge block travel as one sparse
-    matrix; row slots with a letter outside the cone are zero.  The radius
-    check eigendecomposes every block once, right vectors included, and
-    the result caches them for every later spectral reading.
-    One BLAS thread on a 2-core Xeon: r=5 about 1.4 s (0.8 s of it the
-    decompositions); r=R_MAX=6 about 34 s (21 s of it the decompositions)
-    and 2.1 GB peak RSS, set by the build.
+    Row placements for shifts j in {-1, 0, 1} start on lattice sites 0 to
+    5 (representatives start on site 2 if even, 3 if odd); elements with
+    |j| > 1 vanish identically.  Elements meet in the middle: a block's
+    columns go through the layer-two bonds their strings touch, its rows
+    at each placement back through the layer-one bonds theirs touch (the
+    transposed superoperator), and the two meet in one sparse product.
+    An element between charges needs a charge-changing superoperator
+    entry, so the largest one is the mixing defect, refused before any
+    push.  The radius check eigendecomposes every block once, right
+    vectors included, and the result caches them for later readings.
+    One BLAS thread on a 2-core Xeon: r=5 about 0.9 s (0.75 s of it the
+    decompositions); r=R_MAX=6 about 20 s (all but 2 s of it the
+    decompositions) and 0.28 GB peak RSS.
     """
     if r < 1:
         raise ParameterError(f"support must satisfy 1 <= r <= {R_MAX}, got {r}")
     if r > R_MAX:
         raise CapacityError(f"support must satisfy 1 <= r <= {R_MAX}, got {r}")
-    strings = _all_strings(r)
-    charges = sorted({charge_of_string(s) for s in strings})
-    labels = {c: [(p, s) for p in ("even", "odd") for s in strings if charge_of_string(s) == c]
-              for c in charges}
+    labels = _labels(r)
     if max(len(v) for v in labels.values()) > BLOCK_DIM_MAX:
         raise CapacityError(f"largest charge block exceeds {BLOCK_DIM_MAX}")
-    import scipy.sparse
-
-    # slot of every representative (its letters as base-4 digits, ascending)
-    # and its charge; other charges' slots are watched for leakage
-    digits = str.maketrans(LETTERS, "0123")
-    reps = np.array([int(s.translate(digits), 4) for s in strings])
-    rep_charge = np.array([charge_of_string(s) for s in strings])
     superop = _conjugation_superop(gate)
-    blocks = {c: np.zeros((len(labels[c]), len(labels[c])), dtype=complex) for c in charges}
-    mixing = 0.0
-
-    for col_half, pos in ((0, 2), (1, 3)):
-        lo, hi, ops = _cone_operators(superop, pos, r)
-        for c in charges:
-            own = reps[rep_charge == c]
-            n = len(own)
-            half = slice(col_half * n, (col_half + 1) * n)
-            cols = scipy.sparse.csc_matrix(
-                (np.ones(n, dtype=complex), own * 4 ** (hi - pos - r + 1), np.arange(n + 1)),
-                shape=(4 ** (hi - lo + 1), n),
-            )
-            for op in ops:
-                cols = op @ cols
-            for j, (row_half, base) in product((-1, 0, 1), ((0, 2), (1, 3))):
-                a = base + 2 * j
-                if not lo <= a <= hi:
-                    continue
-                # slots reaching past the cone must end in identities there
-                tail = hi - (a + r - 1)
-                fits = reps % 4 ** max(-tail, 0) == 0
-                slots = reps[fits]
-                sl = cols[slots // 4 ** max(-tail, 0) * 4 ** max(tail, 0)].toarray()
-                mine = rep_charge[fits] == c
-                rows = row_half * n + np.searchsorted(own, slots[mine])
-                blocks[c][rows, half] += np.exp(-1j * k * j) * sl[mine]
-                if not mine.all():
-                    mixing = max(mixing, float(np.abs(sl[~mine]).max()))
-
+    pair_charge = np.array([charge_of_string(a + b) for a in LETTERS for b in LETTERS])
+    mixing = float(np.abs(superop[pair_charge[:, None] != pair_charge]).max())
     if mixing > MIXING_TOL:
         raise SymmetryError("propagator mixes operator-charge blocks", residual=mixing)
+    import scipy.sparse
+
+    digits = str.maketrans(LETTERS, "0123")
+    hi = r + 5  # right of every row placement and of the bonds it is pulled through
+    blocks = {}
+    for c in labels:
+        own = np.array([int(s.translate(digits), 4) for p, s in labels[c] if p == "even"])
+        n, ids = len(own), np.arange(len(own))
+        blocks[c] = np.zeros((2 * n, 2 * n), dtype=complex)
+        halves = []  # per column parity: the slots its pushed columns reach, and those columns
+        for pos in (2, 3):
+            col, slot, val = _push(superop, range(pos - 1 + pos % 2, pos + r, 2), hi, ids,
+                                   own * 4 ** (hi - pos - r + 1), n)
+            slots, at = np.unique(slot, return_inverse=True)
+            cols = scipy.sparse.csc_array((val, (at, col)), shape=(slots.size, n))
+            halves.append((slots, cols))
+        for a in range(6):
+            row, slot, val = _push(superop.T, range(a - a % 2, a + r, 2), hi, ids,
+                                   own * 4 ** (hi - a - r + 1), n)
+            phase = np.exp(-1j * k * ((a - 2 - a % 2) // 2))
+            # odd-start columns reach no row placed left of site 2
+            for col_half, (slots, cols) in enumerate(halves[: 1 + (a >= 2)]):
+                at = np.minimum(np.searchsorted(slots, slot), slots.size - 1)
+                hit = slots[at] == slot
+                rows = scipy.sparse.csr_array((val[hit], (row[hit], at[hit])),
+                                              shape=(n, slots.size))
+                blocks[c][a % 2 * n:(a % 2 + 1) * n, col_half * n:(col_half + 1) * n] += (
+                    phase * (rows @ cols).toarray())
+
     tp = TruncatedPropagator(k=float(k), r=r, blocks=blocks, labels=labels, mixing_defect=mixing)
-    radius = max((np.abs(tp.eig(c)[0]).max() for c in charges if blocks[c].size), default=0.0)
+    radius = max(np.abs(tp.eig(c)[0]).max() for c in labels)
     if radius > 1.0 + RADIUS_TOL:
-        raise SymmetryError(
-            "truncated propagator exceeds unit spectral radius",
-            residual=float(radius - 1.0),
-        )
+        raise SymmetryError("truncated propagator exceeds unit spectral radius",
+                            residual=float(radius - 1.0))
     tp.spectral_radius = float(radius)
     return tp
+
+
+def check_eps_keep(eps_keep):
+    """Refuse an rp_spectrum threshold outside (0, 1]."""
+    if not 0.0 < eps_keep <= 1.0:
+        raise ParameterError(f"eps_keep must lie in (0, 1], got {eps_keep}")
 
 
 def rp_spectrum(tp, eps_keep=0.25):
     """Leading spectrum of the truncated propagator, per charge block.
 
     Returns the (eigenvalue, charge block) pairs with |lambda| > 1 -
-    eps_keep, 0 < eps_keep <= 1, in order of decreasing modulus.
+    eps_keep, 0 < eps_keep <= 1, in order of decreasing modulus.  Moduli
+    within ORDER_TOL of the largest of their run tie, so rounding cannot
+    reorder them; tied modes go by charge block, then by phase angle:
+    larger real part first (on the ORDER_TOL grid), then larger imaginary.
     """
-    if not 0.0 < eps_keep <= 1.0:
-        raise ParameterError(f"eps_keep must lie in (0, 1], got {eps_keep}")
+    check_eps_keep(eps_keep)
     modes = []
-    for c, block in tp.blocks.items():
-        if not block.size:
-            continue
+    for c in tp.blocks:
         vals = tp.eig(c)[0]
         modes += [(complex(vals[i]), c) for i in np.flatnonzero(np.abs(vals) > 1.0 - eps_keep)]
     modes.sort(key=lambda mode: -abs(mode[0]))
-    return modes
+    neg = -np.abs([lam for lam, _ in modes])
+    out = []
+    while len(out) < len(modes):
+        tie = modes[len(out):np.searchsorted(neg, neg[len(out)] + ORDER_TOL, side="right")]
+        out += sorted(tie, key=lambda m: (m[1], -round(m[0].real / ORDER_TOL), -m[0].imag))
+    return out
 
 
 def unit_multiplicity(tp):
     """Number of eigenvalues within UNIT_TOL of 1 across all blocks."""
-    return sum(int(np.sum(np.abs(tp.eig(c)[0] - 1.0) < UNIT_TOL))
-               for c, block in tp.blocks.items() if block.size)
+    return sum(int(np.sum(np.abs(tp.eig(c)[0] - 1.0) < UNIT_TOL)) for c in tp.blocks)
 
 
 # ----------------------------------------------------- conserved densities
@@ -277,14 +289,9 @@ def conserved_density_vectors(gate, r):
     critical gate raises.  Columns are normalized and ordered magnetization,
     Q1+, Q1-, Q2+, Q2-; rows match truncated_propagator labels.
     """
-    zero = [s for s in _all_strings(r) if charge_of_string(s) == 0]
-    labels = [("even", s) for s in zero] + [("odd", s) for s in zero]
+    labels = _labels(r)[0]
     index = {lab: i for i, lab in enumerate(labels)}
-    cols = []
-    mag = np.zeros(len(labels), dtype=complex)
-    mag[index[("even", "z" + "1" * (r - 1))]] = 1.0
-    mag[index[("odd", "z" + "1" * (r - 1))]] = 1.0
-    cols.append(mag)
+    cols = [np.array([s == "z" + "1" * (r - 1) for _, s in labels], dtype=complex)]
     p = None
     if r >= 3:
         try:
@@ -331,9 +338,7 @@ def _lambda2(tp, conserved):
     proj = {c: np.linalg.qr(np.asarray(mat, dtype=complex))[0]
             for c, mat in (conserved or {}).items()}
     best = 0.0 + 0.0j
-    for c, block in tp.blocks.items():
-        if not block.size:
-            continue
+    for c in tp.blocks:
         vals, vr = tp.eig(c)
         for i, lam in enumerate(vals):
             if abs(lam - 1.0) < UNIT_TOL and c in proj:
@@ -373,29 +378,16 @@ def gap_scaling(gate, k, r_list, tp=None):
         lam = _lambda2(t, conserved_density_vectors(gate, r) if at_zero else None)
         gap = 1.0 - abs(lam)
         if gap < 1e-12:
-            raise RefusalError(
-                f"no decaying mode at r={r}: every leading eigenvalue is conserved"
-            )
+            raise RefusalError(f"no decaying mode at r={r}: "
+                               "every leading eigenvalue is conserved")
         gaps[r] = float(gap)
         lam2[r] = lam
     rs = np.array(r_values, dtype=float)
     ys = np.array([gaps[r] for r in r_values])
+    fit = GapFit("exponential" if at_zero else "linear", r_values, gaps, lam2)
     if at_zero:
         slope, intercept = np.polyfit(rs, np.log(ys), 1)
-        return GapFit(
-            model="exponential",
-            r_values=r_values,
-            gaps=gaps,
-            lambda2=lam2,
-            c=float(np.exp(intercept)),
-            rate=float(-slope),
-        )
-    slope, intercept = np.polyfit(rs, ys, 1)
-    return GapFit(
-        model="linear",
-        r_values=r_values,
-        gaps=gaps,
-        lambda2=lam2,
-        intercept=float(intercept),
-        slope=float(slope),
-    )
+        fit.c, fit.rate = float(np.exp(intercept)), float(-slope)
+    else:
+        fit.slope, fit.intercept = (float(v) for v in np.polyfit(rs, ys, 1))
+    return fit

@@ -41,13 +41,15 @@ site angles of W break the two-site shift.
 import numpy as np
 
 from .core import (
+    FULL_DENSE_MAX_L,
     BrickworkCircuit,
-    build_propagator,
+    build_sector_block,
+    sector_basis,
     sector_states,
     site_spins,
     unitary_phases,
 )
-from .errors import ParameterError, TimeReversalRefusal
+from .errors import CapacityError, ParameterError, TimeReversalRefusal
 from .gates import gate_sqrt, haar_params_from_gate, hamiltonian_params_from_gate
 
 __all__ = [
@@ -170,21 +172,23 @@ def time_reversal_report(circuit):
     """Summary of the global time-reversal test for one circuit.
 
     Raises TimeReversalRefusal for rings with nonzero defect, then
-    CapacityError from core.build_propagator beyond its L cap.  Works
-    sector by sector on the propagator blocks {m: block} of the period
-    and of its symmetrized twin, and reports the largest reversal residual
-    (W's diagonal formed on the sector's states by site_phases) and the
-    largest eigenvalue mismatch over the sectors.
+    CapacityError beyond FULL_DENSE_MAX_L, before any block.  For each m,
+    the blocks of the period and of its symmetrized twin are built on one
+    sector basis and compared before the next m; the largest reversal
+    residual and eigenvalue mismatch over the sectors are reported.
     """
     angles = global_time_reversal(circuit)
     L = circuit.L
-    u = build_propagator(circuit)
-    ut = build_propagator(equivalent_circuit(circuit))
+    if L > FULL_DENSE_MAX_L:
+        raise CapacityError(f"propagator blocks limited to L <= {FULL_DENSE_MAX_L}")
+    twin = equivalent_circuit(circuit)
     residuals, mismatches = [], []
-    for m in u:
+    for m in range(-L, L + 1, 2):
+        basis = sector_basis(L, m)
+        u, ut = build_sector_block(circuit, basis), build_sector_block(twin, basis)
         w = site_phases(angles, sector_states(L, m), L)
-        residuals.append(reversal_residual(w, ut[m]))
-        mismatches.append(spectral_match_error(u[m], ut[m]))
+        residuals.append(reversal_residual(w, ut))
+        mismatches.append(spectral_match_error(u, ut))
     return {
         "boundary": circuit.boundary,
         "L": L,

@@ -307,6 +307,18 @@ def test_selection_thresholds_out_of_range_are_parameter_errors(tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
+def test_eps_keep_is_refused_before_the_propagator_is_built(tmp_path, capsys, monkeypatch):
+    from mcbrick import rp
+
+    def build(*args):
+        raise AssertionError("truncated_propagator ran for a refused eps_keep")
+
+    monkeypatch.setattr(rp, "truncated_propagator", build)
+    assert run(tmp_path, "rp-spectrum", *GATE_II, "--r", "6", "--eps-keep", "-1") == 2
+    assert_parameter_error(tmp_path, "rp-spectrum")
+    assert "eps_keep must lie in (0, 1], got -1.0" in capsys.readouterr().err
+
+
 def test_eps_keep_one_keeps_every_mode(tmp_path):
     assert run(tmp_path, "rp-spectrum", *GATE_II, "--r", "2", "--eps-keep", "1") == 0
     d = json.loads((tmp_path / "rp-spectrum.json").read_text())

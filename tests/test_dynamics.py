@@ -13,6 +13,7 @@ from mcbrick.core import (
     site_spins,
     translation_permutation,
 )
+from mcbrick import dynamics
 from mcbrick.dynamics import (
     _checked_sector_operators,
     _exact_autocorrelation,
@@ -95,12 +96,17 @@ def test_exact_trace_matches_step_by_step_powers():
                 assert np.abs(got - 1.0).max() < 1e-12  # C(t) = tr(A^2) / dim
 
 
-def test_sector_traces_recombine_to_full_trace():
+def test_sector_traces_recombine_to_full_trace(monkeypatch):
     # the full trace is the dimension-weighted mean of the sector traces
     g = phase_point(1.4)
     L, steps = 8, 15
     full = boundary_autocorrelation(g, L, steps)
     from math import comb
+
+    def every_block(circuit):
+        raise AssertionError("a sector trace built every sector block")
+
+    monkeypatch.setattr(dynamics, "build_propagator", every_block)
 
     acc = np.zeros(steps + 1)
     for m in range(-L, L + 1, 2):

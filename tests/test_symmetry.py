@@ -9,7 +9,7 @@ from mcbrick.core import (
     layer_bonds,
     propagator_apply,
 )
-from mcbrick import core
+from mcbrick import symmetry
 from mcbrick.errors import CapacityError, ParameterError, TimeReversalRefusal
 from mcbrick.gates import (
     HaarGateParams,
@@ -208,7 +208,7 @@ def test_report_refuses_beyond_the_dense_cap_before_any_block(monkeypatch):
     def no_block(*args):
         raise AssertionError("a sector block was built")
 
-    monkeypatch.setattr(core, "build_sector_block", no_block)
+    monkeypatch.setattr(symmetry, "build_sector_block", no_block)
     p = HamiltonianGateParams(tau=0.5, delta=0.8, B=0.2, D=0.6, M=0.0, A=0.1)
     gate = gate_from_hamiltonian(p)
     with pytest.raises(CapacityError):
