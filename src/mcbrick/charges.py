@@ -45,7 +45,6 @@ formed.
 """
 
 import functools
-from itertools import product
 
 import numpy as np
 from dataclasses import dataclass
@@ -290,21 +289,38 @@ def higher_charge(p, ell, sign, L):
 
 
 # operator strings over {1, z, p, m}: p = sqrt2 sigma+, m = sqrt2 sigma-, each
-# orthonormal under tr(a^dag b)/2 (bit 1 is sz = +1); rp's operator basis.
-# SITE_OPS holds the 2x2 matrix of each letter.
-LETTERS = "1zpm"
-SITE_OPS = {
-    "1": np.eye(2, dtype=complex),
-    "z": np.diag([-1.0, 1.0]).astype(complex),
-    "p": np.sqrt(2.0) * np.array([[0, 0], [1, 0]], dtype=complex),
-    "m": np.sqrt(2.0) * np.array([[0, 1], [0, 0]], dtype=complex),
-}
-_LETTER_CHARGE = {"1": 0, "z": 0, "p": 1, "m": -1}
+# orthonormal under tr(a^dag b)/2 (bit 1 is sz = +1); rp's operator basis.  A
+# w-site string is named by its base-4 code, site 0 the most significant digit;
+# digit d is the letter "1zpm"[d], STRING_OPS[d] its matrix, DIGIT_CHARGE[d] its charge.
+STRING_OPS = np.array([np.eye(2), np.diag([-1.0, 1.0]),
+                       np.sqrt(2.0) * np.array([[0, 0], [1, 0]]),
+                       np.sqrt(2.0) * np.array([[0, 1], [0, 0]])], dtype=complex)
+DIGIT_CHARGE = np.array([0, 0, 1, -1])
+# S[b ^ f, b] per letter S and bit b, f = 1 for the letters p and m that flip the bit
+_COLUMN_ENTRY = np.array([s[[f, 1 - f], [0, 1]].real
+                          for s, f in zip(STRING_OPS, abs(DIGIT_CHARGE))])
 
 
-def charge_of_string(label):
-    """Raising minus lowering letter count."""
-    return sum(_LETTER_CHARGE[ch] for ch in label)
+def code_charge(codes, w):
+    """Charge of each w-site string code."""
+    return sum(DIGIT_CHARGE[codes >> 2 * i & 3] for i in range(w))
+
+
+def string_codes(w, charge):
+    """Ascending codes of the w-site strings of a charge, first letter not 1."""
+    codes = np.arange(4 ** (w - 1), 4**w)
+    return codes[code_charge(codes, w) == charge]
+
+
+def string_weights(op):
+    """tr(S^dag A) / 2^w for every w-site string code S, site by site."""
+    w = len(op).bit_length() - 1
+    pairs = np.arange(2 * w).reshape(2, w).T.ravel()  # (row bit, column bit) per site
+    t = np.asarray(op).reshape((2,) * 2 * w).transpose(pairs).reshape((4,) * w)
+    site = STRING_OPS.conj().reshape(4, 4) / 2
+    for i in range(w):
+        t = np.moveaxis(np.tensordot(site, t, axes=(1, i)), 0, i)
+    return t.ravel()
 
 
 def _packed(blocks, L):
@@ -327,26 +343,23 @@ def _packed_layout(L):
     return pos, offset, dim
 
 
-def _string_gather(label, anchor, L):
+def _string_gather(code, w, anchor, L):
     """Where a charge-0 string S sits in the packed blocks, and its entries.
 
-    S has letter label[t] on site (anchor + t) mod L.  Returns the flat
-    indices of the nonzero entries S[b ^ flip, b] inside _packed and their
-    (real) values, so tr(S^dag Q)/2^L is values @ packed[flat] / 2^L.
+    S is the w-site string code with its site t on site (anchor + t) mod L.
+    Returns the flat indices of its nonzero entries S[b ^ flip, b] inside
+    _packed and their (real) values: tr(S^dag Q)/2^L = values @ packed[flat] / 2^L.
     """
     b = np.arange(1 << L, dtype=np.int64)
-    ok = np.ones(b.size, dtype=bool)
     val = np.ones(b.size)
     flip = 0
-    for t, ch in enumerate(label):
-        shift = L - 1 - (anchor + t) % L
-        bit = (b >> shift) & 1
-        if ch == "z":
-            val *= 2 * bit - 1
-        elif ch in "pm":
-            ok &= bit == (ch == "m")
-            flip |= 1 << shift
-            val *= np.sqrt(2.0)
+    for t in range(w):
+        d = code >> 2 * (w - 1 - t) & 3
+        if d:
+            shift = L - 1 - (anchor + t) % L
+            val *= _COLUMN_ENTRY[d][(b >> shift) & 1]
+            flip |= int(abs(DIGIT_CHARGE[d])) << shift
+    ok = val != 0
     b, val = b[ok], val[ok]
     pos, offset, dim = _packed_layout(L)
     return offset[b] + pos[b ^ flip] * dim[b] + pos[b], val
@@ -361,25 +374,23 @@ def pauli_string_window_projection(blocks, L, window):
     the same; a magnetization-conserving operator has weight only on the
     net-charge-0 strings, which act inside every sector, so the operator
     is given by its sector blocks {m: block}.  Strings are enumerated by
-    their anchor site (first non-identity letter) and a pattern over the
-    window; for window < L/2 + 1 this covers every short-diameter string
-    exactly once.  Each string is one gather from the packed blocks.
+    their anchor site (first non-identity letter) and their window-site
+    code (string_codes); for window < L/2 + 1 this covers every
+    short-diameter string exactly once.  Each string is one gather from
+    the packed blocks.
     Returns (norm_within, residual).
     """
     if window >= L // 2 + 1:
         raise ParameterError("window too large for unique anchoring")
     packed = _packed(blocks, L)
-    labels = [
-        s for s in product(LETTERS, repeat=window)
-        if s[0] != "1" and charge_of_string(s) == 0
-    ]
+    codes = string_codes(window, 0)
     within_sq = 0.0
     # accumulate the reconstruction so the residual comes from an entrywise
     # difference, not from cancelling two large scalars
     recon = np.zeros_like(packed)
     for anchor in range(L):
-        for label in labels:
-            flat, val = _string_gather(label, anchor, L)
+        for code in codes:
+            flat, val = _string_gather(int(code), window, anchor, L)
             coef = val @ packed[flat] / (1 << L)
             within_sq += abs(coef) ** 2
             recon[flat] += coef * val

@@ -9,7 +9,9 @@ commands compute.  Every run writes a RunRecord JSON whose sha256 covers
 the deterministic fields (subcommand, resolved parameters, package
 version, root seed); each output file embeds that hash, and re-running
 an identical record reproduces the outputs bit for bit within a fixed
-build (wall time, the environment and file paths stay outside the hash).
+build and BLAS thread count (wall time, the environment and file paths
+stay outside the hash); another thread count has moved values by up to
+about 1e-13, with the same files, columns and row order.
 The environment names the Python version and the numpy and scipy
 versions the run loaded, null for one it never imported.  The record is
 strict JSON: a non-finite parameter is written as null, while the hash
@@ -556,7 +558,7 @@ def _cmd_rp_spectrum(params, root, sha):
         "unit_multiplicity": int(unit_multiplicity(tp)),
         "spectral_radius": tp.spectral_radius,
         "charge_mixing_defect": float(tp.mixing_defect),
-        "block_dims": {str(c): len(v) for c, v in tp.labels.items()},
+        "block_dims": {str(c): len(b) for c, b in tp.blocks.items()},
         "modes_kept": len(rows),
     }
     if run["r_list"]:

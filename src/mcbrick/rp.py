@@ -4,11 +4,12 @@ Heisenberg evolution of a homogeneous brickwall circuit is restricted to
 the space of operators supported on at most r consecutive sites, organized
 into translation classes with momentum k (shifts act by two sites, one
 unit cell).  Operators are expanded in normalized strings over
-{1, z, +, -}; a class representative is a length-r string whose first
-letter is not the identity, starting on an even or an odd site.  One
-brickwall step moves each support edge out by two sites when the gate
-straddling it acts first in the conjugation U^dag q U, by one otherwise,
-so every matrix element
+{1, z, +, -}, each named by its base-4 code (charges.STRING_OPS); a class
+representative is a length-r string whose first letter is not the
+identity, starting on an even or an odd site.  One brickwall step moves
+each support edge out by two sites when the gate straddling it acts
+first in the conjugation U^dag q U, by one otherwise, so every matrix
+element
 
     [T(k)]_{q',q} = sum_{j in {-1,0,1}} e^{-ikj} <S^{2j} q' | Uq>
 
@@ -19,30 +20,24 @@ of a unitary channel, so its spectral radius never exceeds 1; eigenvalues
 strictly inside the unit circle are the Ruelle-Pollicott resonances, and
 unit eigenvalues at k = 0 are densities of conserved charges.  Gate
 charge (raising minus lowering letters) is conserved, so T is block
-diagonal over operator charge.  Strings travel as base-4 slot integers,
-pushed bond by bond through the two-site superoperator (_push).
+diagonal over operator charge.  Strings travel as their codes, placed
+in a lattice window as base-4 slot integers and pushed bond by bond
+through the two-site superoperator (_push).
 
 k is a free real parameter of the translation class, not a lattice
 momentum of any finite ring.
 
 scipy is imported inside truncated_propagator (after its capacity
-refusals), for the sparse row-column products, and inside
-TruncatedPropagator.eig, for the nonsymmetric eigensolver, so importing
-this module or refusing a support loads no scipy.
+refusals), for the sparse row-column products and the nonsymmetric
+eigensolver, and inside _lambda2, for the eigenvectors of the blocks
+that hold conserved densities, so importing this module or refusing a
+support loads no scipy.
 """
 
-import functools
-
 import numpy as np
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
-from .charges import (
-    LETTERS,
-    SITE_OPS as _SITE_OPS,
-    charge_kernels,
-    charge_of_string,
-)
+from .charges import STRING_OPS, charge_kernels, code_charge, string_codes, string_weights
 from .errors import (
     CapacityError,
     CriticalManifoldError,
@@ -54,9 +49,7 @@ from .gates import gate_matrix, haar_params_from_gate
 from .rmatrix import haar_to_r
 
 __all__ = [
-    "LETTERS",
     "TruncatedPropagator",
-    "charge_of_string",
     "truncated_propagator",
     "rp_spectrum",
     "check_eps_keep",
@@ -67,7 +60,6 @@ __all__ = [
 ]
 
 R_MAX = 6
-BLOCK_DIM_MAX = 8192
 MIXING_TOL = 1e-12
 RADIUS_TOL = 1e-10
 UNIT_TOL = 1e-8
@@ -75,54 +67,33 @@ CHARGE_OVERLAP_MIN = 0.99
 ORDER_TOL = 1e-9  # moduli and real parts this close tie in rp_spectrum
 
 
-def _labels(r):
-    """(parity, string) labels of every charge block, even starts first."""
-    strings = ["".join(t) for t in product(LETTERS, repeat=r) if t[0] != "1"]
-    charge = {s: charge_of_string(s) for s in strings}
-    return {c: [(p, s) for p in ("even", "odd") for s in strings if charge[s] == c]
-            for c in sorted(set(charge.values()))}
-
-
 def _conjugation_superop(gate):
-    """16x16 matrix of q -> g^dag q g in the normalized two-site string basis."""
+    """16x16 matrix of q -> g^dag q g on the two-site string codes."""
     g = gate_matrix(gate)
-    basis = [np.kron(_SITE_OPS[a], _SITE_OPS[b]) for a in LETTERS for b in LETTERS]
-    out = np.empty((16, 16), dtype=complex)
-    for b_idx, pb in enumerate(basis):
-        evolved = g.conj().T @ pb @ g
-        for a_idx, pa in enumerate(basis):
-            out[a_idx, b_idx] = np.trace(pa.conj().T @ evolved) / 4.0
-    return out
+    pairs = np.einsum("aij,bkl->abikjl", STRING_OPS, STRING_OPS).reshape(16, 4, 4)
+    return np.column_stack([string_weights(g.conj().T @ e @ g) for e in pairs])
 
 
 @dataclass
 class TruncatedPropagator:
     """Charge-blocked matrices of the r-local propagator at momentum k.
 
-    labels[c] lists (parity, string) row/column labels of blocks[c]; all
-    even-start representatives come first.  mixing_defect is the largest
-    charge-changing entry of the two-site superoperator, a factor of every
-    element between different charge blocks (charge is exactly conserved,
-    so this is a numerical-noise figure).  spectral_radius is the largest
-    eigenvalue modulus over all blocks.  Each block is eigensolved once,
-    on first use, and every spectral reading shares that decomposition.
+    blocks[c] acts on the codes string_codes(r, c) starting on an even
+    site, then the same codes starting on an odd site; eigenvalues[c] are
+    its eigenvalues, solved once when the propagator is built.
+    mixing_defect is the largest charge-changing entry of the two-site
+    superoperator, a factor of every element between different charge
+    blocks (charge is exactly conserved, so this is a numerical-noise
+    figure).  spectral_radius is the largest eigenvalue modulus over all
+    blocks.
     """
 
     k: float
     r: int
     blocks: dict
-    labels: dict
+    eigenvalues: dict
     mixing_defect: float
-    spectral_radius: float = None
-    _eig: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def eig(self, charge):
-        """(eigenvalues, right eigenvectors) of one charge block."""
-        if charge not in self._eig:
-            import scipy.linalg
-
-            self._eig[charge] = scipy.linalg.eig(self.blocks[charge])
-        return self._eig[charge]
+    spectral_radius: float
 
 
 def _push(superop, bonds, hi, ids, slots, n):
@@ -161,31 +132,28 @@ def truncated_propagator(gate, r, k):
     transposed superoperator), and the two meet in one sparse product.
     An element between charges needs a charge-changing superoperator
     entry, so the largest one is the mixing defect, refused before any
-    push.  The radius check eigendecomposes every block once, right
-    vectors included, and the result caches them for later readings.
-    One BLAS thread on a 2-core Xeon: r=5 about 0.9 s (0.75 s of it the
-    decompositions); r=R_MAX=6 about 20 s (all but 2 s of it the
-    decompositions) and 0.28 GB peak RSS.
+    push.  Each block's eigenvalues are solved once, without vectors, for
+    the radius check and every later reading.
+    One BLAS thread on a 2-core Xeon: r=5 about 0.8 s (0.55 s of it the
+    eigenvalue solves); r=R_MAX=6 about 12 s (all but 2 s of it the
+    eigenvalue solves) and 0.2 GB peak RSS.
     """
     if r < 1:
         raise ParameterError(f"support must satisfy 1 <= r <= {R_MAX}, got {r}")
     if r > R_MAX:
         raise CapacityError(f"support must satisfy 1 <= r <= {R_MAX}, got {r}")
-    labels = _labels(r)
-    if max(len(v) for v in labels.values()) > BLOCK_DIM_MAX:
-        raise CapacityError(f"largest charge block exceeds {BLOCK_DIM_MAX}")
     superop = _conjugation_superop(gate)
-    pair_charge = np.array([charge_of_string(a + b) for a in LETTERS for b in LETTERS])
+    pair_charge = code_charge(np.arange(16), 2)
     mixing = float(np.abs(superop[pair_charge[:, None] != pair_charge]).max())
     if mixing > MIXING_TOL:
         raise SymmetryError("propagator mixes operator-charge blocks", residual=mixing)
+    import scipy.linalg
     import scipy.sparse
 
-    digits = str.maketrans(LETTERS, "0123")
     hi = r + 5  # right of every row placement and of the bonds it is pulled through
     blocks = {}
-    for c in labels:
-        own = np.array([int(s.translate(digits), 4) for p, s in labels[c] if p == "even"])
+    for c in range(-r, r + 1):
+        own = string_codes(r, c)
         n, ids = len(own), np.arange(len(own))
         blocks[c] = np.zeros((2 * n, 2 * n), dtype=complex)
         halves = []  # per column parity: the slots its pushed columns reach, and those columns
@@ -208,13 +176,12 @@ def truncated_propagator(gate, r, k):
                 blocks[c][a % 2 * n:(a % 2 + 1) * n, col_half * n:(col_half + 1) * n] += (
                     phase * (rows @ cols).toarray())
 
-    tp = TruncatedPropagator(k=float(k), r=r, blocks=blocks, labels=labels, mixing_defect=mixing)
-    radius = max(np.abs(tp.eig(c)[0]).max() for c in labels)
+    eigenvalues = {c: scipy.linalg.eigvals(b) for c, b in blocks.items()}
+    radius = max(np.abs(vals).max() for vals in eigenvalues.values())
     if radius > 1.0 + RADIUS_TOL:
         raise SymmetryError("truncated propagator exceeds unit spectral radius",
                             residual=float(radius - 1.0))
-    tp.spectral_radius = float(radius)
-    return tp
+    return TruncatedPropagator(float(k), r, blocks, eigenvalues, mixing, float(radius))
 
 
 def check_eps_keep(eps_keep):
@@ -234,8 +201,7 @@ def rp_spectrum(tp, eps_keep=0.25):
     """
     check_eps_keep(eps_keep)
     modes = []
-    for c in tp.blocks:
-        vals = tp.eig(c)[0]
+    for c, vals in tp.eigenvalues.items():
         modes += [(complex(vals[i]), c) for i in np.flatnonzero(np.abs(vals) > 1.0 - eps_keep)]
     modes.sort(key=lambda mode: -abs(mode[0]))
     neg = -np.abs([lam for lam, _ in modes])
@@ -248,33 +214,31 @@ def rp_spectrum(tp, eps_keep=0.25):
 
 def unit_multiplicity(tp):
     """Number of eigenvalues within UNIT_TOL of 1 across all blocks."""
-    return sum(int(np.sum(np.abs(tp.eig(c)[0] - 1.0) < UNIT_TOL)) for c in tp.blocks)
+    return sum(int(np.sum(np.abs(vals - 1.0) < UNIT_TOL)) for vals in tp.eigenvalues.values())
 
 
 # ----------------------------------------------------- conserved densities
 
 
-def _fold_kernel(kernel, start_parity, r, index):
+def _fold_kernel(kernel, start_parity, r):
     """Map a w-site density at a given start parity to basis coefficients.
 
-    w is read off the kernel (2^w x 2^w, w <= r).  The coefficient of a
-    string S is tr(S^dag K) / 2^w, with S the kron of its letters'
-    SITE_OPS; only charge-0 strings are read, and the all-identity string
-    is skipped, since the kernels are traceless.  Strings whose leading
-    letters are the identity are the same translation class seen from a
-    shifted start; they fold onto the representative with the parity of
-    their first non-identity site, so the windows a class meets at
-    different offsets add up.
+    w is read off the kernel (2^w x 2^w, w <= r), and its string weights
+    are the coefficients.  Only charge-0 codes are read, and the
+    all-identity code is skipped, since the kernels are traceless.  A
+    code of n < w digits has identity leading letters: it is the same
+    translation class seen from a start w - n sites on, so it folds onto
+    the representative of that start's parity, padded to r sites, and the
+    windows a class meets at different offsets add up.
     """
     w = len(kernel).bit_length() - 1
-    vec = np.zeros(len(index), dtype=complex)
-    for letters in product(LETTERS, repeat=w):
-        tail = "".join(letters).lstrip("1")
-        if not tail or charge_of_string(tail):
-            continue
-        string = functools.reduce(np.kron, [_SITE_OPS[ch] for ch in letters])
-        parity = "even" if (start_parity + w - len(tail)) % 2 == 0 else "odd"
-        vec[index[(parity, tail + "1" * (r - len(tail)))]] += np.vdot(string, kernel) / (1 << w)
+    weights, codes = string_weights(kernel), np.arange(1, 4**w)
+    codes = codes[code_charge(codes, w) == 0]
+    n = np.searchsorted(4 ** np.arange(w + 1), codes, side="right")  # digits per code
+    own = string_codes(r, 0)
+    at = np.searchsorted(own, codes * 4 ** (r - n)) + (start_parity + w - n) % 2 * len(own)
+    vec = np.zeros(2 * len(own), dtype=complex)
+    np.add.at(vec, at, weights[codes])
     return vec
 
 
@@ -287,11 +251,10 @@ def conserved_density_vectors(gate, r):
     map refuses for an infinite rho or u, and an identity or swap-family
     gate, whose charge kernels are undefined, keep magnetization only; a
     critical gate raises.  Columns are normalized and ordered magnetization,
-    Q1+, Q1-, Q2+, Q2-; rows match truncated_propagator labels.
+    Q1+, Q1-, Q2+, Q2-; rows match truncated_propagator's charge-0 block.
     """
-    labels = _labels(r)[0]
-    index = {lab: i for i, lab in enumerate(labels)}
-    cols = [np.array([s == "z" + "1" * (r - 1) for _, s in labels], dtype=complex)]
+    # magnetization, z1..1, at both start parities
+    cols = [(np.tile(string_codes(r, 0), 2) == 4 ** (r - 1)).astype(complex)]
     p = None
     if r >= 3:
         try:
@@ -303,8 +266,8 @@ def conserved_density_vectors(gate, r):
     if p is not None and not p.degenerate:  # no charge kernels at identity or swap points
         kernels = {sign: charge_kernels(p, sign) for sign in "+-"}
         for order in range(2 if r >= 5 else 1):
-            cols.append(_fold_kernel(kernels["+"][order], 1, r, index))
-            cols.append(_fold_kernel(kernels["-"][order], 0, r, index))
+            cols.append(_fold_kernel(kernels["+"][order], 1, r))
+            cols.append(_fold_kernel(kernels["-"][order], 0, r))
     mat = np.column_stack(cols)
     norms = np.linalg.norm(mat, axis=0)
     good = norms > 1e-10
@@ -334,12 +297,17 @@ def _lambda2(tp, conserved):
     conserved maps charge blocks to column stacks of conserved-density
     vectors (or is None); a unit eigenvalue is conserved when more than
     CHARGE_OVERLAP_MIN of its normalized eigenvector lies in their span.
+    Eigenvectors are solved only for the blocks in conserved; the others
+    are read from their stored eigenvalues.
     """
+    import scipy.linalg
+
     proj = {c: np.linalg.qr(np.asarray(mat, dtype=complex))[0]
             for c, mat in (conserved or {}).items()}
     best = 0.0 + 0.0j
-    for c in tp.blocks:
-        vals, vr = tp.eig(c)
+    for c, vals in tp.eigenvalues.items():
+        if c in proj:
+            vals, vr = scipy.linalg.eig(tp.blocks[c])
         for i, lam in enumerate(vals):
             if abs(lam - 1.0) < UNIT_TOL and c in proj:
                 v = vr[:, i] / np.linalg.norm(vr[:, i])
@@ -361,7 +329,7 @@ def gap_scaling(gate, k, r_list, tp=None):
     refused.
 
     tp, if given, is this gate's T(k) at one support; that support is then
-    read from it, eigendecompositions included, instead of being built
+    read from it, stored eigenvalues included, instead of being built
     again.
     """
     r_values = tuple(sorted(set(int(r) for r in r_list)))

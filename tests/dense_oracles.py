@@ -23,7 +23,9 @@ against.
   blocks are checked.
 * The window-by-window Heisenberg step of rp (heisenberg_step), which
   conjugates one string tensor through every gate of a fixed window,
-  against the light-cone rp.truncated_propagator.
+  against the light-cone rp.truncated_propagator.  Strings here are
+  letter labels over their own table (LETTERS, SITE_OPS), not the
+  package's base-4 codes.
 * Eigenphase samplers of the three level-statistics classes, which pin
   the levelstats.R_TILDE_* references.
 * The one-gate time reversal W(theta) K, as the diagonal of W, and the
@@ -36,7 +38,6 @@ from dataclasses import replace
 import numpy as np
 from scipy import sparse
 
-from mcbrick.charges import LETTERS
 from mcbrick.core import (
     apply_gate,
     sector_states,
@@ -49,6 +50,22 @@ from mcbrick.gates import TwoQubitGate, haar_params_from_gate
 from mcbrick.levelstats import spacing_ratios
 from mcbrick.rmatrix import ab_values, r_matrix
 from mcbrick.rp import _conjugation_superop
+
+# {1, z, p, m} string letters, p = sqrt2 sigma+ and m = sqrt2 sigma- (bit 1 is
+# sz = +1), written out apart from the package's code table
+LETTERS = "1zpm"
+SITE_OPS = {
+    "1": np.eye(2, dtype=complex),
+    "z": np.diag([-1.0, 1.0]).astype(complex),
+    "p": np.sqrt(2.0) * np.array([[0, 0], [1, 0]], dtype=complex),
+    "m": np.sqrt(2.0) * np.array([[0, 1], [0, 0]], dtype=complex),
+}
+
+
+def letter_charge(label):
+    """Raising minus lowering letter count of a string label."""
+    return label.count("p") - label.count("m")
+
 
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex

@@ -1,13 +1,20 @@
-"""Batch CLI: exit codes, run records and determinism, run in-process."""
+"""Batch CLI: exit codes, run records and determinism, run in-process
+(the BLAS thread-count check runs fresh processes, since --threads only
+takes effect before numpy loads)."""
 
+import csv
 import importlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import mcbrick
 from mcbrick.cli import main
 
 GATE_I = ["--delta-phase", "0.1", "--alpha", "0.4", "--phi", "0.9", "--chi", "0.3",
@@ -359,3 +366,81 @@ def test_no_command_forms_a_dense_2L_operator(tmp_path, args):
             if args[-1] == "2":
                 assert c["support_window_norm"] == pytest.approx(3.16085007040542, abs=1e-8)
                 assert c["support_window_residual"] < 1e-7
+
+
+# the bench's rp command, and a sector command whose eigenphases move with
+# the thread count (by up to 9e-14 at L = 12; at L = 10 they do not move)
+THREAD_RUNS = {
+    "rp-spectrum": ["rp-spectrum", *GATE_I, "--r", "4", "--k", "0", "--r-list", "3,4"],
+    "spectrum-stats": ["spectrum-stats", *GATE_I, "--L", "12"],
+}
+THREAD_TOL = 1e-12  # BLAS sums re-associate with the thread count; nothing else may move
+
+
+def _fresh_run(argv, out):
+    src = str(Path(mcbrick.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-m", "mcbrick.cli", *argv, "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def _assert_values_close(a, b, where, phase=False):
+    if isinstance(a, dict):
+        assert list(a) == list(b), where
+        for key in a:
+            _assert_values_close(a[key], b[key], f"{where}/{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_values_close(x, y, f"{where}[{i}]", phase)
+    elif isinstance(a, float) and isinstance(b, float):
+        gap = abs(a - b)
+        if phase:  # eigenphases are compared on the circle
+            gap = abs(math.remainder(a - b, 2 * math.pi))
+        assert gap <= THREAD_TOL, f"{where}: {a!r} vs {b!r}"
+    else:
+        assert a == b, f"{where}: {a!r} vs {b!r}"
+
+
+def _parsed(path):
+    if path.suffix == ".json":
+        data = json.loads(path.read_text())
+        data.pop("wall_time_s", None)
+        return data
+    lines = path.read_text().splitlines()
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    header, body = rows[0], rows[1:]
+
+    def cell(x):
+        try:
+            return float(x)
+        except ValueError:
+            return x
+
+    return [line for line in lines if line.startswith("#")], header, [
+        [cell(x) for x in row] for row in body]
+
+
+@pytest.mark.parametrize("command", sorted(THREAD_RUNS))
+def test_outputs_agree_across_blas_thread_counts(command, tmp_path):
+    # same files, headers and row order at 1 and 2 BLAS threads; values
+    # within THREAD_TOL, eigenphases on the circle
+    outs = []
+    for threads in (1, 2):
+        _fresh_run([*THREAD_RUNS[command], "--threads", str(threads)], tmp_path / str(threads))
+        outs.append(tmp_path / str(threads))
+    names = [sorted(p.name for p in out.iterdir()) for out in outs]
+    assert names[0] == names[1]
+    for name in names[0]:
+        one, two = (_parsed(out / name) for out in outs)
+        if name.endswith(".csv"):
+            assert one[:2] == two[:2], name  # sha line and header
+            phase = [col == "eigenphase" for col in one[1]]
+            assert len(one[2]) == len(two[2]), name
+            for i, (x, y) in enumerate(zip(one[2], two[2])):
+                for col, u, v, circle in zip(one[1], x, y, phase):
+                    _assert_values_close(u, v, f"{name} row {i} {col}", circle)
+        else:
+            _assert_values_close(one, two, name)

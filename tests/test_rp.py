@@ -9,10 +9,13 @@ import pytest
 import scipy.linalg
 
 from dense_oracles import (
+    LETTERS,
+    SITE_OPS,
     dense_charges,
     dense_propagator,
     heisenberg_step,
     identity_gate,
+    letter_charge,
     ring_rep_coefficient,
     string_tensor,
 )
@@ -34,14 +37,11 @@ from mcbrick.gates import (
 )
 from mcbrick.rmatrix import haar_to_r
 from mcbrick.rp import (
-    LETTERS,
     MIXING_TOL,
     ORDER_TOL,
     RADIUS_TOL,
     TruncatedPropagator,
-    _SITE_OPS,
     _lambda2,
-    charge_of_string,
     conserved_density_vectors,
     gap_scaling,
     rp_spectrum,
@@ -55,6 +55,14 @@ def phase_point(delta):
     return gate_from_hamiltonian(p)
 
 
+def block_labels(r, c):
+    """(start parity, string) of each row of the charge-c block, spelled out:
+    lexicographic in 1zpm order, even starts first."""
+    strings = ["".join(t) for t in product(LETTERS, repeat=r)
+               if t[0] != "1" and letter_charge("".join(t)) == c]
+    return [(p, s) for p in ("even", "odd") for s in strings]
+
+
 # ------------------------------------------------------------------ basis
 
 
@@ -65,7 +73,8 @@ def test_basis_counts_and_partition():
     for r in (1, 2, 3):
         tp = truncated_propagator(g, r, 0.0)
         assert sum(len(b) for b in tp.blocks.values()) == 2 * (4**r - 4 ** (r - 1))
-        assert all(charge_of_string(s) == c for c, labs in tp.labels.items() for _, s in labs)
+        assert list(tp.blocks) == list(range(-r, r + 1))
+        assert all(len(b) == len(block_labels(r, c)) for c, b in tp.blocks.items())
     for r in (-1, 0):
         with pytest.raises(ParameterError):
             truncated_propagator(g, r, 0.0)
@@ -76,7 +85,7 @@ def test_basis_counts_and_partition():
 def test_basis_orthonormal_single_site():
     for a in LETTERS:
         for b in LETTERS:
-            ip = np.trace(_SITE_OPS[a].conj().T @ _SITE_OPS[b]) / 2.0
+            ip = np.trace(SITE_OPS[a].conj().T @ SITE_OPS[b]) / 2.0
             assert abs(ip - (1.0 if a == b else 0.0)) < 1e-15
 
 
@@ -92,7 +101,7 @@ def test_heisenberg_step_identity_gate_and_charge():
     out = heisenberg_step(string_tensor("z", 3, 8), g, window=-2)
     for digs in np.argwhere(np.abs(out) > 1e-12):
         label = "".join(LETTERS[d] for d in digs)
-        assert charge_of_string(label) == 0
+        assert letter_charge(label) == 0
 
 
 def test_heisenberg_step_matches_dense_conjugation():
@@ -103,7 +112,7 @@ def test_heisenberg_step_matches_dense_conjugation():
     def dense_string(label, start):
         mats = [np.eye(2, dtype=complex)] * L
         for i, ch in enumerate(label):
-            mats[start + i] = _SITE_OPS[ch]
+            mats[start + i] = SITE_OPS[ch]
         out = mats[0]
         for m in mats[1:]:
             out = np.kron(out, m)
@@ -124,7 +133,7 @@ def test_heisenberg_step_matches_dense_conjugation():
 
 
 def _window_kernel(label):
-    mats = [_SITE_OPS[ch] for ch in label]
+    mats = [SITE_OPS[ch] for ch in label]
     out = mats[0]
     for m in mats[1:]:
         out = np.kron(out, m)
@@ -169,7 +178,7 @@ def test_propagator_matches_explicit_window_elements():
         tp = truncated_propagator(g, r, k)
         w = r + 5
         for c in charges:
-            labels = tp.labels[c]
+            labels = block_labels(r, c)
             block = tp.blocks[c]
             for jcol, (p_col, lab_col) in enumerate(labels):
                 stepped = heisenberg_step(
@@ -208,8 +217,7 @@ def test_propagator_radius_multiplicity_and_charge_blocks():
         assert tp.mixing_defect < 1e-13
         assert unit_multiplicity(tp) == 3
     tp_pi = truncated_propagator(random_mc_gate(5), 3, np.pi)
-    assert min(np.abs(tp_pi.eig(c)[0] - 1.0).min()
-               for c, block in tp_pi.blocks.items() if block.size) > 1e-6
+    assert min(np.abs(vals - 1.0).min() for vals in tp_pi.eigenvalues.values()) > 1e-6
 
 
 def test_propagator_guards_refuse_broken_gates():
@@ -289,8 +297,11 @@ def test_rp_spectrum_builds_each_support_once_and_eigensolves_each_block_once(
     argv = ["rp-spectrum", *GATE_I_ARGS, "--r", "4", "--k", "0", "--r-list", "3,4"]
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
     assert sorted(tp.r for tp in built) == [3, 4]
-    assert set(solves) == {"eig"}
-    assert len(solves) == sum(b.size > 0 for tp in built for b in tp.blocks.values())
+    # eigenvalues once per block; eigenvectors only of charge 0, once per
+    # fitted support, where the conserved densities are compared
+    assert solves.count("eigvals") == sum(len(tp.blocks) for tp in built)
+    assert solves.count("eig") == len(built)
+    assert len(solves) == solves.count("eigvals") + solves.count("eig")
 
 
 def test_gap_scaling_reads_a_supplied_propagator_bit_for_bit():
@@ -301,8 +312,6 @@ def test_gap_scaling_reads_a_supplied_propagator_bit_for_bit():
         reused = gap_scaling(gate, k, [3, 4], tp=tp)
         assert reused.gaps == own.gaps and reused.lambda2 == own.lambda2
         assert (reused.rate, reused.slope) == (own.rate, own.slope)
-    # the per-block decomposition is computed once and then shared
-    assert tp.eig(0) is tp.eig(0)
     with pytest.raises(ParameterError):
         gap_scaling(gate, 0.0, [3, 4], tp=tp)
 
@@ -329,7 +338,7 @@ def test_rp_spectrum_modes_and_filters():
     assert all(a >= b - ORDER_TOL for a, b in zip(mods, mods[1:]))
     assert [c for lam, c in modes if abs(lam - 1) < 1e-8] == [0, 0, 0]
     # the unit modes' eigenvectors lie in the span of the conserved densities
-    vals, vr = tp.eig(0)
+    vals, vr = scipy.linalg.eig(tp.blocks[0])
     q = np.linalg.qr(conserved_density_vectors(g, 3)[0])[0]
     unit = vr[:, np.abs(vals - 1) < 1e-8]
     assert unit.shape[1] == 3
@@ -343,7 +352,9 @@ def test_rp_spectrum_order_ignores_rounding_of_tied_moduli(bump):
     eps = 1e-15
     blocks = {0: np.diag([0.9 + eps * (1 - bump), 0.5j, -0.5j, 0.5 + eps * bump]),
               1: np.diag([0.9 + eps * bump, -0.5 + eps * (1 - bump)])}
-    tp = TruncatedPropagator(k=0.0, r=1, blocks=blocks, labels={}, mixing_defect=0.0)
+    tp = TruncatedPropagator(k=0.0, r=1, blocks=blocks,
+                             eigenvalues={c: np.diag(b) for c, b in blocks.items()},
+                             mixing_defect=0.0, spectral_radius=0.9 + eps)
     modes = rp_spectrum(tp, eps_keep=1.0)
     assert [(c, round(lam.real, 6), round(lam.imag, 6)) for lam, c in modes] == [
         (0, 0.9, 0.0), (1, 0.9, 0.0),
@@ -381,9 +392,7 @@ def test_gap_scaling_models_and_refusals():
 
 def _dense_conserved_columns(gate, r):
     """conserved_density_vectors rebuilt from dense charges on a 10-site ring."""
-    zero = ["".join(t) for t in product(LETTERS, repeat=r)
-            if t[0] != "1" and charge_of_string(t) == 0]
-    placed = [(s, 0) for s in zero] + [(s, 1) for s in zero]
+    placed = [(s, int(p == "odd")) for p, s in block_labels(r, 0)]
     cols = [np.array([float(s == "z" + "1" * (r - 1)) for s, _ in placed], dtype=complex)]
     p = haar_to_r(haar_params_from_gate(gate).params)
     if not p.degenerate:
@@ -414,18 +423,19 @@ def test_conserved_density_columns_match_the_dense_ring_build(gate):
 
 
 def test_one_string_table_and_one_r_matrix_derivative_routine():
-    # rp re-exports the charges string table; no second copy may grow back
+    # rp reads the charges string-code table and its helpers; no second copy
+    # may grow back, nor the letter labels the codes replaced
     import importlib
     import pkgutil
 
     import mcbrick
     from mcbrick import charges, rp
 
-    assert rp._SITE_OPS is charges.SITE_OPS
-    assert rp.LETTERS is charges.LETTERS
-    assert rp.charge_of_string is charges.charge_of_string
+    for name in ("STRING_OPS", "code_charge", "string_codes", "string_weights"):
+        assert getattr(rp, name) is getattr(charges, name), name
     gone = ("r_matrix_derivative", "ab_derivatives", "r_matrix_second_derivative",
-            "_kernel_strings", "_transfer_family", "string_coefficients", "q1_kernels")
+            "_kernel_strings", "_transfer_family", "string_coefficients", "q1_kernels",
+            "LETTERS", "SITE_OPS", "charge_of_string", "_labels")
     for info in pkgutil.iter_modules(mcbrick.__path__):
         module = importlib.import_module(f"mcbrick.{info.name}")
         assert not [name for name in gone if hasattr(module, name)], info.name
