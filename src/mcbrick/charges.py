@@ -41,10 +41,10 @@ diagonal over the magnetization sectors of the chain.  Charges are
 gathered, checked and projected as sector blocks {m: block} on the rows of
 core.sector_states, and every function here that takes an operator (a
 charge or the propagator) takes it in that form; no 2^L x 2^L array is
-formed.
+formed.  No operator string is coded or enumerated here either: the
+window projection reads the weight of a window's strings from the
+charge's partial trace onto that window (core.sector_partial_trace).
 """
-
-import functools
 
 import numpy as np
 from dataclasses import dataclass
@@ -54,7 +54,7 @@ from .core import (
     commutator_defect,
     embed_operator,
     sector_operators,
-    sector_states,
+    sector_partial_trace,
 )
 from .errors import CapacityError, ParameterError
 from .rmatrix import r_matrix_jet
@@ -129,8 +129,7 @@ def charge_q1(p, sign, L):
     The + density sits on windows (2m+1, 2m+2, 2m+3), the - density on
     (2m, 2m+1, 2m+2), m = 0..L/2-1, all mod L.
     """
-    _check_request(p, sign, L, 1)
-    return _cell_family(sign, L, charge_kernels(p, sign)[0])
+    return higher_charge(p, 1, sign, L)
 
 
 def _cell_family(sign, L, kernel):
@@ -288,112 +287,38 @@ def higher_charge(p, ell, sign, L):
     return _cell_family(sign, L, charge_kernels(p, sign)[ell - 1])
 
 
-# operator strings over {1, z, p, m}: p = sqrt2 sigma+, m = sqrt2 sigma-, each
-# orthonormal under tr(a^dag b)/2 (bit 1 is sz = +1); rp's operator basis.  A
-# w-site string is named by its base-4 code, site 0 the most significant digit;
-# digit d is the letter "1zpm"[d], STRING_OPS[d] its matrix, DIGIT_CHARGE[d] its charge.
-STRING_OPS = np.array([np.eye(2), np.diag([-1.0, 1.0]),
-                       np.sqrt(2.0) * np.array([[0, 0], [1, 0]]),
-                       np.sqrt(2.0) * np.array([[0, 1], [0, 0]])], dtype=complex)
-DIGIT_CHARGE = np.array([0, 0, 1, -1])
-# S[b ^ f, b] per letter S and bit b, f = 1 for the letters p and m that flip the bit
-_COLUMN_ENTRY = np.array([s[[f, 1 - f], [0, 1]].real
-                          for s, f in zip(STRING_OPS, abs(DIGIT_CHARGE))])
-
-
-def code_charge(codes, w):
-    """Charge of each w-site string code."""
-    return sum(DIGIT_CHARGE[codes >> 2 * i & 3] for i in range(w))
-
-
-def string_codes(w, charge):
-    """Ascending codes of the w-site strings of a charge, first letter not 1."""
-    codes = np.arange(4 ** (w - 1), 4**w)
-    return codes[code_charge(codes, w) == charge]
-
-
-def string_weights(op):
-    """tr(S^dag A) / 2^w for every w-site string code S, site by site."""
-    w = len(op).bit_length() - 1
-    pairs = np.arange(2 * w).reshape(2, w).T.ravel()  # (row bit, column bit) per site
-    t = np.asarray(op).reshape((2,) * 2 * w).transpose(pairs).reshape((4,) * w)
-    site = STRING_OPS.conj().reshape(4, 4) / 2
-    for i in range(w):
-        t = np.moveaxis(np.tensordot(site, t, axes=(1, i)), 0, i)
-    return t.ravel()
-
-
-def _packed(blocks, L):
-    """Sector blocks {m: block}, raveled in ascending m into one array."""
-    return np.concatenate([blocks[m].ravel() for m in range(-L, L + 1, 2)])
-
-
-@functools.lru_cache(maxsize=4)
-def _packed_layout(L):
-    """Per basis state: its index in its sector, that block's offset inside
-    _packed and its dimension."""
-    pos, offset, dim = (np.empty(1 << L, dtype=np.int64) for _ in range(3))
-    start = 0
-    for m in range(-L, L + 1, 2):
-        s = sector_states(L, m)
-        pos[s], offset[s], dim[s] = np.arange(s.size), start, s.size
-        start += s.size * s.size
-    for arr in (pos, offset, dim):
-        arr.setflags(write=False)  # shared by every caller through the cache
-    return pos, offset, dim
-
-
-def _string_gather(code, w, anchor, L):
-    """Where a charge-0 string S sits in the packed blocks, and its entries.
-
-    S is the w-site string code with its site t on site (anchor + t) mod L.
-    Returns the flat indices of its nonzero entries S[b ^ flip, b] inside
-    _packed and their (real) values: tr(S^dag Q)/2^L = values @ packed[flat] / 2^L.
-    """
-    b = np.arange(1 << L, dtype=np.int64)
-    val = np.ones(b.size)
-    flip = 0
-    for t in range(w):
-        d = code >> 2 * (w - 1 - t) & 3
-        if d:
-            shift = L - 1 - (anchor + t) % L
-            val *= _COLUMN_ENTRY[d][(b >> shift) & 1]
-            flip |= int(abs(DIGIT_CHARGE[d])) << shift
-    ok = val != 0
-    b, val = b[ok], val[ok]
-    pos, offset, dim = _packed_layout(L)
-    return offset[b] + pos[b ^ flip] * dim[b] + pos[b], val
-
-
 def pauli_string_window_projection(blocks, L, window):
     """sqrt of the weight of operator strings with cyclic support diameter
     <= window, in the normalized Hilbert-Schmidt norm, plus the residual.
 
-    Strings are over {1, z, p, m}: they span the same space per site as
-    the Paulis {1, x, y, z} and are orthonormal alike, so the weight is
-    the same; a magnetization-conserving operator has weight only on the
-    net-charge-0 strings, which act inside every sector, so the operator
-    is given by its sector blocks {m: block}.  Strings are enumerated by
-    their anchor site (first non-identity letter) and their window-site
-    code (string_codes); for window < L/2 + 1 this covers every
-    short-diameter string exactly once.  Each string is one gather from
-    the packed blocks.
+    The strings may be Paulis or any other product basis orthonormal per
+    site; the weight is the same.  A string is counted at its anchor, its
+    first non-identity site; for window < L/2 + 1 each short-diameter
+    string has exactly one.  At each anchor the partial trace R of the
+    operator (given by its sector blocks {m: block}) onto the window
+    starting there (core.sector_partial_trace) holds every string inside
+    that window, and P = (R - 1 (x) tr_0(R)/2) / 2^(L-w) is the part on
+    the strings whose first letter is not the identity, so the anchor adds
+    tr(P^dag P) / 2^w to the squared weight.  The P are embedded back
+    (core.sector_operators) and subtracted from the blocks, so the
+    residual is an entrywise difference.
     Returns (norm_within, residual).
     """
     if window >= L // 2 + 1:
         raise ParameterError("window too large for unique anchoring")
-    packed = _packed(blocks, L)
-    codes = string_codes(window, 0)
     within_sq = 0.0
-    # accumulate the reconstruction so the residual comes from an entrywise
-    # difference, not from cancelling two large scalars
-    recon = np.zeros_like(packed)
+    parts = []
     for anchor in range(L):
-        for code in codes:
-            flat, val = _string_gather(int(code), window, anchor, L)
-            coef = val @ packed[flat] / (1 << L)
-            within_sq += abs(coef) ** 2
-            recon[flat] += coef * val
-    recon -= packed  # the residual, in place: packed and recon are the two largest arrays
-    residual_sq = float(np.sum(np.abs(recon) ** 2)) / (1 << L)
-    return float(np.sqrt(within_sq)), float(np.sqrt(residual_sq))
+        sites = tuple((anchor + t) % L for t in range(window))
+        r = sector_partial_trace(blocks, sites, L).reshape((2, 1 << (window - 1)) * 2)
+        r -= np.eye(2)[:, None, :, None] * np.trace(r, axis1=0, axis2=2)[:, None] / 2
+        part = r.reshape(1 << window, -1) / (1 << (L - window))
+        within_sq += float(np.sum(np.abs(part) ** 2)) / (1 << window)
+        parts.append([(part, sites)])
+    residual_sq = 0.0
+    for m, b in blocks.items():
+        ops = sector_operators(parts, L, m)
+        recon = sum(ops[1:], ops[0]).toarray()
+        recon -= b
+        residual_sq += float(np.sum(np.abs(recon) ** 2))
+    return float(np.sqrt(within_sq)), float(np.sqrt(residual_sq / (1 << L)))

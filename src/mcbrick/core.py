@@ -22,7 +22,9 @@ pattern depends only on (L, m, bonds); _group_pattern computes it once
 per key (cached), and sector_operators multiplies the operators' entries
 into it as one CSR matrix per group, so a step is a few sparse products
 on all columns at once (layer_operators, sector_step).  A group may also
-be one w-site MC operator, such as a charge density.  The pattern holds
+be one w-site MC operator, such as a charge density; read the other way,
+a one-window pattern sums a sector operator's entries back onto the
+window, its partial trace (sector_partial_trace).  The pattern holds
 only the MC entries of an operator, so the kernel refuses any operator
 that is not MC.  Each block or evolution is also compared, on one column
 and one step, with the full-space propagator_apply (check_sector_column).
@@ -426,7 +428,9 @@ def sector_operators(groups, L, m):
     A group's matrix is the product of its operators: their entries
     multiplied into the cached _group_pattern of their sites.  Charges
     pass one density window per group and sum the matrices; circuit
-    layers pass runs of bonds (layer_operators).  The pattern holds only
+    layers pass runs of bonds (layer_operators).  The same one-window
+    pattern, read the other way, sums a sector operator back onto its
+    window (sector_partial_trace).  The pattern holds only
     the MC entries of an operator, so one with weight off the MC pattern
     raises SymmetryError instead of being silently truncated.
     """
@@ -443,6 +447,25 @@ def sector_operators(groups, L, m):
         dim = indptr.size - 1
         ops.append(sparse.csr_array((data, indices, indptr), shape=(dim, dim)))
     return ops
+
+
+def sector_partial_trace(blocks, sites, L):
+    """Reduced 2^w x 2^w operator R = tr_rest(A) on the w given sites
+    (sites[0] the most significant), from the sector blocks {m: block} of
+    an MC operator A.
+
+    The one-window adjoint of sector_operators: each block entry lands on
+    the operator entry that _group_pattern(L, m, (sites,)) multiplies into
+    it, and the entries landing on one are summed.  A's blocks hold only
+    MC entries, so R is MC as well.
+    """
+    w = len(sites)
+    flat = np.zeros(4**w, dtype=complex)
+    for m, b in blocks.items():
+        indptr, indices, (entry,) = _group_pattern(L, m, (tuple(sites),))
+        vals = b[np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), indices]
+        flat += np.bincount(entry, vals.real, 4**w) + 1j * np.bincount(entry, vals.imag, 4**w)
+    return flat.reshape(1 << w, 1 << w)
 
 
 def bond_groups(pairs):

@@ -4,12 +4,12 @@ Heisenberg evolution of a homogeneous brickwall circuit is restricted to
 the space of operators supported on at most r consecutive sites, organized
 into translation classes with momentum k (shifts act by two sites, one
 unit cell).  Operators are expanded in normalized strings over
-{1, z, +, -}, each named by its base-4 code (charges.STRING_OPS); a class
-representative is a length-r string whose first letter is not the
-identity, starting on an even or an odd site.  One brickwall step moves
-each support edge out by two sites when the gate straddling it acts
-first in the conjugation U^dag q U, by one otherwise, so every matrix
-element
+{1, z, +, -}, each named by its base-4 code (STRING_OPS, this module's
+own table; no other module names strings); a class representative is a
+length-r string whose first letter is not the identity, starting on an
+even or an odd site.  One brickwall step moves each support edge out by
+two sites when the gate straddling it acts first in the conjugation
+U^dag q U, by one otherwise, so every matrix element
 
     [T(k)]_{q',q} = sum_{j in {-1,0,1}} e^{-ikj} <S^{2j} q' | Uq>
 
@@ -27,17 +27,18 @@ through the two-site superoperator (_push).
 k is a free real parameter of the translation class, not a lattice
 momentum of any finite ring.
 
-scipy is imported inside truncated_propagator (after its capacity
+scipy is imported only inside truncated_propagator (after its capacity
 refusals), for the sparse row-column products and the nonsymmetric
-eigensolver, and inside _lambda2, for the eigenvectors of the blocks
-that hold conserved densities, so importing this module or refusing a
-support loads no scipy.
+eigenvalue solves, so importing this module or refusing a support loads
+no scipy.  No eigenvector is solved: a gap fit drops the conserved unit
+eigenvalues by counting the conserved densities, each checked to be a
+fixed point of T(0) (_lambda2).
 """
 
 import numpy as np
 from dataclasses import dataclass
 
-from .charges import STRING_OPS, charge_kernels, code_charge, string_codes, string_weights
+from .charges import charge_kernels
 from .errors import (
     CapacityError,
     CriticalManifoldError,
@@ -63,8 +64,38 @@ R_MAX = 6
 MIXING_TOL = 1e-12
 RADIUS_TOL = 1e-10
 UNIT_TOL = 1e-8
-CHARGE_OVERLAP_MIN = 0.99
 ORDER_TOL = 1e-9  # moduli and real parts this close tie in rp_spectrum
+
+# operator strings over {1, z, p, m}: p = sqrt2 sigma+, m = sqrt2 sigma-, each
+# orthonormal under tr(a^dag b)/2 (bit 1 is sz = +1).  A w-site string is named
+# by its base-4 code, site 0 the most significant digit; digit d is the letter
+# "1zpm"[d], STRING_OPS[d] its matrix, DIGIT_CHARGE[d] its charge.
+STRING_OPS = np.array([np.eye(2), np.diag([-1.0, 1.0]),
+                       np.sqrt(2.0) * np.array([[0, 0], [1, 0]]),
+                       np.sqrt(2.0) * np.array([[0, 1], [0, 0]])], dtype=complex)
+DIGIT_CHARGE = np.array([0, 0, 1, -1])
+
+
+def code_charge(codes, w):
+    """Charge of each w-site string code."""
+    return sum(DIGIT_CHARGE[codes >> 2 * i & 3] for i in range(w))
+
+
+def string_codes(w, charge):
+    """Ascending codes of the w-site strings of a charge, first letter not 1."""
+    codes = np.arange(4 ** (w - 1), 4**w)
+    return codes[code_charge(codes, w) == charge]
+
+
+def string_weights(op):
+    """tr(S^dag A) / 2^w for every w-site string code S, site by site."""
+    w = len(op).bit_length() - 1
+    pairs = np.arange(2 * w).reshape(2, w).T.ravel()  # (row bit, column bit) per site
+    t = np.asarray(op).reshape((2,) * 2 * w).transpose(pairs).reshape((4,) * w)
+    site = STRING_OPS.conj().reshape(4, 4) / 2
+    for i in range(w):
+        t = np.moveaxis(np.tensordot(site, t, axes=(1, i)), 0, i)
+    return t.ravel()
 
 
 def _conjugation_superop(gate):
@@ -295,24 +326,28 @@ def _lambda2(tp, conserved):
     """Largest-modulus eigenvalue outside the conserved eigenspace.
 
     conserved maps charge blocks to column stacks of conserved-density
-    vectors (or is None); a unit eigenvalue is conserved when more than
-    CHARGE_OVERLAP_MIN of its normalized eigenvector lies in their span.
-    Eigenvectors are solved only for the blocks in conserved; the others
-    are read from their stored eigenvalues.
+    vectors (or is None).  Each column must be a fixed point of its
+    block, max|T c - c| <= UNIT_TOL, and the rank(C) stored eigenvalues
+    nearest 1 are the ones the columns span, each within UNIT_TOL of 1;
+    otherwise SymmetryError.  Those are dropped, and the largest modulus
+    among the eigenvalues left over all blocks is lambda2.
     """
-    import scipy.linalg
-
-    proj = {c: np.linalg.qr(np.asarray(mat, dtype=complex))[0]
-            for c, mat in (conserved or {}).items()}
+    conserved = conserved or {}
     best = 0.0 + 0.0j
     for c, vals in tp.eigenvalues.items():
-        if c in proj:
-            vals, vr = scipy.linalg.eig(tp.blocks[c])
-        for i, lam in enumerate(vals):
-            if abs(lam - 1.0) < UNIT_TOL and c in proj:
-                v = vr[:, i] / np.linalg.norm(vr[:, i])
-                if np.linalg.norm(proj[c].conj().T @ v) > CHARGE_OVERLAP_MIN:
-                    continue
+        if c in conserved:
+            mat = conserved[c]
+            fixed = float(np.abs(tp.blocks[c] @ mat - mat).max())
+            if fixed > UNIT_TOL:
+                raise SymmetryError("conserved density is not a fixed point of T(0)",
+                                    residual=fixed)
+            drop = np.argsort(np.abs(vals - 1.0))[:np.linalg.matrix_rank(mat)]
+            off = float(np.abs(vals[drop] - 1.0).max(initial=0.0))
+            if off > UNIT_TOL:
+                raise SymmetryError("conserved densities outnumber the unit eigenvalues",
+                                    residual=off)
+            vals = np.delete(vals, drop)
+        for lam in vals:
             if abs(lam) > abs(best):
                 best = lam
     return complex(best)
@@ -322,11 +357,10 @@ def gap_scaling(gate, k, r_list, tp=None):
     """Fit 1 - |lambda_2| against support size r.
 
     k = 0 uses the exponential model log(1-|lambda2|) = log c - rate * r;
-    other k fit the gap linearly in r.  Conserved unit eigenvalues, whose
-    eigenvectors lie in the span of conserved_density_vectors at each
-    support, are excluded by the overlap rule in _lambda2.  Fits need at
-    least two distinct supports and a nonzero gap everywhere, otherwise
-    refused.
+    other k fit the gap linearly in r.  The conserved unit eigenvalues,
+    one per independent column of conserved_density_vectors at each
+    support, are dropped by _lambda2.  Fits need at least two distinct
+    supports and a nonzero gap everywhere, otherwise refused.
 
     tp, if given, is this gate's T(k) at one support; that support is then
     read from it, stored eigenvalues included, instead of being built

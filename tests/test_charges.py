@@ -1,20 +1,13 @@
 """Transfer matrices and the local conserved charges they generate."""
 
-from functools import reduce
-from itertools import product
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dense_oracles import (
-    LETTERS,
-    SITE_OPS,
     dense_charges,
     dense_propagator,
     dense_from_sectors,
     gate_from_r,
-    letter_charge,
     pauli_window_projection,
     propagator_from_transfer,
     split_sectors,
@@ -39,11 +32,8 @@ from mcbrick.charges import (
     charge_q1,
     charge_q1_closed_form,
     closed_form_kernel,
-    code_charge,
     higher_charge,
     pauli_string_window_projection,
-    string_codes,
-    string_weights,
 )
 from mcbrick.errors import CapacityError, CriticalManifoldError, ParameterError
 
@@ -320,23 +310,3 @@ def test_sector_defects_match_their_dense_definitions():
     assert want_h > 1e-3 and want_c > 1e-3
     assert q.hermitian_part_defect(u_blocks) == pytest.approx(want_h, rel=1e-12)
     assert q.conservation_defect(u_blocks) == pytest.approx(want_c, rel=1e-12)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(w=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_string_codes_spell_the_letter_strings(w, seed):
-    # code d_0 d_1 ... in base 4 is the string of letters LETTERS[d_t], site 0
-    # first, built here by kron from the tests' own letter table
-    rng = np.random.default_rng(seed)
-    labels = ["".join(t) for t in product(LETTERS, repeat=w)]
-    strings = np.array([reduce(np.kron, [SITE_OPS[ch] for ch in lab]) for lab in labels])
-    op = rng.normal(size=(2**w, 2**w)) + 1j * rng.normal(size=(2**w, 2**w))
-    weights = string_weights(op)
-    assert np.abs(np.tensordot(weights, strings, axes=1) - op).max() < 1e-12
-    code = int(rng.integers(4**w))
-    assert np.abs(string_weights(strings[code]) - np.eye(4**w)[code]).max() < 1e-15
-    assert code_charge(np.arange(4**w), w).tolist() == [letter_charge(lab) for lab in labels]
-    per_charge = [string_codes(w, c) for c in range(-w, w + 1)]
-    assert all((np.diff(codes) > 0).all() for codes in per_charge)
-    assert sorted(np.concatenate(per_charge).tolist()) == [
-        c for c, lab in enumerate(labels) if lab[0] != "1"]

@@ -22,6 +22,7 @@ from mcbrick.core import (
     propagator_apply,
     sector_basis,
     sector_operators,
+    sector_partial_trace,
     sector_states,
     sector_step,
     site_spins,
@@ -305,6 +306,23 @@ def test_cached_bond_pattern_matches_fresh_searchsorted_build(boundary):
             assert not any(arr.flags.writeable for arr in pattern)
 
 
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_sector_partial_trace_matches_the_dense_partial_trace(w):
+    L = 8
+    rng = np.random.default_rng(w)
+    blocks = {}
+    for m in range(-L, L + 1, 2):
+        n = sector_states(L, m).size
+        blocks[m] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    dense = dense_from_sectors(blocks, L).reshape((2,) * 2 * L)
+    for sites in (tuple(range(1, w + 1)), tuple((L - 1 + t) % L for t in range(w))):
+        order = list(sites) + [s for s in range(L) if s not in sites]
+        t = dense.transpose(order + [L + s for s in order])
+        want = np.trace(t.reshape(1 << w, 1 << (L - w), 1 << w, 1 << (L - w)), axis1=1, axis2=3)
+        got = sector_partial_trace(blocks, sites, L)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
 def step_circuits(L, boundary):
     """Homogeneous, two-gate, three-layer and disordered periods on L sites."""
     n_bonds = [len(layer_bonds(L, boundary, i)) for i in (0, 1)]
@@ -545,13 +563,12 @@ def test_unitary_phases_refuse_matrices_that_are_not_unitary():
 
 
 def test_every_unitary_eigendecomposition_goes_through_unitary_phases():
-    # the general solvers stay only in rp, whose truncated propagator is not
-    # normal: its eigenvalues where it is built, and the eigenvectors of the
-    # blocks that hold conserved densities where the gap is read
+    # the general solver stays only where rp builds its truncated propagator,
+    # which is not normal: eigenvalues only, solved once per block
     import ast
     from pathlib import Path
 
-    allowed = {("rp.py", "truncated_propagator"), ("rp.py", "_lambda2")}
+    allowed = {("rp.py", "truncated_propagator")}
     found = set()
 
     def general_solver(fn):

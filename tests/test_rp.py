@@ -2,11 +2,13 @@
 
 import importlib
 import tracemalloc
+from functools import reduce
 from itertools import product
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from dense_oracles import (
     LETTERS,
@@ -42,9 +44,12 @@ from mcbrick.rp import (
     RADIUS_TOL,
     TruncatedPropagator,
     _lambda2,
+    code_charge,
     conserved_density_vectors,
     gap_scaling,
     rp_spectrum,
+    string_codes,
+    string_weights,
     truncated_propagator,
     unit_multiplicity,
 )
@@ -297,11 +302,11 @@ def test_rp_spectrum_builds_each_support_once_and_eigensolves_each_block_once(
     argv = ["rp-spectrum", *GATE_I_ARGS, "--r", "4", "--k", "0", "--r-list", "3,4"]
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
     assert sorted(tp.r for tp in built) == [3, 4]
-    # eigenvalues once per block; eigenvectors only of charge 0, once per
-    # fitted support, where the conserved densities are compared
+    # eigenvalues once per block, and no eigenvectors: the gap fit drops the
+    # conserved unit eigenvalues by counting the conserved densities
     assert solves.count("eigvals") == sum(len(tp.blocks) for tp in built)
-    assert solves.count("eig") == len(built)
-    assert len(solves) == solves.count("eigvals") + solves.count("eig")
+    assert solves.count("eig") == 0
+    assert len(solves) == solves.count("eigvals")
 
 
 def test_gap_scaling_reads_a_supplied_propagator_bit_for_bit():
@@ -370,6 +375,24 @@ def test_gap_monotone_in_support():
     assert lam[1] >= lam[0]
 
 
+def test_lambda2_refuses_conserved_columns_without_their_unit_eigenvalues():
+    g = phase_point(1.0)
+    tp = truncated_propagator(g, 3, 0.0)
+    cols = conserved_density_vectors(g, 3)[0]
+    assert abs(_lambda2(tp, {0: cols})) < 1.0
+    # the uniform vector over the charge-0 strings is no conserved density
+    with pytest.raises(SymmetryError) as err:
+        _lambda2(tp, {0: np.ones((len(cols), 1)) / np.sqrt(len(cols))})
+    assert err.value.residual > 1e-3
+    # fixed columns, but the stored eigenvalues hold no unit one to drop
+    fixed = TruncatedPropagator(k=0.0, r=1, blocks={0: np.eye(2)},
+                                eigenvalues={0: np.array([0.5, 0.3])},
+                                mixing_defect=0.0, spectral_radius=0.5)
+    with pytest.raises(SymmetryError) as err:
+        _lambda2(fixed, {0: np.eye(2)[:, :1]})
+    assert err.value.residual == pytest.approx(0.5)
+
+
 def test_gap_scaling_models_and_refusals():
     g = phase_point(1.0)
     fit = gap_scaling(g, 0.0, [3, 4])
@@ -423,19 +446,44 @@ def test_conserved_density_columns_match_the_dense_ring_build(gate):
 
 
 def test_one_string_table_and_one_r_matrix_derivative_routine():
-    # rp reads the charges string-code table and its helpers; no second copy
-    # may grow back, nor the letter labels the codes replaced
+    # the string-code table and its helpers live in rp, their only user;
+    # charges reads window weights from partial traces and names no string.
+    # No second copy may grow back, nor the letter labels the codes replaced
     import importlib
     import pkgutil
 
     import mcbrick
     from mcbrick import charges, rp
 
-    for name in ("STRING_OPS", "code_charge", "string_codes", "string_weights"):
-        assert getattr(rp, name) is getattr(charges, name), name
+    table = ("STRING_OPS", "DIGIT_CHARGE", "code_charge", "string_codes", "string_weights")
+    for name in table:
+        assert hasattr(rp, name) and not hasattr(charges, name), name
+        assert getattr(getattr(rp, name), "__module__", rp.__name__) == rp.__name__, name
+    assert not hasattr(charges, "functools")
     gone = ("r_matrix_derivative", "ab_derivatives", "r_matrix_second_derivative",
             "_kernel_strings", "_transfer_family", "string_coefficients", "q1_kernels",
-            "LETTERS", "SITE_OPS", "charge_of_string", "_labels")
+            "LETTERS", "SITE_OPS", "charge_of_string", "_labels", "_packed",
+            "_packed_layout", "_string_gather", "_COLUMN_ENTRY", "CHARGE_OVERLAP_MIN")
     for info in pkgutil.iter_modules(mcbrick.__path__):
         module = importlib.import_module(f"mcbrick.{info.name}")
         assert not [name for name in gone if hasattr(module, name)], info.name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(w=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_string_codes_spell_the_letter_strings(w, seed):
+    # code d_0 d_1 ... in base 4 is the string of letters LETTERS[d_t], site 0
+    # first, built here by kron from the tests' own letter table
+    rng = np.random.default_rng(seed)
+    labels = ["".join(t) for t in product(LETTERS, repeat=w)]
+    strings = np.array([reduce(np.kron, [SITE_OPS[ch] for ch in lab]) for lab in labels])
+    op = rng.normal(size=(2**w, 2**w)) + 1j * rng.normal(size=(2**w, 2**w))
+    weights = string_weights(op)
+    assert np.abs(np.tensordot(weights, strings, axes=1) - op).max() < 1e-12
+    code = int(rng.integers(4**w))
+    assert np.abs(string_weights(strings[code]) - np.eye(4**w)[code]).max() < 1e-15
+    assert code_charge(np.arange(4**w), w).tolist() == [letter_charge(lab) for lab in labels]
+    per_charge = [string_codes(w, c) for c in range(-w, w + 1)]
+    assert all((np.diff(codes) > 0).all() for codes in per_charge)
+    assert sorted(np.concatenate(per_charge).tolist()) == [
+        c for c, lab in enumerate(labels) if lab[0] != "1"]
