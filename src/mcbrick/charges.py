@@ -92,7 +92,13 @@ def _check_sign(sign):
         raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def _check_request(p, sign, L, ell):
+def check_request(p, sign, L, ell):
+    """Refuse, before any work, an order outside {1, 2}, a bad sign, an L too
+    small, odd or above FULL_DENSE_MAX_L, or a degenerate gate."""
+    if ell < 1:
+        raise ParameterError("charge order must be >= 1")
+    if ell > 2:
+        raise CapacityError(f"charge densities are built up to order 2, got order {ell}")
     _check_sign(sign)
     if L < 2 * (2 * ell + 1):
         raise ParameterError(f"L={L} too small for an order-{ell} density")
@@ -258,7 +264,7 @@ def closed_form_kernel(p, sign):
 
 def charge_q1_closed_form(p, sign, L):
     """First charge assembled from the explicit three-site density."""
-    _check_request(p, sign, L, 1)
+    check_request(p, sign, L, 1)
     if abs(np.cos(2 * p.u) - np.cosh(2 * p.rho)) < 1e-14 and p.phase == "I":
         raise ParameterError("degenerate density: cos 2u = cosh 2 rho needs u = rho = 0")
     if p.phase == "II" and abs(np.cosh(2 * p.u) - np.cos(2 * p.rho)) < 1e-14:
@@ -279,11 +285,7 @@ def higher_charge(p, ell, sign, L):
     2 are refused: their densities need third and higher jets and the
     products of three insertion terms, which are not built.
     """
-    if ell < 1:
-        raise ParameterError("charge order must be >= 1")
-    if ell > 2:
-        raise CapacityError(f"charge densities are built up to order 2, got order {ell}")
-    _check_request(p, sign, L, ell)
+    check_request(p, sign, L, ell)
     return _cell_family(sign, L, charge_kernels(p, sign)[ell - 1])
 
 

@@ -411,6 +411,7 @@ def _cmd_charges(params, root, sha):
     from .charges import (
         charge_q1,
         charge_q1_closed_form,
+        check_request,
         higher_charge,
         pauli_string_window_projection,
     )
@@ -424,10 +425,14 @@ def _cmd_charges(params, root, sha):
     if run["sign"] not in ("+", "-", "both"):
         raise ParameterError(f"sign must be +, - or both, got {run['sign']!r}")
     p = haar_to_r(haar_params_from_gate(gate).params)
+    circuit = homogeneous_circuit(gate, L, "periodic")
+    signs = ("+", "-") if run["sign"] == "both" else (run["sign"],)
+    for sign in signs:  # before the build, which is the whole cost
+        check_request(p, sign, L, run["ell"])
     # the propagator as magnetization-sector blocks, like the charges
-    prop = build_propagator(homogeneous_circuit(gate, L, "periodic"))
+    prop = build_propagator(circuit)
     payload = {"L": L, "ell": run["ell"], "phase": p.phase, "charges": {}}
-    for sign in ("+", "-") if run["sign"] == "both" else (run["sign"],):
+    for sign in signs:
         if run["ell"] == 1:
             fam = charge_q1(p, sign, L)
             closed = charge_q1_closed_form(p, sign, L)
@@ -539,12 +544,14 @@ def _cmd_spectrum_stats(params, root, sha):
 
 
 def _cmd_rp_spectrum(params, root, sha):
-    from .rp import check_eps_keep, gap_scaling, rp_spectrum
+    from .rp import check_eps_keep, check_fit_supports, gap_scaling, rp_spectrum
     from .rp import truncated_propagator, unit_multiplicity
 
     run = params["run"]
     gate, _hp = _build_gate(params["gate"])
     check_eps_keep(run["eps_keep"])  # before the build, which is the whole cost
+    r_list = _parse_int_list(run["r_list"], "r_list")
+    r_values = None if r_list is None else check_fit_supports(r_list)
     tp = truncated_propagator(gate, run["r"], run["k"])
     rows = [
         (run["k"], run["r"], charge_block, eigenvalue.real, eigenvalue.imag)
@@ -561,8 +568,8 @@ def _cmd_rp_spectrum(params, root, sha):
         "block_dims": {str(c): len(b) for c, b in tp.blocks.items()},
         "modes_kept": len(rows),
     }
-    if run["r_list"]:
-        fit = gap_scaling(gate, run["k"], _parse_int_list(run["r_list"], "r_list"), tp=tp)
+    if r_values is not None:
+        fit = gap_scaling(gate, run["k"], r_values, tp=tp)
         fit_payload = {
             "model": fit.model,
             "r_values": list(fit.r_values),

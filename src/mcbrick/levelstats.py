@@ -11,7 +11,8 @@ with the period U and obeys K^2 = S^2 U, where S^2 is the scalar
 exp(i theta2) on an (m, k) block.  So the K eigenvalues alone refine each
 block: every K phase fixes one U eigenphase and the square-root branch it
 sits on, which splits the block into two halves.  This concrete operator
-is one choice of the construction.
+is one choice of the construction.  On homogeneous rings its block is
+the shift's permutation block times the odd layer's own sector block.
 
 Homogeneous circuits whose gate has equal corner phases (<00|g|00> =
 <11|g|11>, which includes every gate drawn from the Haar family) carry
@@ -38,18 +39,15 @@ from dataclasses import dataclass
 
 from .core import (
     BLOCK_UNITARITY_TOL,
-    bond_groups,
+    BrickworkCircuit,
     build_propagator,
     build_sector_block,
-    check_sector_column,
     sector_basis,
-    sector_operators,
     sector_states,
-    sector_step,
     translation_permutation,
     unitary_phases,
 )
-from .errors import CapacityError, ParameterError, SymmetryError
+from .errors import ParameterError, SymmetryError
 from .gates import TwoQubitGate, magnetization_phase_gate, random_mc_gate, unitarity_defect
 
 __all__ = [
@@ -74,7 +72,6 @@ R_TILDE_POISSON = 2.0 * np.log(2.0) - 1.0
 R_TILDE_COE = 0.5307
 R_TILDE_CUE = 0.5996
 
-SECTOR_DIM_MAX = 5000
 # largest commutator defect with U (and between the flip and K) under which a
 # detected symmetry is split off
 REFINEMENT_TOL = 1e-9
@@ -173,16 +170,12 @@ def _unitary(block, what):
 def _sector_block(circuit, m, k):
     """Basis and checked propagator block of one (m, k) sector; None when empty.
 
-    k needs a periodic circuit, the basis must fit SECTOR_DIM_MAX, and the
-    block must be unitary.
+    k needs a periodic circuit; core.build_sector_block builds the block
+    (refusing L > SECTOR_MAX_L), and it must be unitary.
     """
     if k is not None and circuit.boundary != "periodic":
         raise ParameterError("momentum resolution requires a periodic circuit")
     basis = sector_basis(circuit.L, m, k)
-    if basis.dim > SECTOR_DIM_MAX:
-        raise CapacityError(
-            f"sector dimension {basis.dim} exceeds dense limit {SECTOR_DIM_MAX}"
-        )
     if basis.dim == 0:
         return basis, None
     return basis, _unitary(build_sector_block(circuit, basis), "sector")
@@ -199,40 +192,25 @@ def sector_spectrum(circuit, m, k=None):
     return _result_from_phases(phases, m, k)
 
 
-def _apply_k(circuit, vec):
-    """K|v> = S (odd layer) |v>, matrix-free; the odd layer is layers[0]."""
-    from .core import apply_gate
-
-    out = vec
-    for g, bond in circuit.layer(0):
-        out = apply_gate(out, g, bond, circuit.L, circuit.boundary)
-    perm = translation_permutation(np.arange(1 << circuit.L), circuit.L, 1)
-    shifted = np.empty_like(out)
-    shifted[perm] = out
-    return shifted
+def _permutation_block(basis, images):
+    """Sparse W^dag P W for the permutation P sending states[i] to images[i],
+    which must permute the sector's states; P W is a row gather of W."""
+    states = sector_states(basis.L, basis.magnetization)
+    w = basis.vectors
+    return w.conj().T @ w[np.argsort(np.searchsorted(states, images)), :]
 
 
 def _k_block(circuit, basis):
-    """Restriction of K = S * (odd layer) to a sector basis.
+    """Restriction of K = S * (odd layer) to a sector basis; it must be unitary.
 
-    The odd layer acts inside the magnetization sector on all basis columns
-    at once, one sparse product per group of its bonds (core.sector_operators
-    on its core.bond_groups, then core.sector_step).  The shift S only relabels
-    sector rows, row i going to the row of S|states[i]>, so it is applied
-    to the sparse W^dag instead of moving the dense array.  Column 0 is
-    checked against the full-space _apply_k, and the block must be unitary.
+    On a homogeneous ring the odd layer O keeps m and commutes with S^2, so
+    it keeps the (m, k) sector and W^dag K W = (W^dag S W)(W^dag O W): the
+    shift's _permutation_block times core.build_sector_block of O alone.
     """
-    L, m = circuit.L, basis.magnetization
-    states = sector_states(L, m)
-    w = basis.vectors
-    x = sector_step(sector_operators(bond_groups(circuit.layer(0)), L, m), w.toarray())
-    shifted = np.searchsorted(states, translation_permutation(states, L, 1))
-    if basis.dim:
-        col = np.empty(len(states), dtype=complex)
-        col[shifted] = x[:, 0]
-        check_sector_column(_apply_k, circuit, w[:, [0]].toarray().ravel(), col, states,
-                            "space-time")
-    return _unitary(w[shifted, :].conj().T @ x, "space-time")
+    states = sector_states(circuit.L, basis.magnetization)
+    shift = _permutation_block(basis, translation_permutation(states, circuit.L, 1))
+    odd = BrickworkCircuit(circuit.L, circuit.layers[:1], circuit.boundary)
+    return _unitary(shift @ build_sector_block(odd, basis), "space-time")
 
 
 def _branch_phases(ub, kb, theta2):
@@ -279,15 +257,13 @@ def _flip_reflection_block(basis):
     The operation sends m to -m and k to -k, so it closes on a sector only
     at m = 0 (and self-conjugate k on rings); elsewhere the restriction is
     not unitary and None is returned, for m != 0 before any work.  At
-    m = 0 the map permutes the sector's states, so its block is a row
-    permutation of W.
+    m = 0 the map permutes the sector's states, so its block is their
+    _permutation_block.
     """
     if basis.magnetization != 0:
         return None
     states = sector_states(basis.L, 0)
-    flipped = np.searchsorted(states, flip_reflection_permutation(states, basis.L))
-    w = basis.vectors
-    xp = (w.conj().T @ w[flipped, :]).toarray()
+    xp = _permutation_block(basis, flip_reflection_permutation(states, basis.L)).toarray()
     defect = np.abs(xp.conj().T @ xp - np.eye(basis.dim)).max()
     if defect > BLOCK_UNITARITY_TOL:
         return None

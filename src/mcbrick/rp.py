@@ -54,6 +54,7 @@ __all__ = [
     "truncated_propagator",
     "rp_spectrum",
     "check_eps_keep",
+    "check_fit_supports",
     "unit_multiplicity",
     "conserved_density_vectors",
     "gap_scaling",
@@ -353,6 +354,16 @@ def _lambda2(tp, conserved):
     return complex(best)
 
 
+def check_fit_supports(r_list):
+    """Sorted distinct gap-fit supports; refuses any outside 3..R_MAX or fewer than two."""
+    r_values = tuple(sorted(set(int(r) for r in r_list)))
+    if any(not 3 <= r <= R_MAX for r in r_values):
+        raise ParameterError(f"supports must lie in 3..{R_MAX}, got {r_values}")
+    if len(r_values) < 2:
+        raise RefusalError("gap fit needs at least two distinct supports")
+    return r_values
+
+
 def gap_scaling(gate, k, r_list, tp=None):
     """Fit 1 - |lambda_2| against support size r.
 
@@ -366,11 +377,7 @@ def gap_scaling(gate, k, r_list, tp=None):
     read from it, stored eigenvalues included, instead of being built
     again.
     """
-    r_values = tuple(sorted(set(int(r) for r in r_list)))
-    if any(not 3 <= r <= R_MAX for r in r_values):
-        raise ParameterError(f"supports must lie in 3..{R_MAX}, got {r_values}")
-    if len(r_values) < 2:
-        raise RefusalError("gap fit needs at least two distinct supports")
+    r_values = check_fit_supports(r_list)
     if tp is not None and tp.k != float(k):
         raise ParameterError(f"supplied propagator is at k={tp.k}, the fit at k={k}")
     at_zero = abs(k) < 1e-12

@@ -314,16 +314,35 @@ def test_selection_thresholds_out_of_range_are_parameter_errors(tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
-def test_eps_keep_is_refused_before_the_propagator_is_built(tmp_path, capsys, monkeypatch):
-    from mcbrick import rp
+@pytest.mark.parametrize("build, args, code, message", [
+    ("rp.truncated_propagator", ("rp-spectrum", *GATE_II, "--r", "6", "--eps-keep", "-1"),
+     2, "eps_keep must lie in (0, 1], got -1.0"),
+    ("core.build_propagator", ("charges", *GATE_II, "--ell", "3", "--L", "12"),
+     3, "charge densities are built up to order 2, got order 3"),
+    ("core.build_propagator", ("charges", *GATE_II, "--ell", "0", "--L", "12"),
+     2, "charge order must be >= 1"),
+    ("core.build_propagator", ("charges", *GATE_II, "--L", "14"),
+     3, "charges limited to L <= 12"),
+    ("rp.truncated_propagator", ("rp-spectrum", *GATE_II, "--r", "6", "--r-list", "5,7"),
+     2, "supports must lie in 3..6, got (5, 7)"),
+    ("rp.truncated_propagator", ("rp-spectrum", *GATE_II, "--r", "6", "--r-list", "5"),
+     3, "gap fit needs at least two distinct supports"),
+], ids=["eps_keep", "charges-ell3", "charges-ell0", "charges-L14", "r_list-range",
+        "r_list-one-support"])
+def test_requests_are_refused_before_the_propagator_is_built(
+        tmp_path, capsys, monkeypatch, build, args, code, message):
+    # a refused request never pays for the build that is its command's whole cost
+    module, name = build.split(".")
 
-    def build(*args):
-        raise AssertionError("truncated_propagator ran for a refused eps_keep")
+    def refuse_to_build(*a, **kw):
+        raise AssertionError(f"{name} ran for a refused request")
 
-    monkeypatch.setattr(rp, "truncated_propagator", build)
-    assert run(tmp_path, "rp-spectrum", *GATE_II, "--r", "6", "--eps-keep", "-1") == 2
-    assert_parameter_error(tmp_path, "rp-spectrum")
-    assert "eps_keep must lie in (0, 1], got -1.0" in capsys.readouterr().err
+    monkeypatch.setattr(importlib.import_module(f"mcbrick.{module}"), name, refuse_to_build)
+    assert run(tmp_path, *args) == code
+    rec = record(tmp_path, args[0])
+    status = {2: "parameter-error", 3: "refused"}[code]
+    assert rec["status"].startswith(status) and rec["exit_code"] == code
+    assert message in capsys.readouterr().err
 
 
 def test_eps_keep_one_keeps_every_mode(tmp_path):

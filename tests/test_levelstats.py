@@ -15,6 +15,7 @@ from mcbrick.core import (
     sector_basis,
     sector_states,
     site_spins,
+    translation_permutation,
 )
 from mcbrick.errors import CapacityError, ParameterError, SymmetryError
 from mcbrick.gates import gate_matrix, random_mc_gate
@@ -32,7 +33,7 @@ from mcbrick.levelstats import (
     sector_spectrum,
     spacing_ratios,
 )
-from mcbrick.levelstats import BLOCK_UNITARITY_TOL, _branch_phases, _k_block
+from mcbrick.levelstats import BLOCK_UNITARITY_TOL, _branch_phases, _k_block, _permutation_block
 from mcbrick.symmetry import equivalent_circuit
 
 from dense_oracles import (
@@ -167,6 +168,53 @@ def test_non_mc_gate_on_any_bond_is_refused(boundary):
             if i == 0:  # K holds the odd layer only
                 with pytest.raises(SymmetryError, match="not magnetization conserving"):
                     _k_block(circ, basis)
+
+
+def _shift_block(basis):
+    states = sector_states(basis.L, basis.magnetization)
+    return _permutation_block(basis, translation_permutation(states, basis.L, 1)).toarray()
+
+
+def test_shift_block_squares_to_the_momentum_phase():
+    # S^2 is exp(i theta2) on an (m, k) block: a shift the wrong way gives exp(-i theta2)
+    L = 8
+    for m in range(-L, L + 1, 2):
+        for k in range(L // 2):
+            basis = sector_basis(L, m, k)
+            if basis.dim == 0:
+                continue
+            s = _shift_block(basis)
+            theta2 = 2 * np.pi * k / (L // 2)
+            assert np.abs(s @ s - np.exp(1j * theta2) * np.eye(basis.dim)).max() < 1e-14, (m, k)
+
+
+def test_shift_block_to_the_power_l_is_one():
+    L = 8
+    for m in range(-L, L + 1, 2):
+        basis = sector_basis(L, m)
+        s = _shift_block(basis)
+        assert np.array_equal(np.linalg.matrix_power(s, L), np.eye(basis.dim)), m
+
+
+def test_k_block_is_the_odd_layer_sector_block_times_the_shift(monkeypatch):
+    for name in ("_apply_k", "SECTOR_DIM_MAX", "sector_operators", "sector_step",
+                 "bond_groups", "check_sector_column"):
+        assert not hasattr(levelstats, name), name
+    ring = homogeneous_circuit(random_mc_gate(5), 8, "periodic")
+    basis = sector_basis(8, 0, 1)
+    real = levelstats.build_sector_block
+    seen = []
+
+    def spy(circuit, b):
+        seen.append(circuit)
+        return real(circuit, b)
+
+    monkeypatch.setattr(levelstats, "build_sector_block", spy)
+    kb = _k_block(ring, basis)
+    (odd,) = seen
+    assert len(odd.layers) == 1 and np.array_equal(odd.layers[0], ring.layers[0])
+    assert odd.boundary == "periodic"
+    assert np.abs(kb - _shift_block(basis) @ real(odd, basis)).max() == 0.0
 
 
 def test_flip_reflection_permutation_is_involution():
