@@ -60,14 +60,6 @@ from .errors import CapacityError, ParameterError
 from .rmatrix import r_matrix_jet
 
 
-def _traceless(blocks, L):
-    """Sector blocks minus their common identity share, trace / 2^L, in place."""
-    shift = sum(np.trace(b) for b in blocks.values()) / (1 << L)
-    for b in blocks.values():
-        b[np.diag_indices_from(b)] -= shift
-    return blocks
-
-
 @dataclass(frozen=True)
 class ChargeFamily:
     density_support: int  # 2 ell + 1 sites for the order-ell charge
@@ -142,7 +134,8 @@ def _cell_family(sign, L, kernel):
     """A charge from a w-site cell density (w read off the kernel) summed
     over its L/2 windows, the + ones starting on odd sites and the - ones
     on even sites, gathered into each sector with the
-    core.sector_operators pattern."""
+    core.sector_operators pattern.  Both kernels (charge_kernels and
+    closed_form_kernel) are traceless, so the charge is too."""
     w = len(kernel).bit_length() - 1
     start = 1 if sign == "+" else 0
     windows = [tuple((2 * j + start + t) % L for t in range(w)) for j in range(L // 2)]
@@ -150,7 +143,7 @@ def _cell_family(sign, L, kernel):
     for m in range(-L, L + 1, 2):
         ops = sector_operators([[(kernel, s)] for s in windows], L, m)
         blocks[m] = sum(ops[1:], ops[0]).toarray()
-    return ChargeFamily(w, _traceless(blocks, L))
+    return ChargeFamily(w, blocks)
 
 
 # two-site blocks of the closed-form density, basis {|00>,|01>,|10>,|11>}

@@ -1,11 +1,12 @@
 """Batch command line: one subcommand per experiment, provenance-stamped.
 
 Heavy imports happen inside the handlers so --threads can cap the BLAS
-thread pools before numpy first loads.  scipy loads later still, only
-inside the core and rp functions that build sparse matrices or call the
-nonsymmetric eigensolver (the two module docstrings name them): its
-import costs a fresh process about 0.2 s and 22 MB, more than several
-commands compute.  Every run writes a RunRecord JSON whose sha256 covers
+thread pools before numpy first loads.  scipy loads later still, and
+only scipy.sparse, inside the core and rp functions that build sparse
+matrices (the two module docstrings name them); every eigensolve is
+numpy's.  Its import costs a fresh process about 0.2 s and 22 MB, more
+than several commands compute.
+Every run writes a RunRecord JSON whose sha256 covers
 the deterministic fields (subcommand, resolved parameters, package
 version, root seed); each output file embeds that hash, and re-running
 an identical record reproduces the outputs bit for bit within a fixed
@@ -323,13 +324,17 @@ def _cell(value):
     return str(value)
 
 
-def _parse_int_list(text, key, default=None):
+def _parse_int_list(text, key, default=None, distinct=False):
     if not text:
         return default
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ParameterError(f"{key}: expected a comma list of integers, got {text!r}")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if distinct and repeated:
+        raise ParameterError(f"{key} lists {repeated[0]} more than once")
+    return values
 
 
 def _cmd_classify(params, root, sha):
@@ -482,10 +487,12 @@ def _cmd_spectrum_stats(params, root, sha):
         raise ParameterError("realizations > 1 needs --two-gate")
     if boundary == "open" and run["k_values"]:
         raise ParameterError("k_values needs the periodic boundary")
-    m_values = _parse_int_list(run["m_values"], "m_values", list(range(-L, L + 1, 2)))
+    m_values = _parse_int_list(run["m_values"], "m_values", list(range(-L, L + 1, 2)),
+                               distinct=True)
     k_values = [None]
     if boundary == "periodic":
-        k_values = _parse_int_list(run["k_values"], "k_values", list(range(L // 2)))
+        k_values = _parse_int_list(run["k_values"], "k_values", list(range(L // 2)),
+                                   distinct=True)
     _, _, ensemble_stream = _seed_streams(root)
     realization_seeds = ensemble_stream.spawn(run["realizations"])
 

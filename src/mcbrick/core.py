@@ -38,9 +38,11 @@ that conserve magnetization are passed around as sector blocks
 {m: block} on those rows, and nothing takes them in any other form; the
 propagator's are one build_sector_block per sector (build_propagator).
 
-Only sector_basis and sector_operators import scipy.sparse, inside the
-function: unitary_phases and the one-column oracles are numpy only, and
-a process that never builds a CSR matrix never pays scipy's import.
+scipy.sparse is the only part of scipy the package imports, and only
+inside the functions that build sparse matrices: here sector_basis and
+sector_operators.  unitary_phases and the one-column oracles are numpy
+only, so a process that never builds a CSR matrix never pays scipy's
+import.
 """
 
 import functools

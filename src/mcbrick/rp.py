@@ -27,9 +27,10 @@ through the two-site superoperator (_push).
 k is a free real parameter of the translation class, not a lattice
 momentum of any finite ring.
 
-scipy is imported only inside truncated_propagator (after its capacity
-refusals), for the sparse row-column products and the nonsymmetric
-eigenvalue solves, so importing this module or refusing a support loads
+scipy.sparse is the only part of scipy the package imports, and only
+inside the functions that build sparse matrices: here truncated_propagator,
+after its capacity refusals, for the row-column products.  Its eigenvalue
+solves are numpy's, so importing this module or refusing a support loads
 no scipy.  No eigenvector is solved: a gap fit drops the conserved unit
 eigenvalues by counting the conserved densities, each checked to be a
 fixed point of T(0) (_lambda2).
@@ -179,7 +180,6 @@ def truncated_propagator(gate, r, k):
     mixing = float(np.abs(superop[pair_charge[:, None] != pair_charge]).max())
     if mixing > MIXING_TOL:
         raise SymmetryError("propagator mixes operator-charge blocks", residual=mixing)
-    import scipy.linalg
     import scipy.sparse
 
     hi = r + 5  # right of every row placement and of the bonds it is pulled through
@@ -208,7 +208,7 @@ def truncated_propagator(gate, r, k):
                 blocks[c][a % 2 * n:(a % 2 + 1) * n, col_half * n:(col_half + 1) * n] += (
                     phase * (rows @ cols).toarray())
 
-    eigenvalues = {c: scipy.linalg.eigvals(b) for c, b in blocks.items()}
+    eigenvalues = {c: np.linalg.eigvals(b) for c, b in blocks.items()}
     radius = max(np.abs(vals).max() for vals in eigenvalues.values())
     if radius > 1.0 + RADIUS_TOL:
         raise SymmetryError("truncated propagator exceeds unit spectral radius",

@@ -148,24 +148,21 @@ def global_time_reversal(circuit):
 
 
 def spectral_match_error(u, v):
-    """Largest distance between the eigenvalue multisets of two unitaries.
+    """Bottleneck distance between the eigenvalue multisets of two unitaries.
 
     The eigenvalues are exp(i phi) with phi from core.unitary_phases (one
     Hermitian eigensolve each; a matrix that is not unitary raises
-    SymmetryError).  Sorted-eigenphase comparison first; if that misaligns
-    (phases piling near the branch cut), fall back to an optimal
-    assignment.
+    SymmetryError).  The distance is the smallest, over all pairings of
+    the two multisets, of the largest |e^{i phi_a} - e^{i phi_b}| in the
+    pairing.  The chord grows with the arc, and on a circle some best
+    pairing keeps the cyclic order: it is a rotation of the two sorted
+    orders, so the n rotations are compared (n^2 distances).
     """
     ea = np.exp(1j * np.sort(unitary_phases(u)))
     eb = np.exp(1j * np.sort(unitary_phases(v)))
-    err = float(np.abs(ea - eb).max())
-    if err < 1e-8:
-        return err
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.abs(ea[:, None] - eb[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(min(err, cost[rows, cols].max()))
+    if ea.size != eb.size:
+        raise ParameterError(f"spectra of sizes {ea.size} and {eb.size} cannot be matched")
+    return min(float(np.abs(ea - np.roll(eb, s)).max()) for s in range(eb.size))
 
 
 def time_reversal_report(circuit):

@@ -24,7 +24,15 @@ from mcbrick.core import (
     site_spins,
     translation_permutation,
 )
-from mcbrick.gates import haar_params_from_gate, random_mc_gate, sample_haar
+from mcbrick.gates import (
+    HaarGateParams,
+    HamiltonianGateParams,
+    gate_from_haar,
+    gate_from_hamiltonian,
+    haar_params_from_gate,
+    random_mc_gate,
+    sample_haar,
+)
 from mcbrick.rmatrix import RMatrixParams, haar_to_r, r_matrix, r_matrix_jet
 from mcbrick.charges import (
     ChargeFamily,
@@ -310,3 +318,24 @@ def test_sector_defects_match_their_dense_definitions():
     assert want_h > 1e-3 and want_c > 1e-3
     assert q.hermitian_part_defect(u_blocks) == pytest.approx(want_h, rel=1e-12)
     assert q.conservation_defect(u_blocks) == pytest.approx(want_c, rel=1e-12)
+
+
+@pytest.mark.parametrize("L", [8, 10])
+@pytest.mark.parametrize("gate", [
+    gate_from_haar(HaarGateParams(0.1, 0.4, 0.9, 0.3, 0.2)),
+    gate_from_hamiltonian(HamiltonianGateParams(0.7, 0.3)),
+    random_mc_gate(11),
+], ids=["gate-I", "gate-II", "random-11"])
+def test_charge_families_carry_no_identity_share(gate, L):
+    # the charges are their kernels summed over windows, and nothing removes
+    # an identity share afterwards: every kernel must be traceless already.
+    # The share is trace / 2^L; the bare trace sums 2^L rounded diagonal entries
+    p = haar_to_r(haar_params_from_gate(gate).params)
+    for sign in "+-":
+        for kernel in (*charge_kernels(p, sign), closed_form_kernel(p, sign)):
+            assert abs(np.trace(kernel)) <= 1e-12
+        families = [charge_q1(p, sign, L), charge_q1_closed_form(p, sign, L)]
+        if L >= 10:
+            families.append(higher_charge(p, 2, sign, L))
+        for fam in families:
+            assert abs(sum(np.trace(b) for b in fam.blocks.values())) / 2**L <= 1e-12

@@ -164,6 +164,10 @@ def test_verify_ybe_fails_on_non_finite_input_and_residuals(tmp_path, capsys):
     (("--two-gate", "--realizations", "-2"), "realizations must be >= 1"),
     ((*GATE_II, "--realizations", "0"), "realizations must be >= 1"),
     ((*GATE_II, "--boundary", "open", "--k-values", "9"), "k_values needs the periodic"),
+    # a repeated sector would be counted, pooled and written once per listing
+    ((*GATE_II, "--m-values", "0,0", "--k-values", "1,1"), "m_values lists 0 more than once"),
+    ((*GATE_II, "--m-values", "0,2,0"), "m_values lists 0 more than once"),
+    ((*GATE_II, "--k-values", "1,2,1"), "k_values lists 1 more than once"),
 ])
 def test_spectrum_stats_refuses_bad_inputs(tmp_path, capsys, args, message):
     assert run(tmp_path, "spectrum-stats", "--L", "6", *args) == 2

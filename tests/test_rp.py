@@ -44,6 +44,7 @@ from mcbrick.rp import (
     RADIUS_TOL,
     TruncatedPropagator,
     _lambda2,
+    check_fit_supports,
     code_charge,
     conserved_density_vectors,
     gap_scaling,
@@ -295,7 +296,7 @@ def test_rp_spectrum_builds_each_support_once_and_eigensolves_each_block_once(
         return wrapper
 
     monkeypatch.setattr(rp, "truncated_propagator", counted_build)
-    # rp imports scipy.linalg where it solves, so patch the module it reads eig from
+    # rp solves with numpy; scipy.linalg is patched too, so a solve there is counted
     for mod in (scipy.linalg, np.linalg):
         for name in ("eig", "eigvals"):
             monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
@@ -307,6 +308,11 @@ def test_rp_spectrum_builds_each_support_once_and_eigensolves_each_block_once(
     assert solves.count("eigvals") == sum(len(tp.blocks) for tp in built)
     assert solves.count("eig") == 0
     assert len(solves) == solves.count("eigvals")
+
+
+def test_fit_supports_drop_repeats():
+    # unlike spectrum-stats sectors, a repeated --r-list support is merged, not refused
+    assert check_fit_supports([4, 3, 4]) == (3, 4)
 
 
 def test_gap_scaling_reads_a_supplied_propagator_bit_for_bit():

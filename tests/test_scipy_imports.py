@@ -1,10 +1,13 @@
 """scipy loads only inside the functions that compute with it.
 
-Each check runs in a fresh interpreter, since this test process has long
-loaded scipy.  The child asserts on its own sys.modules and exits nonzero
-on failure; the run records it leaves behind carry the environment.
+Each runtime check runs in a fresh interpreter, since this test process
+has long loaded scipy.  The child asserts on its own sys.modules and exits
+nonzero on failure; the run records it leaves behind carry the
+environment.  Those checks cover the listed commands only; a source scan
+holds every package module to scipy.sparse.
 """
 
+import ast
 import json
 import os
 import platform
@@ -59,11 +62,13 @@ assert main(["spectrum-stats", "--tau", "0.7", "--delta", "0.3", "--L", "4",
 assert "scipy.sparse" in sys.modules, "spectrum-stats built its sector blocks without scipy"
 """
 
-# commands whose propagator sector blocks are CSR products but whose
-# eigensolves are Hermitian (numpy), so scipy.linalg stays unloaded
+# commands that build CSR products (sector blocks, T(k) elements) but
+# solve with numpy, so scipy.linalg and scipy.optimize stay unloaded
 SPARSE_ONLY = [
     ["szm", *GATE_I, "--L", "6", "--steps", "20"],
     ["staggered-corr", *GATE_I, "--L", "6", "--steps", "20"],
+    ["rp-spectrum", *GATE_I, "--r", "4", "--k", "0", "--r-list", "3,4"],
+    ["time-reversal", *GATE_I, "--L", "6"],
 ]
 
 SPARSE_CHILD = """
@@ -73,6 +78,10 @@ for i, argv in enumerate(json.loads(sys.argv[2])):
     assert main([*argv, "--out-dir", f"{sys.argv[1]}/{i}"]) == 0
     assert "scipy.sparse" in sys.modules, f"{argv[0]} built its blocks without scipy.sparse"
     assert "scipy.linalg" not in sys.modules, f"{argv[0]} loaded scipy.linalg"
+    assert "scipy.optimize" not in sys.modules, f"{argv[0]} loaded scipy.optimize"
+    public = {m.split(".")[1] for m in sys.modules
+              if m.startswith("scipy.") and not m.split(".")[1].startswith("_")}
+    assert public <= {"sparse", "version"}, f"{argv[0]} loaded scipy {sorted(public)}"
 """
 
 
@@ -106,3 +115,36 @@ def test_correlators_load_scipy_sparse_but_not_linalg(tmp_path):
     run_child(SPARSE_CHILD, tmp_path, json.dumps(SPARSE_ONLY))
     for i, argv in enumerate(SPARSE_ONLY):
         assert environment(tmp_path, i, argv[0])["scipy"] == scipy.__version__
+
+
+def scipy_imports(source):
+    """(line, dotted name) of each scipy name an import reaches; `from a import b` reaches a.b."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in names if name.split(".")[0] == "scipy")
+
+
+def outside_sparse(name):
+    """True unless the name is scipy.sparse or one of its names other than a
+    solver subpackage (those load scipy.linalg)."""
+    parts = name.split(".")
+    return parts[:2] != ["scipy", "sparse"] or parts[2:3] in (["linalg"], ["csgraph"])
+
+
+def test_package_source_imports_no_scipy_but_sparse():
+    flagged = ["import scipy", "import scipy.linalg", "from scipy import optimize",
+               "from scipy.optimize import linear_sum_assignment",
+               "from scipy.sparse import linalg", "import scipy.sparse.linalg"]
+    for source in flagged:
+        assert any(outside_sparse(name) for _, name in scipy_imports(source)), source
+    for source in ("import scipy.sparse", "from scipy import sparse",
+                   "from scipy.sparse import csr_array"):
+        assert not any(outside_sparse(name) for _, name in scipy_imports(source)), source
+    for path in sorted((SRC / "mcbrick").glob("*.py")):
+        for line, name in scipy_imports(path.read_text()):
+            assert not outside_sparse(name), f"{path.name}:{line} imports {name}"

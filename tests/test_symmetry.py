@@ -1,5 +1,7 @@
 """Time reversal: single-gate antiunitary, DM removal, global construction."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from mcbrick.core import (
     homogeneous_circuit,
     layer_bonds,
     propagator_apply,
+    unitary_phases,
 )
 from mcbrick import symmetry
 from mcbrick.errors import CapacityError, ParameterError, TimeReversalRefusal
@@ -222,6 +225,33 @@ def test_spectral_match_branch_cut():
     eps = 1e-11
     u = np.diag([np.exp(1j * eps), -1.0])
     v = np.diag([np.exp(-1j * eps), -1.0])
-    # sorted phases pair across the cut; the assignment fallback repairs it
+    # sorted phases pair across the cut; a rotation of one sorted order repairs it
     assert spectral_match_error(u, v) < 1e-9
     assert spectral_match_error(u, u) == 0.0
+
+
+def brute_force_bottleneck(u, v):
+    """Smallest largest distance over all n! pairings of the two eigenvalue lists."""
+    ea, eb = (np.exp(1j * unitary_phases(x)) for x in (u, v))
+    return min(float(np.abs(ea - eb[list(p)]).max())
+               for p in itertools.permutations(range(eb.size)))
+
+
+def test_spectral_match_is_the_bottleneck_over_all_pairings():
+    rng = np.random.default_rng(26)
+    for n in range(1, 7):
+        for trial in range(40):
+            # spread phases, and clustered ones whose sorted orders misalign
+            half_width = np.pi if trial % 2 else 0.5
+            u, v = (np.diag(np.exp(1j * rng.uniform(-half_width, half_width, n)))
+                    for _ in range(2))
+            assert abs(spectral_match_error(u, v) - brute_force_bottleneck(u, v)) <= 1e-15
+
+
+def test_spectral_match_is_not_the_largest_cost_of_a_sum_optimal_pairing():
+    # the sum-optimal pairing here has largest distance 1.7833210210072374
+    u, v = (np.diag(np.exp(1j * np.array(phases)))
+            for phases in ([0.936, 1.988, 2.818, 4.389], [1.48, 2.009, 5.02, 5.026]))
+    assert abs(spectral_match_error(u, v) - 1.7793132609561808) <= 1e-15
+    with pytest.raises(ParameterError):
+        spectral_match_error(u, v[:3, :3])
