@@ -2,10 +2,10 @@
 
 Heavy imports happen inside the handlers so --threads can cap the BLAS
 thread pools before numpy first loads.  scipy loads later still, and
-only scipy.sparse, inside the core and rp functions that build sparse
-matrices (the two module docstrings name them); every eigensolve is
-numpy's.  Its import costs a fresh process about 0.2 s and 22 MB, more
-than several commands compute.
+only scipy.sparse, inside the core functions that build sparse matrices
+(the core module docstring names them); rp-spectrum loads none of scipy,
+and every eigensolve is numpy's.  The scipy.sparse import costs a fresh
+process about 0.2 s and 22 MB, more than several commands compute.
 Every run writes a RunRecord JSON whose sha256 covers
 the deterministic fields (subcommand, resolved parameters, package
 version, root seed); each output file embeds that hash, and re-running
@@ -330,6 +330,8 @@ def _parse_int_list(text, key, default=None, distinct=False):
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
+        values = []
+    if not values:
         raise ParameterError(f"{key}: expected a comma list of integers, got {text!r}")
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if distinct and repeated:

@@ -27,13 +27,11 @@ through the two-site superoperator (_push).
 k is a free real parameter of the translation class, not a lattice
 momentum of any finite ring.
 
-scipy.sparse is the only part of scipy the package imports, and only
-inside the functions that build sparse matrices: here truncated_propagator,
-after its capacity refusals, for the row-column products.  Its eigenvalue
-solves are numpy's, so importing this module or refusing a support loads
-no scipy.  No eigenvector is solved: a gap fit drops the conserved unit
-eigenvalues by counting the conserved densities, each checked to be a
-fixed point of T(0) (_lambda2).
+This module is numpy only: rows meet columns in a numpy join on slots,
+and the eigenvalue solves are numpy's, so an RP spectrum loads no scipy.
+No eigenvector is solved: a gap fit drops the conserved unit eigenvalues
+by counting the conserved densities, each checked to be a fixed point of
+T(0) (_lambda2).
 """
 
 import numpy as np
@@ -67,6 +65,8 @@ MIXING_TOL = 1e-12
 RADIUS_TOL = 1e-10
 UNIT_TOL = 1e-8
 ORDER_TOL = 1e-9  # moduli and real parts this close tie in rp_spectrum
+JOIN_CHUNK = 2**19  # row-column products per join pass, about 75 bytes each while it runs
+CONJUGATE_TOL = 1e-12  # |sin k| at or below this pairs each block -c with block c
 
 # operator strings over {1, z, p, m}: p = sqrt2 sigma+, m = sqrt2 sigma-, each
 # orthonormal under tr(a^dag b)/2 (bit 1 is sz = +1).  A w-site string is named
@@ -129,13 +129,21 @@ class TruncatedPropagator:
     spectral_radius: float
 
 
+def _expand(start, count):
+    """Entry i repeated count[i] times (rep), beside the indices start[i],
+    ..., start[i] + count[i] - 1 of the group it meets (nth)."""
+    rep = np.repeat(np.arange(count.size), count)
+    nth = np.arange(rep.size) + np.repeat(start - np.cumsum(count) + count, count)
+    return rep, nth
+
+
 def _push(superop, bonds, hi, ids, slots, n):
     """Unit strings (column ids < n; slots: letters as base-4 digits, site
     hi the last) pushed through the pair superoperator on each bond (i,
     i+1) in turn: split out the pair's two digits, repeat each entry once
     per exact nonzero of that pair's superoperator column, put the new
     digits back, and sum entries that land on one (column, slot).
-    Returns the coalesced (ids, slots, values).
+    Returns the coalesced (ids, slots, values), sorted by slot.
     """
     pin, pout = np.nonzero(superop.T)  # the nonzeros grouped by input pair
     coef, count = superop[pout, pin], np.bincount(pin, minlength=16)
@@ -144,14 +152,74 @@ def _push(superop, bonds, hi, ids, slots, n):
     for i in bonds:
         unit = n * 4 ** (hi - i - 1)
         pair = key // unit % 16
-        cnt = count[pair]
-        rep = np.repeat(np.arange(cnt.size), cnt)
-        nth = np.arange(rep.size) + np.repeat(start[pair] - np.cumsum(cnt) + cnt, cnt)
+        rep, nth = _expand(start[pair], count[pair])
         key = key[rep] + (pout[nth] - pair[rep]) * unit
         vals = vals[rep] * coef[nth]
         key, at = np.unique(key, return_inverse=True)
         vals = np.bincount(at, vals.real) + 1j * np.bincount(at, vals.imag)
     return key % n, key // n, vals
+
+
+def _charge_block(superop, r, c, k):
+    """The charge-c block of T(k): pushed columns meet pulled rows on slots.
+
+    Each column half is grouped by slot once; a row entry on a slot is
+    repeated once per column entry there, and the products are summed
+    onto row * n + column, in passes of at most about JOIN_CHUNK products
+    (at r = 6 one placement can meet about 4 million).
+    """
+    hi = r + 5  # right of every row placement and of the bonds it is pulled through
+    own = string_codes(r, c)
+    n, ids = len(own), np.arange(len(own))
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    halves = []  # per column parity: its pushed entries, and each slot's run of them
+    for pos in (2, 3):
+        col, slot, val = _push(superop, range(pos - 1 + pos % 2, pos + r, 2), hi, ids,
+                               own * 4 ** (hi - pos - r + 1), n)
+        slots, start, count = np.unique(slot, return_index=True, return_counts=True)
+        halves.append((col, val, slots, start, count))
+    for a in range(6):
+        row, slot, val = _push(superop.T, range(a - a % 2, a + r, 2), hi, ids,
+                               own * 4 ** (hi - a - r + 1), n)
+        phase = np.exp(-1j * k * ((a - 2 - a % 2) // 2))
+        # odd-start columns reach no row placed left of site 2
+        for col_half, (col, cval, slots, start, count) in enumerate(halves[: 1 + (a >= 2)]):
+            at = np.minimum(np.searchsorted(slots, slot), slots.size - 1)
+            hit = np.flatnonzero(slots[at] == slot)
+            per = count[at[hit]]  # products of each matched row entry
+            cuts = np.searchsorted(np.cumsum(per), np.arange(JOIN_CHUNK, per.sum(), JOIN_CHUNK))
+            for part in np.split(hit, cuts):
+                rep, nth = _expand(start[at[part]], count[at[part]])
+                entry = part[rep]
+                cell = row[entry] * n + col[nth]
+                prod = val[entry] * cval[nth]
+                joined = (np.bincount(cell, prod.real, n * n)
+                          + 1j * np.bincount(cell, prod.imag, n * n))
+                block[a % 2 * n:(a % 2 + 1) * n, col_half * n:(col_half + 1) * n] += (
+                    phase * joined.reshape(n, n))
+    return block
+
+
+def _conjugate_order(r, c):
+    """Row of block c holding sigma(s) for each row s of block -c, where
+    sigma swaps p and m (digits 2 and 3) and is Hermitian conjugation on
+    strings."""
+    own, other = string_codes(r, c), string_codes(r, -c)
+    at = np.searchsorted(own, other ^ ((other >> 1) & (4**r - 1) // 3))
+    return np.concatenate([at, at + len(own)])
+
+
+def _realified(block, perm):
+    """The block in the basis (s + sigma s)/sqrt2, i(s - sigma s)/sqrt2 over
+    the pairs s < sigma s = perm[s], then each fixed s = sigma s alone.  For
+    a block equal to its perm-permuted conjugate this matrix is real, up
+    to rounding that is dropped, and has the block's eigenvalues."""
+    idx = np.arange(len(perm))
+    lo, fixed = idx[perm > idx], idx[perm == idx]
+    hi, h = perm[lo], np.sqrt(0.5)
+    z = np.hstack([(block[:, lo] + block[:, hi]) * h, (block[:, lo] - block[:, hi]) * (1j * h),
+                   block[:, fixed]])
+    return np.vstack([((z[lo] + z[hi]) * h).real, ((z[lo] - z[hi]) * h).imag, z[fixed].real])
 
 
 def truncated_propagator(gate, r, k):
@@ -162,14 +230,23 @@ def truncated_propagator(gate, r, k):
     |j| > 1 vanish identically.  Elements meet in the middle: a block's
     columns go through the layer-two bonds their strings touch, its rows
     at each placement back through the layer-one bonds theirs touch (the
-    transposed superoperator), and the two meet in one sparse product.
-    An element between charges needs a charge-changing superoperator
-    entry, so the largest one is the mixing defect, refused before any
-    push.  Each block's eigenvalues are solved once, without vectors, for
-    the radius check and every later reading.
-    One BLAS thread on a 2-core Xeon: r=5 about 0.8 s (0.55 s of it the
-    eigenvalue solves); r=R_MAX=6 about 12 s (all but 2 s of it the
-    eigenvalue solves) and 0.2 GB peak RSS.
+    transposed superoperator), and the two meet in a join on slots
+    (_charge_block).  An element between charges needs a charge-changing
+    superoperator entry, so the largest one is the mixing defect, refused
+    before any push.  Each block's eigenvalues are solved once, without
+    vectors, for the radius check and every later reading.
+
+    Hermitian conjugation commutes with a step and swaps p and m (sigma),
+    so T_{-c}(k)[sigma q', sigma q] = conj T_c(-k)[q', q].  Where e^{-ik} is
+    real (k = 0 or pi mod 2 pi) only c >= 0 is built and solved: block -c
+    is block c's sigma-permuted conjugate, with the conjugate eigenvalues,
+    and the charge-0 block, its own partner, is solved in the real basis
+    of _realified (it stays in the string basis in blocks).
+
+    One BLAS thread on a 2-core Xeon, k = 0: r=5 about 0.3 s; r=R_MAX=6
+    5-6 s (4 s of it the eigenvalue solves, 0.8-1.8 s the builds,
+    depending on the gate) and 0.18 GB peak RSS.  At other k every block
+    is built and solved: r=6 10.5-12 s and 0.2 GB.
     """
     if r < 1:
         raise ParameterError(f"support must satisfy 1 <= r <= {R_MAX}, got {r}")
@@ -180,35 +257,17 @@ def truncated_propagator(gate, r, k):
     mixing = float(np.abs(superop[pair_charge[:, None] != pair_charge]).max())
     if mixing > MIXING_TOL:
         raise SymmetryError("propagator mixes operator-charge blocks", residual=mixing)
-    import scipy.sparse
 
-    hi = r + 5  # right of every row placement and of the bonds it is pulled through
-    blocks = {}
-    for c in range(-r, r + 1):
-        own = string_codes(r, c)
-        n, ids = len(own), np.arange(len(own))
-        blocks[c] = np.zeros((2 * n, 2 * n), dtype=complex)
-        halves = []  # per column parity: the slots its pushed columns reach, and those columns
-        for pos in (2, 3):
-            col, slot, val = _push(superop, range(pos - 1 + pos % 2, pos + r, 2), hi, ids,
-                                   own * 4 ** (hi - pos - r + 1), n)
-            slots, at = np.unique(slot, return_inverse=True)
-            cols = scipy.sparse.csc_array((val, (at, col)), shape=(slots.size, n))
-            halves.append((slots, cols))
-        for a in range(6):
-            row, slot, val = _push(superop.T, range(a - a % 2, a + r, 2), hi, ids,
-                                   own * 4 ** (hi - a - r + 1), n)
-            phase = np.exp(-1j * k * ((a - 2 - a % 2) // 2))
-            # odd-start columns reach no row placed left of site 2
-            for col_half, (slots, cols) in enumerate(halves[: 1 + (a >= 2)]):
-                at = np.minimum(np.searchsorted(slots, slot), slots.size - 1)
-                hit = slots[at] == slot
-                rows = scipy.sparse.csr_array((val[hit], (row[hit], at[hit])),
-                                              shape=(n, slots.size))
-                blocks[c][a % 2 * n:(a % 2 + 1) * n, col_half * n:(col_half + 1) * n] += (
-                    phase * (rows @ cols).toarray())
-
-    eigenvalues = {c: np.linalg.eigvals(b) for c, b in blocks.items()}
+    paired = abs(np.sin(k)) <= CONJUGATE_TOL
+    built = {c: _charge_block(superop, r, c, k) for c in range(0 if paired else -r, r + 1)}
+    solved = {c: np.linalg.eigvals(b) for c, b in built.items() if c or not paired}
+    if paired:
+        solved[0] = np.linalg.eigvals(_realified(built[0], _conjugate_order(r, 0))).astype(complex)
+        for c in range(1, r + 1):
+            at = _conjugate_order(r, c)
+            built[-c] = built[c][np.ix_(at, at)].conj()
+            solved[-c] = solved[c].conj()
+    blocks, eigenvalues = dict(sorted(built.items())), dict(sorted(solved.items()))
     radius = max(np.abs(vals).max() for vals in eigenvalues.values())
     if radius > 1.0 + RADIUS_TOL:
         raise SymmetryError("truncated propagator exceeds unit spectral radius",

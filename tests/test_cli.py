@@ -168,6 +168,9 @@ def test_verify_ybe_fails_on_non_finite_input_and_residuals(tmp_path, capsys):
     ((*GATE_II, "--m-values", "0,0", "--k-values", "1,1"), "m_values lists 0 more than once"),
     ((*GATE_II, "--m-values", "0,2,0"), "m_values lists 0 more than once"),
     ((*GATE_II, "--k-values", "1,2,1"), "k_values lists 1 more than once"),
+    # a list with no integer names its own key, not min_dim
+    ((*GATE_II, "--m-values", ","), "m_values: expected a comma list of integers, got ','"),
+    ((*GATE_II, "--k-values", " , "), "k_values: expected a comma list of integers, got ' , '"),
 ])
 def test_spectrum_stats_refuses_bad_inputs(tmp_path, capsys, args, message):
     assert run(tmp_path, "spectrum-stats", "--L", "6", *args) == 2
@@ -331,8 +334,10 @@ def test_selection_thresholds_out_of_range_are_parameter_errors(tmp_path, capsys
      2, "supports must lie in 3..6, got (5, 7)"),
     ("rp.truncated_propagator", ("rp-spectrum", *GATE_II, "--r", "6", "--r-list", "5"),
      3, "gap fit needs at least two distinct supports"),
+    ("rp.truncated_propagator", ("rp-spectrum", *GATE_II, "--r", "6", "--r-list", ","),
+     2, "r_list: expected a comma list of integers, got ','"),
 ], ids=["eps_keep", "charges-ell3", "charges-ell0", "charges-L14", "r_list-range",
-        "r_list-one-support"])
+        "r_list-one-support", "r_list-no-integer"])
 def test_requests_are_refused_before_the_propagator_is_built(
         tmp_path, capsys, monkeypatch, build, args, code, message):
     # a refused request never pays for the build that is its command's whole cost

@@ -1,6 +1,5 @@
 """Operator-space propagator: basis, window conjugation, spectra, gap fits."""
 
-import importlib
 import tracemalloc
 from functools import reduce
 from itertools import product
@@ -8,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 from hypothesis import given, settings, strategies as st
 
 from dense_oracles import (
@@ -39,11 +39,16 @@ from mcbrick.gates import (
 )
 from mcbrick.rmatrix import haar_to_r
 from mcbrick.rp import (
+    CONJUGATE_TOL,
     MIXING_TOL,
     ORDER_TOL,
     RADIUS_TOL,
     TruncatedPropagator,
+    _charge_block,
+    _conjugate_order,
+    _conjugation_superop,
     _lambda2,
+    _realified,
     check_fit_supports,
     code_charge,
     conserved_density_vectors,
@@ -168,11 +173,12 @@ def test_propagator_identity_gate_is_identity():
 
 
 def test_propagator_matches_explicit_window_elements():
-    # every element of two charge blocks, both column parities, against
+    # every element of three charge blocks, both column parities, against
     # the dense (r+5)-site window step; at even r the two parities have
-    # different light cones (r+2 and r+4 sites)
+    # different light cones (r+2 and r+4 sites).  At k = 0 and pi the
+    # negative-charge block is the conjugate of its partner, not a build
     g = random_mc_gate(11)
-    k = 0.7
+    ks = (0.7, 0.0, np.pi)
 
     def slot(lab, pos, w):
         idx = [0] * w
@@ -180,31 +186,29 @@ def test_propagator_matches_explicit_window_elements():
             idx[pos + t] = LETTERS.index(ch)
         return tuple(idx)
 
-    for r, charges in ((3, (0, 1)), (4, (2, 3))):
-        tp = truncated_propagator(g, r, k)
+    for r, charges in ((3, (0, 1, -1)), (4, (2, 3, -2))):
+        tps = [truncated_propagator(g, r, k) for k in ks]
         w = r + 5
         for c in charges:
             labels = block_labels(r, c)
-            block = tp.blocks[c]
             for jcol, (p_col, lab_col) in enumerate(labels):
                 stepped = heisenberg_step(
                     string_tensor(lab_col, 2 + (p_col == "odd"), w), g, window=-2
                 )
-                expected = [
-                    sum(
-                        np.exp(-1j * k * jshift)
-                        * stepped[slot(lab_row, 2 + (p_row == "odd") + 2 * jshift, w)]
-                        for jshift in (-1, 0, 1)
-                    )
+                placed = np.array([
+                    [stepped[slot(lab_row, 2 + (p_row == "odd") + 2 * jshift, w)]
+                     for jshift in (-1, 0, 1)]
                     for p_row, lab_row in labels
-                ]
-                assert np.abs(block[:, jcol] - expected).max() < 1e-12
+                ])
+                for k, tp in zip(ks, tps):
+                    expected = placed @ np.exp(-1j * k * np.array([-1, 0, 1]))
+                    assert np.abs(tp.blocks[c][:, jcol] - expected).max() < 1e-12
 
 
 def test_propagator_build_stays_small():
     # strings travel as slot integers, one circuit layer each way, so no
-    # operator on the 4^cone string space is ever formed
-    importlib.import_module("scipy.sparse")  # a one-time import is not the build's
+    # operator on the 4^cone string space is ever formed; the build imports
+    # nothing, so the budget covers all of it
     gate = gate_from_haar(HaarGateParams(0.1, 0.4, 0.9, 0.3, 0.2))
     tracemalloc.start()
     try:
@@ -213,6 +217,67 @@ def test_propagator_build_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peaked at {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [gate_from_haar(HaarGateParams(0.1, 0.4, 0.9, 0.3, 0.2)), random_mc_gate(11)],
+    ids=["hurwitz-I", "random-11"],
+)
+def test_conjugate_blocks_match_a_direct_build(gate):
+    # at k = 0 and pi block -c is derived from block c; it must equal the
+    # block the per-charge build gives, and its eigenvalues the conjugates
+    superop = _conjugation_superop(gate)
+    for r in range(1, 6):
+        for k in (0.0, np.pi):
+            tp = truncated_propagator(gate, r, k)
+            for c in range(-r, r + 1):
+                direct = _charge_block(superop, r, c, k)
+                assert np.abs(tp.blocks[c] - direct).max() <= 1e-15, (r, k, c)
+            for c in range(1, r + 1):
+                assert np.array_equal(tp.eigenvalues[-c], tp.eigenvalues[c].conj())
+    # off k = 0, pi the pairing links k with -k, so every block is built
+    assert abs(np.sin(0.7)) > CONJUGATE_TOL
+    tp = truncated_propagator(gate, 3, 0.7)
+    at = _conjugate_order(3, 1)
+    assert np.abs(tp.blocks[-1] - tp.blocks[1][np.ix_(at, at)].conj()).max() > 1e-3
+
+
+def test_join_passes_bound_memory_and_keep_the_block(monkeypatch):
+    # at r = 6 one row placement meets about 4 million column entries, so
+    # the join sums its products in passes of JOIN_CHUNK; small passes
+    # split this r = 5 block many times
+    gate = gate_from_haar(HaarGateParams(0.1, 0.4, 0.9, 0.3, 0.2))
+    superop = _conjugation_superop(gate)
+
+    def build():
+        tracemalloc.start()
+        try:
+            return _charge_block(superop, 5, 0, 0.7), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole, whole_peak = build()  # one pass: at most about 190 000 products
+    monkeypatch.setattr("mcbrick.rp.JOIN_CHUNK", 2**12)
+    split, split_peak = build()
+    assert np.abs(split - whole).max() <= 1e-15
+    assert split_peak < 8 * 2**20 < 12 * 2**20 < whole_peak
+
+
+def test_real_charge_zero_solve_matches_the_complex_one():
+    # the charge-0 block is solved in the real basis of the p <-> m pairs
+    gate = random_mc_gate(11)
+    for r in (4, 5):
+        for k in (0.0, np.pi):
+            tp = truncated_propagator(gate, r, k)
+            perm = _conjugate_order(r, 0)
+            assert np.array_equal(perm[perm], np.arange(len(perm)))
+            real = _realified(tp.blocks[0], perm)
+            assert real.dtype == float and real.shape == tp.blocks[0].shape
+            want = np.linalg.eigvals(tp.blocks[0])
+            cost = np.abs(tp.eigenvalues[0][:, None] - want[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            assert cost[rows, cols].max() < 1e-13, (r, k)
 
 
 def test_propagator_radius_multiplicity_and_charge_blocks():
@@ -303,9 +368,10 @@ def test_rp_spectrum_builds_each_support_once_and_eigensolves_each_block_once(
     argv = ["rp-spectrum", *GATE_I_ARGS, "--r", "4", "--k", "0", "--r-list", "3,4"]
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
     assert sorted(tp.r for tp in built) == [3, 4]
-    # eigenvalues once per block, and no eigenvectors: the gap fit drops the
+    # eigenvalues once per block of charge c >= 0 (at k = 0 block -c is the
+    # conjugate of block c), and no eigenvectors: the gap fit drops the
     # conserved unit eigenvalues by counting the conserved densities
-    assert solves.count("eigvals") == sum(len(tp.blocks) for tp in built)
+    assert solves.count("eigvals") == sum(tp.r + 1 for tp in built)
     assert solves.count("eig") == 0
     assert len(solves) == solves.count("eigvals")
 

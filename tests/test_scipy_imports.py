@@ -25,8 +25,8 @@ GATE_I = ["--delta-phase", "0.1", "--alpha", "0.4", "--phi", "0.9", "--chi", "0.
           "--theta", "0.2"]
 GATE_II = ["--tau", "0.7", "--delta", "0.3"]
 
-# commands that never build a CSR matrix or call the nonsymmetric
-# eigensolver, with the exit code each must return
+# commands that never build a CSR matrix (their eigensolves are numpy's),
+# with the exit code each must return
 SCIPY_FREE = [
     (["classify", *GATE_II], 0),
     (["map-params", *GATE_II], 0),
@@ -34,6 +34,9 @@ SCIPY_FREE = [
     (["time-reversal", *GATE_I, "--L", "10", "--boundary", "periodic"], 3),
     (["charges", *GATE_II, "--L", "14"], 3),
     (["rp-spectrum", *GATE_I, "--r", "7"], 3),
+    # the T(k) join is numpy's: k = 0 builds half the blocks, k = 0.7 all
+    (["rp-spectrum", *GATE_I, "--r", "4", "--k", "0", "--r-list", "3,4"], 0),
+    (["rp-spectrum", *GATE_I, "--r", "3", "--k", "0.7", "--r-list", "3,4"], 0),
 ]
 
 CHILD = """
@@ -62,26 +65,26 @@ assert main(["spectrum-stats", "--tau", "0.7", "--delta", "0.3", "--L", "4",
 assert "scipy.sparse" in sys.modules, "spectrum-stats built its sector blocks without scipy"
 """
 
-# commands that build CSR products (sector blocks, T(k) elements) but
-# solve with numpy, so scipy.linalg and scipy.optimize stay unloaded
+# commands that build CSR products (sector blocks) but solve with numpy,
+# so scipy.linalg and scipy.optimize stay unloaded
 SPARSE_ONLY = [
     ["szm", *GATE_I, "--L", "6", "--steps", "20"],
     ["staggered-corr", *GATE_I, "--L", "6", "--steps", "20"],
-    ["rp-spectrum", *GATE_I, "--r", "4", "--k", "0", "--r-list", "3,4"],
     ["time-reversal", *GATE_I, "--L", "6"],
 ]
 
+# one command per fresh interpreter, so each must load scipy.sparse itself
 SPARSE_CHILD = """
 import json, sys
 from mcbrick.cli import main
-for i, argv in enumerate(json.loads(sys.argv[2])):
-    assert main([*argv, "--out-dir", f"{sys.argv[1]}/{i}"]) == 0
-    assert "scipy.sparse" in sys.modules, f"{argv[0]} built its blocks without scipy.sparse"
-    assert "scipy.linalg" not in sys.modules, f"{argv[0]} loaded scipy.linalg"
-    assert "scipy.optimize" not in sys.modules, f"{argv[0]} loaded scipy.optimize"
-    public = {m.split(".")[1] for m in sys.modules
-              if m.startswith("scipy.") and not m.split(".")[1].startswith("_")}
-    assert public <= {"sparse", "version"}, f"{argv[0]} loaded scipy {sorted(public)}"
+argv = json.loads(sys.argv[2])
+assert main([*argv, "--out-dir", sys.argv[1] + "/0"]) == 0
+assert "scipy.sparse" in sys.modules, f"{argv[0]} built its blocks without scipy.sparse"
+assert "scipy.linalg" not in sys.modules, f"{argv[0]} loaded scipy.linalg"
+assert "scipy.optimize" not in sys.modules, f"{argv[0]} loaded scipy.optimize"
+public = {m.split(".")[1] for m in sys.modules
+          if m.startswith("scipy.") and not m.split(".")[1].startswith("_")}
+assert public <= {"sparse", "version"}, f"{argv[0]} loaded scipy {sorted(public)}"
 """
 
 
@@ -112,9 +115,9 @@ def test_spectrum_stats_loads_scipy_sparse(tmp_path):
 
 
 def test_correlators_load_scipy_sparse_but_not_linalg(tmp_path):
-    run_child(SPARSE_CHILD, tmp_path, json.dumps(SPARSE_ONLY))
     for i, argv in enumerate(SPARSE_ONLY):
-        assert environment(tmp_path, i, argv[0])["scipy"] == scipy.__version__
+        run_child(SPARSE_CHILD, tmp_path / str(i), json.dumps(argv))
+        assert environment(tmp_path / str(i), 0, argv[0])["scipy"] == scipy.__version__
 
 
 def scipy_imports(source):
