@@ -65,7 +65,7 @@ MIXING_TOL = 1e-12
 RADIUS_TOL = 1e-10
 UNIT_TOL = 1e-8
 ORDER_TOL = 1e-9  # moduli and real parts this close tie in rp_spectrum
-JOIN_CHUNK = 2**19  # row-column products per join pass, about 75 bytes each while it runs
+JOIN_CHUNK = 2**19  # row-column products per join pass, about 55 bytes each while it runs
 CONJUGATE_TOL = 1e-12  # |sin k| at or below this pairs each block -c with block c
 
 # operator strings over {1, z, p, m}: p = sqrt2 sigma+, m = sqrt2 sigma-, each
@@ -130,11 +130,9 @@ class TruncatedPropagator:
 
 
 def _expand(start, count):
-    """Entry i repeated count[i] times (rep), beside the indices start[i],
-    ..., start[i] + count[i] - 1 of the group it meets (nth)."""
-    rep = np.repeat(np.arange(count.size), count)
-    nth = np.arange(rep.size) + np.repeat(start - np.cumsum(count) + count, count)
-    return rep, nth
+    """The group indices start[i], ..., start[i] + count[i] - 1 that entry i
+    meets, for each i in turn: the partners of np.repeat(entries, count)."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
 
 
 def _push(superop, bonds, hi, ids, slots, n):
@@ -152,9 +150,10 @@ def _push(superop, bonds, hi, ids, slots, n):
     for i in bonds:
         unit = n * 4 ** (hi - i - 1)
         pair = key // unit % 16
-        rep, nth = _expand(start[pair], count[pair])
-        key = key[rep] + (pout[nth] - pair[rep]) * unit
-        vals = vals[rep] * coef[nth]
+        cnt = count[pair]
+        nth = _expand(start[pair], cnt)
+        key = np.repeat(key - pair * unit, cnt) + pout[nth] * unit
+        vals = np.repeat(vals, cnt) * coef[nth]
         key, at = np.unique(key, return_inverse=True)
         vals = np.bincount(at, vals.real) + 1j * np.bincount(at, vals.imag)
     return key % n, key // n, vals
@@ -189,10 +188,10 @@ def _charge_block(superop, r, c, k):
             per = count[at[hit]]  # products of each matched row entry
             cuts = np.searchsorted(np.cumsum(per), np.arange(JOIN_CHUNK, per.sum(), JOIN_CHUNK))
             for part in np.split(hit, cuts):
-                rep, nth = _expand(start[at[part]], count[at[part]])
-                entry = part[rep]
-                cell = row[entry] * n + col[nth]
-                prod = val[entry] * cval[nth]
+                cnt = count[at[part]]
+                nth = _expand(start[at[part]], cnt)
+                cell = np.repeat(row[part] * n, cnt) + col[nth]
+                prod = np.repeat(val[part], cnt) * cval[nth]
                 joined = (np.bincount(cell, prod.real, n * n)
                           + 1j * np.bincount(cell, prod.imag, n * n))
                 block[a % 2 * n:(a % 2 + 1) * n, col_half * n:(col_half + 1) * n] += (
