@@ -187,8 +187,7 @@ def _charge_block(superop, r, c, k):
             hit = np.flatnonzero(slots[at] == slot)
             per = count[at[hit]]  # products of each matched row entry
             cuts = np.searchsorted(np.cumsum(per), np.arange(JOIN_CHUNK, per.sum(), JOIN_CHUNK))
-            for part in np.split(hit, cuts):
-                cnt = count[at[part]]
+            for part, cnt in zip(np.split(hit, cuts), np.split(per, cuts)):
                 nth = _expand(start[at[part]], cnt)
                 cell = np.repeat(row[part] * n, cnt) + col[nth]
                 prod = np.repeat(val[part], cnt) * cval[nth]
