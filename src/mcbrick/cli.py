@@ -368,7 +368,7 @@ def _cmd_verify_ybe(params, root, sha):
     import numpy as np
 
     from .gates import sample_haar
-    from .rmatrix import check_yang_baxter, haar_to_r, r_matrix
+    from .rmatrix import RMatrixParams, check_yang_baxter, haar_to_r, r_matrix
 
     run = params["run"]
     if run["trials"] < 1:
@@ -377,8 +377,7 @@ def _cmd_verify_ybe(params, root, sha):
     seed = run["haar_seed"] if run["haar_seed"] is not None else gate_stream
     draws = sample_haar(seed, run["trials"])
     rng = np.random.default_rng(method_stream)
-    eye = np.eye(4)
-    worst_braid = worst_inverse = 0.0
+    kept = {"I": [], "II": []}  # (params, x, y) of the gates checked, by phase
     skipped = 0
     for hp in draws:
         x = run["x"] if run["x"] is not None else float(rng.uniform(-1.0, 1.0))
@@ -391,10 +390,19 @@ def _cmd_verify_ybe(params, root, sha):
         if p.degenerate:
             skipped += 1
             continue
-        # np.maximum keeps a NaN residual, which then fails the check
-        worst_braid = float(np.maximum(worst_braid, check_yang_baxter(p, x, y)))
-        inverse = np.abs(r_matrix(p, -x) @ r_matrix(p, x) - eye).max()
-        worst_inverse = float(np.maximum(worst_inverse, inverse))
+        kept[p.phase].append((p, x, y))
+    # one broadcast check per phase; np.max keeps a NaN residual, which then fails
+    worst_braid = worst_inverse = 0.0
+    for phase, trials in kept.items():
+        if not trials:
+            continue
+        ps, x, y = zip(*trials)
+        p = RMatrixParams(*(np.array([getattr(q, f) for q in ps])
+                            for f in ("beta", "xi", "theta", "rho", "u")), phase)
+        x, y = np.array(x), np.array(y)
+        worst_braid = float(np.max(check_yang_baxter(p, x, y), initial=worst_braid))
+        inverse = np.abs(r_matrix(p, -x) @ r_matrix(p, x) - np.eye(4)).max()
+        worst_inverse = float(np.max(inverse, initial=worst_inverse))
     passed = worst_braid < run["tol_braid"] and worst_inverse < run["tol_inverse"]
     payload = {
         "trials": run["trials"],

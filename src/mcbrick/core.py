@@ -19,9 +19,12 @@ it differs from by a 01 <-> 10 swap.  The gates of one layer sit on
 disjoint bonds, so their product over a group of up to GROUP_BONDS bonds
 has 2^d entries in a row with d bonds reading 01 or 10.  That sparsity
 pattern depends only on (L, m, bonds); _group_pattern computes it once
-per key (cached), and sector_operators multiplies the operators' entries
-into it as one CSR matrix per group, so a step is a few sparse products
-on all columns at once (layer_operators, sector_step).  A group may also
+per key (cached), PATTERN_CHUNK_ROWS rows at a time, and sector_operators
+multiplies the operators' entries into it as one CSR matrix per group,
+so a step is a few sparse products on all columns of a dense array at
+once (layer_operators, sector_step).  build_sector_block pushes the basis
+through in column chunks of at most BUILD_CHUNK_BYTES each, so a block's
+peak does not grow with dim_m x dim.  A group may also
 be one w-site MC operator, such as a charge density; read the other way,
 a one-window pattern sums a sector operator's entries back onto the
 window, its partial trace (sector_partial_trace).  The pattern holds
@@ -58,6 +61,8 @@ SECTOR_MAX_L = 14       # dense work inside a single symmetry sector
 BASIS_MAX_L = 20        # bases themselves stay cheap a bit longer
 SECTOR_ORACLE_TOL = 1e-12  # sector kernel against the full-space column
 GROUP_BONDS = 4  # bonds of one layer multiplied into one sector step operator
+BUILD_CHUNK_BYTES = 1 << 21  # dense dim_m x chunk array of one build_sector_block pass
+PATTERN_CHUNK_ROWS = 1 << 11  # sector rows per _group_pattern pass
 BLOCK_UNITARITY_TOL = 1e-10  # unitarity of a dense block before its eigenphases
 # First Cayley pole sits at -exp(i CAYLEY_ALPHA): no rational multiple of pi,
 # since structured blocks carry eigenvalues like +-1 and roots of unity.
@@ -163,17 +168,28 @@ class SectorBasis:
     """Orthonormal basis of a magnetization (and optionally momentum) sector.
 
     `vectors` is the sparse dim_m x dim matrix W of basis columns, its rows
-    those of sector_states(L, magnetization).
+    those of sector_states(L, magnetization).  `entries` holds the same
+    nonzeros as (rows, cols, values) sorted by column, so that columns()
+    fills a dense column chunk from one contiguous slice.
     """
 
     L: int
     magnetization: int
     momentum: object  # int k index under the two-site shift, or None
     vectors: object = field(repr=False)
+    entries: tuple = field(repr=False)
 
     @property
     def dim(self):
         return self.vectors.shape[1]
+
+    def columns(self, lo, hi):
+        """Dense dim_m x (hi - lo) array of the basis columns lo..hi-1."""
+        rows, cols, values = self.entries
+        a, b = np.searchsorted(cols, (lo, hi))
+        out = np.zeros((self.vectors.shape[0], hi - lo), dtype=complex)
+        out[rows[a:b], cols[a:b] - lo] = values[a:b]
+        return out
 
 
 def sector_states(L, m):
@@ -206,23 +222,22 @@ def sector_basis(L, m, k=None):
 
     if k is None:
         rows = np.arange(len(states))
-        vec = sparse.csr_array(
-            (np.ones(len(states)), (rows, rows)), shape=(len(states),) * 2, dtype=complex
-        )
-        return SectorBasis(L, m, None, vec)
-
-    n_cells = L // 2
-    if not 0 <= k < n_cells:
-        raise ParameterError(f"momentum index {k} outside 0..{n_cells - 1}")
-    _, periods, orbits = _momentum_orbits(L, m)
-    keep = (k * periods) % n_cells == 0  # momentum compatible with orbit period
-    p = periods[keep]
-    in_orbit = np.arange(n_cells) < p[:, None]  # (column, j): S^(2j) rep is a state
-    rows = np.searchsorted(states, orbits[keep][in_orbit])
-    cols, j = np.nonzero(in_orbit)
-    vals = np.exp(-2j * np.pi * k / n_cells * j) / np.sqrt(p[cols])
-    vec = sparse.csr_array((vals, (rows, cols)), shape=(len(states), p.size), dtype=complex)
-    return SectorBasis(L, m, k, vec)
+        entries = (rows, rows, np.ones(len(states), dtype=complex))
+        dim = len(states)
+    else:
+        n_cells = L // 2
+        if not 0 <= k < n_cells:
+            raise ParameterError(f"momentum index {k} outside 0..{n_cells - 1}")
+        _, periods, orbits = _momentum_orbits(L, m)
+        keep = (k * periods) % n_cells == 0  # momentum compatible with orbit period
+        p = periods[keep]
+        in_orbit = np.arange(n_cells) < p[:, None]  # (column, j): S^(2j) rep is a state
+        rows = np.searchsorted(states, orbits[keep][in_orbit])
+        cols, j = np.nonzero(in_orbit)  # row-major, so cols ascend
+        entries = (rows, cols, np.exp(-2j * np.pi * k / n_cells * j) / np.sqrt(p[cols]))
+        dim = p.size
+    vec = sparse.csr_array((entries[2], entries[:2]), shape=(len(states), dim), dtype=complex)
+    return SectorBasis(L, m, k, vec, entries)
 
 
 @functools.lru_cache(maxsize=64)
@@ -372,42 +387,51 @@ def _group_pattern(L, m, blocks):
     holds prod_j u_j[c_j, c'_j] for every choice of words c'_j of the same
     popcounts, in the column of the row whose bits at blocks[j] read c'_j.
     For d bonds that is 2^(mixed bonds) entries: the phase of a 00 or 11
-    bond times the diagonal or swap entry of each 01 or 10 bond.  All rows
-    are gathered at once, block by block.  Returns indptr, indices and, per
-    block and entry, the flat index into that operator (one row per
-    block), all read-only since the cache hands the same arrays to every
-    caller.
+    bond times the diagonal or swap entry of each 01 or 10 bond.  Rows are
+    gathered PATTERN_CHUNK_ROWS at a time, block by block, which bounds the
+    entry-sized int64 temporaries.  Returns indptr, indices and, per block
+    and entry, the flat index into that operator (one row per block), all
+    read-only since the cache hands the same arrays to every caller.
     """
     states = sector_states(L, m)
     n = states.size
     kind = np.min_scalar_type((1 << 2 * max(len(sites) for sites in blocks)) - 1)
-    rows = np.arange(n)                  # row of each entry, in row order
-    flip = np.zeros(n, dtype=np.int64)   # state bits each entry's column flips
-    entry = []
+    row_of = np.empty(1 << L, dtype=np.int32)  # sector row of each bitstring
+    row_of[states] = np.arange(n, dtype=np.int32)
+    tables = []  # per block: its sites' shifts, and per word its bits, popcount peers, count
     for sites in blocks:
         w = len(sites)
         words = np.arange(1 << w)
         shifts = [L - 1 - s for s in sites]
         spread = sum(((words >> (w - 1 - j)) & 1) << sh for j, sh in enumerate(shifts))
-        word = sum(((states >> sh) & 1) << (w - 1 - j) for j, sh in enumerate(shifts))[rows]
-        # each entry splits into one per word of the same popcount as its own
         pops = _popcount(words)
         by_pop = np.argsort(pops, kind="stable")
         first = np.searchsorted(pops[by_pop], pops)
-        count = np.bincount(pops)[pops][word]
-        rep = np.repeat(np.arange(rows.size), count)
-        nth = np.arange(rep.size) - np.repeat(np.cumsum(count) - count, count)
-        word = word[rep]
-        to = by_pop[first[word] + nth]
-        rows, flip = rows[rep], flip[rep] ^ spread[word ^ to]
-        entry = [e[rep] for e in entry] + [((word << w) + to).astype(kind)]
-    row_of = np.empty(1 << L, dtype=np.int32)  # sector row of each bitstring
-    row_of[states] = np.arange(n, dtype=np.int32)
-    cols = row_of[states[rows] ^ flip]
-    order = np.argsort(rows * n + cols, kind="stable")  # nearly sorted
+        tables.append((w, shifts, spread, by_pop, first, np.bincount(pops)[pops]))
+    counts, indices, entries = [], [], []
+    for lo in range(0, n, PATTERN_CHUNK_ROWS):
+        chunk = states[lo:lo + PATTERN_CHUNK_ROWS]
+        rows = np.arange(chunk.size)  # row of each entry within the chunk, in order
+        flip = np.zeros(chunk.size, dtype=np.int64)  # state bits each entry's column flips
+        entry = []
+        for w, shifts, spread, by_pop, first, peers in tables:
+            word = sum(((chunk >> sh) & 1) << (w - 1 - j) for j, sh in enumerate(shifts))[rows]
+            # each entry splits into one per word of the same popcount as its own
+            count = peers[word]
+            rep = np.repeat(np.arange(rows.size), count)
+            nth = np.arange(rep.size) - np.repeat(np.cumsum(count) - count, count)
+            word = word[rep]
+            to = by_pop[first[word] + nth]
+            rows, flip = rows[rep], flip[rep] ^ spread[word ^ to]
+            entry = [e[rep] for e in entry] + [((word << w) + to).astype(kind)]
+        cols = row_of[chunk[rows] ^ flip]
+        order = np.argsort(rows * n + cols, kind="stable")  # nearly sorted
+        counts.append(np.bincount(rows, minlength=chunk.size))
+        indices.append(cols[order])
+        entries.append(np.stack([e[order] for e in entry]))
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    pattern = (indptr, cols[order], np.stack([e[order] for e in entry]))
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    pattern = (indptr, np.concatenate(indices), np.concatenate(entries, axis=1))
     for arr in pattern:
         arr.setflags(write=False)
     return pattern
@@ -521,21 +545,36 @@ def check_sector_column(oracle, circuit, col_in, col, states, what):
 def build_sector_block(circuit, basis):
     """Sector block W^dag U W of the propagator, built inside the sector.
 
-    The basis matrix W is evolved all at once by sector_step (one sparse
-    product per group of bonds from layer_operators on a dim_m x dim
-    array, no 2^L vector per column), then projected back with the sparse
-    W^dag.  Non-MC gates are refused, and column 0 is checked against
-    propagator_apply.
+    The basis matrix W is evolved in column chunks whose dense dim_m x
+    chunk array stays within BUILD_CHUNK_BYTES: each chunk goes through
+    sector_step (one sparse product per group of bonds from
+    layer_operators, no 2^L vector per column) and is projected back with
+    the sparse W^dag into its columns of the block.  Both products act
+    column by column, so the block does not depend on the chunk width, and
+    a block whose whole evolution fits the budget takes one pass.  Non-MC
+    gates are refused, and column 0 is checked against propagator_apply.
     """
     if circuit.L > SECTOR_MAX_L:
         raise CapacityError(f"sector-dense work limited to L <= {SECTOR_MAX_L}")
     m = basis.magnetization
-    w = basis.vectors
-    x = sector_step(layer_operators(circuit, m), w.toarray())
-    if basis.dim:
-        check_sector_column(propagator_apply, circuit, w[:, [0]].toarray().ravel(), x[:, 0],
-                            sector_states(circuit.L, m), "propagator")
-    return w.conj().T @ x
+    dim_m, dim = basis.vectors.shape
+    ops = layer_operators(circuit, m)
+    w_dag = basis.vectors.conj().T
+
+    def evolve(lo, hi):
+        x = sector_step(ops, basis.columns(lo, hi))  # the columns are freed after one product
+        if not lo and hi:
+            check_sector_column(propagator_apply, circuit, basis.columns(0, 1)[:, 0], x[:, 0],
+                                sector_states(circuit.L, m), "propagator")
+        return w_dag @ x
+
+    width = max(1, BUILD_CHUNK_BYTES // (16 * dim_m))
+    if dim <= width:
+        return evolve(0, dim)
+    block = np.empty((dim, dim), dtype=complex)
+    for lo in range(0, dim, width):
+        block[:, lo:lo + width] = evolve(lo, min(lo + width, dim))
+    return block
 
 
 def build_propagator(circuit):

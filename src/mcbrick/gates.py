@@ -140,8 +140,8 @@ def gate_from_hamiltonian(p):
     return TwoQubitGate(mat)
 
 
-def gate_from_haar(p):
-    """Exact matrix of the Hurwitz form (equal corner phases)."""
+def haar_matrix(p):
+    """Exact 4x4 matrix of the Hurwitz form (equal corner phases), not validated."""
     mat = np.zeros((4, 4), dtype=complex)
     corner = np.exp(1j * p.delta_phase)
     mat[0, 0] = corner
@@ -152,7 +152,12 @@ def gate_from_haar(p):
     mat[1, 2] = ea * c * np.exp(-1j * p.theta_v)
     mat[2, 1] = ea * c * np.exp(1j * p.theta_v)
     mat[2, 2] = -ea * s * np.exp(1j * p.chi)
-    return TwoQubitGate(mat)
+    return mat
+
+
+def gate_from_haar(p):
+    """The Hurwitz form as a validated TwoQubitGate."""
+    return TwoQubitGate(haar_matrix(p))
 
 
 def magnetization_phase_gate(mu):

@@ -255,12 +255,14 @@ def _flip_reflection_block(basis):
     """Restriction of flip * reflection to a sector basis, or None.
 
     The operation sends m to -m and k to -k, so it closes on a sector only
-    at m = 0 (and self-conjugate k on rings); elsewhere the restriction is
-    not unitary and None is returned, for m != 0 before any work.  At
-    m = 0 the map permutes the sector's states, so its block is their
-    _permutation_block.
+    at m = 0 and, on rings, at self-conjugate k (2k = 0 mod L/2); elsewhere
+    the restriction is not unitary and None is returned before any work.
+    On a sector it closes on, the map permutes the states, so its block is
+    their _permutation_block; a block that fails the unitarity check still
+    gives None.
     """
-    if basis.magnetization != 0:
+    k = basis.momentum
+    if basis.magnetization != 0 or (k is not None and (2 * k) % (basis.L // 2)):
         return None
     states = sector_states(basis.L, 0)
     xp = _permutation_block(basis, flip_reflection_permutation(states, basis.L)).toarray()

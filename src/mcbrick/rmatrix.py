@@ -24,7 +24,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import CriticalManifoldError, ParameterError, RefusalError
-from .gates import gate_from_haar
+from .gates import haar_matrix
 
 EPS_CRITICAL = 1e-9
 
@@ -42,7 +42,7 @@ class RMatrixParams:
     def __post_init__(self):
         if self.phase not in ("I", "II"):
             raise ParameterError(f"phase must be 'I' or 'II', got {self.phase!r}")
-        if self.phase == "I" and self.rho < 0:
+        if self.phase == "I" and np.any(np.asarray(self.rho) < 0):
             raise ParameterError("rho must be >= 0 in phase I")
 
 
@@ -56,17 +56,24 @@ def ab_values(p, x):
 
 
 def r_matrix(p, x):
-    """Braid-form matrix at spectral argument x (4x4 ndarray)."""
-    if x == 0:
-        return np.eye(4, dtype=complex)
-    a, b = ab_values(p, x)
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0] = mat[3, 3] = 1.0
-    mat[1, 1] = 1j * b * np.exp(-1j * p.xi * x)
-    mat[2, 2] = 1j * b * np.exp(1j * p.xi * x)
-    mat[1, 2] = -a * np.exp(-1j * p.theta)
-    mat[2, 1] = -a * np.exp(1j * p.theta)
-    return np.exp(1j * p.beta * x) * mat
+    """Braid-form matrix at spectral argument x.
+
+    x and the numeric fields of p broadcast over a leading trial axis: a
+    shape (n,) gives an (n, 4, 4) array, and scalars give one 4x4 matrix.
+    Rc(0) is exactly the identity.
+    """
+    x = np.asarray(x)
+    zero = x == 0
+    a, b = ab_values(p, np.where(zero, 1.0, x))  # Rc(0) = 1 also where rho = 0
+    shape = np.broadcast(x, p.beta, p.xi, p.theta, p.rho).shape
+    mat = np.zeros(shape + (4, 4), dtype=complex)
+    mat[..., 0, 0] = mat[..., 3, 3] = 1.0
+    mat[..., 1, 1] = 1j * b * np.exp(-1j * p.xi * x)
+    mat[..., 2, 2] = 1j * b * np.exp(1j * p.xi * x)
+    mat[..., 1, 2] = -a * np.exp(-1j * p.theta)
+    mat[..., 2, 1] = -a * np.exp(1j * p.theta)
+    mat = np.exp(1j * p.beta * x)[..., None, None] * mat
+    return np.where(zero[..., None, None], np.eye(4), mat)
 
 
 def _cyclic_jet(z, order, trig):
@@ -109,13 +116,13 @@ def r_matrix_jet(p, x, order):
 
 
 def _on_01(r, x):
-    """(R on qubits 0, 1) @ x for an 8 x 8 three-qubit matrix x."""
-    return (r @ x.reshape(4, 16)).reshape(8, 8)
+    """(R on qubits 0, 1) @ x for 8 x 8 three-qubit matrices x, per trial."""
+    return (r @ x.reshape(x.shape[:-2] + (4, 16))).reshape(x.shape)
 
 
 def _on_12(r, x):
-    """(R on qubits 1, 2) @ x for an 8 x 8 three-qubit matrix x."""
-    return (r @ x.reshape(2, 4, 8)).reshape(8, 8)
+    """(R on qubits 1, 2) @ x for 8 x 8 three-qubit matrices x, per trial."""
+    return (r[..., None, :, :] @ x.reshape(x.shape[:-2] + (2, 4, 8))).reshape(x.shape)
 
 
 def check_yang_baxter(p, x, y):
@@ -123,12 +130,13 @@ def check_yang_baxter(p, x, y):
 
     Both sides are products of 4 x 4 R matrices on qubit pairs, applied in
     turn to the 8 x 8 identity without forming the Kronecker embeddings.
+    Broadcasts like r_matrix: one residual per trial, or a scalar.
     """
-    eye = np.eye(8, dtype=complex)
-    rx, ry, rxy = r_matrix(p, x), r_matrix(p, y), r_matrix(p, x + y)
+    rx, ry, rxy = r_matrix(p, x), r_matrix(p, y), r_matrix(p, np.add(x, y))
+    eye = np.broadcast_to(np.eye(8, dtype=complex), rx.shape[:-2] + (8, 8))
     lhs = _on_01(rx, _on_12(rxy, _on_01(ry, eye)))
     rhs = _on_12(ry, _on_01(rxy, _on_12(rx, eye)))
-    return float(np.abs(lhs - rhs).max())
+    return np.abs(lhs - rhs).max(axis=(-2, -1))
 
 
 def _reduce_gamma(delta, alpha, chi, theta_v):
@@ -167,8 +175,7 @@ def haar_to_r(p):
     with sin(phi) = 0 outside the swap family (u -> infinity) are refused
     with RefusalError.
     """
-    gate = gate_from_haar(p)
-    if np.abs(gate.matrix - np.eye(4)).max() < 1e-13:
+    if np.abs(haar_matrix(p) - np.eye(4)).max() < 1e-13:
         return RMatrixParams(0.0, 0.0, 0.0, 0.0, 0.0, "I", degenerate="identity")
 
     gamma, _, chi, theta_v = _reduce_gamma(p.delta_phase, p.alpha, p.chi, p.theta_v)
@@ -256,7 +263,7 @@ def map_report(p):
     if rp.degenerate:
         rec["degenerate"] = rp.degenerate
     rec["reconstruction_error"] = float(
-        np.abs(r_matrix(rp, rp.u) - gate_from_haar(p).matrix).max()
+        np.abs(r_matrix(rp, rp.u) - haar_matrix(p)).max()
     )
     return rec
 

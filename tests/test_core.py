@@ -1,5 +1,8 @@
 """Sector bases, gate application, and the brickwork propagator."""
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +17,7 @@ from mcbrick.core import (
     apply_gate,
     bond_groups,
     build_propagator,
+    build_sector_block,
     check_sector_column,
     commutator_defect,
     homogeneous_circuit,
@@ -420,6 +424,91 @@ def test_propagator_blocks_are_the_dense_sector_blocks(boundary):
     for m, block in blocks.items():
         s = sector_states(L, m)
         assert np.abs(block - dense[np.ix_(s, s)]).max() < 1e-12
+
+
+def _chunk_circuits(L, boundary):
+    """Homogeneous, two-gate and odd-layer-only (the K block's) circuits."""
+    hom = homogeneous_circuit(random_mc_gate(13), L, boundary)
+    pair = chaotic_gate_pair(4)
+    layers = [[g] * len(layer_bonds(L, boundary, i)) for i, g in enumerate(pair)]
+    return [hom, BrickworkCircuit(L, layers, boundary), BrickworkCircuit(L, hom.layers[:1], boundary)]
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_chunked_build_equals_the_one_pass_build_bit_for_bit(monkeypatch, boundary):
+    L = 8
+    k_values = [None, 0, 1] if boundary == "periodic" else [None]
+    for circ in _chunk_circuits(L, boundary):
+        for m in (0, 2):
+            for k in k_values:
+                basis = sector_basis(L, m, k)
+                dim_m = sector_states(L, m).size
+                monkeypatch.setattr(core, "BUILD_CHUNK_BYTES", 16 * dim_m * basis.dim)
+                whole = build_sector_block(circ, basis)
+                # one column at a time, and chunks of 3 with a shorter last one
+                for width in (1, 3):
+                    monkeypatch.setattr(core, "BUILD_CHUNK_BYTES", 16 * dim_m * width)
+                    chunked = build_sector_block(circ, basis)
+                    assert chunked.shape == whole.shape
+                    assert chunked.tobytes() == whole.tobytes(), (m, k, width)
+
+
+def test_chunked_build_checks_column_zero_once(monkeypatch):
+    L = 8
+    circ = homogeneous_circuit(random_mc_gate(13), L, "periodic")
+    basis = sector_basis(L, 0, 1)
+    monkeypatch.setattr(core, "BUILD_CHUNK_BYTES", 1)
+    real_check, calls = core.check_sector_column, []
+
+    def spy(*args):
+        calls.append(args)
+        return real_check(*args)
+
+    monkeypatch.setattr(core, "check_sector_column", spy)
+    build_sector_block(circ, basis)
+    assert len(calls) == 1
+    real_ops = core.layer_operators
+
+    def corrupted(circuit, m):
+        ops = real_ops(circuit, m)
+        ops[-1] = ops[-1] * np.exp(0.1j)  # still MC, but no longer the circuit's layer
+        return ops
+
+    monkeypatch.setattr(core, "layer_operators", corrupted)
+    with pytest.raises(SymmetryError, match="disagrees with the full-space column"):
+        build_sector_block(circ, basis)
+
+
+def test_sector_build_peak_memory_stays_within_the_chunks():
+    # at L = 14, m = 0, k = 1 one dense 3432 x 490 evolution is 27 MB, and the
+    # one-pass build held about two of them (52 MiB traced)
+    importlib.import_module("scipy.sparse")  # a one-time import is not the build's
+    circ = homogeneous_circuit(random_mc_gate(3), 14, "periodic")
+    basis = sector_basis(14, 0, 1)
+    tracemalloc.start()
+    try:
+        block = build_sector_block(circ, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (490, 490)
+    assert peak < 20 * 2**20, f"build peaked at {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("rows", [1, 7, 100])
+def test_group_pattern_is_the_same_in_any_row_chunks(monkeypatch, rows):
+    cases = [(8, m, ((0, 1), (2, 3), (4, 5), (6, 7))) for m in (-4, 0, 2)]
+    cases += [(8, 0, ((1, 2), (3, 4), (5, 6), (7, 0))), (8, 0, ((1, 2, 3),)), (10, 0, ((9,), (0,)))]
+    for L, m, blocks in cases:
+        _group_pattern.cache_clear()
+        whole = _group_pattern(L, m, blocks)
+        _group_pattern.cache_clear()
+        monkeypatch.setattr(core, "PATTERN_CHUNK_ROWS", rows)
+        chunked = _group_pattern(L, m, blocks)
+        monkeypatch.undo()
+        for a, b in zip(whole, chunked):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (L, m, blocks)
+    _group_pattern.cache_clear()
 
 
 def test_translation_permutation_order():

@@ -241,7 +241,8 @@ def test_flip_reflection_block_is_formed_at_zero_magnetization_only(monkeypatch)
         for k in range(L // 2):
             before = len(seen)
             split = resolved_spectra(ring, m, k)
-            assert len(seen) == before + (m == 0), (m, k)
+            # the flip maps k to -k: only self-conjugate k (2k = 0 mod L/2) can close
+            assert len(seen) == before + (m == 0 and (2 * k) % (L // 2) == 0), (m, k)
             plain = sector_spectrum(ring, m, k).eigenphases
             union = np.concatenate([np.zeros(0)] + [r.eigenphases for r in split])
             assert union.size == plain.size
@@ -253,6 +254,23 @@ def test_flip_reflection_block_is_formed_at_zero_magnetization_only(monkeypatch)
                 # the flip maps m to -m: no state of the sector stays in it
                 images = real(sector_states(L, m), L)
                 assert (site_spins(images, L).sum(axis=1) == -m).all(), (m, k)
+
+
+@pytest.mark.parametrize("L", [8, 12])
+def test_flip_reflection_closes_exactly_on_self_conjugate_momenta(L):
+    # the early exit against the numeric path: the flip's permutation block
+    # on (0, k) is unitary exactly where 2k = 0 (mod L/2)
+    states = sector_states(L, 0)
+    images = flip_reflection_permutation(states, L)
+    for k in range(L // 2):
+        basis = sector_basis(L, 0, k)
+        xp = _permutation_block(basis, images).toarray()
+        closes = np.abs(xp.conj().T @ xp - np.eye(basis.dim)).max() <= BLOCK_UNITARITY_TOL
+        assert closes == ((2 * k) % (L // 2) == 0), k
+        block = levelstats._flip_reflection_block(basis)
+        assert (block is not None) == closes, k
+        if closes:
+            assert np.array_equal(block, xp)
 
 
 def test_resolved_spectra_block_structure():

@@ -95,6 +95,34 @@ def test_yang_baxter_random_parameters():
         assert check_yang_baxter(p, x, y) < 1e-12
 
 
+def test_r_matrix_and_braid_check_broadcast_over_a_trial_axis():
+    rng = np.random.default_rng(41)
+    n = 40
+    for phase in ("I", "II"):
+        fields = dict(
+            beta=rng.uniform(-2, 2, n), xi=rng.uniform(-2, 2, n),
+            theta=rng.uniform(0, 2 * np.pi, n), rho=rng.uniform(0.05, 1.5, n),
+            u=rng.uniform(0.1, 1.5, n),
+        )
+        fields["rho"][0] = 0.0  # Rc(0) = 1 even where the closed form reads 0/0
+        batch = RMatrixParams(**fields, phase=phase)
+        x, y = rng.uniform(-2, 2, (2, n))
+        x[:2] = 0.0
+        r, res = r_matrix(batch, x), check_yang_baxter(batch, x, y)
+        assert r.shape == (n, 4, 4) and res.shape == (n,)
+        assert np.array_equal(r[:2], np.broadcast_to(np.eye(4), (2, 4, 4)))
+        for i in range(n):
+            p = RMatrixParams(**{f: v[i] for f, v in fields.items()}, phase=phase)
+            assert np.abs(r[i] - r_matrix(p, x[i])).max() < 1e-14
+            assert abs(res[i] - check_yang_baxter(p, x[i], y[i])) < 1e-14
+        assert res.max() < 1e-12
+    # scalars are the 0-d case
+    assert r_matrix(P_I, 0.4).shape == (4, 4)
+    assert np.ndim(check_yang_baxter(P_I, 0.4, 0.9)) == 0
+    with pytest.raises(ParameterError):
+        RMatrixParams(0.0, 0.0, 0.0, np.array([0.2, -0.1]), 0.5, "I")
+
+
 def test_yang_baxter_negative_control():
     # corrupt theta on one side of the relation; residual must be O(1)
     eye2 = np.eye(2, dtype=complex)
