@@ -53,8 +53,8 @@ from .core import (
     FULL_DENSE_MAX_L,
     commutator_defect,
     embed_operator,
-    sector_operators,
     sector_partial_trace,
+    sector_window_sum,
 )
 from .errors import CapacityError, ParameterError
 from .rmatrix import r_matrix_jet
@@ -133,16 +133,14 @@ def charge_q1(p, sign, L):
 def _cell_family(sign, L, kernel):
     """A charge from a w-site cell density (w read off the kernel) summed
     over its L/2 windows, the + ones starting on odd sites and the - ones
-    on even sites, gathered into each sector with the
-    core.sector_operators pattern.  Both kernels (charge_kernels and
+    on even sites, summed into each sector's dense block by
+    core.sector_window_sum.  Both kernels (charge_kernels and
     closed_form_kernel) are traceless, so the charge is too."""
     w = len(kernel).bit_length() - 1
     start = 1 if sign == "+" else 0
     windows = [tuple((2 * j + start + t) % L for t in range(w)) for j in range(L // 2)]
-    blocks = {}
-    for m in range(-L, L + 1, 2):
-        ops = sector_operators([[(kernel, s)] for s in windows], L, m)
-        blocks[m] = sum(ops[1:], ops[0]).toarray()
+    blocks = {m: sector_window_sum([(kernel, s) for s in windows], L, m)
+              for m in range(-L, L + 1, 2)}
     return ChargeFamily(w, blocks)
 
 
@@ -295,7 +293,7 @@ def pauli_string_window_projection(blocks, L, window):
     that window, and P = (R - 1 (x) tr_0(R)/2) / 2^(L-w) is the part on
     the strings whose first letter is not the identity, so the anchor adds
     tr(P^dag P) / 2^w to the squared weight.  The P are embedded back
-    (core.sector_operators) and subtracted from the blocks, so the
+    (core.sector_window_sum) and subtracted from the blocks, so the
     residual is an entrywise difference.
     Returns (norm_within, residual).
     """
@@ -309,11 +307,10 @@ def pauli_string_window_projection(blocks, L, window):
         r -= np.eye(2)[:, None, :, None] * np.trace(r, axis1=0, axis2=2)[:, None] / 2
         part = r.reshape(1 << window, -1) / (1 << (L - window))
         within_sq += float(np.sum(np.abs(part) ** 2)) / (1 << window)
-        parts.append([(part, sites)])
+        parts.append((part, sites))
     residual_sq = 0.0
     for m, b in blocks.items():
-        ops = sector_operators(parts, L, m)
-        recon = sum(ops[1:], ops[0]).toarray()
+        recon = sector_window_sum(parts, L, m)
         recon -= b
         residual_sq += float(np.sum(np.abs(recon) ** 2))
     return float(np.sqrt(within_sq)), float(np.sqrt(residual_sq / (1 << L)))

@@ -2,10 +2,12 @@
 
 Heavy imports happen inside the handlers so --threads can cap the BLAS
 thread pools before numpy first loads.  scipy loads later still, and
-only scipy.sparse, inside the core functions that build sparse matrices
-(the core module docstring names them); rp-spectrum loads none of scipy,
-and every eigensolve is numpy's.  The scipy.sparse import costs a fresh
-process about 0.2 s and 22 MB, more than several commands compute.
+only scipy.sparse, in the two commands that step dense vectors through
+CSR layer operators (domain-wall, and szm with --method typicality; the
+core module docstring names the functions); every other command loads
+none of scipy, and every eigensolve is numpy's.  The scipy.sparse import
+costs a fresh process about 0.15 s and 15 MB of max RSS (numpy and the
+package alone: 0.16 s and 34 MB), more than several commands compute.
 Every run writes a RunRecord JSON whose sha256 covers
 the deterministic fields (subcommand, resolved parameters, package
 version, root seed); each output file embeds that hash, and re-running
@@ -14,7 +16,9 @@ build and BLAS thread count (wall time, the environment and file paths
 stay outside the hash); another thread count has moved values by up to
 about 1e-13, with the same files, columns and row order.
 The environment names the Python version and the numpy and scipy
-versions the run loaded, null for one it never imported.  The record is
+versions the run loaded, null for one it never imported, and in
+blas_threads the thread count of each one's OpenBLAS, null for a library
+the run never imported.  The record is
 strict JSON: a non-finite parameter is written as null, while the hash
 covers its value.
 
@@ -289,11 +293,32 @@ def _require_finite_run(run, table):
             raise ParameterError(f"{key} must be finite, got {run[key]}")
 
 
+def _blas_threads(package, symbol):
+    """Thread count of the OpenBLAS that <package>.libs bundles, read through
+    ctypes; None for a package the run never imported, or a missing
+    library or symbol."""
+    import ctypes
+
+    module = sys.modules.get(package)
+    if module is None:
+        return None
+    for path in sorted(Path(module.__file__).resolve().parents[1].glob(
+            f"{package}.libs/libscipy_openblas*")):
+        try:
+            return int(getattr(ctypes.CDLL(str(path)), symbol)())
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
 def _environment():
-    """Python version and the numpy and scipy versions the run loaded (None if not)."""
+    """Python version, the numpy and scipy versions the run loaded (None if
+    not), and the BLAS thread count of each (None if not loaded)."""
     loaded = {name: getattr(sys.modules.get(name), "__version__", None)
               for name in ("numpy", "scipy")}
-    return {"python": platform.python_version(), **loaded}
+    threads = {"numpy": _blas_threads("numpy", "scipy_openblas_get_num_threads64_"),
+               "scipy": _blas_threads("scipy", "scipy_openblas_get_num_threads")}
+    return {"python": platform.python_version(), **loaded, "blas_threads": threads}
 
 
 def _seed_streams(root):

@@ -19,33 +19,38 @@ it differs from by a 01 <-> 10 swap.  The gates of one layer sit on
 disjoint bonds, so their product over a group of up to GROUP_BONDS bonds
 has 2^d entries in a row with d bonds reading 01 or 10.  That sparsity
 pattern depends only on (L, m, bonds); _group_pattern computes it once
-per key (cached), PATTERN_CHUNK_ROWS rows at a time, and sector_operators
-multiplies the operators' entries into it as one CSR matrix per group,
-so a step is a few sparse products on all columns of a dense array at
-once (layer_operators, sector_step).  build_sector_block pushes the basis
-through in column chunks of at most BUILD_CHUNK_BYTES each, so a block's
-peak does not grow with dim_m x dim.  A group may also
-be one w-site MC operator, such as a charge density; read the other way,
-a one-window pattern sums a sector operator's entries back onto the
-window, its partial trace (sector_partial_trace).  The pattern holds
-only the MC entries of an operator, so the kernel refuses any operator
-that is not MC.  Each block or evolution is also compared, on one column
-and one step, with the full-space propagator_apply (check_sector_column).
+per key (cached), PATTERN_CHUNK_ROWS rows at a time, and the operators'
+entries are multiplied into it (_group_values).  The pattern is
+symmetric, so read with every operator transposed its row i lists column
+i of the group's product (layer_columns).  A block build pushes and
+folds (build_sector_block): each column's source state is pushed through
+the groups, path by path, in passes of at most BUILD_PATHS paths, and
+the images are folded onto the basis with np.bincount.  Permutation
+blocks (permutation_block) and dense window sums such as a charge
+(sector_window_sum) fold the same way, and read the other way a
+one-window pattern sums a sector operator's entries back onto the
+window, its partial trace (sector_partial_trace).  Only the two
+steppers, which apply a circuit to dense vectors hundreds of times, turn
+each group into one CSR matrix (sector_operators, layer_operators,
+sector_step).  The pattern holds only the MC entries of an operator, so
+the kernel refuses any operator that is not MC.  Each block or evolution
+is also compared, on one column and one step, with the full-space
+propagator_apply (check_sector_column).
 
-Sector states are the only coordinates: a sector basis matrix W has the
-rows of sector_states(L, m), the shift and flip-reflection maps act on
-int arrays of states, and diagonal observables and time reversal read
-their sigma^z per site from site_spins on them; a 2^L vector appears only
-in the one-column full-space oracles (check_sector_column).  Operators
-that conserve magnetization are passed around as sector blocks
-{m: block} on those rows, and nothing takes them in any other form; the
-propagator's are one build_sector_block per sector (build_propagator).
+Sector states are the only coordinates: a sector basis holds, per row of
+sector_states(L, m), its column and amplitude, the shift and
+flip-reflection maps act on int arrays of states, and diagonal
+observables and time reversal read their sigma^z per site from
+site_spins on them; a 2^L vector appears only in the one-column
+full-space oracles (check_sector_column).  Operators that conserve
+magnetization are passed around as sector blocks {m: block} on those
+rows, and nothing takes them in any other form; the propagator's are
+one build_sector_block per sector (build_propagator).
 
 scipy.sparse is the only part of scipy the package imports, and only
-inside the functions that build sparse matrices: here sector_basis and
-sector_operators.  unitary_phases and the one-column oracles are numpy
-only, so a process that never builds a CSR matrix never pays scipy's
-import.
+inside sector_operators, the steppers' CSR matrices.  Bases, blocks,
+window sums and the one-column oracles are numpy only, so a process that
+never steps a dense vector never pays scipy's import.
 """
 
 import functools
@@ -61,7 +66,7 @@ SECTOR_MAX_L = 14       # dense work inside a single symmetry sector
 BASIS_MAX_L = 20        # bases themselves stay cheap a bit longer
 SECTOR_ORACLE_TOL = 1e-12  # sector kernel against the full-space column
 GROUP_BONDS = 4  # bonds of one layer multiplied into one sector step operator
-BUILD_CHUNK_BYTES = 1 << 21  # dense dim_m x chunk array of one build_sector_block pass
+BUILD_PATHS = 1 << 16  # pushed paths of one build_sector_block pass, about 60 bytes each
 PATTERN_CHUNK_ROWS = 1 << 11  # sector rows per _group_pattern pass
 BLOCK_UNITARITY_TOL = 1e-10  # unitarity of a dense block before its eigenphases
 # First Cayley pole sits at -exp(i CAYLEY_ALPHA): no rational multiple of pi,
@@ -167,29 +172,24 @@ def unitary_phases(u, vectors=False):
 class SectorBasis:
     """Orthonormal basis of a magnetization (and optionally momentum) sector.
 
-    `vectors` is the sparse dim_m x dim matrix W of basis columns, its rows
-    those of sector_states(L, magnetization).  `entries` holds the same
-    nonzeros as (rows, cols, values) sorted by column, so that columns()
-    fills a dense column chunk from one contiguous slice.
+    The basis matrix W has the rows of sector_states(L, magnetization), and
+    each row lies in at most one column: row r holds amplitude[r] in column
+    column[r], or nothing where column[r] is -1.  Column c is spanned by
+    the S^2 orbit of the state in row source[c], its minimal state (the
+    state alone without a momentum); a block build pushes that state only.
+    Every field is a numpy array.
     """
 
     L: int
     magnetization: int
     momentum: object  # int k index under the two-site shift, or None
-    vectors: object = field(repr=False)
-    entries: tuple = field(repr=False)
+    source: np.ndarray = field(repr=False)
+    column: np.ndarray = field(repr=False)
+    amplitude: np.ndarray = field(repr=False)
 
     @property
     def dim(self):
-        return self.vectors.shape[1]
-
-    def columns(self, lo, hi):
-        """Dense dim_m x (hi - lo) array of the basis columns lo..hi-1."""
-        rows, cols, values = self.entries
-        a, b = np.searchsorted(cols, (lo, hi))
-        out = np.zeros((self.vectors.shape[0], hi - lo), dtype=complex)
-        out[rows[a:b], cols[a:b] - lo] = values[a:b]
-        return out
+        return self.source.size
 
 
 def sector_states(L, m):
@@ -216,28 +216,24 @@ def sector_basis(L, m, k=None):
         raise CapacityError(f"sector bases limited to L <= {BASIS_MAX_L}, got {L}")
     if (L + m) % 2 or not 0 <= (L + m) // 2 <= L:
         raise ParameterError(f"magnetization {m} impossible for L={L}")
-    from scipy import sparse
-
     states = sector_states(L, m)
-
     if k is None:
-        rows = np.arange(len(states))
-        entries = (rows, rows, np.ones(len(states), dtype=complex))
-        dim = len(states)
-    else:
-        n_cells = L // 2
-        if not 0 <= k < n_cells:
-            raise ParameterError(f"momentum index {k} outside 0..{n_cells - 1}")
-        _, periods, orbits = _momentum_orbits(L, m)
-        keep = (k * periods) % n_cells == 0  # momentum compatible with orbit period
-        p = periods[keep]
-        in_orbit = np.arange(n_cells) < p[:, None]  # (column, j): S^(2j) rep is a state
-        rows = np.searchsorted(states, orbits[keep][in_orbit])
-        cols, j = np.nonzero(in_orbit)  # row-major, so cols ascend
-        entries = (rows, cols, np.exp(-2j * np.pi * k / n_cells * j) / np.sqrt(p[cols]))
-        dim = p.size
-    vec = sparse.csr_array((entries[2], entries[:2]), shape=(len(states), dim), dtype=complex)
-    return SectorBasis(L, m, k, vec, entries)
+        rows = np.arange(states.size)
+        return SectorBasis(L, m, k, rows, rows, np.ones(states.size, dtype=complex))
+    n_cells = L // 2
+    if not 0 <= k < n_cells:
+        raise ParameterError(f"momentum index {k} outside 0..{n_cells - 1}")
+    _, periods, orbits = _momentum_orbits(L, m)
+    keep = (k * periods) % n_cells == 0  # momentum compatible with orbit period
+    p = periods[keep]
+    in_orbit = np.arange(n_cells) < p[:, None]  # (column, j): S^(2j) rep is a state
+    rows = np.searchsorted(states, orbits[keep][in_orbit])
+    cols, j = np.nonzero(in_orbit)  # row-major, so cols ascend and each starts at j = 0
+    column = np.full(states.size, -1, dtype=np.int64)
+    column[rows] = cols
+    amplitude = np.zeros(states.size, dtype=complex)
+    amplitude[rows] = np.exp(-2j * np.pi * k / n_cells * j) / np.sqrt(p[cols])
+    return SectorBasis(L, m, k, rows[j == 0], column, amplitude)
 
 
 @functools.lru_cache(maxsize=64)
@@ -447,32 +443,51 @@ def _require_mc(u, sites):
         )
 
 
+def _group_values(group, L, m, columns=False):
+    """Cached pattern of a group of (operator, sites) pairs on disjoint
+    sites, and the value of each of its entries: (indptr, indices, values).
+
+    Row i lists the nonzeros of row i of the group's product.  With
+    columns=True every operator is read transposed, so row i lists column
+    i instead: a popcount-keeping word change runs both ways, so the
+    pattern is symmetric and only the values change.  The pattern holds
+    only the MC entries of an operator, so one with weight off the MC
+    pattern raises SymmetryError instead of being silently truncated.
+    """
+    for u, sites in group:
+        _require_mc(u, sites)
+    indptr, indices, entry = _group_pattern(L, m, tuple(tuple(s) for _, s in group))
+    data = np.ones(indices.size, dtype=complex)
+    for (u, _), e in zip(group, entry):
+        data *= (u.T if columns else u).ravel()[e]
+    return indptr, indices, data
+
+
 def sector_operators(groups, L, m):
     """CSR matrices inside magnetization sector m, one per group of
     (operator, sites) pairs on disjoint sites.
 
     A group's matrix is the product of its operators: their entries
-    multiplied into the cached _group_pattern of their sites.  Charges
-    pass one density window per group and sum the matrices; circuit
-    layers pass runs of bonds (layer_operators).  The same one-window
-    pattern, read the other way, sums a sector operator back onto its
-    window (sector_partial_trace).  The pattern holds only
-    the MC entries of an operator, so one with weight off the MC pattern
-    raises SymmetryError instead of being silently truncated.
+    multiplied into the cached _group_pattern of their sites
+    (_group_values).  Circuit layers pass runs of bonds
+    (layer_operators); the steppers apply them with sector_step.
     """
     from scipy import sparse
 
     ops = []
     for group in groups:
-        for u, sites in group:
-            _require_mc(u, sites)
-        indptr, indices, entry = _group_pattern(L, m, tuple(tuple(s) for _, s in group))
-        data = np.ones(indices.size, dtype=complex)
-        for (u, _), e in zip(group, entry):
-            data *= u.ravel()[e]
+        indptr, indices, data = _group_values(group, L, m)
         dim = indptr.size - 1
         ops.append(sparse.csr_array((data, indices, indptr), shape=(dim, dim)))
     return ops
+
+
+def _fold(index, values, out):
+    """Sum complex values onto their flat index of the array out (np.bincount,
+    which adds in input order, on each part)."""
+    out.real = np.bincount(index, values.real, out.size).reshape(out.shape)
+    out.imag = np.bincount(index, values.imag, out.size).reshape(out.shape)
+    return out
 
 
 def sector_partial_trace(blocks, sites, L):
@@ -480,10 +495,9 @@ def sector_partial_trace(blocks, sites, L):
     (sites[0] the most significant), from the sector blocks {m: block} of
     an MC operator A.
 
-    The one-window adjoint of sector_operators: each block entry lands on
-    the operator entry that _group_pattern(L, m, (sites,)) multiplies into
-    it, and the entries landing on one are summed.  A's blocks hold only
-    MC entries, so R is MC as well.
+    Each block entry lands on the operator entry that _group_pattern(L,
+    m, (sites,)) multiplies into it, and the entries landing on one are
+    summed.  A's blocks hold only MC entries, so R is MC as well.
     """
     w = len(sites)
     flat = np.zeros(4**w, dtype=complex)
@@ -494,10 +508,33 @@ def sector_partial_trace(blocks, sites, L):
     return flat.reshape(1 << w, 1 << w)
 
 
+def sector_window_sum(windows, L, m):
+    """Dense block in sector m of a sum of MC operators, one (operator,
+    sites) pair per window.
+
+    The adjoint of sector_partial_trace: each operator entry lands on the
+    block entries that _group_pattern(L, m, (sites,)) multiplies it into,
+    window after window.  An operator that is not MC raises SymmetryError.
+    """
+    n = sector_states(L, m).size
+    flat, values = [], []
+    for u, sites in windows:
+        _require_mc(u, sites)
+        indptr, indices, (entry,) = _group_pattern(L, m, (tuple(sites),))
+        flat.append(np.repeat(np.arange(n) * n, np.diff(indptr)) + indices)
+        values.append(u.ravel()[entry])
+    return _fold(np.concatenate(flat), np.concatenate(values), np.empty((n, n), dtype=complex))
+
+
 def bond_groups(pairs):
     """Split a layer's (gate, bond) pairs into balanced runs of <= GROUP_BONDS."""
     n, n_groups = len(pairs), -(-len(pairs) // GROUP_BONDS)
     return [pairs[n * g // n_groups : n * (g + 1) // n_groups] for g in range(n_groups)]
+
+
+def _circuit_groups(circuit):
+    """The bond_groups of every layer, in application order."""
+    return [g for i in range(len(circuit.layers)) for g in bond_groups(circuit.layer(i))]
 
 
 def layer_operators(circuit, m):
@@ -508,8 +545,15 @@ def layer_operators(circuit, m):
     a step (sector_step) is a few sparse products instead of one per bond.
     Any gate that is not MC raises SymmetryError.
     """
-    groups = [g for i in range(len(circuit.layers)) for g in bond_groups(circuit.layer(i))]
-    return sector_operators(groups, circuit.L, m)
+    return sector_operators(_circuit_groups(circuit), circuit.L, m)
+
+
+def layer_columns(circuit, m):
+    """Column form of layer_operators: per group of bonds, in application
+    order, the (indptr, indices, values) whose row i lists column i of the
+    group's step matrix (_group_values).  Any gate that is not MC raises
+    SymmetryError."""
+    return [_group_values(g, circuit.L, m, columns=True) for g in _circuit_groups(circuit)]
 
 
 def sector_step(ops, x):
@@ -542,39 +586,117 @@ def check_sector_column(oracle, circuit, col_in, col, states, what):
         )
 
 
-def build_sector_block(circuit, basis):
-    """Sector block W^dag U W of the propagator, built inside the sector.
+def _require_cell_invariant(circuit):
+    """Refuse a circuit whose momentum blocks a representative push would
+    get wrong: one that S^2 need not commute with, because it is an open
+    chain or some layer holds gates that differ by more than
+    SECTOR_ORACLE_TOL (the residual the SymmetryError carries)."""
+    if circuit.boundary != "periodic":
+        raise ParameterError("momentum blocks need a periodic circuit")
+    residual = max(float(np.abs(g - layer[0]).max()) for layer in circuit.layers for g in layer)
+    if residual > SECTOR_ORACLE_TOL:
+        raise SymmetryError(
+            f"momentum block needs equal gates within each layer (they differ by {residual:.3e})",
+            residual=residual,
+        )
 
-    The basis matrix W is evolved in column chunks whose dense dim_m x
-    chunk array stays within BUILD_CHUNK_BYTES: each chunk goes through
-    sector_step (one sparse product per group of bonds from
-    layer_operators, no 2^L vector per column) and is projected back with
-    the sparse W^dag into its columns of the block.  Both products act
-    column by column, so the block does not depend on the chunk width, and
-    a block whose whole evolution fits the budget takes one pass.  Non-MC
-    gates are refused, and column 0 is checked against propagator_apply.
+
+def _expand(start, count):
+    """The pattern positions start[i], ..., start[i] + count[i] - 1 that path
+    i meets, for each i in turn: the partners of np.repeat(paths, count)."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+def _path_counts(groups, n):
+    """Number of paths from each of the n sector rows through the groups:
+    one per chain of pattern entries, counted back from the last group."""
+    count = np.ones(n, dtype=np.int64)
+    for indptr, indices, _ in reversed(groups):
+        count = np.add.reduceat(count[indices], indptr[:-1])
+    return count
+
+
+def _push(groups, rows):
+    """Images of the sector rows `rows` through the groups (layer_columns).
+
+    Returns (source, row, amplitude) per path: the position in rows it
+    started from, the row it ends on and its product of entries.  Each
+    group splits a path into one per entry of its row (np.repeat), so the
+    paths of one source stay together and in the same order, whatever
+    other sources ride along.
     """
-    if circuit.L > SECTOR_MAX_L:
+    source = np.arange(rows.size)
+    amp = np.ones(rows.size, dtype=complex)
+    for indptr, indices, values in groups:
+        count = indptr[rows + 1] - indptr[rows]
+        at = _expand(indptr[rows], count)
+        rows, source, amp = indices[at], np.repeat(source, count), np.repeat(amp, count) * values[at]
+    return source, rows, amp
+
+
+def build_sector_block(circuit, basis, shift=0):
+    """Sector block W^dag S^shift U W of the propagator U times the one-site
+    shift S^shift (shift=1 gives the space-time block of an odd layer).
+
+    Push and fold, inside the sector: each column's source state is pushed
+    through the circuit, group of bonds by group (_push over
+    layer_columns), and its images are folded onto the basis with
+    np.bincount.  On a momentum basis only the orbit representative is
+    pushed: U commutes with S^2, so column c of the block is
+    sqrt(p_c) W^dag U |rep_c>, and an image at offset d in an orbit of
+    period p_c' folds with weight sqrt(p_c / p_c') exp(i theta d).  That
+    needs a ring with equal gates within each layer; another circuit is
+    refused after the MC check (_require_cell_invariant).
+
+    Passes take whole columns while their paths (_path_counts) stay
+    within BUILD_PATHS, so every block entry comes from one pass and the
+    block does not depend on the budget.  Non-MC gates are refused, and
+    the image of column 0's source is checked against propagator_apply.
+    """
+    L = circuit.L
+    if L > SECTOR_MAX_L:
         raise CapacityError(f"sector-dense work limited to L <= {SECTOR_MAX_L}")
-    m = basis.magnetization
-    dim_m, dim = basis.vectors.shape
-    ops = layer_operators(circuit, m)
-    w_dag = basis.vectors.conj().T
-
-    def evolve(lo, hi):
-        x = sector_step(ops, basis.columns(lo, hi))  # the columns are freed after one product
-        if not lo and hi:
-            check_sector_column(propagator_apply, circuit, basis.columns(0, 1)[:, 0], x[:, 0],
-                                sector_states(circuit.L, m), "propagator")
-        return w_dag @ x
-
-    width = max(1, BUILD_CHUNK_BYTES // (16 * dim_m))
-    if dim <= width:
-        return evolve(0, dim)
+    m, dim = basis.magnetization, basis.dim
+    groups = layer_columns(circuit, m)
+    if basis.momentum is not None:
+        _require_cell_invariant(circuit)
     block = np.empty((dim, dim), dtype=complex)
-    for lo in range(0, dim, width):
-        block[:, lo:lo + width] = evolve(lo, min(lo + width, dim))
+    if not dim:
+        return block
+    states = sector_states(L, m)
+    moved = np.searchsorted(states, translation_permutation(states, L, shift))
+    column, weight = basis.column[moved], basis.amplitude[moved].conj()  # of S^shift |row>
+    scale = np.sqrt(np.bincount(basis.column[basis.column >= 0], minlength=dim))  # sqrt p_c
+    counts = _path_counts(groups, states.size)[basis.source]
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < dim:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + BUILD_PATHS, "right")))
+        source, rows, amp = _push(groups, basis.source[lo:hi])
+        if not lo:
+            col_in = np.zeros(states.size)
+            col_in[basis.source[0]] = 1.0
+            image = _fold(rows[:counts[0]], amp[:counts[0]], np.empty(states.size, dtype=complex))
+            check_sector_column(propagator_apply, circuit, col_in, image, states, "propagator")
+        to = column[rows]
+        hit = to >= 0
+        source, rows = source[hit], rows[hit]
+        vals = amp[hit] * weight[rows] * scale[lo + source]
+        _fold(to[hit] * (hi - lo) + source, vals, block[:, lo:hi])
+        lo = hi
     return block
+
+
+def permutation_block(basis, images):
+    """Dense W^dag P W for the permutation P sending states[i] to images[i],
+    which must permute the sector's states: each basis entry W[r, c] folds
+    onto column c, in the row of the column that holds its image."""
+    states = sector_states(basis.L, basis.magnetization)
+    to = np.searchsorted(states, images)
+    rows = np.flatnonzero((basis.column >= 0) & (basis.column[to] >= 0))
+    flat = basis.column[to[rows]] * basis.dim + basis.column[rows]
+    vals = basis.amplitude[to[rows]].conj() * basis.amplitude[rows]
+    return _fold(flat, vals, np.empty((basis.dim, basis.dim), dtype=complex))
 
 
 def build_propagator(circuit):

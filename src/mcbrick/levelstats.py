@@ -12,7 +12,7 @@ exp(i theta2) on an (m, k) block.  So the K eigenvalues alone refine each
 block: every K phase fixes one U eigenphase and the square-root branch it
 sits on, which splits the block into two halves.  This concrete operator
 is one choice of the construction.  On homogeneous rings its block is
-the shift's permutation block times the odd layer's own sector block.
+the odd layer's own sector block, each image folded one site over.
 
 Homogeneous circuits whose gate has equal corner phases (<00|g|00> =
 <11|g|11>, which includes every gate drawn from the Haar family) carry
@@ -42,9 +42,9 @@ from .core import (
     BrickworkCircuit,
     build_propagator,
     build_sector_block,
+    permutation_block,
     sector_basis,
     sector_states,
-    translation_permutation,
     unitary_phases,
 )
 from .errors import ParameterError, SymmetryError
@@ -192,25 +192,16 @@ def sector_spectrum(circuit, m, k=None):
     return _result_from_phases(phases, m, k)
 
 
-def _permutation_block(basis, images):
-    """Sparse W^dag P W for the permutation P sending states[i] to images[i],
-    which must permute the sector's states; P W is a row gather of W."""
-    states = sector_states(basis.L, basis.magnetization)
-    w = basis.vectors
-    return w.conj().T @ w[np.argsort(np.searchsorted(states, images)), :]
-
-
 def _k_block(circuit, basis):
     """Restriction of K = S * (odd layer) to a sector basis; it must be unitary.
 
     On a homogeneous ring the odd layer O keeps m and commutes with S^2, so
-    it keeps the (m, k) sector and W^dag K W = (W^dag S W)(W^dag O W): the
-    shift's _permutation_block times core.build_sector_block of O alone.
+    it keeps the (m, k) sector, and core.build_sector_block of O alone
+    with shift=1 folds each image of O after moving it one site: no
+    product of two dense blocks is formed.
     """
-    states = sector_states(circuit.L, basis.magnetization)
-    shift = _permutation_block(basis, translation_permutation(states, circuit.L, 1))
     odd = BrickworkCircuit(circuit.L, circuit.layers[:1], circuit.boundary)
-    return _unitary(shift @ build_sector_block(odd, basis), "space-time")
+    return _unitary(build_sector_block(odd, basis, shift=1), "space-time")
 
 
 def _branch_phases(ub, kb, theta2):
@@ -258,14 +249,14 @@ def _flip_reflection_block(basis):
     at m = 0 and, on rings, at self-conjugate k (2k = 0 mod L/2); elsewhere
     the restriction is not unitary and None is returned before any work.
     On a sector it closes on, the map permutes the states, so its block is
-    their _permutation_block; a block that fails the unitarity check still
+    their permutation_block; a block that fails the unitarity check still
     gives None.
     """
     k = basis.momentum
     if basis.magnetization != 0 or (k is not None and (2 * k) % (basis.L // 2)):
         return None
     states = sector_states(basis.L, 0)
-    xp = _permutation_block(basis, flip_reflection_permutation(states, basis.L)).toarray()
+    xp = permutation_block(basis, flip_reflection_permutation(states, basis.L))
     defect = np.abs(xp.conj().T @ xp - np.eye(basis.dim)).max()
     if defect > BLOCK_UNITARITY_TOL:
         return None

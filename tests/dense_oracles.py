@@ -236,6 +236,15 @@ def translate_index(n, L, sites=1):
     return ((n >> sites) | (n << (L - sites))) & mask
 
 
+def basis_matrix(basis):
+    """Dense dim_m x dim basis matrix W of a SectorBasis: row r holds
+    amplitude[r] in column column[r], where that is not -1."""
+    rows = np.flatnonzero(basis.column >= 0)
+    out = np.zeros((basis.column.size, basis.dim), dtype=complex)
+    out[rows, basis.column[rows]] = basis.amplitude[rows]
+    return out
+
+
 def loop_momentum_basis(L, m, k):
     """Vectors of the momentum-k basis, one S^2 orbit walk per state.
 
@@ -377,9 +386,8 @@ def restrict(op, basis, tol=1e-10):
                 residual=float(defect),
             )
     s = sector_states(basis.L, basis.magnetization)
-    w = basis.vectors
-    sub = entries[np.ix_(s, s)]
-    return np.asarray(w.conj().T @ (w.conj().T @ sub.conj().T).conj().T)
+    w = basis_matrix(basis)
+    return w.conj().T @ entries[np.ix_(s, s)] @ w
 
 
 # ------------------------------------------------------ RP window step

@@ -381,7 +381,6 @@ def test_sizes_past_the_caps_are_refusals(tmp_path, capsys, L, m_values):
 def test_no_command_forms_a_dense_2L_operator(tmp_path, args):
     # one complex 2^L x 2^L array is 16 * 4^L bytes, 16 MB at L = 10; all
     # propagator sector blocks together are 16 C(2L, L) bytes, 3 MB
-    importlib.import_module("scipy.sparse")  # a one-time import is not the command's
     tracemalloc.start()
     try:
         code = run(tmp_path, *args)
@@ -473,4 +472,7 @@ def test_outputs_agree_across_blas_thread_counts(command, tmp_path):
                 for col, u, v, circle in zip(one[1], x, y, phase):
                     _assert_values_close(u, v, f"{name} row {i} {col}", circle)
         else:
+            if name.endswith("-runrecord.json"):  # the one field that records the count
+                counts = [rec["environment"].pop("blas_threads")["numpy"] for rec in (one, two)]
+                assert counts[0] == 1 and counts[1] in (1, 2), counts
             _assert_values_close(one, two, name)

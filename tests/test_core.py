@@ -1,6 +1,5 @@
 """Sector bases, gate application, and the brickwork propagator."""
 
-import importlib
 import tracemalloc
 
 import numpy as np
@@ -39,6 +38,7 @@ from mcbrick.levelstats import chaotic_gate_pair, flip_reflection_permutation
 from mcbrick.symmetry import equivalent_circuit, global_time_reversal
 
 from dense_oracles import (
+    basis_matrix,
     dense_from_sectors,
     dense_propagator,
     identity_gate,
@@ -61,7 +61,7 @@ def test_sector_dimensions():
     b = sector_basis(4, 4)
     assert b.dim == 1
     assert sector_states(4, 4).tolist() == [0b1111]
-    assert b.vectors.toarray().tolist() == [[1.0]]
+    assert basis_matrix(b).tolist() == [[1.0]]
     for L in (4, 8, 12, 14):
         total = sum(sector_basis(L, m).dim for m in range(-L, L + 1, 2))
         assert total == 2**L
@@ -92,7 +92,7 @@ def test_momentum_basis_against_projector():
         target = np.exp(2j * np.pi * k / n_cells)
         count = int(np.sum(np.abs(evals - target) < 1e-8))
         assert b.dim == count
-        w = b.vectors.toarray()
+        w = basis_matrix(b)
         assert np.abs(w.conj().T @ w - np.eye(b.dim)).max() < 1e-12
         # the stored vectors, lifted to 2^L, really are S^2 eigenvectors
         v = np.zeros((1 << L, b.dim), dtype=complex)
@@ -107,9 +107,9 @@ def test_momentum_basis_matches_the_orbit_walk_exactly(L):
     for m in range(-L, L + 1, 2):
         for k in range(L // 2):
             vectors = loop_momentum_basis(L, m, k)
-            basis = sector_basis(L, m, k)
-            assert basis.vectors.shape == vectors.shape
-            assert (basis.vectors != vectors).nnz == 0
+            w = basis_matrix(sector_basis(L, m, k))
+            assert w.shape == vectors.shape
+            assert np.array_equal(w, vectors.toarray())
 
 
 def test_apply_gate_identity_and_swap():
@@ -268,7 +268,7 @@ def test_restrict_reassembles_full_spectrum():
 def test_check_sector_column_flags_mismatch_and_leak():
     L, m = 6, 0
     states = sector_states(L, m)
-    assert sector_basis(L, m).vectors.shape == (states.size, states.size)
+    assert basis_matrix(sector_basis(L, m)).shape == (states.size, states.size)
     rng = np.random.default_rng(2)
     circuit = homogeneous_circuit(identity_gate(), L)
     col_in = rng.normal(size=states.size)
@@ -427,11 +427,28 @@ def test_propagator_blocks_are_the_dense_sector_blocks(boundary):
 
 
 def _chunk_circuits(L, boundary):
-    """Homogeneous, two-gate and odd-layer-only (the K block's) circuits."""
+    """Homogeneous, two-gate, odd-layer-only (the K block's) and three-layer
+    symmetrized circuits."""
     hom = homogeneous_circuit(random_mc_gate(13), L, boundary)
     pair = chaotic_gate_pair(4)
     layers = [[g] * len(layer_bonds(L, boundary, i)) for i, g in enumerate(pair)]
-    return [hom, BrickworkCircuit(L, layers, boundary), BrickworkCircuit(L, hom.layers[:1], boundary)]
+    return [hom, BrickworkCircuit(L, layers, boundary),
+            BrickworkCircuit(L, hom.layers[:1], boundary), equivalent_circuit(hom)]
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 8, 10])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_pushed_blocks_are_the_dense_sector_blocks(L, boundary):
+    k_values = [None] + list(range(L // 2)) if boundary == "periodic" else [None]
+    for circ in _chunk_circuits(L, boundary):
+        dense = dense_propagator(circ)
+        for m in range(-L, L + 1, 2):
+            for k in k_values:
+                basis = sector_basis(L, m, k)
+                block = build_sector_block(circ, basis)
+                assert block.shape == (basis.dim, basis.dim)
+                if basis.dim:
+                    assert np.abs(block - restrict(dense, basis)).max() < 1e-12, (m, k)
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
@@ -442,22 +459,21 @@ def test_chunked_build_equals_the_one_pass_build_bit_for_bit(monkeypatch, bounda
         for m in (0, 2):
             for k in k_values:
                 basis = sector_basis(L, m, k)
-                dim_m = sector_states(L, m).size
-                monkeypatch.setattr(core, "BUILD_CHUNK_BYTES", 16 * dim_m * basis.dim)
+                monkeypatch.setattr(core, "BUILD_PATHS", 1 << 40)
                 whole = build_sector_block(circ, basis)
-                # one column at a time, and chunks of 3 with a shorter last one
-                for width in (1, 3):
-                    monkeypatch.setattr(core, "BUILD_CHUNK_BYTES", 16 * dim_m * width)
+                # one column a pass, and passes of a few columns with a shorter last one
+                for paths in (1, 300):
+                    monkeypatch.setattr(core, "BUILD_PATHS", paths)
                     chunked = build_sector_block(circ, basis)
                     assert chunked.shape == whole.shape
-                    assert chunked.tobytes() == whole.tobytes(), (m, k, width)
+                    assert chunked.tobytes() == whole.tobytes(), (m, k, paths)
 
 
 def test_chunked_build_checks_column_zero_once(monkeypatch):
     L = 8
     circ = homogeneous_circuit(random_mc_gate(13), L, "periodic")
     basis = sector_basis(L, 0, 1)
-    monkeypatch.setattr(core, "BUILD_CHUNK_BYTES", 1)
+    monkeypatch.setattr(core, "BUILD_PATHS", 1)
     real_check, calls = core.check_sector_column, []
 
     def spy(*args):
@@ -467,22 +483,42 @@ def test_chunked_build_checks_column_zero_once(monkeypatch):
     monkeypatch.setattr(core, "check_sector_column", spy)
     build_sector_block(circ, basis)
     assert len(calls) == 1
-    real_ops = core.layer_operators
+    real_columns = core.layer_columns
 
     def corrupted(circuit, m):
-        ops = real_ops(circuit, m)
-        ops[-1] = ops[-1] * np.exp(0.1j)  # still MC, but no longer the circuit's layer
-        return ops
+        groups = real_columns(circuit, m)
+        indptr, indices, values = groups[-1]
+        groups[-1] = indptr, indices, values * np.exp(0.1j)  # no longer the circuit's layer
+        return groups
 
-    monkeypatch.setattr(core, "layer_operators", corrupted)
+    monkeypatch.setattr(core, "layer_columns", corrupted)
     with pytest.raises(SymmetryError, match="disagrees with the full-space column"):
         build_sector_block(circ, basis)
 
 
+def test_momentum_block_of_a_ring_with_unequal_gates_is_refused_after_the_mc_check():
+    L = 8
+    good, other = gate_matrix(random_mc_gate(2)), gate_matrix(random_mc_gate(3))
+    bad = np.cos(0.3) * np.eye(4) - 1j * np.sin(0.3) * np.fliplr(np.eye(4))
+    layers = [[good] * (L // 2), [good] * (L // 2)]
+    layers[0][1] = other  # still MC, but S^2 no longer commutes with the circuit
+    ring = BrickworkCircuit(L, layers, "periodic")
+    with pytest.raises(SymmetryError, match="equal gates") as err:
+        build_sector_block(ring, sector_basis(L, 0, 1))
+    assert err.value.residual == pytest.approx(np.abs(other - good).max())
+    # without a momentum the plain block is still built, and exact
+    plain = sector_basis(L, 0)
+    assert np.abs(build_sector_block(ring, plain) - restrict(dense_propagator(ring), plain)).max() < 1e-12
+    layers[1][0] = bad  # a non-MC gate is refused first
+    with pytest.raises(SymmetryError, match="not magnetization conserving"):
+        build_sector_block(BrickworkCircuit(L, layers, "periodic"), sector_basis(L, 0, 1))
+    with pytest.raises(ParameterError, match="periodic"):
+        build_sector_block(homogeneous_circuit(good, L, "open"), sector_basis(L, 0, 1))
+
+
 def test_sector_build_peak_memory_stays_within_the_chunks():
-    # at L = 14, m = 0, k = 1 one dense 3432 x 490 evolution is 27 MB, and the
-    # one-pass build held about two of them (52 MiB traced)
-    importlib.import_module("scipy.sparse")  # a one-time import is not the build's
+    # at L = 14, m = 0, k = 1 one dense 3432 x 490 evolution is 27 MB, and
+    # the one-pass column-stepping build held about two of them (52 MiB traced)
     circ = homogeneous_circuit(random_mc_gate(3), 14, "periodic")
     basis = sector_basis(14, 0, 1)
     tracemalloc.start()
@@ -524,8 +560,12 @@ def test_translation_permutation_order():
 
 
 def test_sector_coordinates_hold_no_full_space_object():
-    # W is stored on the sector's rows, T as its L site angles
-    assert sector_basis(14, 0, 1).vectors.shape == (3432, 490)
+    # W is stored as numpy arrays on the sector's rows, T as its L site angles
+    basis = sector_basis(14, 0, 1)
+    assert basis.dim == 490
+    assert basis.source.shape == (490,)
+    assert basis.column.shape == basis.amplitude.shape == (3432,)
+    assert all(isinstance(v, np.ndarray) for v in (basis.source, basis.column, basis.amplitude))
     circuit = homogeneous_circuit(random_mc_gate(3), 10, "open")
     assert global_time_reversal(circuit).shape == (10,)
     # the shift and flip-reflection maps act on arrays of states

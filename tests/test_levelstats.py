@@ -12,6 +12,7 @@ from mcbrick.core import (
     build_sector_block,
     homogeneous_circuit,
     layer_bonds,
+    permutation_block,
     sector_basis,
     sector_states,
     site_spins,
@@ -33,7 +34,7 @@ from mcbrick.levelstats import (
     sector_spectrum,
     spacing_ratios,
 )
-from mcbrick.levelstats import BLOCK_UNITARITY_TOL, _branch_phases, _k_block, _permutation_block
+from mcbrick.levelstats import BLOCK_UNITARITY_TOL, _branch_phases, _k_block
 from mcbrick.symmetry import equivalent_circuit
 
 from dense_oracles import (
@@ -172,7 +173,7 @@ def test_non_mc_gate_on_any_bond_is_refused(boundary):
 
 def _shift_block(basis):
     states = sector_states(basis.L, basis.magnetization)
-    return _permutation_block(basis, translation_permutation(states, basis.L, 1)).toarray()
+    return permutation_block(basis, translation_permutation(states, basis.L, 1))
 
 
 def test_shift_block_squares_to_the_momentum_phase():
@@ -198,23 +199,24 @@ def test_shift_block_to_the_power_l_is_one():
 
 def test_k_block_is_the_odd_layer_sector_block_times_the_shift(monkeypatch):
     for name in ("_apply_k", "SECTOR_DIM_MAX", "sector_operators", "sector_step",
-                 "bond_groups", "check_sector_column"):
+                 "bond_groups", "check_sector_column", "_permutation_block"):
         assert not hasattr(levelstats, name), name
     ring = homogeneous_circuit(random_mc_gate(5), 8, "periodic")
     basis = sector_basis(8, 0, 1)
     real = levelstats.build_sector_block
     seen = []
 
-    def spy(circuit, b):
-        seen.append(circuit)
-        return real(circuit, b)
+    def spy(circuit, b, **kwargs):
+        seen.append((circuit, kwargs))
+        return real(circuit, b, **kwargs)
 
     monkeypatch.setattr(levelstats, "build_sector_block", spy)
     kb = _k_block(ring, basis)
-    (odd,) = seen
+    ((odd, kwargs),) = seen
     assert len(odd.layers) == 1 and np.array_equal(odd.layers[0], ring.layers[0])
-    assert odd.boundary == "periodic"
-    assert np.abs(kb - _shift_block(basis) @ real(odd, basis)).max() == 0.0
+    assert odd.boundary == "periodic" and kwargs == {"shift": 1}
+    # folded after the shift, not multiplied by it: equal up to rounding
+    assert np.abs(kb - _shift_block(basis) @ real(odd, basis)).max() < 1e-14
 
 
 def test_flip_reflection_permutation_is_involution():
@@ -264,7 +266,7 @@ def test_flip_reflection_closes_exactly_on_self_conjugate_momenta(L):
     images = flip_reflection_permutation(states, L)
     for k in range(L // 2):
         basis = sector_basis(L, 0, k)
-        xp = _permutation_block(basis, images).toarray()
+        xp = permutation_block(basis, images)
         closes = np.abs(xp.conj().T @ xp - np.eye(basis.dim)).max() <= BLOCK_UNITARITY_TOL
         assert closes == ((2 * k) % (L // 2) == 0), k
         block = levelstats._flip_reflection_block(basis)

@@ -25,12 +25,20 @@ GATE_I = ["--delta-phase", "0.1", "--alpha", "0.4", "--phi", "0.9", "--chi", "0.
           "--theta", "0.2"]
 GATE_II = ["--tau", "0.7", "--delta", "0.3"]
 
-# commands that never build a CSR matrix (their eigensolves are numpy's),
-# with the exit code each must return
+# commands that never build a CSR matrix (sector blocks are pushed and
+# folded in numpy, every eigensolve is numpy's), with the exit code each
+# must return
 SCIPY_FREE = [
     (["classify", *GATE_II], 0),
     (["map-params", *GATE_II], 0),
     (["verify-ybe", "--trials", "20"], 0),
+    (["spectrum-stats", *GATE_I, "--L", "8", "--boundary", "periodic", "--k-values", "0,1"], 0),
+    (["spectrum-stats", "--two-gate", "--L", "6", "--boundary", "periodic"], 0),
+    (["charges", *GATE_II, "--L", "6", "--ell", "1"], 0),
+    (["charges", *GATE_I, "--L", "10", "--ell", "2"], 0),
+    (["time-reversal", *GATE_I, "--L", "6"], 0),
+    (["szm", *GATE_I, "--L", "6", "--steps", "20"], 0),
+    (["staggered-corr", *GATE_I, "--L", "6", "--steps", "20"], 0),
     (["time-reversal", *GATE_I, "--L", "10", "--boundary", "periodic"], 3),
     (["charges", *GATE_II, "--L", "14"], 3),
     (["rp-spectrum", *GATE_I, "--r", "7"], 3),
@@ -60,17 +68,17 @@ for i, (argv, expect) in enumerate(json.loads(sys.argv[2])):
 POSITIVE = """
 import sys
 from mcbrick.cli import main
-assert main(["spectrum-stats", "--tau", "0.7", "--delta", "0.3", "--L", "4",
+assert main(["domain-wall", "--tau", "0.7", "--delta", "0.3", "--L", "6", "--steps", "4",
              "--out-dir", sys.argv[1] + "/0"]) == 0
-assert "scipy.sparse" in sys.modules, "spectrum-stats built its sector blocks without scipy"
+assert "scipy.sparse" in sys.modules, "domain-wall stepped its sector without scipy"
 """
 
-# commands that build CSR products (sector blocks) but solve with numpy,
-# so scipy.linalg and scipy.optimize stay unloaded
+# the two steppers: they apply CSR layer operators (core.sector_step) to
+# dense vectors hundreds of times, but solve nothing, so scipy.linalg and
+# scipy.optimize stay unloaded
 SPARSE_ONLY = [
-    ["szm", *GATE_I, "--L", "6", "--steps", "20"],
-    ["staggered-corr", *GATE_I, "--L", "6", "--steps", "20"],
-    ["time-reversal", *GATE_I, "--L", "6"],
+    ["domain-wall", *GATE_II, "--L", "8", "--steps", "20", "--threads", "1"],
+    ["szm", *GATE_I, "--method", "typicality", "--L", "6", "--steps", "20"],
 ]
 
 # one command per fresh interpreter, so each must load scipy.sparse itself
@@ -79,7 +87,7 @@ import json, sys
 from mcbrick.cli import main
 argv = json.loads(sys.argv[2])
 assert main([*argv, "--out-dir", sys.argv[1] + "/0"]) == 0
-assert "scipy.sparse" in sys.modules, f"{argv[0]} built its blocks without scipy.sparse"
+assert "scipy.sparse" in sys.modules, f"{argv[0]} stepped its sector without scipy.sparse"
 assert "scipy.linalg" not in sys.modules, f"{argv[0]} loaded scipy.linalg"
 assert "scipy.optimize" not in sys.modules, f"{argv[0]} loaded scipy.optimize"
 public = {m.split(".")[1] for m in sys.modules
@@ -105,19 +113,27 @@ def test_scipy_free_commands_never_load_scipy(tmp_path):
     run_child(CHILD, tmp_path, json.dumps(SCIPY_FREE))
     for i, (argv, _) in enumerate(SCIPY_FREE):
         env = environment(tmp_path, i, argv[0])
+        threads = env.pop("blas_threads")
         assert env == {"python": platform.python_version(), "numpy": numpy.__version__,
                        "scipy": None}, argv[0]
+        assert isinstance(threads["numpy"], int) and threads["numpy"] >= 1, argv[0]
+        assert threads["scipy"] is None, argv[0]
 
 
-def test_spectrum_stats_loads_scipy_sparse(tmp_path):
+def test_domain_wall_loads_scipy_sparse(tmp_path):
     run_child(POSITIVE, tmp_path)
-    assert environment(tmp_path, 0, "spectrum-stats")["scipy"] == scipy.__version__
+    assert environment(tmp_path, 0, "domain-wall")["scipy"] == scipy.__version__
 
 
-def test_correlators_load_scipy_sparse_but_not_linalg(tmp_path):
+def test_steppers_load_scipy_sparse_but_not_linalg(tmp_path):
     for i, argv in enumerate(SPARSE_ONLY):
         run_child(SPARSE_CHILD, tmp_path / str(i), json.dumps(argv))
-        assert environment(tmp_path / str(i), 0, argv[0])["scipy"] == scipy.__version__
+        env = environment(tmp_path / str(i), 0, argv[0])
+        assert env["scipy"] == scipy.__version__
+        threads = env["blas_threads"]
+        assert all(isinstance(n, int) and n >= 1 for n in threads.values()), threads
+        if "--threads" in argv:  # the cap reaches both libraries
+            assert threads == {"numpy": 1, "scipy": 1}
 
 
 def scipy_imports(source):
