@@ -415,9 +415,8 @@ def _group_pattern(L, m, blocks):
             # each entry splits into one per word of the same popcount as its own
             count = peers[word]
             rep = np.repeat(np.arange(rows.size), count)
-            nth = np.arange(rep.size) - np.repeat(np.cumsum(count) - count, count)
+            to = by_pop[_expand(first[word], count)]
             word = word[rep]
-            to = by_pop[first[word] + nth]
             rows, flip = rows[rep], flip[rep] ^ spread[word ^ to]
             entry = [e[rep] for e in entry] + [((word << w) + to).astype(kind)]
         cols = row_of[chunk[rows] ^ flip]
@@ -602,8 +601,8 @@ def _require_cell_invariant(circuit):
 
 
 def _expand(start, count):
-    """The pattern positions start[i], ..., start[i] + count[i] - 1 that path
-    i meets, for each i in turn: the partners of np.repeat(paths, count)."""
+    """The indices start[i], ..., start[i] + count[i] - 1 for each i in
+    turn: the partners of np.repeat(items, count)."""
     return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
 
 

@@ -17,7 +17,7 @@ Haar/Hurwitz form: corners e^{i delta}, central block
 import functools
 
 import numpy as np
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ParameterError, StructureError
 
@@ -178,6 +178,8 @@ class HaarExtraction:
 
 
 _DEGENERATE_EPS = 1e-12
+# rotation size |p| below which gate_sqrt treats a central block as a scalar
+_SCALAR_EPS = 1e-14
 
 
 def haar_params_from_gate(g):
@@ -204,46 +206,6 @@ def haar_params_from_gate(g):
     return HaarExtraction(HaarGateParams(delta, alpha, phi, chi, theta_v), float(mu))
 
 
-def hamiltonian_params_from_gate(g):
-    """Invert gate_from_hamiltonian in the J=1 gauge.
-
-    The duration only ever multiplies the couplings, so the gate fixes them
-    up to one scale; the hopping is pinned to J=1 as in the generator's
-    definition. Gates whose central block has no hopping part (J sin(tau w)
-    of zero) do not admit this gauge and are rejected.
-    """
-    m = _require_mc_structure(gate_matrix(g))
-    v = m[1:3, 1:3]
-    det_v = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-    phi0 = 0.5 * np.angle(det_v)
-    w = np.exp(-1j * phi0) * v  # SU(2): cos(psi) 1 - i sin(psi) n.sigma
-    cos_psi = 0.5 * (w[0, 0] + w[1, 1]).real
-    # sin(psi) n_j = (i/2) tr(w sigma_j) in the central two-level space
-    p_x = 0.5 * (1j * (w[0, 1] + w[1, 0])).real
-    p_y = 0.5 * (w[1, 0] - w[0, 1]).real
-    p_z = 0.5 * (1j * (w[0, 0] - w[1, 1])).real
-    sin_psi = np.sqrt(p_x * p_x + p_y * p_y + p_z * p_z)
-    psi = np.arctan2(sin_psi, cos_psi)
-    if sin_psi < 1e-14 or abs(p_x) < 1e-14 * max(sin_psi, 1.0):
-        raise ParameterError(
-            "central block has no hopping rotation; J=1 gauge is undefined"
-        )
-    nx, ny, nz = p_x / sin_psi, p_y / sin_psi, p_z / sin_psi
-    tau = 0.5 * psi * nx  # tau * 2J = psi * n_x with J = 1
-    d_dm = ny / nx
-    b_field = nz / nx
-    a00 = np.angle(m[0, 0])
-    a33 = np.angle(m[3, 3])
-    two_tau_delta = phi0 - 0.5 * (a00 + a33)
-    delta = two_tau_delta / (2.0 * tau)
-    a_coef = (-phi0 / tau - 0.5 * (a00 + a33) / tau) / 2.0
-    m_field = (a00 - a33) / (4.0 * tau)
-    return HamiltonianGateParams(
-        tau=float(tau), delta=float(delta), B=float(b_field), D=float(d_dm),
-        M=float(m_field), A=float(a_coef), J=1.0,
-    )
-
-
 def sample_haar(rng_seed, n=None):
     """Haar angles: sin^2(phi) uniform on [0,1), the four phases on [0,2pi).
 
@@ -264,6 +226,33 @@ def random_mc_gate(rng_seed):
     return gate_from_haar(sample_haar(rng_seed))
 
 
-def gate_sqrt(p):
-    """MC square root: halve the duration in the Hamiltonian form."""
-    return gate_from_hamiltonian(replace(p, tau=0.5 * p.tau))
+def gate_sqrt(gate):
+    """MC square root of a gate (TwoQubitGate or 4x4 array): the gate's own
+    rotation, halved.
+
+    Each corner e^{ia}, a in (-pi, pi], becomes e^{ia/2}.  The central
+    block is V = e^{i phi0} (cos(psi) 1 - i p.sigma) with phi0 = arg(det V)/2
+    and |p| = sin(psi), psi in [0, pi]; the branch taken is e^{i phi0/2}
+    (cos(psi/2) 1 - i sin(psi/2) p.sigma/|p|).  Where |p| vanishes to
+    rounding the block is a scalar s, and its root is e^{i arg(s)/2}.
+    A matrix that is not MC raises StructureError.
+    """
+    m = _require_mc_structure(gate_matrix(gate))
+    root = np.zeros((4, 4), dtype=complex)
+    root[0, 0], root[3, 3] = np.exp(0.5j * np.angle(m[[0, 3], [0, 3]]))
+    v = m[1:3, 1:3]
+    phi0 = 0.5 * np.angle(v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0])
+    w = np.exp(-1j * phi0) * v  # SU(2): cos(psi) 1 - i p.sigma
+    # p_j = (i/2) tr(w sigma_j) in the central two-level space
+    p_x = 0.5 * (1j * (w[0, 1] + w[1, 0])).real
+    p_y = 0.5 * (w[1, 0] - w[0, 1]).real
+    p_z = 0.5 * (1j * (w[0, 0] - w[1, 1])).real
+    sin_psi = np.sqrt(p_x * p_x + p_y * p_y + p_z * p_z)
+    if sin_psi < _SCALAR_EPS:
+        root[1, 1] = root[2, 2] = np.exp(0.5j * np.angle(v[0, 0] + v[1, 1]))
+        return TwoQubitGate(root)
+    half = 0.5 * np.arctan2(sin_psi, 0.5 * (w[0, 0] + w[1, 1]).real)
+    c, s = np.exp(0.5j * phi0) * np.cos(half), np.exp(0.5j * phi0) * np.sin(half) / sin_psi
+    root[1:3, 1:3] = [[c - 1j * s * p_z, -s * (1j * p_x + p_y)],
+                      [s * (p_y - 1j * p_x), c + 1j * s * p_z]]
+    return TwoQubitGate(root)

@@ -257,8 +257,7 @@ def _flip_reflection_block(basis):
         return None
     states = sector_states(basis.L, 0)
     xp = permutation_block(basis, flip_reflection_permutation(states, basis.L))
-    defect = np.abs(xp.conj().T @ xp - np.eye(basis.dim)).max()
-    if defect > BLOCK_UNITARITY_TOL:
+    if unitarity_defect(xp) > BLOCK_UNITARITY_TOL:
         return None
     return xp
 

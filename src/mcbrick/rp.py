@@ -38,6 +38,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .charges import charge_kernels
+from .core import _expand
 from .errors import (
     CapacityError,
     CriticalManifoldError,
@@ -127,12 +128,6 @@ class TruncatedPropagator:
     eigenvalues: dict
     mixing_defect: float
     spectral_radius: float
-
-
-def _expand(start, count):
-    """The group indices start[i], ..., start[i] + count[i] - 1 that entry i
-    meets, for each i in turn: the partners of np.repeat(entries, count)."""
-    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
 
 
 def _push(superop, bonds, hi, ids, slots, n):

@@ -26,7 +26,9 @@ measured defect is raised through TimeReversalRefusal.
 
 The time-reversal functions (closure_defect, global_time_reversal,
 time_reversal_report) take the brickwork period, a two-layer
-BrickworkCircuit, and symmetrize it themselves with equivalent_circuit.
+BrickworkCircuit.  The bond angles are read from the period's own gates,
+which fix the twin's angles mod pi (_bond_angles); only
+time_reversal_report builds the twin, once, with equivalent_circuit.
 
 Both the period and its symmetrized twin conserve total S^z, and W is
 diagonal, so time_reversal_report checks the reversal and the spectral
@@ -50,7 +52,7 @@ from .core import (
     unitary_phases,
 )
 from .errors import CapacityError, ParameterError, TimeReversalRefusal
-from .gates import gate_sqrt, haar_params_from_gate, hamiltonian_params_from_gate
+from .gates import gate_sqrt, haar_params_from_gate
 
 __all__ = [
     "reversal_residual",
@@ -79,30 +81,41 @@ def site_phases(angles, states, L):
     return np.exp(1j * (site_spins(states, L) @ angles))
 
 
-def equivalent_circuit(circuit):
-    """Symmetrize one period into sqrt(odd) . even . sqrt(odd).
-
-    The result is sqrt(O) U sqrt(O)^{-1}, a similarity transform of the
-    period U = E O, so eigenphases are preserved.  Odd gates must admit
-    the Hamiltonian form (a nonzero hopping rotation) for their MC square
-    roots to be defined.  Only a two-layer period can be symmetrized.
-    """
+def _period_layers(circuit):
     if len(circuit.layers) != 2:
         raise ParameterError(
             f"expected a two-layer brickwork period, got {len(circuit.layers)} layers"
         )
-    gates_odd, gates_even = circuit.layers
-    halves = [gate_sqrt(hamiltonian_params_from_gate(g)) for g in gates_odd]
+    return circuit.layers
+
+
+def equivalent_circuit(circuit):
+    """Symmetrize one period into sqrt(odd) . even . sqrt(odd).
+
+    The result is sqrt(O) U sqrt(O)^{-1}, a similarity transform of the
+    period U = E O, so eigenphases are preserved.  Each odd gate is
+    halved by gates.gate_sqrt.  Only a two-layer period can be symmetrized.
+    """
+    gates_odd, gates_even = _period_layers(circuit)
+    halves = [gate_sqrt(g) for g in gates_odd]
     return BrickworkCircuit(circuit.L, (halves, gates_even, halves), circuit.boundary)
 
 
 def _bond_angles(circuit):
-    """Central-block angle of the gate on each bond (j, j+1) of the
-    symmetrized period; the first gate met on a bond sets its angle."""
-    theta = {}
-    for gate, (a, _b) in equivalent_circuit(circuit).layer_pairs():
-        if a not in theta:
-            theta[a] = haar_params_from_gate(gate).params.theta_v
+    """Central-block angle of the gate on each bond (j, j+1) of the period.
+
+    T reverses the symmetrized twin, whose odd bonds carry the roots
+    gate_sqrt(g), yet the angles are read from the period's own gates.
+    Once its determinant phase is removed, a central block's lower
+    off-diagonal entry is -i (p_x + i p_y) up to a sign, and the root's
+    is a positive multiple of its gate's: the root keeps the axis p.  So
+    theta(sqrt g) = theta(g) mod pi.  A shift of one bond angle by pi
+    shifts every site angle past it by -pi, which multiplies W by a
+    global sign (each e^{-i pi sz} is -1); T A T^{-1} = W conj(A) W^dag
+    does not change, and the loop defect is already taken mod pi.
+    """
+    _period_layers(circuit)
+    theta = {a: haar_params_from_gate(g).params.theta_v for g, (a, _b) in circuit.layer_pairs()}
     return np.array([theta[a] for a in sorted(theta)])
 
 

@@ -88,6 +88,8 @@ CASES = {
     "staggered-corr": (["staggered-corr", *GATE_I, "--L", "6", "--steps", "5"], None),
     "domain-wall": (["domain-wall", *GATE_II, "--L", "6", "--steps", "5"], None),
     "time-reversal-open": (["time-reversal", *GATE_I, "--L", "6"], None),
+    "time-reversal-no-hopping": (
+        ["time-reversal", *GATE_II, "--J", "0", "--B", "0.4", "--L", "6"], None),
     # exit 1: a verification measured a violation
     "exit1-verify-ybe-fails": (
         ["verify-ybe", "--trials", "5", "--tol-braid", "0"], None),

@@ -1,5 +1,7 @@
 """Two-qubit gate parametrizations and their interconversions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -13,7 +15,6 @@ from mcbrick.gates import (
     gate_from_hamiltonian,
     gate_sqrt,
     haar_params_from_gate,
-    hamiltonian_params_from_gate,
     magnetization_phase_gate,
     mc_zero_pattern_defect,
     sample_haar,
@@ -153,33 +154,29 @@ def test_haar_params_from_gate_rejects_non_mc():
         haar_params_from_gate(bad)
 
 
-def test_hamiltonian_params_from_gate_round_trip():
-    rng = np.random.default_rng(99)
-    for _ in range(200):
-        p = HamiltonianGateParams(
-            tau=rng.uniform(0.1, 1.2),
-            delta=rng.uniform(-2, 2),
-            B=rng.uniform(-1, 1),
-            D=rng.uniform(-1, 1),
-            M=rng.uniform(-1, 1),
-            A=rng.uniform(-1, 1),
-        )
-        g = gate_from_hamiltonian(p)
-        q = hamiltonian_params_from_gate(g)
-        assert q.J == 1.0
-        rebuilt = gate_from_hamiltonian(q)
-        assert np.abs(rebuilt.matrix - g.matrix).max() < 1e-12
-
-
 def test_gate_sqrt():
-    assert (
-        np.abs(gate_sqrt(HamiltonianGateParams(0.0, 1.0)).matrix - np.eye(4)).max()
-        < 1e-15
-    )
+    # the root halves the gate's phases and rotation angle as principal
+    # values; where tau's stay principal too, it is the half-duration gate
+    assert np.array_equal(gate_sqrt(identity_gate()).matrix, np.eye(4))
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        p = HamiltonianGateParams(*rng.uniform(-2, 2, size=7))
-        root = gate_sqrt(p)
-        assert mc_zero_pattern_defect(root.matrix) == 0.0
-        full = gate_from_hamiltonian(p)
-        assert np.abs(root.matrix @ root.matrix - full.matrix).max() < 1e-12
+    checked = 0
+    for _ in range(400):
+        p = HamiltonianGateParams(rng.uniform(-0.6, 0.6), *rng.uniform(-2, 2, size=6))
+        w = 2.0 * np.sqrt(p.J * p.J + p.D * p.D + p.B * p.B)
+        phases = p.tau * np.array(
+            [p.A + p.delta - 2 * p.M, p.A + p.delta + 2 * p.M, 2 * (p.A - p.delta), w])
+        if np.abs(phases).max() > np.pi - 1e-3:
+            continue
+        checked += 1
+        root = gate_sqrt(gate_from_hamiltonian(p)).matrix
+        assert mc_zero_pattern_defect(root) == 0.0
+        half = gate_from_hamiltonian(replace(p, tau=0.5 * p.tau)).matrix
+        assert np.abs(root - half).max() < 1e-12
+    assert checked >= 100
+
+
+def test_gate_sqrt_rejects_non_mc():
+    bad = np.eye(4, dtype=complex)
+    bad[0, 1] = 1e-3
+    with pytest.raises(StructureError):
+        gate_sqrt(bad)

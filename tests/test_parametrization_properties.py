@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mcbrick.errors import ParameterError, RefusalError
+from mcbrick.errors import RefusalError
 from mcbrick.gates import (
     HaarGateParams,
     HamiltonianGateParams,
     gate_from_haar,
     gate_from_hamiltonian,
+    gate_sqrt,
+    haar_matrix,
     haar_params_from_gate,
-    hamiltonian_params_from_gate,
+    mc_zero_pattern_defect,
 )
 from mcbrick.rmatrix import haar_to_r, map_report
 
@@ -116,13 +118,20 @@ def hamiltonian_params(draw):
     )
 
 
+gate_matrices = st.one_of(
+    hamiltonian_params().map(lambda p: gate_from_hamiltonian(p).matrix),
+    haar_params.map(haar_matrix),
+)
+
+
 @PROPERTY
-@given(hamiltonian_params())
-def test_hamiltonian_params_round_trip_through_the_gate_or_refuse(p):
-    g = gate_from_hamiltonian(p).matrix
-    try:
-        q = hamiltonian_params_from_gate(g)
-    except ParameterError:  # no hopping rotation: the J = 1 gauge is undefined
-        return
-    assert q.J == 1.0
-    assert np.abs(gate_from_hamiltonian(q).matrix - g).max() <= 1e-12
+@given(gate_matrices)
+# central blocks with no rotation to halve or none off the diagonal: the
+# identity, the scalar -i, and phi = pi/2
+@example(np.eye(4, dtype=complex))
+@example(np.diag([1.0, -1j, -1j, 1.0]))
+@example(haar_matrix(HaarGateParams(0.1, 0.4, np.pi / 2, 0.3, 0.2)))
+def test_gate_sqrt_squares_back_to_the_gate(g):
+    root = gate_sqrt(g).matrix
+    assert mc_zero_pattern_defect(root) == 0.0
+    assert np.abs(root @ root - g).max() <= 1e-12

@@ -19,6 +19,7 @@ from mcbrick.gates import (
     HamiltonianGateParams,
     gate_from_haar,
     gate_from_hamiltonian,
+    haar_params_from_gate,
     random_mc_gate,
 )
 from mcbrick.rmatrix import classify_phase_hamiltonian
@@ -110,9 +111,10 @@ def test_equivalent_circuit_preserves_spectrum():
         u = dense_propagator(circ)
         ut = dense_propagator(sym)
         assert spectral_match_error(u, ut) < 1e-10
-        # only a two-layer period can be symmetrized
-        with pytest.raises(ParameterError):
-            equivalent_circuit(sym)
+        # only a two-layer period can be symmetrized or reversed
+        for func in (equivalent_circuit, global_time_reversal, closure_defect):
+            with pytest.raises(ParameterError):
+                func(sym)
 
 
 def test_symmetrized_circuit_state_application():
@@ -186,25 +188,62 @@ def dense_report(circuit):
 
 FINE_TUNED = HamiltonianGateParams(tau=0.5, delta=0.8, B=0.2, D=1.0, M=0.0, A=0.1)
 HOMOGENEOUS = HamiltonianGateParams(tau=0.43, delta=0.9, B=0.25, D=0.55, M=0.1, A=-0.2)
+NO_HOPPING = HamiltonianGateParams(tau=0.7, delta=0.3, B=0.4, J=0.0)
+
+REPORT_CIRCUITS = {
+    "disordered-open-8a": lambda: disordered_circuit(8, "open", seed=300),
+    "disordered-open-8b": lambda: disordered_circuit(8, "open", seed=600),
+    "homogeneous-open-8": lambda: homogeneous_circuit(gate_from_hamiltonian(HOMOGENEOUS), 8, "open"),
+    "fine-tuned-ring-4": lambda: homogeneous_circuit(gate_from_hamiltonian(FINE_TUNED), 4, "periodic"),
+    "fine-tuned-ring-8": lambda: homogeneous_circuit(gate_from_hamiltonian(FINE_TUNED), 8, "periodic"),
+    # central blocks with no hopping: a z rotation, and no rotation at all
+    "no-hopping-open-8": lambda: homogeneous_circuit(gate_from_hamiltonian(NO_HOPPING), 8, "open"),
+    "identity-open-8": lambda: homogeneous_circuit(np.eye(4, dtype=complex), 8, "open"),
+}
 
 
-@pytest.mark.parametrize("make", [
-    lambda: disordered_circuit(8, "open", seed=300),
-    lambda: disordered_circuit(8, "open", seed=600),
-    lambda: homogeneous_circuit(gate_from_hamiltonian(HOMOGENEOUS), 8, "open"),
-    lambda: homogeneous_circuit(gate_from_hamiltonian(FINE_TUNED), 4, "periodic"),
-    lambda: homogeneous_circuit(gate_from_hamiltonian(FINE_TUNED), 8, "periodic"),
-], ids=["disordered-open-8a", "disordered-open-8b", "homogeneous-open-8",
-        "fine-tuned-ring-4", "fine-tuned-ring-8"])
-def test_sector_report_matches_dense_oracle(make):
-    circ = make()
-    rep, want = time_reversal_report(circ), dense_report(circ)
+def assert_reports_close(rep, want):
     assert sorted(rep) == sorted(want)
     for key, value in want.items():
         if isinstance(value, float):
             assert abs(rep[key] - value) <= 1e-12, key
         else:
             assert rep[key] == value, key
+
+
+@pytest.mark.parametrize("make", REPORT_CIRCUITS.values(), ids=REPORT_CIRCUITS.keys())
+def test_sector_report_matches_dense_oracle(make):
+    circ = make()
+    assert_reports_close(time_reversal_report(circ), dense_report(circ))
+
+
+def twin_bond_angles(circuit):
+    """Bond angles read from the symmetrized twin's gates, the ones T reverses."""
+    theta = {}
+    for gate, (a, _b) in equivalent_circuit(circuit).layer_pairs():
+        theta.setdefault(a, haar_params_from_gate(gate).params.theta_v)
+    return np.array([theta[a] for a in sorted(theta)])
+
+
+def report_or_refusal(circuit):
+    try:
+        return time_reversal_report(circuit)
+    except TimeReversalRefusal as exc:
+        return {"refused": True, "angle_defect": exc.angle_defect}
+
+
+@pytest.mark.parametrize("make", [
+    *REPORT_CIRCUITS.values(),
+    lambda: disordered_circuit(8, "periodic", seed=900),
+    lambda: homogeneous_circuit(gate_from_hamiltonian(HOMOGENEOUS), 8, "periodic"),
+], ids=[*REPORT_CIRCUITS.keys(), "disordered-ring-8", "homogeneous-ring-8"])
+def test_period_bond_angles_are_the_twins_mod_pi(make, monkeypatch):
+    circ = make()
+    diff = symmetry._bond_angles(circ) - twin_bond_angles(circ)
+    assert np.abs((diff + np.pi / 2) % np.pi - np.pi / 2).max() <= 1e-12
+    rep = report_or_refusal(circ)
+    monkeypatch.setattr(symmetry, "_bond_angles", twin_bond_angles)
+    assert_reports_close(rep, report_or_refusal(circ))
 
 
 def test_report_refuses_beyond_the_dense_cap_before_any_block(monkeypatch):
